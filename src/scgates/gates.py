@@ -10,9 +10,18 @@ compensation built from single-qubit Z rotations and a global phase:
         e^{i(-theta_a + theta_b)}, e^{i(-theta_a - theta_b)})
 
 in the basis |00>, |01>, |10>, |11>.  The reported fidelity is the maximum
-over the three phases, found deterministically: a 32x32x32 grid over
-[0, 2pi)^3 followed by cyclic per-coordinate golden-section refinement until
-a full cycle improves the fidelity by less than 1e-12.
+over the three phases (Pedersen, Moller & Molmer, Phys. Lett. A 367, 47
+(2007)), and it reduces exactly to a problem in theta_a alone.  With
+w_k = sum_j M_kj conj(U_kj), alpha = theta + theta_b and
+beta = theta - theta_b,
+
+    F = 1 - (4 + ||M||^2)/16 + max over theta_a of (|S_1| + |S_2|) / 8,
+    S_1 = w_0 e^{i theta_a} + w_2 e^{-i theta_a},
+    S_2 = w_1 e^{i theta_a} + w_3 e^{-i theta_a},
+
+with alpha and beta the negative arguments of S_1 and S_2.  ``gate_fidelity``
+solves the one-angle problem through the roots of a degree-6 polynomial, with
+no search.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .dispersive import effective_couplings
 from .evolution import DEFAULT_DT, PulseSchedule, propagate_schedule, square_schedule
@@ -79,7 +89,8 @@ class GateResult:
 
     ``projected_block`` is the raw (uncompensated) 4x4 computational block;
     ``leakage`` is the population lost from the computational subspace,
-    1 - tr(M^dag M)/4.  Phases are reported in [0, 2pi).
+    1 - tr(M^dag M)/4.  ``theta_a`` and ``theta_b`` are reported in [0, pi)
+    and ``theta_global`` in [0, 2pi).
     """
 
     fidelity: float
@@ -107,21 +118,6 @@ class GateResult:
 _SIGN_A = np.array([1.0, 1.0, -1.0, -1.0])
 _SIGN_B = np.array([1.0, -1.0, 1.0, -1.0])
 
-_GRID_N = 32
-_GRID = np.arange(_GRID_N) * (2 * np.pi / _GRID_N)
-# e^{i(+-theta_a +- theta_b + theta)} tabulated once for the whole grid,
-# one (32, 32, 32) block per diagonal entry of D.
-_GRID_PHASES = [
-    (
-        np.exp(1j * sa * _GRID)[:, None, None]
-        * np.exp(1j * sb * _GRID)[None, :, None]
-        * np.exp(1j * _GRID)[None, None, :]
-    )
-    for sa, sb in zip(_SIGN_A, _SIGN_B)
-]
-
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
 
 def phase_diagonal(theta_a: float, theta_b: float, theta_global: float) -> np.ndarray:
     """The compensation matrix D as a dense 4x4 diagonal."""
@@ -143,75 +139,71 @@ def project_computational(
     return u[np.ix_(ix, ix)].astype(complex)
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
-    """Deterministic golden-section maximization of ``f`` on [lo, hi]."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return (c, fc) if fc > fd else (d, fd)
+def _principal(x: float, period: float) -> float:
+    """``x`` reduced to [0, period); the float modulo can round up to ``period``."""
+    x = float(x) % period
+    return x if x < period else 0.0
 
 
 def gate_fidelity(m: np.ndarray, target: GateTarget) -> GateResult:
     """Phase-optimized fidelity of a projected block against ``target``.
 
     ``m`` must be a 4x4 contraction (singular values at most 1 up to
-    round-off), as produced by projecting a unitary.  Ties on the search grid
-    resolve to the first point in lexicographic (theta_a, theta_b, theta)
-    order, so degenerate inputs give reproducible phases.
+    round-off), as produced by projecting a unitary.
+
+    The maximum over theta_a of |S_1| + |S_2| (module docstring) is found
+    exactly.  With z = e^{2i theta_a}, p_1 = 2 w_0 conj(w_2),
+    p_2 = 2 w_1 conj(w_3), a_1 = |w_0|^2 + |w_2|^2 and
+    a_2 = |w_1|^2 + |w_3|^2, |S_j|^2 = a_j + Re(p_j z).  Every maximum
+    is a root of the squared stationarity condition
+    Im(p_1 z)^2 |S_2|^2 = Im(p_2 z)^2 |S_1|^2, a degree-6 polynomial in z.
+    The candidates for theta_a are, in this order: 0, half the argument of
+    each root, and the single-term maxima -arg(p_1)/2 and -arg(p_2)/2.  The
+    last two are needed where the condition vanishes identically, as when
+    both terms peak at the same angle (m a compensated multiple of the
+    target).  Ties go to the first candidate, so the exact target and the
+    zero block give phases (0, 0, 0).
+
+    Phases are reported in a canonical form: theta_a and theta_b in [0, pi),
+    theta_global in [0, 2pi).  Nothing is lost, since shifting theta_a or
+    theta_b by pi together with theta_global by pi leaves D unchanged.
     """
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 block, got shape {m.shape}")
-    ut = target.matrix
     # Row-wise overlaps with the target: F depends on the phases only through
     # Re sum_k d_k w_k, since ||U_T - D M||^2 = 4 + ||M||^2 - 2 Re tr(U_T^dag D M).
-    w = (m * ut.conj()).sum(axis=1)
+    w = (m * target.matrix.conj()).sum(axis=1)
     norm2 = float((np.abs(m) ** 2).sum())
-    base = 1.0 - (4.0 + norm2) / 16.0
 
-    def fid(theta: np.ndarray) -> float:
-        d = np.exp(1j * (theta[2] + _SIGN_A * theta[0] + _SIGN_B * theta[1]))
-        return base + float((d @ w).real) / 8.0
+    def pair_sums(theta_a):
+        """(S_1, S_2) along the last axis, for each angle in ``theta_a``."""
+        e = np.exp(1j * np.asarray(theta_a))[..., None]
+        return w[:2] * e + w[2:] / e
 
-    grid_obj = (
-        w[0] * _GRID_PHASES[0]
-        + w[1] * _GRID_PHASES[1]
-        + w[2] * _GRID_PHASES[2]
-        + w[3] * _GRID_PHASES[3]
-    ).real
-    ia, ib, ig = np.unravel_index(int(np.argmax(grid_obj)), grid_obj.shape)
-    theta = np.array([_GRID[ia], _GRID[ib], _GRID[ig]])
-    best = fid(theta)
+    # The argmax does not depend on the scale of w, nor, to round-off, on
+    # entries below 1e-50 of the largest; dropping those keeps the cubic
+    # coefficients below from under- or overflowing in the root finder.
+    u = w / max(float(np.abs(w).max()), np.finfo(float).tiny)
+    u[np.abs(u) < 1e-50] = 0.0
+    p = 2 * u[:2] * u[2:].conj()
+    a = np.abs(u[:2]) ** 2 + np.abs(u[2:]) ** 2
+    zero = np.zeros(2)
+    # z^2 Im(p z)^2 and z |S|^2 as coefficient rows, lowest power first.
+    im2 = np.stack([-p.conj() ** 2 / 4, zero, np.abs(p) ** 2 / 2, zero, -(p**2) / 4], axis=1)
+    mod2 = np.stack([p.conj() / 2, a, p / 2], axis=1)
+    condition = P.polymul(im2[0], mod2[1]) - P.polymul(im2[1], mod2[0])
+    candidates = np.concatenate(([0.0], np.angle(P.polyroots(condition)) / 2, -np.angle(p) / 2))
+    values = np.abs(pair_sums(candidates)).sum(axis=1)
+    best = int(np.argmax(values))
 
-    step = 2 * np.pi / _GRID_N
-    for _ in range(100):
-        cycle_start = best
-        for axis in range(3):
-            def along(x, axis=axis):
-                probe = theta.copy()
-                probe[axis] = x
-                return fid(probe)
-
-            x, fx = _golden_max(along, theta[axis] - step, theta[axis] + step)
-            if fx > best:
-                theta[axis] = x
-                best = fx
-        if best - cycle_start < 1e-12:
-            break
-
-    theta = np.mod(theta, 2 * np.pi)
+    theta_a = _principal(candidates[best], np.pi)
+    alpha, beta = -np.angle(pair_sums(theta_a))
+    theta_b = _principal((alpha - beta) / 2, np.pi)
+    theta = _principal(alpha - theta_b, 2 * np.pi)
+    fidelity = 1.0 - (4.0 + norm2) / 16.0 + float(values[best]) / 8.0
     leakage = min(1.0, max(0.0, 1.0 - norm2 / 4.0))  # guard float round-off
-    return GateResult(best, float(theta[0]), float(theta[1]), float(theta[2]), m.copy(), leakage)
+    return GateResult(fidelity, theta_a, theta_b, theta, m.copy(), leakage)
 
 
 def gate_time(spec: DirectSystemSpec | IndirectSystemSpec, target: GateTarget) -> float:

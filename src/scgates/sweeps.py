@@ -27,7 +27,6 @@ are well defined):
 
 from __future__ import annotations
 
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import product
@@ -208,9 +207,7 @@ def evaluate_point(
         spec = derive_point_spec(base, axes, values)
         t_g = gate_time(spec, target)
         schedule = trapezoid_schedule(base.tau_d, t_g)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # detuned points are deliberate in sweeps
-            result = run_gate(spec, target, schedule, base.dt)
+        result = run_gate(spec, target, schedule, base.dt)
     except (ValueError, ArithmeticError, np.linalg.LinAlgError, RuntimeError) as exc:
         return SweepPoint(
             tuple(values), _FAILED, _FAILED, _FAILED, _FAILED, _FAILED, _FAILED,

@@ -135,6 +135,36 @@ class TestGateFidelity:
         with pytest.raises(ValueError):
             gate_fidelity(np.eye(3), CZ)
 
+    def test_contraction_where_a_local_search_stops_short(self):
+        # the 51st contraction drawn from default_rng(1); a grid plus cyclic
+        # golden-section search reported 0.759204523 here
+        rng = np.random.default_rng(1)
+        for _ in range(51):
+            m = random_contraction(rng)
+        assert gate_fidelity(m, CZ).fidelity == pytest.approx(0.759294183, abs=1e-9)
+
+    @pytest.mark.parametrize("target", [ISWAP, CZ], ids=["iswap", "cz"])
+    def test_compensated_scaled_target_is_closed_form(self, target):
+        # both terms of the one-angle objective peak together here, so the
+        # stationarity polynomial vanishes identically
+        for theta_a in (0.0, 0.4, 1.3, 2.9, 4.2):
+            for s in (0.3, 0.8, 0.99):
+                m = phase_diagonal(theta_a, 1.1, 2.5) @ (s * target.matrix)
+                res = gate_fidelity(m, target)
+                assert res.fidelity == pytest.approx(1 - (1 - s) ** 2 / 4, abs=1e-12)
+
+    def test_negligible_rows_are_scored_like_zero_rows(self):
+        # rows of 1e-160 would underflow the cubic coefficients of the root finder
+        rng = np.random.default_rng(29)
+        for rows in ([0, 1], [2, 3], [1]):
+            m = random_contraction(rng)
+            tiny, zeroed = m.copy(), m.copy()
+            tiny[rows] *= 1e-160
+            zeroed[rows] = 0.0
+            for target in (ISWAP, CZ):
+                f_zeroed = gate_fidelity(zeroed, target).fidelity
+                assert gate_fidelity(tiny, target).fidelity == pytest.approx(f_zeroed, abs=1e-15)
+
 
 class TestGateTime:
     def test_direct_formulas(self):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,13 @@ class TestSweep:
         rows1 = sweep(ISWAP_BASE, axes, jobs=1).rows
         rows4 = sweep(ISWAP_BASE, axes, jobs=4).rows
         assert rows1 == rows4
+
+    def test_threaded_sweeps_leave_warning_filters_alone(self):
+        axes = (SweepAxis("g_over_delta_b", 0.05, 0.3, 20),)
+        for _ in range(30):
+            before = list(warnings.filters)
+            sweep(ISWAP_BASE, axes, jobs=2)
+            assert list(warnings.filters) == before
 
     def test_failed_points_recorded_in_row(self):
         # negative anharmonicity values cannot build a qubit; the sweep keeps going
