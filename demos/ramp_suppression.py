@@ -20,14 +20,11 @@ spec = DirectSystemSpec(
     g=0.0091,
 )
 
-# coarser discretization than the library default: plenty for a demo table
-DT = 0.002
-
 print(f"CZ at g = {spec.g} GHz (gate time {gate_time(spec, CZ):.1f} ns)")
 print("\n tau_d (ns)   fidelity")
 for tau_d in (0.0, 5.0, 10.0, 20.0, 40.0):
     schedule = trapezoid_schedule(tau_d, gate_time(spec, CZ))
-    res = run_gate(spec, CZ, schedule, dt=DT)
+    res = run_gate(spec, CZ, schedule)
     print(f"   {tau_d:7.1f}   {res.fidelity:.5f}")
 
 print("\nfidelity vs coupling, square pulse against a 10 ns ramp:")
@@ -36,6 +33,6 @@ for ratio in (0.10, 0.14, 0.18, 0.22, 0.26):
     g = ratio * spec.qubit_b.anharm
     point = DirectSystemSpec(spec.qubit_a, spec.qubit_b, g)
     t_g = gate_time(point, CZ)
-    f_square = run_gate(point, CZ, dt=DT).fidelity
-    f_ramped = run_gate(point, CZ, trapezoid_schedule(10.0, t_g), dt=DT).fidelity
+    f_square = run_gate(point, CZ).fidelity
+    f_ramped = run_gate(point, CZ, trapezoid_schedule(10.0, t_g)).fidelity
     print(f"    {ratio:7.2f}   {f_square:.5f}   {f_ramped:.5f}")

@@ -8,7 +8,9 @@ parsing is strict: unknown keys anywhere in the file are rejected, which
 catches unit mistakes and typos before any computation starts.
 
 Exit codes: 0 success, 1 config error (nothing is written), 2 numerical
-failure.  Errors are also emitted as single-line JSON on stderr.
+failure (nothing is written), 3 the output directory or an artifact could
+not be written (artifacts written before the failure are left in place).
+Errors are also emitted as single-line JSON on stderr.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -497,11 +499,7 @@ def run_config(cfg: RunConfig, out_dir: str | Path, jobs: int = 1, stem: str = "
 def run(config_path: str | Path, out_dir=None, dt=None, jobs: int = 1) -> int:
     """CLI behaviour for ``--config``: parse, execute, write, map exit codes."""
     try:
-        cfg = load_config(config_path)
-        if dt is not None:
-            if dt <= 0:
-                raise ConfigError(f"--dt must be positive, got {dt}")
-            cfg = _with_dt(cfg, dt)
+        cfg = _with_dt(load_config(config_path), dt)
         out = out_dir or cfg.output
         if out is None:
             raise ConfigError("no output directory: set 'output' in the config or pass --out")
@@ -514,21 +512,19 @@ def run(config_path: str | Path, out_dir=None, dt=None, jobs: int = 1) -> int:
 def reproduce(figure_id: str, out_dir=None, dt=None, jobs: int = 1) -> int:
     """CLI behaviour for ``--reproduce``: run a built-in preset."""
     try:
-        cfg = parse_config(presets.figure_config(figure_id))
-        if dt is not None:
-            if dt <= 0:
-                raise ConfigError(f"--dt must be positive, got {dt}")
-            cfg = _with_dt(cfg, dt)
-        out = out_dir or f"{figure_id}_out"
+        cfg = _with_dt(parse_config(presets.figure_config(figure_id)), dt)
     except (ConfigError, ValueError) as exc:
         _emit_error("config", exc)
         return 1
-    return _guarded_run(cfg, out, jobs, figure_id)
+    return _guarded_run(cfg, out_dir or f"{figure_id}_out", jobs, figure_id)
 
 
-def _with_dt(cfg: RunConfig, dt: float) -> RunConfig:
-    from dataclasses import replace
-
+def _with_dt(cfg: RunConfig, dt: float | None) -> RunConfig:
+    """``cfg`` with the ``--dt`` override applied, if one was given."""
+    if dt is None:
+        return cfg
+    if dt <= 0:
+        raise ConfigError(f"--dt must be positive, got {dt}")
     return replace(cfg, base=replace(cfg.base, dt=float(dt)))
 
 
@@ -538,6 +534,9 @@ def _guarded_run(cfg: RunConfig, out, jobs: int, stem: str) -> int:
     except (UnitarityError, DispersiveRegimeError, FloatingPointError, np.linalg.LinAlgError, ValueError, RuntimeError) as exc:
         _emit_error("numerical", exc)
         return 2
+    except OSError as exc:
+        _emit_error("io", exc)
+        return 3
     if cfg.mode == "effective":
         print(json.dumps(summary, sort_keys=True))
     return 0

@@ -242,6 +242,22 @@ class TestCliEntry:
         path.write_text(json.dumps(GATE_CONFIG))
         assert main(["--config", str(path), "--out", str(tmp_path / "o"), "--dt", "-0.1"]) == 1
 
+    def test_reproduce_rejects_nonpositive_dt_before_running(self, tmp_path, capsys):
+        assert main(["--reproduce", "fig3b", "--out", str(tmp_path / "o"), "--dt", "0"]) == 1
+        err = capsys.readouterr().err
+        assert json.loads(err) == {"kind": "config", "error": "--dt must be positive, got 0.0"}
+        assert not (tmp_path / "o").exists()
+
+    def test_unwritable_output_is_io_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(GATE_CONFIG))
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file, not a directory")
+        assert main(["--config", str(path), "--out", str(blocker / "sub")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["kind"] == "io"
+
 
 class TestSummaryValidation:
     def test_rejects_missing_mode(self):

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scgates import (
     TWOPI,
@@ -13,6 +17,7 @@ from scgates import (
     square_schedule,
     trapezoid_schedule,
 )
+from scgates.evolution import SCHEDULE_UNITARITY_TOL
 
 CZ_SPEC = DirectSystemSpec(QubitSpec(7.16, 0.087, 3), QubitSpec(7.274, 0.114, 3), 0.0274)
 
@@ -133,3 +138,39 @@ class TestPropagateSchedule:
         u1 = propagate_schedule(CZ_SPEC, sched).unitary
         u2 = propagate_schedule(CZ_SPEC, sched, dt=0.5 * 2.5e-4).unitary
         assert np.max(np.abs(u1 - u2)) < 1e-8
+
+    def test_ramp_error_is_fourth_order_in_dt(self):
+        # sampling H at 1/6 and 5/6 of each step makes the ramp CF4, so halving
+        # dt divides the error by about 16; the midpoint rule divides it by 4
+        sched = trapezoid_schedule(2.0, 12.9)
+        ref = propagate_schedule(CZ_SPEC, sched, dt=0.001).unitary
+        coarse, fine = (
+            np.max(np.abs(propagate_schedule(CZ_SPEC, sched, dt=dt).unitary - ref))
+            for dt in (0.025, 0.0125)
+        )
+        assert coarse / fine >= 12
+
+
+qubits = st.builds(
+    QubitSpec,
+    freq=st.floats(4.0, 8.0),
+    anharm=st.floats(0.05, 0.3),
+    n_levels=st.integers(2, 4),
+)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    qubit_a=qubits,
+    qubit_b=qubits,
+    g=st.floats(0.001, 0.1),
+    tau_d=st.floats(0.01, 3.0),
+    hold=st.floats(0.1, 20.0),
+    park_scale=st.floats(1.01, 1.3),
+    dt=st.floats(0.002, 0.5),
+)
+def test_ramped_schedules_are_unitary_and_count_steps(qubit_a, qubit_b, g, tau_d, hold, park_scale, dt):
+    spec = DirectSystemSpec(qubit_a, qubit_b, g)
+    res = propagate_schedule(spec, trapezoid_schedule(tau_d, hold, park_scale), dt=dt)
+    assert res.unitarity_defect < SCHEDULE_UNITARITY_TOL
+    assert res.steps_used == 2 * math.ceil(tau_d / dt) + 1
