@@ -36,7 +36,7 @@ print(f"g = 11 MHz -> F = {result.fidelity:.4f}, leakage = {result.leakage:.2e}"
 
 # Now sweep g as a fraction of qubit B's anharmonicity.
 axis = SweepAxis("g_over_delta_b", start=0.02, stop=0.4, n_points=39)
-grid = sweep(base, (axis,), jobs=2)
+grid = sweep(base, (axis,))
 
 print("\n g/anharm_b   fidelity   t_gate (ns)")
 for row in grid.rows[::4]:

@@ -80,6 +80,8 @@ def _get(obj: dict, key: str, types, where: str, default=None, required: bool = 
         value = float(value)
     if not isinstance(value, types) or isinstance(value, bool) and types is not bool:
         raise ConfigError(f"key {key!r} in {where} has wrong type {type(value).__name__}")
+    if types is float and not math.isfinite(value):
+        raise ConfigError(f"key {key!r} in {where} must be finite, got {value}")
     return value
 
 
@@ -213,9 +215,10 @@ def parse_config(obj: dict) -> RunConfig:
     tau_d_list = obj.get("tau_d_list")
     if mode == "ramp":
         if not isinstance(tau_d_list, list) or not tau_d_list or not all(
-            isinstance(t, (int, float)) and not isinstance(t, bool) and t >= 0 for t in tau_d_list
+            isinstance(t, (int, float)) and not isinstance(t, bool) and 0 <= t < math.inf
+            for t in tau_d_list
         ):
-            raise ConfigError("mode 'ramp' needs tau_d_list of non-negative durations")
+            raise ConfigError("mode 'ramp' needs tau_d_list of non-negative finite durations")
         tau_d_list = tuple(float(t) for t in tau_d_list)
     elif tau_d_list is not None:
         raise ConfigError("key 'tau_d_list' only applies to mode 'ramp'")
@@ -380,14 +383,14 @@ def _effective_summary(cfg: RunConfig) -> tuple[dict, list[SweepGrid], None]:
     return {"mode": "effective", **couplings.as_dict()}, [], None
 
 
-def execute(cfg: RunConfig, jobs: int = 1):
+def execute(cfg: RunConfig):
     """Run one config; returns (summary, grids, label spec) without writing."""
     if cfg.mode == "gate":
         return _gate_summary(cfg)
     if cfg.mode == "effective":
         return _effective_summary(cfg)
     if cfg.mode in ("sweep1d", "sweep2d"):
-        grid = sweep(cfg.base, cfg.axes, jobs=jobs)
+        grid = sweep(cfg.base, cfg.axes)
         summary = {
             "mode": cfg.mode,
             "gate": cfg.base.gate,
@@ -398,7 +401,7 @@ def execute(cfg: RunConfig, jobs: int = 1):
             summary["thresholds"] = _threshold_entries(grid, SUMMARY_THRESHOLD_LEVELS)
         return summary, [grid], None
     if cfg.mode == "threshold":
-        grid = sweep(cfg.base, cfg.axes, jobs=jobs)
+        grid = sweep(cfg.base, cfg.axes)
         result = threshold(grid, cfg.level)
         summary = {
             "mode": "threshold",
@@ -410,7 +413,7 @@ def execute(cfg: RunConfig, jobs: int = 1):
         }
         return summary, [grid], None
     if cfg.mode == "truncation":
-        grids = truncation_study(cfg.base, cfg.n_levels_list, cfg.axes[0], jobs=jobs)
+        grids = truncation_study(cfg.base, cfg.n_levels_list, cfg.axes[0])
         diffs = {
             f"{a}-{b}": float(np.max(np.abs(ga.fidelity_array() - gb.fidelity_array())))
             for (a, ga), (b, gb) in zip(
@@ -425,7 +428,7 @@ def execute(cfg: RunConfig, jobs: int = 1):
         }
         return summary, grids, ("n_levels", list(cfg.n_levels_list))
     if cfg.mode == "ramp":
-        grids = ramp_study(cfg.base, cfg.tau_d_list, cfg.axes[0], jobs=jobs)
+        grids = ramp_study(cfg.base, cfg.tau_d_list, cfg.axes[0])
         summary = {
             "mode": "ramp",
             "gate": cfg.base.gate,
@@ -467,8 +470,11 @@ def validate_summary(summary: dict) -> None:
 
 
 def run_config(cfg: RunConfig, out_dir: str | Path, jobs: int = 1, stem: str = "results") -> dict:
-    """Execute a config and write csv/summary/plot artifacts into ``out_dir``."""
-    summary, grids, label = execute(cfg, jobs=jobs)
+    """Execute a config and write csv/summary/plot artifacts into ``out_dir``.
+
+    ``jobs`` is accepted for compatibility and ignored, as in ``sweeps.sweep``.
+    """
+    summary, grids, label = execute(cfg)
     validate_summary(summary)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -506,7 +512,7 @@ def run(config_path: str | Path, out_dir=None, dt=None, jobs: int = 1) -> int:
     except ConfigError as exc:
         _emit_error("config", exc)
         return 1
-    return _guarded_run(cfg, out, jobs, "results")
+    return _guarded_run(cfg, out, "results")
 
 
 def reproduce(figure_id: str, out_dir=None, dt=None, jobs: int = 1) -> int:
@@ -516,7 +522,7 @@ def reproduce(figure_id: str, out_dir=None, dt=None, jobs: int = 1) -> int:
     except (ConfigError, ValueError) as exc:
         _emit_error("config", exc)
         return 1
-    return _guarded_run(cfg, out_dir or f"{figure_id}_out", jobs, figure_id)
+    return _guarded_run(cfg, out_dir or f"{figure_id}_out", figure_id)
 
 
 def _with_dt(cfg: RunConfig, dt: float | None) -> RunConfig:
@@ -525,12 +531,14 @@ def _with_dt(cfg: RunConfig, dt: float | None) -> RunConfig:
         return cfg
     if dt <= 0:
         raise ConfigError(f"--dt must be positive, got {dt}")
+    if not math.isfinite(dt):
+        raise ConfigError(f"--dt must be finite, got {dt}")
     return replace(cfg, base=replace(cfg.base, dt=float(dt)))
 
 
-def _guarded_run(cfg: RunConfig, out, jobs: int, stem: str) -> int:
+def _guarded_run(cfg: RunConfig, out, stem: str) -> int:
     try:
-        summary = run_config(cfg, out, jobs=jobs, stem=stem)
+        summary = run_config(cfg, out, stem=stem)
     except (UnitarityError, DispersiveRegimeError, FloatingPointError, np.linalg.LinAlgError, ValueError, RuntimeError) as exc:
         _emit_error("numerical", exc)
         return 2
@@ -561,7 +569,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--out", metavar="DIR", help="output directory")
     parser.add_argument("--dt", type=float, help="ramp discretization override, ns")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel evaluations (default 1)")
+    parser.add_argument("--jobs", type=int, default=1, help="ignored, kept for compatibility")
     args = parser.parse_args(argv)
     if args.jobs < 1:
         _emit_error("config", ValueError(f"--jobs must be at least 1, got {args.jobs}"))

@@ -183,15 +183,26 @@ def propagate_schedule(
     described in the module docstring.  Segment propagators are multiplied in
     time order, and ``steps_used`` counts one per constant segment plus the
     CF4 steps of each ramp.
+
+    A segment that retraces an earlier one (same duration, start and end
+    scales swapped, as the ramp back up of a trapezoid) reuses the transpose
+    of the earlier propagator.  This is exact: h0 and h1 are real symmetric,
+    so each exponential is symmetric, and the CF4 nodes {1/6, 5/6} map onto
+    each other under f -> 1 - f, so the retraced segment's exponentials are
+    the earlier ones in reverse order.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     h0, h1 = hamiltonian_parts(spec)
     u = np.eye(h0.shape[0], dtype=complex)
     steps = 0
+    done = {}
     for seg in schedule.segments:
         scales, step, n_steps = _samples(seg, dt)
-        u = _propagator(h0, h1, scales, step) @ u
+        earlier = done.get((seg.duration, seg.scale_end, seg.scale_start))
+        seg_u = _propagator(h0, h1, scales, step) if earlier is None else earlier.T
+        done[seg.duration, seg.scale_start, seg.scale_end] = seg_u
+        u = seg_u @ u
         steps += n_steps
     defect = _unitarity_defect(u)
     if defect > SCHEDULE_UNITARITY_TOL:

@@ -3,9 +3,10 @@
 A sweep takes a fully specified base system plus one or two axes and produces
 a dense table of gate fidelities, gate times and leakage.  Axis values modify
 the base system point by point; everything not named by an axis is taken from
-the base.  Rows always come out in lexicographic axis order, whatever the
-evaluation parallelism, and failed points are recorded in-row rather than
-aborting the sweep.
+the base.  Points are evaluated one after another in the calling thread, rows
+come out in lexicographic axis order, and failed points are recorded in-row
+rather than aborting the sweep.  The ``jobs`` keywords of the sweep functions
+are kept for compatibility and no longer change anything.
 
 Axis semantics (ratios are resolved in a fixed order so that combined axes
 are well defined):
@@ -27,7 +28,8 @@ are well defined):
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+# Not used here: bench/layers.py patches this name when tracing (--trace 1).
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -226,23 +228,16 @@ def evaluate_point(
 
 
 def sweep(base: SweepBase, axes, jobs: int = 1) -> SweepGrid:
-    """Evaluate the full grid; rows in lexicographic axis order.
+    """Evaluate the full grid in the calling thread; rows in lexicographic axis order.
 
-    ``jobs`` > 1 evaluates points on a thread pool (the heavy lifting happens
-    in LAPACK, outside the interpreter lock); the result is independent of
-    the worker count.
+    ``jobs`` is accepted for compatibility and ignored.
     """
     axes = tuple(axes)
     if not 1 <= len(axes) <= 2:
         raise ValueError(f"sweeps take one or two axes, got {len(axes)}")
     _validate_axes(base, axes)
-    points = list(product(*(ax.values() for ax in axes)))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda vals: evaluate_point(base, axes, vals), points))
-    else:
-        rows = [evaluate_point(base, axes, vals) for vals in points]
-    return SweepGrid(base, axes, tuple(rows))
+    points = product(*(ax.values() for ax in axes))
+    return SweepGrid(base, axes, tuple(evaluate_point(base, axes, vals) for vals in points))
 
 
 def threshold(grid: SweepGrid, level: float) -> ThresholdResult:
@@ -297,7 +292,7 @@ def truncation_study(base: SweepBase, n_levels_list, axis: SweepAxis, jobs: int 
             qubit_a=replace(base.system.qubit_a, n_levels=int(n)),
             qubit_b=replace(base.system.qubit_b, n_levels=int(n)),
         )
-        grids.append(sweep(replace(base, system=system), (axis,), jobs=jobs))
+        grids.append(sweep(replace(base, system=system), (axis,)))
     return grids
 
 
@@ -312,7 +307,7 @@ def ramp_study(base: SweepBase, tau_d_list, axis: SweepAxis, jobs: int = 1) -> l
         raise ValueError("ramp studies are defined for directly coupled CZ configurations")
     if any(tau < 0 for tau in tau_d_list):
         raise ValueError("ramp durations must be non-negative")
-    return [sweep(replace(base, tau_d=float(tau)), (axis,), jobs=jobs) for tau in tau_d_list]
+    return [sweep(replace(base, tau_d=float(tau)), (axis,)) for tau in tau_d_list]
 
 
 def detrended_amplitude(grid: SweepGrid, degree: int = 3) -> float:

@@ -108,6 +108,8 @@ class TestParsing:
             parse_config(cfg)
         with pytest.raises(ConfigError, match="tau_d_list"):
             parse_config({**cfg, "tau_d_list": [-1.0]})
+        with pytest.raises(ConfigError, match="tau_d_list"):
+            parse_config({**cfg, "tau_d_list": [0.0, float("inf")]})
         parse_config({**cfg, "tau_d_list": [0, 5]})
 
     def test_effective_requires_indirect(self):
@@ -246,6 +248,24 @@ class TestCliEntry:
         assert main(["--reproduce", "fig3b", "--out", str(tmp_path / "o"), "--dt", "0"]) == 1
         err = capsys.readouterr().err
         assert json.loads(err) == {"kind": "config", "error": "--dt must be positive, got 0.0"}
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "schedule, argv",
+        [
+            ({"tau_d": 5.0}, ["--dt", "inf"]),
+            ({"tau_d": 5.0}, ["--dt", "nan"]),
+            ({"tau_d": float("inf")}, []),
+            ({"tau_d": 5.0, "dt": float("nan")}, []),
+        ],
+    )
+    def test_non_finite_numbers_are_config_errors(self, tmp_path, capsys, schedule, argv):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**GATE_CONFIG, "schedule": schedule}))
+        assert main(["--config", str(path), "--out", str(tmp_path / "o"), *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["kind"] == "config"
         assert not (tmp_path / "o").exists()
 
     def test_unwritable_output_is_io_error(self, tmp_path, capsys):

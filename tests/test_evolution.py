@@ -6,17 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scgates import (
+    CZ,
+    DEFAULT_DT,
     TWOPI,
     DirectSystemSpec,
     PulseSchedule,
     QubitSpec,
     ScheduleSegment,
     build_direct_hamiltonian,
+    gate_time,
     propagate_constant,
     propagate_schedule,
     square_schedule,
     trapezoid_schedule,
 )
+from scgates import presets
+from scgates.cli import parse_config
 from scgates.evolution import SCHEDULE_UNITARITY_TOL
 
 CZ_SPEC = DirectSystemSpec(QubitSpec(7.16, 0.087, 3), QubitSpec(7.274, 0.114, 3), 0.0274)
@@ -149,6 +154,19 @@ class TestPropagateSchedule:
             for dt in (0.025, 0.0125)
         )
         assert coarse / fine >= 12
+
+    @pytest.mark.parametrize("figure", ["fig3b", "fig6b"])
+    def test_trapezoid_equals_its_segments_propagated_alone(self, figure):
+        # the ramp back up reuses the transposed ramp down; it must agree with
+        # the ramp up propagated on its own
+        system = parse_config(presets.figure_config(figure)).base.system
+        sched = trapezoid_schedule(5.0, gate_time(system, CZ))
+        res = propagate_schedule(system, sched)
+        u = np.eye(res.unitary.shape[0])
+        for seg in sched.segments:
+            u = propagate_schedule(system, PulseSchedule((seg,))).unitary @ u
+        assert np.max(np.abs(res.unitary - u)) < 1e-12
+        assert res.steps_used == 2 * math.ceil(5.0 / DEFAULT_DT) + 1
 
 
 qubits = st.builds(

@@ -1,8 +1,10 @@
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
+from scgates import sweeps as sweeps_module
 from scgates import (
     CZ,
     ISWAP,
@@ -157,6 +159,17 @@ class TestSweep:
             before = list(warnings.filters)
             sweep(ISWAP_BASE, axes, jobs=2)
             assert list(warnings.filters) == before
+
+    def test_sweep_runs_every_point_in_the_calling_thread(self, monkeypatch):
+        threads = []
+
+        def recording_run_gate(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return run_gate(*args, **kwargs)
+
+        monkeypatch.setattr(sweeps_module, "run_gate", recording_run_gate)
+        sweep(ISWAP_BASE, (SweepAxis("g_over_delta_b", 0.05, 0.3, 8),), jobs=4)
+        assert threads == [threading.get_ident()] * 8
 
     def test_failed_points_recorded_in_row(self):
         # negative anharmonicity values cannot build a qubit; the sweep keeps going
