@@ -504,25 +504,14 @@ def run_config(cfg: RunConfig, out_dir: str | Path, jobs: int = 1, stem: str = "
 
 def run(config_path: str | Path, out_dir=None, dt=None, jobs: int = 1) -> int:
     """CLI behaviour for ``--config``: parse, execute, write, map exit codes."""
-    try:
-        cfg = _with_dt(load_config(config_path), dt)
-        out = out_dir or cfg.output
-        if out is None:
-            raise ConfigError("no output directory: set 'output' in the config or pass --out")
-    except ConfigError as exc:
-        _emit_error("config", exc)
-        return 1
-    return _guarded_run(cfg, out, "results")
+    return _run_cli(lambda: load_config(config_path), out_dir, dt, "results")
 
 
 def reproduce(figure_id: str, out_dir=None, dt=None, jobs: int = 1) -> int:
     """CLI behaviour for ``--reproduce``: run a built-in preset."""
-    try:
-        cfg = _with_dt(parse_config(presets.figure_config(figure_id)), dt)
-    except (ConfigError, ValueError) as exc:
-        _emit_error("config", exc)
-        return 1
-    return _guarded_run(cfg, out_dir or f"{figure_id}_out", figure_id)
+    return _run_cli(
+        lambda: parse_config(presets.figure_config(figure_id)), out_dir, dt, figure_id, f"{figure_id}_out"
+    )
 
 
 def _with_dt(cfg: RunConfig, dt: float | None) -> RunConfig:
@@ -536,7 +525,20 @@ def _with_dt(cfg: RunConfig, dt: float | None) -> RunConfig:
     return replace(cfg, base=replace(cfg.base, dt=float(dt)))
 
 
-def _guarded_run(cfg: RunConfig, out, stem: str) -> int:
+def _run_cli(load, out_dir, dt, stem: str, default_out=None) -> int:
+    """Load a config, apply ``--dt``, run it into the output directory, map errors to exit codes.
+
+    The directory is ``out_dir``, else the config's ``output``, else
+    ``default_out``; with none of them it is a config error.
+    """
+    try:
+        cfg = _with_dt(load(), dt)
+        out = out_dir or cfg.output or default_out
+        if out is None:
+            raise ConfigError("no output directory: set 'output' in the config or pass --out")
+    except ValueError as exc:  # ConfigError is a ValueError
+        _emit_error("config", exc)
+        return 1
     try:
         summary = run_config(cfg, out, stem=stem)
     except (UnitarityError, DispersiveRegimeError, FloatingPointError, np.linalg.LinAlgError, ValueError, RuntimeError) as exc:

@@ -54,10 +54,10 @@ class ScheduleSegment:
     scale_end: float = 1.0
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError(f"segment duration must be positive, got {self.duration}")
-        if self.scale_start <= 0 or self.scale_end <= 0:
-            raise ValueError("frequency scales must be positive")
+        for name in ("duration", "scale_start", "scale_end"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"segment {name} must be positive and finite, got {value}")
 
     @property
     def is_constant(self) -> bool:
@@ -89,8 +89,8 @@ def trapezoid_schedule(tau_d: float, hold: float, park_scale: float = 1.1) -> Pu
 
     ``tau_d`` is the duration of each ramp; zero gives a plain square pulse.
     """
-    if tau_d < 0:
-        raise ValueError(f"ramp duration must be non-negative, got {tau_d}")
+    if not 0 <= tau_d < math.inf:
+        raise ValueError(f"ramp duration tau_d must be non-negative and finite, got {tau_d}")
     if tau_d == 0:
         return square_schedule(hold)
     return PulseSchedule(
@@ -191,8 +191,8 @@ def propagate_schedule(
     each other under f -> 1 - f, so the retraced segment's exponentials are
     the earlier ones in reverse order.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     h0, h1 = hamiltonian_parts(spec)
     u = np.eye(h0.shape[0], dtype=complex)
     steps = 0

@@ -18,7 +18,9 @@ Unit conventions, used consistently across the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -52,10 +54,10 @@ class QubitSpec:
     n_levels: int = 3
 
     def __post_init__(self):
-        if self.freq <= 0:
-            raise ValueError(f"qubit frequency must be positive, got {self.freq}")
-        if self.anharm < 0:
-            raise ValueError(f"anharmonicity must be non-negative, got {self.anharm}")
+        if not 0 < self.freq < math.inf:
+            raise ValueError(f"qubit freq must be positive and finite, got {self.freq}")
+        if not 0 <= self.anharm < math.inf:
+            raise ValueError(f"qubit anharm must be non-negative and finite, got {self.anharm}")
         if self.n_levels < 2:
             raise ValueError(f"a qubit needs at least two levels, got {self.n_levels}")
 
@@ -69,8 +71,8 @@ class DirectSystemSpec:
     g: float
 
     def __post_init__(self):
-        if self.g < 0:
-            raise ValueError(f"coupling strength must be non-negative, got {self.g}")
+        if not 0 <= self.g < math.inf:
+            raise ValueError(f"coupling g must be non-negative and finite, got {self.g}")
 
     @property
     def dim(self) -> int:
@@ -95,10 +97,10 @@ class IndirectSystemSpec:
     n_photons: int = 5
 
     def __post_init__(self):
-        if self.cavity_freq <= 0:
-            raise ValueError(f"cavity frequency must be positive, got {self.cavity_freq}")
-        if self.g_qc < 0:
-            raise ValueError(f"coupling strength must be non-negative, got {self.g_qc}")
+        if not 0 < self.cavity_freq < math.inf:
+            raise ValueError(f"cavity_freq must be positive and finite, got {self.cavity_freq}")
+        if not 0 <= self.g_qc < math.inf:
+            raise ValueError(f"coupling g_qc must be non-negative and finite, got {self.g_qc}")
         if self.n_photons < 2:
             raise ValueError(f"cavity truncation must be at least 2, got {self.n_photons}")
 
@@ -161,6 +163,37 @@ def build_jx(n_levels: int) -> np.ndarray:
     return jx
 
 
+def _modes(
+    spec: DirectSystemSpec | IndirectSystemSpec, freq_scale_b: float = 1.0
+) -> tuple[list[np.ndarray], list[tuple[int, int, float]]]:
+    """Angular level energies of each mode (A, B, then the cavity if present) and the couplings.
+
+    A coupling ``(i, j, g)`` joins modes i and j through ``g`` Jx_i Jx_j; a
+    direct pair has one, a cavity pair one from each qubit to the cavity.
+    """
+    if freq_scale_b <= 0:
+        raise ValueError(f"frequency scale must be positive, got {freq_scale_b}")
+    levels = [_level_energies(spec.qubit_a), _level_energies(spec.qubit_b, freq_scale_b)]
+    if isinstance(spec, IndirectSystemSpec):
+        levels.append(TWOPI * spec.cavity_freq * np.arange(spec.n_photons, dtype=float))
+        return levels, [(0, 2, spec.g_qc), (1, 2, spec.g_qc)]
+    return levels, [(0, 1, spec.g)]
+
+
+def _assemble(levels: list[np.ndarray], couplings: list[tuple[int, int, float]]) -> np.ndarray:
+    """Real Hamiltonian: the outer sum of the ladders on the diagonal, plus the couplings.
+
+    Each coupling adds 2*pi*g times the Kronecker product of ``build_jx`` on
+    its two modes and identities elsewhere; for the cavity, a + a^dag has the
+    same sqrt(n) off-diagonal structure as Jx.
+    """
+    h = np.diag(reduce(np.add.outer, levels).ravel())
+    for i, j, g in couplings:
+        ops = [build_jx(len(e)) if k in (i, j) else np.eye(len(e)) for k, e in enumerate(levels)]
+        h += TWOPI * g * reduce(np.kron, ops)
+    return h
+
+
 def build_direct_hamiltonian(spec: DirectSystemSpec, freq_scale_b: float = 1.0) -> np.ndarray:
     """Full Hamiltonian of a directly coupled pair, rad/ns.
 
@@ -168,15 +201,7 @@ def build_direct_hamiltonian(spec: DirectSystemSpec, freq_scale_b: float = 1.0) 
     the anharmonicity is a junction property and stays fixed while the qubit
     is flux-tuned.  Scale 1.0 is the nominal operating point.
     """
-    if freq_scale_b <= 0:
-        raise ValueError(f"frequency scale must be positive, got {freq_scale_b}")
-    na, nb = spec.qubit_a.n_levels, spec.qubit_b.n_levels
-    h = (
-        np.kron(np.diag(_level_energies(spec.qubit_a)), np.eye(nb))
-        + np.kron(np.eye(na), np.diag(_level_energies(spec.qubit_b, freq_scale_b)))
-        + TWOPI * spec.g * np.kron(build_jx(na), build_jx(nb))
-    )
-    return h.astype(complex)
+    return _assemble(*_modes(spec, freq_scale_b)).astype(complex)
 
 
 def build_indirect_hamiltonian(spec: IndirectSystemSpec, freq_scale_b: float = 1.0) -> np.ndarray:
@@ -185,19 +210,7 @@ def build_indirect_hamiltonian(spec: IndirectSystemSpec, freq_scale_b: float = 1
     The qubit-cavity coupling enters as (a + a^dag) Jx for each qubit, with
     both rotating and counter-rotating terms kept.
     """
-    if freq_scale_b <= 0:
-        raise ValueError(f"frequency scale must be positive, got {freq_scale_b}")
-    na, nb, nc = spec.qubit_a.n_levels, spec.qubit_b.n_levels, spec.n_photons
-    ia, ib, ic = np.eye(na), np.eye(nb), np.eye(nc)
-    x_cav = build_jx(nc)  # a + a^dag has the same sqrt(n) off-diagonal structure
-    h = (
-        np.kron(np.kron(np.diag(_level_energies(spec.qubit_a)), ib), ic)
-        + np.kron(np.kron(ia, np.diag(_level_energies(spec.qubit_b, freq_scale_b))), ic)
-        + np.kron(np.kron(ia, ib), np.diag(TWOPI * spec.cavity_freq * np.arange(nc, dtype=float)))
-        + TWOPI * spec.g_qc * np.kron(np.kron(build_jx(na), ib), x_cav)
-        + TWOPI * spec.g_qc * np.kron(np.kron(ia, build_jx(nb)), x_cav)
-    )
-    return h.astype(complex)
+    return _assemble(*_modes(spec, freq_scale_b)).astype(complex)
 
 
 def hamiltonian_parts(spec: DirectSystemSpec | IndirectSystemSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -205,20 +218,13 @@ def hamiltonian_parts(spec: DirectSystemSpec | IndirectSystemSpec) -> tuple[np.n
 
     Returns real float64 arrays (the Hamiltonians here are real symmetric),
     which keeps the time stepper on LAPACK's faster real path.  The identity
-    ``h0 + s*h1 == build_*_hamiltonian(spec, s)`` holds exactly.
+    ``h0 + s*h1 == build_*_hamiltonian(spec, s)`` holds to round-off.
     """
-    nb = spec.qubit_b.n_levels
-    number_b = np.diag(np.arange(nb, dtype=float))
-    if isinstance(spec, IndirectSystemSpec):
-        h1 = np.kron(
-            np.kron(np.eye(spec.qubit_a.n_levels), TWOPI * spec.qubit_b.freq * number_b),
-            np.eye(spec.n_photons),
-        )
-        h0 = build_indirect_hamiltonian(spec, 1.0).real - h1
-    else:
-        h1 = np.kron(np.eye(spec.qubit_a.n_levels), TWOPI * spec.qubit_b.freq * number_b)
-        h0 = build_direct_hamiltonian(spec, 1.0).real - h1
-    return h0, h1
+    levels, couplings = _modes(spec)
+    scaled = [np.zeros(len(e)) for e in levels]
+    scaled[1] = TWOPI * spec.qubit_b.freq * np.arange(spec.qubit_b.n_levels, dtype=float)
+    h1 = _assemble(scaled, [])
+    return _assemble(levels, couplings) - h1, h1
 
 
 def computational_indices(spec: DirectSystemSpec | IndirectSystemSpec) -> tuple[int, int, int, int]:

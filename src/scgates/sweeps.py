@@ -28,6 +28,8 @@ are well defined):
 
 from __future__ import annotations
 
+import math
+
 # Not used here: bench/layers.py patches this name when tracing (--trace 1).
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, replace
@@ -79,10 +81,10 @@ class SweepBase:
 
     def __post_init__(self):
         gate_target(self.gate)  # validates the name
-        if self.tau_d < 0:
-            raise ValueError(f"ramp duration must be non-negative, got {self.tau_d}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0 <= self.tau_d < math.inf:
+            raise ValueError(f"ramp duration tau_d must be non-negative and finite, got {self.tau_d}")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
 
 
 @dataclass(frozen=True)

@@ -268,22 +268,26 @@ def test_criterion_7_ratio_collapse():
 def _oracle_fidelity(m: np.ndarray, target, n: int = 256) -> float:
     """Brute-force phase maximization from the definition of the metric.
 
-    Scans an n^3 uniform phase grid evaluating 1 - ||U_T - D M||_F^2 / 16
-    with the compensation matrix built explicitly, then polishes the best
-    grid point with a simplex search.  No code is shared with the library's
-    optimizer beyond the target matrices.
+    Scans an n^3 uniform phase grid for 1 - ||U_T - D M||_F^2 / 16, then
+    polishes the best grid point with a simplex search on the residual built
+    with the compensation matrix D explicitly.  The scan uses the trace
+    identity ||U_T - D M||^2 = 4 + ||M||^2 - 2 Re sum_k d_k w_k, with
+    w_k = sum_j M_kj conj(U_T,kj), so each theta_a slice is one matrix-vector
+    product; at the grid maximum it must agree with the explicit residual to
+    1e-12.  No code is shared with the library's optimizer beyond the target
+    matrices.
     """
     ut = target.matrix
     phases = np.arange(n) * (2 * np.pi / n)
     sign_a = np.array([1.0, 1.0, -1.0, -1.0])
     sign_b = np.array([1.0, -1.0, 1.0, -1.0])
     eb_eg = np.exp(1j * (np.multiply.outer(phases, sign_b)[:, None, :] + phases[None, :, None]))
+    w = np.sum(m * ut.conj(), axis=1)
+    norm2 = 4.0 + np.linalg.norm(m, "fro") ** 2
     best = -np.inf
     argbest = (0.0, 0.0, 0.0)
-    for ia, theta_a in enumerate(phases):
-        d = np.exp(1j * sign_a * theta_a)[None, None, :] * eb_eg  # (256, 256, 4)
-        diff = ut[None, None, :, :] - d[..., None] * m[None, None, :, :]
-        f = 1.0 - np.einsum("abij,abij->ab", diff, diff.conj()).real / 16.0
+    for theta_a in phases:
+        f = 1.0 - (norm2 - 2.0 * (eb_eg @ (np.exp(1j * sign_a * theta_a) * w)).real) / 16.0
         k = int(np.argmax(f))
         if f.flat[k] > best:
             best = float(f.flat[k])
@@ -294,6 +298,8 @@ def _oracle_fidelity(m: np.ndarray, target, n: int = 256) -> float:
         d = np.exp(1j * (x[2] + sign_a * x[0] + sign_b * x[1]))
         return -(1.0 - np.linalg.norm(ut - d[:, None] * m, "fro") ** 2 / 16.0)
 
+    gap = abs(best + negf(np.array(argbest)))
+    assert gap < 1e-12, f"trace identity misses the explicit residual by {gap:.2e}"
     polish = minimize(
         negf, np.array(argbest), method="Nelder-Mead",
         options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 2000},

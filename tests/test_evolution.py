@@ -36,6 +36,17 @@ class TestSchedules:
         with pytest.raises(ValueError):
             ScheduleSegment(1.0, scale_start=-1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_numbers_are_rejected_by_name(self, value):
+        with pytest.raises(ValueError, match="duration"):
+            ScheduleSegment(value, 1.0, 1.1)
+        with pytest.raises(ValueError, match="scale_end"):
+            ScheduleSegment(5.0, 1.0, value)
+        with pytest.raises(ValueError, match="tau_d"):
+            trapezoid_schedule(value, 10.0)
+        with pytest.raises(ValueError, match="dt must be"):
+            propagate_schedule(CZ_SPEC, trapezoid_schedule(5.0, 10.0), dt=value)
+
     def test_total_time(self):
         sched = trapezoid_schedule(5.0, 12.0)
         assert sched.total_time == pytest.approx(22.0)

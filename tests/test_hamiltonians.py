@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,15 @@ def hermiticity_defect(h):
     return np.max(np.abs(h - h.conj().T))
 
 
+NON_FINITE_FIELDS = {
+    "freq": lambda v: QubitSpec(v, 0.1),
+    "anharm": lambda v: QubitSpec(5.0, v),
+    "g": lambda v: DirectSystemSpec(QA, QB, v),
+    "cavity_freq": lambda v: IndirectSystemSpec(QA, QB, v, 0.1),
+    "g_qc": lambda v: IndirectSystemSpec(QA, QB, 6.9, v),
+}
+
+
 class TestQubitSpec:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
@@ -31,6 +43,12 @@ class TestQubitSpec:
             QubitSpec(freq=5.0, anharm=-0.1)
         with pytest.raises(ValueError):
             QubitSpec(freq=5.0, anharm=0.1, n_levels=1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", sorted(NON_FINITE_FIELDS))
+    def test_specs_reject_non_finite_numbers_by_name(self, field, value):
+        with pytest.raises(ValueError, match=rf"\b{field} must be"):
+            NON_FINITE_FIELDS[field](value)
 
 
 class TestLadderDiagonal:
@@ -198,3 +216,64 @@ class TestHamiltonianParts:
         assert h0 + 1.07 * h1 == pytest.approx(
             build_indirect_hamiltonian(spec, 1.07).real, rel=1e-14, abs=1e-12
         )
+
+
+def _reference_hamiltonian(spec, scale: float) -> np.ndarray:
+    """H(scale) filled element by element from the level formula and the ladder matrix elements.
+
+    Diagonal: n*freq - anharm*n*(n-1)/2 per qubit (qubit B's n*freq times
+    ``scale``) plus n_c*cavity_freq.  Off the diagonal: g*sqrt(max(n, n'))
+    per mode for each coupled pair that both change by one quantum while the
+    other mode stays put.
+    """
+    cavity = isinstance(spec, IndirectSystemSpec)
+    qubits = (spec.qubit_a, spec.qubit_b)
+    dims = (qubits[0].n_levels, qubits[1].n_levels, spec.n_photons if cavity else 1)
+    pairs = [(0, 2, spec.g_qc), (1, 2, spec.g_qc)] if cavity else [(0, 1, spec.g)]
+    states = list(itertools.product(*(range(d) for d in dims)))  # cavity innermost
+    h = np.zeros((len(states), len(states)))
+    for row, bra in enumerate(states):
+        for col, ket in enumerate(states):
+            if bra == ket:
+                energy = sum(
+                    n * q.freq * s - q.anharm * n * (n - 1) / 2
+                    for q, n, s in zip(qubits, bra, (1.0, scale))
+                )
+                h[row, col] = TWOPI * (energy + (bra[2] * spec.cavity_freq if cavity else 0.0))
+                continue
+            for i, j, g in pairs:
+                (k,) = set(range(3)) - {i, j}
+                if bra[k] == ket[k] and abs(bra[i] - ket[i]) == 1 and abs(bra[j] - ket[j]) == 1:
+                    h[row, col] += TWOPI * g * math.sqrt(max(bra[i], ket[i]) * max(bra[j], ket[j]))
+    return h
+
+
+class TestAssemblyAgainstReference:
+    SPECS = {
+        "direct": (
+            DirectSystemSpec(QubitSpec(5.5, 0.15, 3), QubitSpec(5.7, 0.10, 4), 0.02),
+            build_direct_hamiltonian,
+        ),
+        "cavity": (
+            IndirectSystemSpec(QubitSpec(8.2, 0.2, 3), QubitSpec(8.45, 0.25, 3), 6.9, 0.2, 4),
+            build_indirect_hamiltonian,
+        ),
+    }
+
+    @pytest.mark.parametrize("scale", [0.35, 1.0, 1.1, 1.4])
+    @pytest.mark.parametrize("kind", ["direct", "cavity"])
+    def test_parts_and_builders_match_elementwise_reference(self, kind, scale):
+        spec, build = self.SPECS[kind]
+        ref = _reference_hamiltonian(spec, scale)
+        assert ref.shape == (spec.dim, spec.dim)
+        h0, h1 = hamiltonian_parts(spec)
+        tol = 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(h0 + scale * h1 - ref)) <= tol
+        assert np.max(np.abs(build(spec, scale) - ref)) <= tol
+
+    @pytest.mark.parametrize("kind", ["direct", "cavity"])
+    def test_parts_are_real_and_exactly_symmetric(self, kind):
+        # propagate_schedule reuses a retraced segment's transpose, which needs both
+        for h in hamiltonian_parts(self.SPECS[kind][0]):
+            assert h.dtype == np.float64
+            assert np.array_equal(h, h.T)

@@ -1,3 +1,4 @@
+import math
 import threading
 import warnings
 
@@ -62,6 +63,14 @@ class TestAxis:
     def test_values_are_uniform(self):
         ax = SweepAxis("g_abs", 0.0, 1.0, 5)
         assert np.array_equal(ax.values(), np.linspace(0.0, 1.0, 5))
+
+
+class TestBase:
+    @pytest.mark.parametrize("field", ["tau_d", "dt"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_numbers_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            SweepBase(CZ_BASE.system, "cz", **{field: value})
 
 
 class TestDerive:
