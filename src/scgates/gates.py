@@ -21,7 +21,9 @@ beta = theta - theta_b,
 
 with alpha and beta the negative arguments of S_1 and S_2.  ``gate_fidelity``
 solves the one-angle problem through the roots of a degree-6 polynomial, with
-no search.
+no search.  ``score_blocks`` does the same for a stack of blocks at once, with
+one eigenvalue call for all their polynomials; ``gate_fidelity`` is its
+one-block case.
 """
 
 from __future__ import annotations
@@ -127,22 +129,105 @@ def phase_diagonal(theta_a: float, theta_b: float, theta_global: float) -> np.nd
 def project_computational(
     u: np.ndarray, spec: DirectSystemSpec | IndirectSystemSpec
 ) -> np.ndarray:
-    """4x4 computational block of a full-space propagator.
+    """4x4 computational block of a full-space propagator, or of each in a stack.
 
-    Rows and columns are ordered |00>, |01>, |10>, |11>; for cavity-coupled
-    systems the computational states carry the cavity vacuum.
+    ``u`` is (dim, dim) or (n, dim, dim).  Rows and columns are ordered
+    |00>, |01>, |10>, |11>; for cavity-coupled systems the computational
+    states carry the cavity vacuum.
     """
     u = np.asarray(u)
-    if u.shape != (spec.dim, spec.dim):
+    if u.ndim not in (2, 3) or u.shape[-2:] != (spec.dim, spec.dim):
         raise ValueError(f"propagator shape {u.shape} does not match system dimension {spec.dim}")
     ix = np.array(computational_indices(spec))
-    return u[np.ix_(ix, ix)].astype(complex)
+    return np.ascontiguousarray(u[..., ix[:, None], ix], dtype=complex)
 
 
-def _principal(x: float, period: float) -> float:
+def _principal(x: np.ndarray, period: float) -> np.ndarray:
     """``x`` reduced to [0, period); the float modulo can round up to ``period``."""
-    x = float(x) % period
-    return x if x < period else 0.0
+    x = np.mod(x, period)
+    return np.where(x < period, x, 0.0)
+
+
+def _pair_sums(w: np.ndarray, theta_a: np.ndarray) -> np.ndarray:
+    """(S_1, S_2) along a new last axis, for rows ``w`` (n, 4) and angles (n, k)."""
+    e = np.exp(1j * theta_a)[..., None]
+    return w[:, None, :2] * e + w[:, None, 2:] / e
+
+
+def _polymul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise products of coefficient rows (lowest power first) x (n, a) and y (n, b)."""
+    out = np.zeros((len(x), x.shape[1] + y.shape[1] - 1), dtype=complex)
+    for k in range(y.shape[1]):
+        out[:, k : k + x.shape[1]] += x * y[:, k : k + 1]
+    return out
+
+
+def _condition_roots(condition: np.ndarray) -> np.ndarray:
+    """Roots of each row of degree-6 coefficients (n, 7), sorted as ``polyroots`` sorts them.
+
+    Full-degree rows are solved together: one ``eigvals`` on the stack of
+    their companion matrices, built as ``polycompanion`` builds them.  A row
+    whose leading coefficient vanishes goes through ``polyroots`` itself,
+    which drops the degree; the slots of the roots it lacks hold 1, whose
+    candidate theta_a = 0 repeats the first candidate and so can never win a
+    tie against it.
+    """
+    roots = np.ones((len(condition), 6), dtype=complex)
+    full = condition[:, 6] != 0
+    c = condition[full]
+    companion = np.zeros((len(c), 6, 6), dtype=complex)
+    companion[:, np.arange(1, 6), np.arange(5)] = 1.0
+    companion[:, :, -1] -= c[:, :-1] / c[:, -1:]
+    roots[full] = np.sort(np.linalg.eigvals(companion), axis=1)
+    for i in np.flatnonzero(~full):
+        r = P.polyroots(condition[i])
+        roots[i, : len(r)] = r
+    return roots
+
+
+def score_blocks(m: np.ndarray, target: GateTarget) -> tuple[np.ndarray, ...]:
+    """Phase-optimized fidelity of each 4x4 block of ``m`` (n, 4, 4) against ``target``.
+
+    Returns the arrays (fidelity, theta_a, theta_b, theta_global, leakage),
+    one entry per block, with the meaning and canonical phase ranges of
+    ``gate_fidelity``, which is the case n = 1.  Each row is solved as
+    described there; the rows share the array operations and one stacked
+    eigenvalue call, and no row's result depends on another's.
+    """
+    # The row sums below add in memory order: C order makes a block of a
+    # stack add in the same order as the block alone.
+    m = np.ascontiguousarray(m, dtype=complex)
+    n = len(m)
+    # Row-wise overlaps with the target: F depends on the phases only through
+    # Re sum_k d_k w_k, since ||U_T - D M||^2 = 4 + ||M||^2 - 2 Re tr(U_T^dag D M).
+    w = (m * target.matrix.conj()).sum(axis=2)
+    norm2 = (np.abs(m) ** 2).reshape(n, 16).sum(axis=1)
+
+    # The argmax does not depend on the scale of w, nor, to round-off, on
+    # entries below 1e-50 of the largest; dropping those keeps the cubic
+    # coefficients below from under- or overflowing in the root finder.
+    u = w / np.maximum(np.abs(w).max(axis=1, keepdims=True), np.finfo(float).tiny)
+    u[np.abs(u) < 1e-50] = 0.0
+    p = 2 * u[:, :2] * u[:, 2:].conj()
+    a = np.abs(u[:, :2]) ** 2 + np.abs(u[:, 2:]) ** 2
+    zero = np.zeros_like(p)
+    # z^2 Im(p z)^2 and z |S|^2 as coefficient rows, lowest power first.
+    im2 = np.stack([-p.conj() ** 2 / 4, zero, np.abs(p) ** 2 / 2, zero, -(p**2) / 4], axis=2)
+    mod2 = np.stack([p.conj() / 2, a, p / 2], axis=2)
+    condition = _polymul(im2[:, 0], mod2[:, 1]) - _polymul(im2[:, 1], mod2[:, 0])
+    roots = _condition_roots(condition)
+    candidates = np.concatenate([np.zeros((n, 1)), np.angle(roots) / 2, -np.angle(p) / 2], axis=1)
+    values = np.abs(_pair_sums(w, candidates)).sum(axis=2)
+    best = np.argmax(values, axis=1)
+    rows = np.arange(n)
+
+    theta_a = _principal(candidates[rows, best], np.pi)
+    alpha, beta = -np.angle(_pair_sums(w, theta_a[:, None])[:, 0]).T
+    theta_b = _principal((alpha - beta) / 2, np.pi)
+    theta = _principal(alpha - theta_b, 2 * np.pi)
+    fidelity = 1.0 - (4.0 + norm2) / 16.0 + values[rows, best] / 8.0
+    leakage = np.fmin(1.0, np.fmax(0.0, 1.0 - norm2 / 4.0))  # guard float round-off
+    return fidelity, theta_a, theta_b, theta, leakage
 
 
 def gate_fidelity(m: np.ndarray, target: GateTarget) -> GateResult:
@@ -167,42 +252,13 @@ def gate_fidelity(m: np.ndarray, target: GateTarget) -> GateResult:
     Phases are reported in a canonical form: theta_a and theta_b in [0, pi),
     theta_global in [0, 2pi).  Nothing is lost, since shifting theta_a or
     theta_b by pi together with theta_global by pi leaves D unchanged.
+
+    This is the one-block case of ``score_blocks``.
     """
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 block, got shape {m.shape}")
-    # Row-wise overlaps with the target: F depends on the phases only through
-    # Re sum_k d_k w_k, since ||U_T - D M||^2 = 4 + ||M||^2 - 2 Re tr(U_T^dag D M).
-    w = (m * target.matrix.conj()).sum(axis=1)
-    norm2 = float((np.abs(m) ** 2).sum())
-
-    def pair_sums(theta_a):
-        """(S_1, S_2) along the last axis, for each angle in ``theta_a``."""
-        e = np.exp(1j * np.asarray(theta_a))[..., None]
-        return w[:2] * e + w[2:] / e
-
-    # The argmax does not depend on the scale of w, nor, to round-off, on
-    # entries below 1e-50 of the largest; dropping those keeps the cubic
-    # coefficients below from under- or overflowing in the root finder.
-    u = w / max(float(np.abs(w).max()), np.finfo(float).tiny)
-    u[np.abs(u) < 1e-50] = 0.0
-    p = 2 * u[:2] * u[2:].conj()
-    a = np.abs(u[:2]) ** 2 + np.abs(u[2:]) ** 2
-    zero = np.zeros(2)
-    # z^2 Im(p z)^2 and z |S|^2 as coefficient rows, lowest power first.
-    im2 = np.stack([-p.conj() ** 2 / 4, zero, np.abs(p) ** 2 / 2, zero, -(p**2) / 4], axis=1)
-    mod2 = np.stack([p.conj() / 2, a, p / 2], axis=1)
-    condition = P.polymul(im2[0], mod2[1]) - P.polymul(im2[1], mod2[0])
-    candidates = np.concatenate(([0.0], np.angle(P.polyroots(condition)) / 2, -np.angle(p) / 2))
-    values = np.abs(pair_sums(candidates)).sum(axis=1)
-    best = int(np.argmax(values))
-
-    theta_a = _principal(candidates[best], np.pi)
-    alpha, beta = -np.angle(pair_sums(theta_a))
-    theta_b = _principal((alpha - beta) / 2, np.pi)
-    theta = _principal(alpha - theta_b, 2 * np.pi)
-    fidelity = 1.0 - (4.0 + norm2) / 16.0 + float(values[best]) / 8.0
-    leakage = min(1.0, max(0.0, 1.0 - norm2 / 4.0))  # guard float round-off
+    fidelity, theta_a, theta_b, theta, leakage = (x.item() for x in score_blocks(m[None], target))
     return GateResult(fidelity, theta_a, theta_b, theta, m.copy(), leakage)
 
 
@@ -226,7 +282,8 @@ def gate_time(spec: DirectSystemSpec | IndirectSystemSpec, target: GateTarget) -
     return 1.0 / (2.0 * np.sqrt(2.0) * coupling)
 
 
-def _check_resonance(spec, target: GateTarget) -> None:
+def resonance_violation(spec, target: GateTarget) -> str | None:
+    """The warning a run of ``target`` on ``spec`` gives for a missed resonance, or None."""
     wa, wb = spec.qubit_a.freq, spec.qubit_b.freq
     if target.kind == "iswap":
         miss = abs(wa - wb)
@@ -235,10 +292,8 @@ def _check_resonance(spec, target: GateTarget) -> None:
         miss = abs(wb - (wa + spec.qubit_b.anharm))
         condition = "freq_b = freq_a + anharm_b"
     if miss > 1e-9:
-        warnings.warn(
-            f"{target.kind} resonance condition {condition} is violated by {miss:.3e} GHz",
-            stacklevel=3,
-        )
+        return f"{target.kind} resonance condition {condition} is violated by {miss:.3e} GHz"
+    return None
 
 
 def run_gate(
@@ -253,7 +308,9 @@ def run_gate(
     used.  A violated resonance condition only warns: deliberately detuned
     runs are legitimate sensitivity studies.
     """
-    _check_resonance(spec, target)
+    message = resonance_violation(spec, target)
+    if message:
+        warnings.warn(message, stacklevel=2)
     if schedule is None:
         schedule = square_schedule(gate_time(spec, target))
     result = propagate_schedule(spec, schedule, dt)

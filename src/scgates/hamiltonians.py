@@ -134,10 +134,13 @@ class BasisIndex:
         return self.n_a * nb + self.n_b
 
 
-def _level_energies(qubit: QubitSpec, freq_scale: float = 1.0) -> np.ndarray:
-    """Angular ladder energies; ``freq_scale`` multiplies only the n*freq term."""
-    n = np.arange(qubit.n_levels, dtype=float)
-    return TWOPI * (n * qubit.freq * freq_scale - qubit.anharm * n * (n - 1) / 2.0)
+def _level_energies(freq, anharm, n_levels: int, freq_scale: float = 1.0) -> np.ndarray:
+    """Angular ladder energies; ``freq_scale`` multiplies only the n*freq term.
+
+    ``freq`` and ``anharm`` may be column arrays, one row of energies per entry.
+    """
+    n = np.arange(n_levels, dtype=float)
+    return TWOPI * (n * freq * freq_scale - anharm * n * (n - 1) / 2.0)
 
 
 def ladder_diagonal(qubit: QubitSpec) -> np.ndarray:
@@ -146,7 +149,7 @@ def ladder_diagonal(qubit: QubitSpec) -> np.ndarray:
     Entry ``n`` equals ``2*pi*(n*freq - anharm*n*(n-1)/2)``; the ground-state
     entry is exactly zero.  Returned as a real (n_levels, n_levels) array.
     """
-    return np.diag(_level_energies(qubit))
+    return np.diag(_level_energies(qubit.freq, qubit.anharm, qubit.n_levels))
 
 
 def build_jx(n_levels: int) -> np.ndarray:
@@ -163,35 +166,75 @@ def build_jx(n_levels: int) -> np.ndarray:
     return jx
 
 
+def _column(values) -> np.ndarray:
+    """An iterable of numbers as an (n, 1) float column, one row per spec."""
+    return np.fromiter(values, dtype=float)[:, None]
+
+
 def _modes(
-    spec: DirectSystemSpec | IndirectSystemSpec, freq_scale_b: float = 1.0
-) -> tuple[list[np.ndarray], list[tuple[int, int, float]]]:
+    specs, freq_scale_b: float = 1.0
+) -> tuple[list[np.ndarray], list[tuple[int, int, np.ndarray]]]:
     """Angular level energies of each mode (A, B, then the cavity if present) and the couplings.
 
-    A coupling ``(i, j, g)`` joins modes i and j through ``g`` Jx_i Jx_j; a
-    direct pair has one, a cavity pair one from each qubit to the cavity.
+    ``specs`` share one kind and truncation; each mode's energies are an
+    (n, levels) array with one row per spec.  A coupling ``(i, j, g)`` joins
+    modes i and j through ``g`` Jx_i Jx_j, with ``g`` one strength per spec;
+    a direct pair has one, a cavity pair one from each qubit to the cavity.
     """
-    if freq_scale_b <= 0:
-        raise ValueError(f"frequency scale must be positive, got {freq_scale_b}")
-    levels = [_level_energies(spec.qubit_a), _level_energies(spec.qubit_b, freq_scale_b)]
-    if isinstance(spec, IndirectSystemSpec):
-        levels.append(TWOPI * spec.cavity_freq * np.arange(spec.n_photons, dtype=float))
-        return levels, [(0, 2, spec.g_qc), (1, 2, spec.g_qc)]
-    return levels, [(0, 1, spec.g)]
+    if not 0 < freq_scale_b < math.inf:
+        raise ValueError(f"freq_scale_b must be positive and finite, got {freq_scale_b}")
+    first = specs[0]
+    qubits = ([s.qubit_a for s in specs], [s.qubit_b for s in specs])
+    levels = [
+        _level_energies(
+            _column(q.freq for q in qs), _column(q.anharm for q in qs), qs[0].n_levels, scale
+        )
+        for qs, scale in zip(qubits, (1.0, freq_scale_b))
+    ]
+    if isinstance(first, IndirectSystemSpec):
+        cavity = _column(s.cavity_freq for s in specs)
+        levels.append(TWOPI * cavity * np.arange(first.n_photons, dtype=float))
+        g_qc = _column(s.g_qc for s in specs)[:, 0]
+        return levels, [(0, 2, g_qc), (1, 2, g_qc)]
+    return levels, [(0, 1, _column(s.g for s in specs)[:, 0])]
 
 
-def _assemble(levels: list[np.ndarray], couplings: list[tuple[int, int, float]]) -> np.ndarray:
-    """Real Hamiltonian: the outer sum of the ladders on the diagonal, plus the couplings.
+def _outer_sum(levels: list[np.ndarray]) -> np.ndarray:
+    """Product-basis energies (n, d): the outer sum of each row of the mode ladders."""
+    diag = levels[0]
+    for e in levels[1:]:
+        diag = (diag[:, :, None] + e[:, None, :]).reshape(len(e), -1)
+    return diag
+
+
+def _assemble(levels: list[np.ndarray], couplings: list[tuple[int, int, np.ndarray]]) -> np.ndarray:
+    """Real Hamiltonians (n, d, d): the ladders' outer sum on the diagonal, plus the couplings.
 
     Each coupling adds 2*pi*g times the Kronecker product of ``build_jx`` on
     its two modes and identities elsewhere; for the cavity, a + a^dag has the
-    same sqrt(n) off-diagonal structure as Jx.
+    same sqrt(n) off-diagonal structure as Jx.  The Kronecker factors depend
+    on the truncation only, so each is built once for the whole stack.
     """
-    h = np.diag(reduce(np.add.outer, levels).ravel())
+    diag = _outer_sum(levels)
+    n, d = diag.shape
+    h = np.zeros((n, d, d))
+    h[:, np.arange(d), np.arange(d)] = diag
+    sizes = [e.shape[1] for e in levels]
     for i, j, g in couplings:
-        ops = [build_jx(len(e)) if k in (i, j) else np.eye(len(e)) for k, e in enumerate(levels)]
-        h += TWOPI * g * reduce(np.kron, ops)
+        ops = [build_jx(size) if k in (i, j) else np.eye(size) for k, size in enumerate(sizes)]
+        h += (TWOPI * g)[:, None, None] * reduce(np.kron, ops)
     return h
+
+
+def _scaled_levels(specs) -> list[np.ndarray]:
+    """The part of each mode's energies that ``freq_scale_b`` multiplies: qubit B's n*freq."""
+    first = specs[0]
+    n_b = first.qubit_b.n_levels
+    scaled = [np.zeros((len(specs), first.qubit_a.n_levels))]
+    scaled.append(TWOPI * _column(s.qubit_b.freq for s in specs) * np.arange(n_b, dtype=float))
+    if isinstance(first, IndirectSystemSpec):
+        scaled.append(np.zeros((len(specs), first.n_photons)))
+    return scaled
 
 
 def build_direct_hamiltonian(spec: DirectSystemSpec, freq_scale_b: float = 1.0) -> np.ndarray:
@@ -201,7 +244,7 @@ def build_direct_hamiltonian(spec: DirectSystemSpec, freq_scale_b: float = 1.0) 
     the anharmonicity is a junction property and stays fixed while the qubit
     is flux-tuned.  Scale 1.0 is the nominal operating point.
     """
-    return _assemble(*_modes(spec, freq_scale_b)).astype(complex)
+    return _assemble(*_modes([spec], freq_scale_b))[0].astype(complex)
 
 
 def build_indirect_hamiltonian(spec: IndirectSystemSpec, freq_scale_b: float = 1.0) -> np.ndarray:
@@ -210,7 +253,7 @@ def build_indirect_hamiltonian(spec: IndirectSystemSpec, freq_scale_b: float = 1
     The qubit-cavity coupling enters as (a + a^dag) Jx for each qubit, with
     both rotating and counter-rotating terms kept.
     """
-    return _assemble(*_modes(spec, freq_scale_b)).astype(complex)
+    return _assemble(*_modes([spec], freq_scale_b))[0].astype(complex)
 
 
 def hamiltonian_parts(spec: DirectSystemSpec | IndirectSystemSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -220,11 +263,25 @@ def hamiltonian_parts(spec: DirectSystemSpec | IndirectSystemSpec) -> tuple[np.n
     which keeps the time stepper on LAPACK's faster real path.  The identity
     ``h0 + s*h1 == build_*_hamiltonian(spec, s)`` holds to round-off.
     """
-    levels, couplings = _modes(spec)
-    scaled = [np.zeros(len(e)) for e in levels]
-    scaled[1] = TWOPI * spec.qubit_b.freq * np.arange(spec.qubit_b.n_levels, dtype=float)
-    h1 = _assemble(scaled, [])
-    return _assemble(levels, couplings) - h1, h1
+    h1 = _assemble(_scaled_levels([spec]), [])
+    return (_assemble(*_modes([spec])) - h1)[0], h1[0]
+
+
+def hamiltonian_stack(specs) -> np.ndarray:
+    """Real Hamiltonians at the nominal scale of specs sharing one kind and truncation.
+
+    Returns an (n, d, d) float64 stack whose entry k equals
+    ``h0 + 1.0 * h1`` of ``hamiltonian_parts(specs[k])`` bit for bit: the
+    sum is formed in that order, which is how the propagator of a square
+    pulse forms the matrix it diagonalizes.  h1 is diagonal, and the
+    off-diagonal entries, all +0.0 or positive, pass through that sum
+    unchanged, so only the diagonal is recomputed.
+    """
+    h = _assemble(*_modes(specs))
+    h1 = _outer_sum(_scaled_levels(specs))
+    i = np.arange(h.shape[1])
+    h[:, i, i] = (h[:, i, i] - h1) + 1.0 * h1
+    return h
 
 
 def computational_indices(spec: DirectSystemSpec | IndirectSystemSpec) -> tuple[int, int, int, int]:

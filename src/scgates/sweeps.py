@@ -3,10 +3,16 @@
 A sweep takes a fully specified base system plus one or two axes and produces
 a dense table of gate fidelities, gate times and leakage.  Axis values modify
 the base system point by point; everything not named by an axis is taken from
-the base.  Points are evaluated one after another in the calling thread, rows
-come out in lexicographic axis order, and failed points are recorded in-row
-rather than aborting the sweep.  The ``jobs`` keywords of the sweep functions
-are kept for compatibility and no longer change anything.
+the base.  Every point's system and gate time are derived first.  Square-pulse
+points are then evaluated as stacks, in chunks of at most ``_STACK_ENTRIES``
+matrix entries: one Hamiltonian stack, one stacked propagation, projection and
+phase solve per chunk.  Ramped points (``tau_d > 0``) run one at a time through
+``run_gate``.  Everything runs in the calling thread, rows come out in
+lexicographic axis order, and failed points are recorded in-row rather than
+aborting the sweep; a chunk whose stacked evaluation raises is evaluated again
+point by point, so that a failure stays in its own row.  A single point
+(``evaluate_point``) is a chunk of one.  The ``jobs`` keywords of the sweep
+functions are kept for compatibility and change nothing.
 
 Axis semantics (ratios are resolved in a fixed order so that combined axes
 are well defined):
@@ -29,6 +35,7 @@ are well defined):
 from __future__ import annotations
 
 import math
+import warnings
 
 # Not used here: bench/layers.py patches this name when tracing (--trace 1).
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
@@ -38,9 +45,22 @@ from itertools import product
 import numpy as np
 
 from .dispersive import effective_couplings
-from .evolution import DEFAULT_DT, trapezoid_schedule
-from .gates import gate_target, gate_time, run_gate
-from .hamiltonians import DirectSystemSpec, IndirectSystemSpec, QubitSpec
+from .evolution import (
+    DEFAULT_DT,
+    SCHEDULE_UNITARITY_TOL,
+    UnitarityError,
+    constant_propagators,
+    trapezoid_schedule,
+)
+from .gates import (
+    gate_target,
+    gate_time,
+    project_computational,
+    resonance_violation,
+    run_gate,
+    score_blocks,
+)
+from .hamiltonians import DirectSystemSpec, IndirectSystemSpec, QubitSpec, hamiltonian_stack
 
 DIRECT_COUPLING_AXES = frozenset({"g_over_delta_b", "g_abs"})
 INDIRECT_COUPLING_AXES = frozenset({"geff_over_delta_b", "geff_abs"})
@@ -60,6 +80,9 @@ class SweepAxis:
     def __post_init__(self):
         if self.name not in AXIS_NAMES:
             raise ValueError(f"unknown axis {self.name!r}; expected one of {sorted(AXIS_NAMES)}")
+        for field in ("start", "stop"):
+            if not math.isfinite(getattr(self, field)):
+                raise ValueError(f"axis {field} must be finite, got {getattr(self, field)}")
         if not self.start < self.stop:
             raise ValueError(f"axis needs start < stop, got [{self.start}, {self.stop}]")
         if self.n_points < 2:
@@ -201,32 +224,98 @@ def derive_point_spec(
 
 _FAILED = float("nan")
 
+#: Most matrix entries (points times dim**2) evaluated as one stack.  This
+#: bounds the memory of a chunk's temporaries to about a megabyte at every
+#: truncation, so a sweep's peak memory stays that of a single point.
+_STACK_ENTRIES = 16384
+
+_POINT_ERRORS = (ValueError, ArithmeticError, np.linalg.LinAlgError, RuntimeError)
+
+
+def _failed(values, error: type[Exception]) -> SweepPoint:
+    return SweepPoint(tuple(values), *[_FAILED] * 6, f"error:{error.__name__}")
+
+
+def _ramped_row(base: SweepBase, target, values, spec, t_g: float, schedule) -> SweepPoint:
+    try:
+        result = run_gate(spec, target, schedule, base.dt)
+    except _POINT_ERRORS as exc:
+        return _failed(values, type(exc))
+    return SweepPoint(
+        tuple(values), result.fidelity, t_g, result.leakage,
+        result.theta_a, result.theta_b, result.theta_global, "ok",
+    )
+
+
+def _square_rows(chunk, target) -> list[SweepPoint]:
+    """Rows of square-pulse points ``(values, spec, t_g, schedule)`` sharing one truncation.
+
+    The chunk is propagated, projected and scored as one stack.  A point
+    whose propagator fails the unitarity bound of ``propagate_schedule`` is
+    an ``error:UnitarityError`` row; if the stacked evaluation raises, each
+    point is evaluated on its own.
+    """
+    specs = [point[1] for point in chunk]
+    try:
+        u, defects = constant_propagators(hamiltonian_stack(specs), [point[2] for point in chunk])
+        scores = score_blocks(project_computational(u, specs[0]), target)
+    except _POINT_ERRORS as exc:
+        if len(chunk) == 1:
+            return [_failed(chunk[0][0], type(exc))]
+        return [row for point in chunk for row in _square_rows([point], target)]
+    fidelity, theta_a, theta_b, theta, leakage = (x.tolist() for x in scores)
+    return [
+        _failed(values, UnitarityError)
+        if defect > SCHEDULE_UNITARITY_TOL
+        else SweepPoint(
+            tuple(values), fidelity[k], t_g, leakage[k], theta_a[k], theta_b[k], theta[k], "ok"
+        )
+        for k, ((values, _, t_g, _), defect) in enumerate(zip(chunk, defects))
+    ]
+
+
+def _derive(base: SweepBase, axes, target, values):
+    """``(values, spec, t_g, schedule)`` of one grid point, or its failed row.
+
+    The schedule also checks the gate time, as a segment duration.
+    """
+    try:
+        spec = derive_point_spec(base, axes, values)
+        t_g = gate_time(spec, target)
+        return values, spec, t_g, trapezoid_schedule(base.tau_d, t_g)
+    except _POINT_ERRORS as exc:
+        return _failed(values, type(exc))
+
+
+def _evaluate(base: SweepBase, axes: tuple[SweepAxis, ...], points) -> list[SweepPoint]:
+    """Rows of the given grid points, in order; failures become status tags.
+
+    Every point's system and gate time are derived before any is run.  A
+    detuned square pulse warns once, for the first detuned point, as
+    ``run_gate`` would.
+    """
+    target = gate_target(base.gate)
+    derived = [_derive(base, axes, target, values) for values in points]
+    good = [point for point in derived if not isinstance(point, SweepPoint)]
+    if base.tau_d > 0:
+        evaluated = [_ramped_row(base, target, *point) for point in good]
+    else:
+        detuned = (resonance_violation(point[1], target) for point in good)
+        message = next((m for m in detuned if m), None)
+        if message:
+            warnings.warn(message, stacklevel=3)
+        size = max(1, _STACK_ENTRIES // base.system.dim**2)
+        chunks = (good[start : start + size] for start in range(0, len(good), size))
+        evaluated = [row for chunk in chunks for row in _square_rows(chunk, target)]
+    rows = iter(evaluated)
+    return [point if isinstance(point, SweepPoint) else next(rows) for point in derived]
+
 
 def evaluate_point(
     base: SweepBase, axes: tuple[SweepAxis, ...], values: tuple[float, ...]
 ) -> SweepPoint:
     """Derive, run and score a single grid point; failures become a status tag."""
-    target = gate_target(base.gate)
-    try:
-        spec = derive_point_spec(base, axes, values)
-        t_g = gate_time(spec, target)
-        schedule = trapezoid_schedule(base.tau_d, t_g)
-        result = run_gate(spec, target, schedule, base.dt)
-    except (ValueError, ArithmeticError, np.linalg.LinAlgError, RuntimeError) as exc:
-        return SweepPoint(
-            tuple(values), _FAILED, _FAILED, _FAILED, _FAILED, _FAILED, _FAILED,
-            f"error:{type(exc).__name__}",
-        )
-    return SweepPoint(
-        tuple(values),
-        result.fidelity,
-        t_g,
-        result.leakage,
-        result.theta_a,
-        result.theta_b,
-        result.theta_global,
-        "ok",
-    )
+    return _evaluate(base, axes, [tuple(values)])[0]
 
 
 def sweep(base: SweepBase, axes, jobs: int = 1) -> SweepGrid:
@@ -238,8 +327,8 @@ def sweep(base: SweepBase, axes, jobs: int = 1) -> SweepGrid:
     if not 1 <= len(axes) <= 2:
         raise ValueError(f"sweeps take one or two axes, got {len(axes)}")
     _validate_axes(base, axes)
-    points = product(*(ax.values() for ax in axes))
-    return SweepGrid(base, axes, tuple(evaluate_point(base, axes, vals) for vals in points))
+    points = list(product(*(ax.values() for ax in axes)))
+    return SweepGrid(base, axes, tuple(_evaluate(base, axes, points)))
 
 
 def threshold(grid: SweepGrid, level: float) -> ThresholdResult:

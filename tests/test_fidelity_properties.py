@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from scgates import CZ, ISWAP, gate_fidelity, phase_diagonal
+from scgates.gates import score_blocks
 
 entries = arrays(np.float64, (2, 4, 4), elements=st.floats(-1.0, 1.0, allow_nan=False))
 angles = st.floats(0.0, 2 * np.pi, allow_nan=False)
@@ -65,3 +66,22 @@ def test_phases_are_canonical(parts, target):
 def test_fidelity_is_the_maximum_over_phases(parts, target, phases):
     m = contraction(parts)
     assert gate_fidelity(m, target).fidelity >= explicit_fidelity(m, target, *phases) - 1e-12
+
+
+@fast
+@given(st.lists(entries, min_size=1, max_size=6), targets, phase_triples, st.data())
+def test_stacked_solve_equals_per_block_solve(parts_list, target, phases, data):
+    blocks = [contraction(parts) for parts in parts_list]
+    negligible = blocks[0].copy()
+    negligible[data.draw(st.sampled_from([[0, 1], [2, 3], [1]]))] *= 1e-160
+    blocks += [
+        target.matrix,
+        phase_diagonal(*phases) @ (data.draw(st.floats(0.05, 1.0)) * target.matrix),
+        np.zeros((4, 4)),
+        negligible,
+    ]
+    stack = np.stack([blocks[i] for i in data.draw(st.permutations(range(len(blocks))))])
+    stacked = np.stack(score_blocks(stack, target), axis=1)
+    for got, m in zip(stacked, stack):
+        res = gate_fidelity(m, target)
+        assert tuple(got) == (res.fidelity, res.theta_a, res.theta_b, res.theta_global, res.leakage)

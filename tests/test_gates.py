@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
 from scgates import (
     CZ,
@@ -15,6 +16,7 @@ from scgates import (
     project_computational,
     run_gate,
 )
+from scgates.gates import _condition_roots, _polymul
 
 ISWAP_SPEC = DirectSystemSpec(QubitSpec(5.5, 0.15, 3), QubitSpec(5.5, 0.10, 3), 0.011)
 
@@ -164,6 +166,29 @@ class TestGateFidelity:
             for target in (ISWAP, CZ):
                 f_zeroed = gate_fidelity(zeroed, target).fidelity
                 assert gate_fidelity(tiny, target).fidelity == pytest.approx(f_zeroed, abs=1e-15)
+
+
+    def test_row_products_match_polymul(self):
+        # summed in array order, where polymul sums through np.convolve
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(20, 5)) + 1j * rng.normal(size=(20, 5))
+        y = rng.normal(size=(20, 3)) + 1j * rng.normal(size=(20, 3))
+        for got, xi, yi in zip(_polymul(x, y), x, y):
+            ref = P.polymul(xi, yi)
+            assert np.max(np.abs(got - ref)) <= 4 * np.finfo(float).eps * np.max(np.abs(ref))
+
+    def test_stacked_roots_are_polyroots_in_its_order(self):
+        # the tie rule between candidates depends on the order of the roots
+        rng = np.random.default_rng(5)
+        rows = rng.normal(size=(12, 7)) + 1j * rng.normal(size=(12, 7))
+        rows[3, 6] = 0.0  # degree 5
+        rows[7, 4:] = 0.0  # degree 3
+        rows[9] = 0.0  # no roots
+        stacked = _condition_roots(rows)
+        for got, row in zip(stacked, rows):
+            roots = P.polyroots(row)
+            assert np.array_equal(got[: len(roots)], roots)
+            assert np.all(got[len(roots) :] == 1.0)
 
 
 class TestGateTime:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from scgates import (
     hamiltonian_parts,
     ladder_diagonal,
 )
+from scgates.hamiltonians import hamiltonian_stack
 
 QA = QubitSpec(freq=5.5, anharm=0.15, n_levels=3)
 QB = QubitSpec(freq=5.5, anharm=0.10, n_levels=3)
@@ -133,6 +135,15 @@ class TestDirectHamiltonian:
         spec = DirectSystemSpec(QA, QB, g=0.01)
         with pytest.raises(ValueError):
             build_direct_hamiltonian(spec, 0.0)
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf])
+    def test_rejects_non_finite_scale_by_name(self, scale):
+        direct = DirectSystemSpec(QA, QB, g=0.01)
+        cavity = IndirectSystemSpec(QA, QB, 6.9, 0.1)
+        with pytest.raises(ValueError, match="freq_scale_b must be"):
+            build_direct_hamiltonian(direct, scale)
+        with pytest.raises(ValueError, match="freq_scale_b must be"):
+            build_indirect_hamiltonian(cavity, scale)
 
     def test_exchange_symmetry_under_qubit_swap(self):
         qa = QubitSpec(5.5, 0.15, 3)
@@ -276,4 +287,21 @@ class TestAssemblyAgainstReference:
         # propagate_schedule reuses a retraced segment's transpose, which needs both
         for h in hamiltonian_parts(self.SPECS[kind][0]):
             assert h.dtype == np.float64
+            assert np.array_equal(h, h.T)
+
+
+class TestHamiltonianStack:
+    @pytest.mark.parametrize("kind", ["direct", "cavity"])
+    def test_entries_are_the_square_pulse_matrices_bit_for_bit(self, kind):
+        # the propagator of a square pulse diagonalizes h0 + 1.0 * h1
+        spec = TestAssemblyAgainstReference.SPECS[kind][0]
+        specs = [
+            replace(spec, qubit_b=QubitSpec(spec.qubit_b.freq + 0.01 * k, 0.05 * k, spec.qubit_b.n_levels))
+            for k in range(4)
+        ]
+        stack = hamiltonian_stack(specs)
+        assert stack.shape == (4, spec.dim, spec.dim) and stack.dtype == np.float64
+        for h, s in zip(stack, specs):
+            h0, h1 = hamiltonian_parts(s)
+            assert np.array_equal(h, h0 + 1.0 * h1)
             assert np.array_equal(h, h.T)

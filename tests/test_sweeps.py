@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from scgates import sweeps as sweeps_module
+from scgates.hamiltonians import hamiltonian_stack
 from scgates import (
     CZ,
     ISWAP,
@@ -20,11 +21,13 @@ from scgates import (
     detrended_amplitude,
     effective_couplings,
     evaluate_point,
+    gate_target,
     gate_time,
     ramp_study,
     run_gate,
     sweep,
     threshold,
+    trapezoid_schedule,
     truncation_study,
 )
 
@@ -59,6 +62,13 @@ class TestAxis:
             SweepAxis("g_abs", 1.0, 0.5, 5)
         with pytest.raises(ValueError):
             SweepAxis("g_abs", 0.0, 1.0, 1)
+
+    @pytest.mark.parametrize("field", ["start", "stop"])
+    @pytest.mark.parametrize("value", [-math.inf, math.inf, math.nan])
+    def test_rejects_non_finite_ends_by_name(self, field, value):
+        ends = {"start": 0.0, "stop": 0.01, field: value}
+        with pytest.raises(ValueError, match=f"axis {field} must be finite"):
+            SweepAxis("g_abs", ends["start"], ends["stop"], 3)
 
     def test_values_are_uniform(self):
         ax = SweepAxis("g_abs", 0.0, 1.0, 5)
@@ -135,14 +145,19 @@ class TestDerive:
 
 class TestSweep:
     def test_rows_match_individual_gate_runs(self):
-        axes = (SweepAxis("g_over_delta_b", 0.1, 0.2, 2),)
-        grid = sweep(ISWAP_BASE, axes)
-        for row in grid.rows:
-            spec = derive_point_spec(ISWAP_BASE, axes, row.values)
-            res = run_gate(spec, ISWAP)
-            assert row.fidelity == res.fidelity
-            assert row.t_g_ns == gate_time(spec, ISWAP)
-            assert row.status == "ok"
+        cases = [
+            (ISWAP_BASE, (SweepAxis("g_over_delta_b", 0.1, 0.2, 2),)),
+            (INDIRECT_BASE, (SweepAxis("geff_over_delta_b", 0.05, 0.5, 19),)),  # 3 stacks
+        ]
+        for base, axes in cases:
+            target = gate_target(base.gate)
+            for row in sweep(base, axes).rows:
+                spec = derive_point_spec(base, axes, row.values)
+                res = run_gate(spec, target)
+                got = (row.fidelity, row.leakage, row.theta_a, row.theta_b, row.theta_global)
+                assert got == (res.fidelity, res.leakage, res.theta_a, res.theta_b, res.theta_global)
+                assert row.t_g_ns == gate_time(spec, target)
+                assert row.status == "ok"
 
     def test_lexicographic_row_order(self):
         axes = (
@@ -170,15 +185,30 @@ class TestSweep:
             assert list(warnings.filters) == before
 
     def test_sweep_runs_every_point_in_the_calling_thread(self, monkeypatch):
+        # square-pulse points are evaluated in stacks: record the thread of
+        # each stacked evaluation once per point it evaluates
         threads = []
+        square_rows = sweeps_module._square_rows
 
-        def recording_run_gate(*args, **kwargs):
-            threads.append(threading.get_ident())
-            return run_gate(*args, **kwargs)
+        def recording_square_rows(chunk, target):
+            threads.extend([threading.get_ident()] * len(chunk))
+            return square_rows(chunk, target)
 
-        monkeypatch.setattr(sweeps_module, "run_gate", recording_run_gate)
+        monkeypatch.setattr(sweeps_module, "_square_rows", recording_square_rows)
         sweep(ISWAP_BASE, (SweepAxis("g_over_delta_b", 0.05, 0.3, 8),), jobs=4)
         assert threads == [threading.get_ident()] * 8
+
+    def test_detuned_base_warns_once_per_sweep(self):
+        detuned = SweepBase(
+            DirectSystemSpec(QubitSpec(5.5, 0.15, 3), QubitSpec(5.52, 0.10, 3), 0.011), "iswap"
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            grid = sweep(detuned, (SweepAxis("g_over_delta_b", 0.05, 0.3, 5),))
+        assert [str(w.message).split(" is ")[0] for w in caught] == [
+            "iswap resonance condition freq_a = freq_b"
+        ]
+        assert all(row.status == "ok" for row in grid.rows)
 
     def test_failed_points_recorded_in_row(self):
         # negative anharmonicity values cannot build a qubit; the sweep keeps going
@@ -198,6 +228,113 @@ class TestSweep:
             DirectSystemSpec(QubitSpec(5.5, 0.15, 3), QubitSpec(5.5, 0.10, 3), 0.05), "iswap"
         )
         assert sweep(base, axes).fidelity_array().shape == (2, 3)
+
+
+DIRECT_2D = SweepBase(
+    DirectSystemSpec(QubitSpec(5.5, 0.15, 3), QubitSpec(5.5, 0.10, 3), 0.05), "iswap"
+)
+FIVE_LEVEL = SweepBase(
+    DirectSystemSpec(QubitSpec(5.5, 0.15, 5), QubitSpec(5.5, 0.10, 5), 0.011), "iswap"
+)
+BATCH_CASES = {
+    # 250 points of dimension 9: two stacks of at most 16384 // 81 = 202
+    "direct-1d": (ISWAP_BASE, (SweepAxis("g_over_delta_b", 0.01, 0.5, 250),)),
+    "direct-2d": (
+        DIRECT_2D,
+        (SweepAxis("delta_a_over_g", 0.5, 8.0, 4), SweepAxis("delta_b_over_g", 0.5, 8.0, 5)),
+    ),
+    "cz-2d": (
+        CZ_BASE,
+        (SweepAxis("g_abs", 0.005, 0.06, 3), SweepAxis("delta_b_abs", 0.05, 0.25, 4)),
+    ),
+    # dimension 45: stacks of 8
+    "cavity": (INDIRECT_BASE, (SweepAxis("geff_over_delta_b", 0.05, 0.5, 19),)),
+    "cavity-iswap": (
+        SweepBase(
+            IndirectSystemSpec(QubitSpec(8.2, 0.2, 3), QubitSpec(8.2, 0.25, 3), 6.9, 0.199), "iswap"
+        ),
+        (SweepAxis("geff_abs", 0.005, 0.05, 10),),
+    ),
+    # dimension 25, the largest grid of a truncation study
+    "five-levels": (FIVE_LEVEL, (SweepAxis("g_over_delta_b", 0.05, 0.5, 30),)),
+}
+
+
+def assert_rows_are_single_point_rows(base, axes, rows):
+    assert all(row.status == "ok" for row in rows)
+    assert rows == tuple(evaluate_point(base, axes, row.values) for row in rows)
+
+
+class TestBatching:
+    @pytest.mark.parametrize("case", sorted(BATCH_CASES))
+    def test_sweep_rows_equal_single_point_rows(self, case):
+        base, axes = BATCH_CASES[case]
+        assert_rows_are_single_point_rows(base, axes, sweep(base, axes).rows)
+
+    def test_truncation_study_rows_equal_single_point_rows(self):
+        axis = SweepAxis("g_over_delta_b", 0.05, 0.5, 19)
+        for grid in truncation_study(ISWAP_BASE, [3, 4, 5], axis):
+            assert_rows_are_single_point_rows(grid.base, grid.axes, grid.rows)
+
+    def test_chunks_hold_at_most_the_stack_bound(self, monkeypatch):
+        sizes = []
+        square_rows = sweeps_module._square_rows
+
+        def recording_square_rows(chunk, target):
+            sizes.append(len(chunk))
+            return square_rows(chunk, target)
+
+        monkeypatch.setattr(sweeps_module, "_square_rows", recording_square_rows)
+        sweep(*BATCH_CASES["direct-1d"])
+        sweep(*BATCH_CASES["cavity"])
+        assert sizes == [202, 48, 8, 8, 3]
+
+    def test_derivation_failure_stays_in_its_row(self):
+        axes = (SweepAxis("delta_b_abs", -0.1, 0.2, 4),)
+        rows = sweep(CZ_BASE, axes).rows
+        assert rows[0].status == "error:ValueError"
+        assert_rows_are_single_point_rows(CZ_BASE, axes, rows[1:])
+
+    def test_infinite_gate_time_stays_in_its_row(self):
+        # 1 / (4 g) overflows for a subnormal g; a square segment rejects it
+        axes = (SweepAxis("g_abs", 1e-320, 0.011, 2),)
+        with np.errstate(over="ignore"):
+            rows = sweep(ISWAP_BASE, axes).rows
+        assert rows[0].status == "error:ValueError"
+        assert_rows_are_single_point_rows(ISWAP_BASE, axes, rows[1:])
+
+    def test_stacked_eigensolver_failure_falls_back_to_single_points(self, monkeypatch):
+        base, axes = BATCH_CASES["cavity"]
+        expected = sweep(base, axes).rows
+        bad = hamiltonian_stack([derive_point_spec(base, axes, expected[10].values)])[0]
+        eigh = np.linalg.eigh
+
+        def failing_eigh(h):
+            if any(np.array_equal(m, bad) for m in h):
+                raise np.linalg.LinAlgError("forced")
+            return eigh(h)
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        rows = sweep(base, axes).rows
+        assert rows[10].status == "error:LinAlgError"
+        assert np.isnan(rows[10].fidelity)
+        assert rows[:10] + rows[11:] == expected[:10] + expected[11:]
+
+    def test_unitarity_failure_stays_in_its_row(self, monkeypatch):
+        base, axes = BATCH_CASES["cavity"]
+        expected = sweep(base, axes).rows
+        bad = hamiltonian_stack([derive_point_spec(base, axes, expected[3].values)])[0]
+        constant_propagators = sweeps_module.constant_propagators
+
+        def leaky_propagators(h, t):
+            u, defects = constant_propagators(h, t)
+            hit = np.array([np.array_equal(m, bad) for m in h])
+            return u, np.where(hit, 1e-6, defects)
+
+        monkeypatch.setattr(sweeps_module, "constant_propagators", leaky_propagators)
+        rows = sweep(base, axes).rows
+        assert rows[3].status == "error:UnitarityError"
+        assert rows[:3] + rows[4:] == expected[:3] + expected[4:]
 
 
 class TestThreshold:
@@ -263,6 +400,15 @@ class TestStudies:
         axis = SweepAxis("g_over_delta_b", 0.1, 0.15, 2)
         grids = ramp_study(CZ_BASE, [0.0], axis)
         assert grids[0].rows == sweep(CZ_BASE, (axis,)).rows
+
+    def test_ramped_points_run_the_trapezoid(self):
+        base = SweepBase(CZ_BASE.system, "cz", tau_d=5.0)
+        axes = (SweepAxis("g_over_delta_b", 0.1, 0.15, 2),)
+        row = evaluate_point(base, axes, (0.15,))
+        spec = derive_point_spec(base, axes, (0.15,))
+        t_g = gate_time(spec, CZ)
+        assert row.fidelity == run_gate(spec, CZ, trapezoid_schedule(5.0, t_g)).fidelity
+        assert row.fidelity != run_gate(spec, CZ).fidelity
 
     def test_zero_coupling_cz_is_phase_compensated_identity(self):
         # no entangling dynamics: the evolution is diagonal and Z-compensable,
