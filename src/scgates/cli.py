@@ -9,7 +9,8 @@ catches unit mistakes and typos before any computation starts.
 
 Exit codes: 0 success, 1 config error (nothing is written), 2 numerical
 failure (nothing is written), 3 the output directory or an artifact could
-not be written (artifacts written before the failure are left in place).
+not be written.  The artifacts are written under temporary names and renamed
+only once all three are written, so a failed write leaves none of them.
 Errors are also emitted as single-line JSON on stderr.
 """
 
@@ -19,7 +20,9 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -281,6 +284,36 @@ def write_grids_csv(path: Path, grids, label_name: str | None = None, label_valu
             writer.writerows(_grid_rows(grid, label))
 
 
+def _write_summary_csv(path: Path, summary: dict) -> None:
+    """One-row CSV of a gate or effective run's scalar results, for uniform tooling."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        keys = [k for k in summary if k != "mode" and not isinstance(summary[k], dict)]
+        writer.writerow(keys)
+        writer.writerow([_fmt(summary[k]) for k in keys])
+
+
+def _write_atomically(out: Path, writers) -> None:
+    """Run each ``(name, write)`` on a temporary file in ``out``, then rename all to their names.
+
+    The renames start only once every write has succeeded.  If a write
+    fails, the temporaries are removed and the files already in ``out``
+    stay as they were, so a failed run leaves none of its artifacts.
+    """
+    staged = []
+    try:
+        for name, write in writers:
+            staged.append((out / f".{name}.{os.getpid()}.tmp", out / name))
+            write(staged[-1][0])
+        for tmp, final in staged:
+            os.replace(tmp, final)
+    except BaseException:
+        for tmp, _ in staged:
+            with suppress(OSError):
+                tmp.unlink(missing_ok=True)
+        raise
+
+
 def _extremal_rows(grid: SweepGrid) -> dict:
     ok = [row for row in grid.rows if row.status == "ok"]
     if not ok:
@@ -470,7 +503,7 @@ def validate_summary(summary: dict) -> None:
 
 
 def run_config(cfg: RunConfig, out_dir: str | Path, jobs: int = 1, stem: str = "results") -> dict:
-    """Execute a config and write csv/summary/plot artifacts into ``out_dir``.
+    """Execute a config and write csv/summary/plot artifacts into ``out_dir``, all or none.
 
     ``jobs`` is accepted for compatibility and ignored, as in ``sweeps.sweep``.
     """
@@ -481,23 +514,23 @@ def run_config(cfg: RunConfig, out_dir: str | Path, jobs: int = 1, stem: str = "
     csv_name = f"{stem}.csv"
     summary_name = "summary.json" if stem == "results" else f"{stem}_summary.json"
     plot_name = "plot.gp" if stem == "results" else f"{stem}_plot.gp"
-    if grids:
-        if label:
-            write_grids_csv(out / csv_name, grids, label_name=label[0], label_values=label[1])
+    label_name, label_values = label or (None, None)
+    summary_text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    plot_text = _plot_script(cfg, csv_name, label_values)
+
+    def write_csv(path: Path) -> None:
+        if grids:
+            write_grids_csv(path, grids, label_name, label_values)
         else:
-            write_grids_csv(out / csv_name, grids)
-    else:
-        # gate/effective runs still emit a one-row CSV for uniform tooling
-        with open(out / csv_name, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            keys = [k for k in summary if k != "mode" and not isinstance(summary[k], dict)]
-            writer.writerow(keys)
-            writer.writerow([_fmt(summary[k]) for k in keys])
-    (out / summary_name).write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    (out / plot_name).write_text(
-        _plot_script(cfg, csv_name, label[1] if label else None), encoding="utf-8"
+            _write_summary_csv(path, summary)
+
+    _write_atomically(
+        out,
+        [
+            (csv_name, write_csv),
+            (summary_name, lambda path: path.write_text(summary_text, encoding="utf-8")),
+            (plot_name, lambda path: path.write_text(plot_text, encoding="utf-8")),
+        ],
     )
     return summary
 

@@ -11,10 +11,22 @@ Moan, Appl. Numer. Math. 56, 1519 (2006); Alvermann & Fehske, J. Comput.
 Phys. 230, 5930 (2011)).  Because H is affine in the scale and the ramp is
 linear in time, a CF4 step is exactly two half-step exponentials with H frozen
 at 1/6 and 5/6 of the step, so the error falls as ``dt**4``.  Exponentials
-within a chunk are diagonalized as one stacked LAPACK call and combined with a
-pairwise product tree, which keeps the cost near the eigensolver floor.
+within a chunk are diagonalized as one stacked LAPACK call per parity block
+(below) and combined with a pairwise product tree, which keeps the cost near
+the eigensolver floor.
 Sweeps propagate many square pulses at once through the same stacked
 exponential (``constant_propagators``), one Hamiltonian per grid point.
+
+The exponentials and their products are formed block by block, one block per
+parity of the total excitation number (``hamiltonians.parity_blocks``).  The
+split is exact, with no rotating-wave approximation: a coupling term
+Jx_i Jx_j, counter-rotating part included, changes n_a + n_b (+ n_c) by 0 or
++-2, and h1 is diagonal, so h0 + s h1 has exact zeros between the two parities
+at every scale s, and so has every product of its exponentials.  Two
+half-size eigensolves cost about a quarter of one full-size eigensolve.  The
+unitarity defect of a propagator is the largest over its blocks, which is the
+full-matrix defect, since the entries between blocks are exact zeros.  Full
+propagators are assembled from their blocks only where they are returned.
 """
 
 from __future__ import annotations
@@ -24,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonians import DirectSystemSpec, IndirectSystemSpec, hamiltonian_parts
+from .hamiltonians import DirectSystemSpec, IndirectSystemSpec, hamiltonian_parts, parity_blocks
 
 #: Default ramp discretization (ns): the length of one CF4 step, which costs
 #: two exponentials.  Verified by the convergence suite: halving it changes no
@@ -117,7 +129,8 @@ class PropagationResult:
 def _unitarity_defects(u: np.ndarray) -> np.ndarray:
     """max |U^dag U - I| of each propagator in a stack (n, d, d)."""
     gram = np.matmul(u.conj().transpose(0, 2, 1), u)
-    return np.abs(gram - np.eye(u.shape[-1])).max(axis=(1, 2))
+    gram.reshape(len(u), -1)[:, :: u.shape[-1] + 1] -= 1.0  # the diagonal, in place
+    return np.abs(gram).reshape(len(u), -1).max(axis=1)
 
 
 def _unitarity_defect(u: np.ndarray) -> float:
@@ -133,44 +146,66 @@ def _product_in_order(us: np.ndarray) -> np.ndarray:
     return us[0]
 
 
-def _exponentials(h: np.ndarray, step) -> np.ndarray:
-    """exp(-i step h) for each real symmetric matrix of the stack ``h`` (n, d, d).
+def _exponentials(hs: list[np.ndarray], step) -> list[np.ndarray]:
+    """exp(-i step h) for each Hermitian matrix of each block stack of ``hs``.
 
-    ``step`` is one duration for the whole stack or an (n, 1) column of them.
+    ``hs`` holds one (n, k, k) stack per block; ``step`` is one duration for
+    all or an (n, 1) column of them.  Each block takes one stacked ``eigh``.
     This is the only place a Hamiltonian is exponentiated.
     """
-    w, v = np.linalg.eigh(h)
-    v = v.astype(complex)
-    vh = v.conj().transpose(0, 2, 1)
-    v *= np.exp(-1j * w * step)[:, None, :]  # in place: one stack less at the peak
-    return np.matmul(v, vh)
+    us = []
+    for h in hs:
+        w, v = np.linalg.eigh(h)
+        us.append(np.matmul(v * np.exp(-1j * w * step)[:, None, :], v.conj().transpose(0, 2, 1)))
+    return us
 
 
-def _propagator(h0: np.ndarray, h1: np.ndarray, scales: np.ndarray, step: float) -> np.ndarray:
-    """Time-ordered product of exp(-i step (h0 + s h1)) over ``scales``, earliest first."""
-    chunks = []
+def _gather(h: np.ndarray, blocks) -> list[np.ndarray]:
+    """The diagonal blocks ``h[..., ix, ix]`` of a matrix or stack, one per index set."""
+    return [h[..., ix[:, None], ix] for ix in blocks]
+
+
+def _scatter(us: list[np.ndarray], blocks) -> np.ndarray:
+    """Full complex matrices (or stacks) with the given diagonal blocks and zeros elsewhere."""
+    d = sum(len(ix) for ix in blocks)
+    u = np.zeros(us[0].shape[:-2] + (d, d), dtype=complex)
+    for ix, block in zip(blocks, us):
+        u[..., ix[:, None], ix] = block
+    return u
+
+
+def _propagator(parts: list[tuple[np.ndarray, np.ndarray]], scales: np.ndarray, step: float):
+    """Blocks of the time-ordered product of exp(-i step (h0 + s h1)) over ``scales``.
+
+    ``parts`` holds the (h0, h1) of each block; the earliest scale acts first.
+    """
+    chunks = [[] for _ in parts]
     for start in range(0, len(scales), _CHUNK):
-        s = scales[start : start + _CHUNK]
+        s = scales[start : start + _CHUNK, None, None]
         # Holding ``us`` until the next chunk replaces it keeps its memory in
         # use; freed at once, it is handed back to the system and faulted in
         # again by the next chunk, which costs a ramp 10–20 %.
-        us = _exponentials(h0 + s[:, None, None] * h1, step)
-        chunks.append(_product_in_order(us))
-    return _product_in_order(np.stack(chunks))
+        us = _exponentials([h0 + s * h1 for h0, h1 in parts], step)
+        for chunk, u in zip(chunks, us):
+            chunk.append(_product_in_order(u))
+    return [_product_in_order(np.stack(chunk)) for chunk in chunks]
 
 
-def constant_propagators(h: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def constant_propagators(h: np.ndarray, t: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
     """exp(-i t_k h_k) for a stack of real symmetric ``h`` (n, d, d) and times ``t`` (n,).
 
-    Returns the propagators and the unitarity defect max |U^dag U - I| of
-    each.  For ``h`` from ``hamiltonians.hamiltonian_stack`` every propagator
-    equals, entry for entry, what ``propagate_schedule`` gives for that
-    spec's square schedule of duration t_k; checking each defect against
+    ``blocks`` are index sets that partition range(d), with no entries of
+    any ``h_k`` between two sets, such as ``hamiltonians.parity_blocks``;
+    each block is exponentiated on its own.  Returns the full propagators
+    and the unitarity defect max |U^dag U - I| of each.  For ``h`` from
+    ``hamiltonians.hamiltonian_stack`` and the spec's parity blocks, every
+    propagator equals, entry for entry, what ``propagate_schedule`` gives for
+    that spec's square schedule of duration t_k; checking each defect against
     ``SCHEDULE_UNITARITY_TOL`` is left to the caller, so that one failing
     entry does not fail the stack.
     """
-    u = _exponentials(h, np.asarray(t, dtype=float)[:, None])
-    return u, _unitarity_defects(u)
+    us = _exponentials(_gather(h, blocks), np.asarray(t, dtype=float)[:, None])
+    return _scatter(us, blocks), np.max([_unitarity_defects(u) for u in us], axis=0)
 
 
 def propagate_constant(h: np.ndarray, t: float) -> PropagationResult:
@@ -188,7 +223,7 @@ def propagate_constant(h: np.ndarray, t: float) -> PropagationResult:
     scale = np.max(np.abs(h))
     if scale > 0 and np.max(np.abs(h - h.conj().T)) > 1e-9 * scale:
         raise ValueError("matrix is not Hermitian within 1e-9 of its norm")
-    u = _propagator(h, np.zeros_like(h), np.ones(1), t)
+    (u,) = _propagator([(h, np.zeros_like(h))], np.ones(1), t)
     defect = _unitarity_defect(u)
     if defect > CONSTANT_UNITARITY_TOL:
         raise UnitarityError(f"unitarity defect {defect:.3e} exceeds {CONSTANT_UNITARITY_TOL:g}")
@@ -230,17 +265,19 @@ def propagate_schedule(
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     h0, h1 = hamiltonian_parts(spec)
-    u = np.eye(h0.shape[0], dtype=complex)
+    blocks = parity_blocks(spec)
+    parts = list(zip(_gather(h0, blocks), _gather(h1, blocks)))
+    us = [np.eye(len(ix), dtype=complex) for ix in blocks]
     steps = 0
     done = {}
     for seg in schedule.segments:
         scales, step, n_steps = _samples(seg, dt)
         earlier = done.get((seg.duration, seg.scale_end, seg.scale_start))
-        seg_u = _propagator(h0, h1, scales, step) if earlier is None else earlier.T
-        done[seg.duration, seg.scale_start, seg.scale_end] = seg_u
-        u = seg_u @ u
+        seg_us = _propagator(parts, scales, step) if earlier is None else [u.T for u in earlier]
+        done[seg.duration, seg.scale_start, seg.scale_end] = seg_us
+        us = [seg_u @ u for seg_u, u in zip(seg_us, us)]
         steps += n_steps
-    defect = _unitarity_defect(u)
+    defect = max(_unitarity_defect(u) for u in us)
     if defect > SCHEDULE_UNITARITY_TOL:
         raise UnitarityError(f"unitarity defect {defect:.3e} exceeds {SCHEDULE_UNITARITY_TOL:g}")
-    return PropagationResult(u, schedule.total_time, defect, steps)
+    return PropagationResult(_scatter(us, blocks), schedule.total_time, defect, steps)

@@ -14,13 +14,19 @@ Unit conventions, used consistently across the package:
   makes time a plain number of nanoseconds.
 * Product-basis ordering is qubit A outermost, qubit B next, cavity innermost:
   the flattened index of |n_a, n_b, n_c> is (n_a * N_B + n_b) * N_c + n_c.
+
+Every coupling term Jx_i Jx_j moves the total excitation number
+n_a + n_b (+ n_c) by 0 or +-2, counter-rotating terms included, and the
+ladders are diagonal.  So every Hamiltonian built here has exact zeros between
+states of opposite excitation parity; ``parity_blocks`` gives the two index
+sets, which the propagators diagonalize separately.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -37,6 +43,7 @@ __all__ = [
     "build_direct_hamiltonian",
     "build_indirect_hamiltonian",
     "hamiltonian_parts",
+    "parity_blocks",
     "computational_indices",
 ]
 
@@ -207,22 +214,30 @@ def _outer_sum(levels: list[np.ndarray]) -> np.ndarray:
     return diag
 
 
+@lru_cache
+def _coupling_factor(sizes: tuple[int, ...], i: int, j: int) -> np.ndarray:
+    """Read-only Kronecker product of ``build_jx`` on modes i and j and identities elsewhere."""
+    ops = [build_jx(size) if k in (i, j) else np.eye(size) for k, size in enumerate(sizes)]
+    factor = reduce(np.kron, ops)
+    factor.flags.writeable = False
+    return factor
+
+
 def _assemble(levels: list[np.ndarray], couplings: list[tuple[int, int, np.ndarray]]) -> np.ndarray:
     """Real Hamiltonians (n, d, d): the ladders' outer sum on the diagonal, plus the couplings.
 
     Each coupling adds 2*pi*g times the Kronecker product of ``build_jx`` on
     its two modes and identities elsewhere; for the cavity, a + a^dag has the
     same sqrt(n) off-diagonal structure as Jx.  The Kronecker factors depend
-    on the truncation only, so each is built once for the whole stack.
+    on the truncation only, so each is built once per truncation and pair.
     """
     diag = _outer_sum(levels)
     n, d = diag.shape
     h = np.zeros((n, d, d))
     h[:, np.arange(d), np.arange(d)] = diag
-    sizes = [e.shape[1] for e in levels]
+    sizes = tuple(e.shape[1] for e in levels)
     for i, j, g in couplings:
-        ops = [build_jx(size) if k in (i, j) else np.eye(size) for k, size in enumerate(sizes)]
-        h += (TWOPI * g)[:, None, None] * reduce(np.kron, ops)
+        h += (TWOPI * g)[:, None, None] * _coupling_factor(sizes, i, j)
     return h
 
 
@@ -282,6 +297,30 @@ def hamiltonian_stack(specs) -> np.ndarray:
     i = np.arange(h.shape[1])
     h[:, i, i] = (h[:, i, i] - h1) + 1.0 * h1
     return h
+
+
+@lru_cache
+def _parity_blocks(sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    excitations = sum(np.indices(sizes)).ravel()
+    blocks = tuple(np.flatnonzero(excitations % 2 == parity) for parity in (0, 1))
+    for block in blocks:
+        block.flags.writeable = False
+    return blocks
+
+
+def parity_blocks(spec: DirectSystemSpec | IndirectSystemSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Flattened indices of the states with even and with odd n_a + n_b (+ n_c).
+
+    The Hamiltonians of ``spec`` have exact zeros between the two sets at
+    every scale (module docstring).  The sets follow from the mode sizes
+    alone, not from a matrix's nonzero pattern, which falls apart further
+    when a coupling is zero.  Both are read-only and built once per
+    truncation.
+    """
+    sizes = (spec.qubit_a.n_levels, spec.qubit_b.n_levels)
+    if isinstance(spec, IndirectSystemSpec):
+        sizes += (spec.n_photons,)
+    return _parity_blocks(sizes)
 
 
 def computational_indices(spec: DirectSystemSpec | IndirectSystemSpec) -> tuple[int, int, int, int]:

@@ -60,7 +60,13 @@ from .gates import (
     run_gate,
     score_blocks,
 )
-from .hamiltonians import DirectSystemSpec, IndirectSystemSpec, QubitSpec, hamiltonian_stack
+from .hamiltonians import (
+    DirectSystemSpec,
+    IndirectSystemSpec,
+    QubitSpec,
+    hamiltonian_stack,
+    parity_blocks,
+)
 
 DIRECT_COUPLING_AXES = frozenset({"g_over_delta_b", "g_abs"})
 INDIRECT_COUPLING_AXES = frozenset({"geff_over_delta_b", "geff_abs"})
@@ -250,14 +256,16 @@ def _ramped_row(base: SweepBase, target, values, spec, t_g: float, schedule) -> 
 def _square_rows(chunk, target) -> list[SweepPoint]:
     """Rows of square-pulse points ``(values, spec, t_g, schedule)`` sharing one truncation.
 
-    The chunk is propagated, projected and scored as one stack.  A point
-    whose propagator fails the unitarity bound of ``propagate_schedule`` is
-    an ``error:UnitarityError`` row; if the stacked evaluation raises, each
-    point is evaluated on its own.
+    The chunk is propagated, one stack per parity block, then projected and
+    scored as one stack.  A point whose propagator fails the unitarity bound
+    of ``propagate_schedule`` is an ``error:UnitarityError`` row; if the
+    stacked evaluation raises, each point is evaluated on its own.
     """
     specs = [point[1] for point in chunk]
     try:
-        u, defects = constant_propagators(hamiltonian_stack(specs), [point[2] for point in chunk])
+        u, defects = constant_propagators(
+            hamiltonian_stack(specs), [point[2] for point in chunk], parity_blocks(specs[0])
+        )
         scores = score_blocks(project_computational(u, specs[0]), target)
     except _POINT_ERRORS as exc:
         if len(chunk) == 1:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -277,6 +278,44 @@ class TestCliEntry:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert json.loads(err)["kind"] == "io"
+
+    @staticmethod
+    def fail_plot_writes(monkeypatch):
+        write_text = Path.write_text
+
+        def failing_write_text(self, *args, **kwargs):
+            if "plot" in self.name:
+                raise OSError(28, "No space left on device")
+            return write_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", failing_write_text)
+
+    @pytest.mark.parametrize("config", [GATE_CONFIG, SWEEP_CONFIG], ids=["gate", "sweep1d"])
+    def test_failed_plot_write_leaves_no_artifacts(self, tmp_path, capsys, monkeypatch, config):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept")
+        self.fail_plot_writes(monkeypatch)
+        assert main(["--config", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"kind": "io", "error": "[Errno 28] No space left on device"}
+        assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
+
+    def test_failed_write_keeps_the_previous_runs_artifacts(self, tmp_path, monkeypatch):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(GATE_CONFIG))
+        out = tmp_path / "o"
+        assert main(["--config", str(path), "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(before) == ["plot.gp", "results.csv", "summary.json"]
+        system = {**GATE_CONFIG["system"], "g": 0.012}
+        path.write_text(json.dumps({**GATE_CONFIG, "system": system}))
+        self.fail_plot_writes(monkeypatch)
+        assert main(["--config", str(path), "--out", str(out)]) == 3
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestSummaryValidation:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +11,7 @@ from scgates import (
     DEFAULT_DT,
     TWOPI,
     DirectSystemSpec,
+    IndirectSystemSpec,
     PulseSchedule,
     QubitSpec,
     ScheduleSegment,
@@ -22,7 +24,8 @@ from scgates import (
 )
 from scgates import presets
 from scgates.cli import parse_config
-from scgates.evolution import SCHEDULE_UNITARITY_TOL
+from scgates.evolution import SCHEDULE_UNITARITY_TOL, UnitarityError, constant_propagators
+from scgates.hamiltonians import hamiltonian_stack, parity_blocks
 
 CZ_SPEC = DirectSystemSpec(QubitSpec(7.16, 0.087, 3), QubitSpec(7.274, 0.114, 3), 0.0274)
 
@@ -178,6 +181,78 @@ class TestPropagateSchedule:
             u = propagate_schedule(system, PulseSchedule((seg,))).unitary @ u
         assert np.max(np.abs(res.unitary - u)) < 1e-12
         assert res.steps_used == 2 * math.ceil(5.0 / DEFAULT_DT) + 1
+
+
+SPLIT_SPECS = {
+    "direct-3": DirectSystemSpec(QubitSpec(5.5, 0.15, 3), QubitSpec(5.5, 0.10, 3), 0.011),
+    "direct-5x4": DirectSystemSpec(QubitSpec(5.5, 0.15, 5), QubitSpec(5.6, 0.10, 4), 0.05),
+    "direct-uncoupled": DirectSystemSpec(QubitSpec(5.5, 0.15, 4), QubitSpec(5.6, 0.10, 2), 0.0),
+    "cavity-3": IndirectSystemSpec(QubitSpec(8.2, 0.2, 3), QubitSpec(8.45, 0.25, 3), 6.9, 0.199),
+    "cavity-5": IndirectSystemSpec(QubitSpec(8.2, 0.2, 5), QubitSpec(8.45, 0.25, 5), 6.9, 0.199),
+}
+
+
+class TestParitySplit:
+    """Propagators are formed one excitation-parity block at a time; the full result must not change."""
+
+    @pytest.mark.parametrize("name", sorted(SPLIT_SPECS))
+    def test_block_propagators_match_full_matrix_expm(self, name):
+        # times of at most 2 ns keep expm's own round-off, which grows with t ||H||, below 1e-12
+        spec = SPLIT_SPECS[name]
+        t = np.array([0.05, 0.7, 2.0])
+        h = hamiltonian_stack([spec] * len(t))
+        u, defects = constant_propagators(h, t, parity_blocks(spec))
+        for u_k, h_k, t_k in zip(u, h, t):
+            assert np.max(np.abs(u_k - scipy.linalg.expm(-1j * t_k * h_k))) < 1e-12
+        assert np.all(defects < 1e-13)
+        square = propagate_schedule(spec, square_schedule(2.0)).unitary
+        assert np.max(np.abs(square - scipy.linalg.expm(-2j * h[0]))) < 1e-12
+
+    @pytest.mark.parametrize("name", sorted(SPLIT_SPECS))
+    def test_constant_propagators_equal_square_schedules_entry_for_entry(self, name):
+        spec = SPLIT_SPECS[name]
+        t = [7.3, 3.1]
+        u, defects = constant_propagators(hamiltonian_stack([spec, spec]), t, parity_blocks(spec))
+        for u_k, defect, t_k in zip(u, defects, t):
+            res = propagate_schedule(spec, square_schedule(t_k))
+            assert np.array_equal(u_k, res.unitary)
+            assert defect < SCHEDULE_UNITARITY_TOL
+
+    @pytest.mark.parametrize("name", sorted(SPLIT_SPECS))
+    @pytest.mark.parametrize("tau_d", [0.0, 1.5])
+    def test_cross_parity_entries_are_exactly_zero(self, name, tau_d):
+        spec = SPLIT_SPECS[name]
+        even, odd = parity_blocks(spec)
+        res = propagate_schedule(spec, trapezoid_schedule(tau_d, 4.0), dt=0.05)
+        assert res.unitary.shape == (spec.dim, spec.dim)
+        assert not res.unitary[np.ix_(even, odd)].any()
+        assert not res.unitary[np.ix_(odd, even)].any()
+        assert res.unitarity_defect < SCHEDULE_UNITARITY_TOL
+
+    @pytest.mark.parametrize("spoiled", [0, 1], ids=["even", "odd"])
+    def test_unitarity_check_covers_every_block(self, spoiled, monkeypatch):
+        # eigenvectors 1e-6 too long in one block only: the defect must see it
+        spec = SPLIT_SPECS["cavity-3"]
+        size = len(parity_blocks(spec)[spoiled])
+        eigh = np.linalg.eigh
+
+        def spoiled_eigh(h):
+            w, v = eigh(h)
+            return w, v * (1 + 1e-6) if h.shape[-1] == size else v
+
+        monkeypatch.setattr(np.linalg, "eigh", spoiled_eigh)
+        _, defects = constant_propagators(hamiltonian_stack([spec]), [3.0], parity_blocks(spec))
+        assert defects[0] > SCHEDULE_UNITARITY_TOL
+        with pytest.raises(UnitarityError):
+            propagate_schedule(spec, trapezoid_schedule(0.5, 3.0))
+
+    def test_an_arbitrary_hermitian_matrix_is_one_block(self):
+        # a complex matrix that couples every state to every other
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        h = a + a.conj().T
+        res = propagate_constant(h, 0.4)
+        assert np.max(np.abs(res.unitary - scipy.linalg.expm(-0.4j * h))) < 1e-12
 
 
 qubits = st.builds(

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scgates import (
     TWOPI,
@@ -18,7 +20,8 @@ from scgates import (
     hamiltonian_parts,
     ladder_diagonal,
 )
-from scgates.hamiltonians import hamiltonian_stack
+from scgates import hamiltonians
+from scgates.hamiltonians import hamiltonian_stack, parity_blocks
 
 QA = QubitSpec(freq=5.5, anharm=0.15, n_levels=3)
 QB = QubitSpec(freq=5.5, anharm=0.10, n_levels=3)
@@ -305,3 +308,69 @@ class TestHamiltonianStack:
             h0, h1 = hamiltonian_parts(s)
             assert np.array_equal(h, h0 + 1.0 * h1)
             assert np.array_equal(h, h.T)
+
+
+levels = st.integers(2, 5)
+qubits = st.builds(
+    QubitSpec,
+    freq=st.floats(4.0, 9.0),
+    anharm=st.one_of(st.just(0.0), st.floats(0.0, 0.4)),
+    n_levels=levels,
+)
+couplings = st.one_of(st.just(0.0), st.floats(0.0, 0.3))
+direct_specs = st.builds(DirectSystemSpec, qubits, qubits, couplings)
+cavity_specs = st.builds(IndirectSystemSpec, qubits, qubits, st.floats(4.0, 9.0), couplings, levels)
+
+
+class TestParityBlocks:
+    @staticmethod
+    def excitation_parity(spec):
+        """Parity of n_a + n_b (+ n_c) of each flattened index, through ``BasisIndex``."""
+        cavity = range(spec.n_photons) if isinstance(spec, IndirectSystemSpec) else [None]
+        parity = np.full(spec.dim, -1)
+        for n_a, n_b, n_c in itertools.product(
+            range(spec.qubit_a.n_levels), range(spec.qubit_b.n_levels), cavity
+        ):
+            parity[BasisIndex(n_a, n_b, n_c).flatten(spec)] = (n_a + n_b + (n_c or 0)) % 2
+        return parity
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(spec=st.one_of(direct_specs, cavity_specs), scale=st.floats(0.5, 1.5))
+    def test_hamiltonians_vanish_exactly_between_parities(self, spec, scale):
+        even, odd = parity_blocks(spec)
+        parity = self.excitation_parity(spec)
+        assert np.array_equal(even, np.flatnonzero(parity == 0))
+        assert np.array_equal(odd, np.flatnonzero(parity == 1))
+        cross = np.ix_(even, odd)
+        h0, h1 = hamiltonian_parts(spec)
+        for h in (h0, h1, h0 + scale * h1, hamiltonian_stack([spec, spec])[1]):
+            assert not h[cross].any() and not h.T[cross].any()
+
+    def test_blocks_follow_the_mode_sizes_not_the_couplings(self):
+        # with g = 0 the matrix is diagonal, yet the blocks are the same two sets
+        coupled = DirectSystemSpec(QA, replace(QB, n_levels=4), 0.02)
+        uncoupled = replace(coupled, g=0.0)
+        assert parity_blocks(coupled) is parity_blocks(uncoupled)
+        even, odd = parity_blocks(coupled)
+        assert even.tolist() == [0, 2, 5, 7, 8, 10]
+        assert odd.tolist() == [1, 3, 4, 6, 9, 11]
+        assert not even.flags.writeable and not odd.flags.writeable
+
+    def test_cavity_blocks_are_half_the_space(self):
+        spec = IndirectSystemSpec(QubitSpec(8.2, 0.2, 5), QubitSpec(8.45, 0.25, 5), 6.9, 0.2)
+        assert [len(block) for block in parity_blocks(spec)] == [63, 62]
+
+
+class TestCouplingFactors:
+    def test_built_once_per_truncation_and_pair_and_read_only(self):
+        spec = TestAssemblyAgainstReference.SPECS["cavity"][0]
+        hamiltonians._coupling_factor.cache_clear()
+        hamiltonian_parts(spec)
+        other = replace(spec, g_qc=0.1, qubit_a=replace(spec.qubit_a, freq=8.0))
+        hamiltonian_parts(other)
+        hamiltonian_stack([spec, other])
+        info = hamiltonians._coupling_factor.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+        factor = hamiltonians._coupling_factor((3, 3, 4), 0, 2)
+        with pytest.raises(ValueError):
+            factor[0, 0] = 1.0

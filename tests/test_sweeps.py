@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from scgates import sweeps as sweeps_module
-from scgates.hamiltonians import hamiltonian_stack
+from scgates.hamiltonians import hamiltonian_stack, parity_blocks
 from scgates import (
     CZ,
     ISWAP,
@@ -306,7 +306,9 @@ class TestBatching:
     def test_stacked_eigensolver_failure_falls_back_to_single_points(self, monkeypatch):
         base, axes = BATCH_CASES["cavity"]
         expected = sweep(base, axes).rows
-        bad = hamiltonian_stack([derive_point_spec(base, axes, expected[10].values)])[0]
+        spec = derive_point_spec(base, axes, expected[10].values)
+        even, _ = parity_blocks(spec)
+        bad = hamiltonian_stack([spec])[0][np.ix_(even, even)]
         eigh = np.linalg.eigh
 
         def failing_eigh(h):
@@ -326,8 +328,8 @@ class TestBatching:
         bad = hamiltonian_stack([derive_point_spec(base, axes, expected[3].values)])[0]
         constant_propagators = sweeps_module.constant_propagators
 
-        def leaky_propagators(h, t):
-            u, defects = constant_propagators(h, t)
+        def leaky_propagators(h, *args):
+            u, defects = constant_propagators(h, *args)
             hit = np.array([np.array_equal(m, bad) for m in h])
             return u, np.where(hit, 1e-6, defects)
 
@@ -335,6 +337,39 @@ class TestBatching:
         rows = sweep(base, axes).rows
         assert rows[3].status == "error:UnitarityError"
         assert rows[:3] + rows[4:] == expected[:3] + expected[4:]
+
+
+def sweep_case(name):
+    """Run one batching case; returns the dimension of its systems."""
+    base, axes = BATCH_CASES[name]
+    sweep(base, axes)
+    return base.system.dim
+
+
+def ramped_cz_gate():
+    spec = CZ_BASE.system
+    run_gate(spec, CZ, trapezoid_schedule(2.0, gate_time(spec, CZ)), 0.05)
+    return spec.dim
+
+
+class TestParitySplit:
+    @pytest.mark.parametrize(
+        "run",
+        [lambda: sweep_case("cavity"), lambda: sweep_case("five-levels"), ramped_cz_gate],
+        ids=["cavity-sweep", "five-level-sweep", "ramped-run-gate"],
+    )
+    def test_eigensolver_sees_at_most_half_the_space(self, run, monkeypatch):
+        # the propagators diagonalize each excitation-parity block on its own
+        sides = []
+        eigh = np.linalg.eigh
+
+        def spying_eigh(h):
+            sides.append(h.shape[-1])
+            return eigh(h)
+
+        monkeypatch.setattr(np.linalg, "eigh", spying_eigh)
+        dim = run()
+        assert sides and max(sides) <= math.ceil(dim / 2)
 
 
 class TestThreshold:
