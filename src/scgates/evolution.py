@@ -1,21 +1,37 @@
 """Unitary time evolution for constant Hamiltonians and frequency schedules.
 
 Every propagator here is a time-ordered product of exponentials
-exp(-i step (h0 + s h1)) of the Hamiltonian frozen at a list of scales s,
-each taken exactly (up to eigensolver accuracy) through a Hermitian
-eigendecomposition.  A constant segment is one such exponential over its whole
-duration.  A ramped segment, where qubit B's frequency moves linearly between
-two scale factors, is cut into n = ceil(duration / dt) equal steps, each
-propagated by the fourth-order commutator-free Magnus scheme (CF4; Blanes &
-Moan, Appl. Numer. Math. 56, 1519 (2006); Alvermann & Fehske, J. Comput.
-Phys. 230, 5930 (2011)).  Because H is affine in the scale and the ramp is
-linear in time, a CF4 step is exactly two half-step exponentials with H frozen
-at 1/6 and 5/6 of the step, so the error falls as ``dt**4``.  Exponentials
-within a chunk are diagonalized as one stacked LAPACK call per parity block
-(below) and combined with a pairwise product tree, which keeps the cost near
-the eigensolver floor.
+exp(-i step (h0 + s h1)) of the Hamiltonian frozen at a list of scales s.  A
+constant segment is one such exponential over its whole duration.  A ramped
+segment, where qubit B's frequency moves linearly between two scale factors,
+is cut into n = ceil(duration / dt) equal steps, each propagated by the
+fourth-order commutator-free Magnus scheme (CF4; Blanes & Moan, Appl. Numer.
+Math. 56, 1519 (2006); Alvermann & Fehske, J. Comput. Phys. 230, 5930
+(2011)).  Because H is affine in the scale and the ramp is linear in time, a
+CF4 step is exactly two half-step exponentials with H frozen at 1/6 and 5/6
+of the step, so the error falls as ``dt**4``.
 Sweeps propagate many square pulses at once through the same stacked
 exponential (``constant_propagators``), one Hamiltonian per grid point.
+
+The exponentials are taken in one of two ways, chosen by the segment kind:
+
+* Constant segments and sweep stacks (``_exponentials``) take a Hermitian
+  eigendecomposition, one stacked LAPACK ``eigh`` per block.  It is exact to
+  the eigensolver's round-off however long the segment, and a whole segment
+  has t ||H|| of order 10^3 or more.
+* Ramp steps (``_ramp_exponentials``) take a real Taylor series with
+  scaling and squaring (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970
+  (2009)), built from real matrix products only.  The mean of the diagonal
+  is split off as a scalar phase, leaving X = step (H - mu I).  Where
+  ||X||_1 <= 1, the series for cos X and sin X through X^16 and X^17 leaves
+  a remainder of at most 1/18! ~ 1.6e-16, so they are exact to round-off.
+  A longer step is halved q times until the bound holds and squared back;
+  round-off then grows about as 2^q.  At the default dt, ||X||_1 is about
+  0.5 for the fig3b pair (q = 0) and 1.0 to 1.5 for 45- to 125-level cavity
+  systems (q = 1).  h1 is diagonal, so along a ramp only the diagonal of X
+  moves.
+
+Exponentials within a ramp chunk are combined with a pairwise product tree.
 
 The exponentials and their products are formed block by block, one block per
 parity of the total excitation number (``hamiltonians.parity_blocks``).  The
@@ -48,11 +64,17 @@ DEFAULT_DT = 0.01
 CONSTANT_UNITARITY_TOL = 1e-10
 SCHEDULE_UNITARITY_TOL = 1e-8
 
-#: Exponentials per stacked eigendecomposition; bounds the memory of a ramp.
+#: Exponentials per ramp chunk, formed together and multiplied out before the
+#: next chunk; bounds a ramp's memory to a few real (_CHUNK, k, k) stacks
+#: per block.
 _CHUNK = 1024
 
 #: Fractions of a CF4 step at which its two half-step exponentials freeze H.
 _CF4_NODES = np.array([1.0 / 6.0, 5.0 / 6.0])
+
+#: cos X and sin(X) / X as series in Y = X^2, through Y^8.
+_COS_SERIES = [(-1) ** k / math.factorial(2 * k) for k in range(9)]
+_SINC_SERIES = [(-1) ** k / math.factorial(2 * k + 1) for k in range(9)]
 
 
 class UnitarityError(RuntimeError):
@@ -151,13 +173,72 @@ def _exponentials(hs: list[np.ndarray], step) -> list[np.ndarray]:
 
     ``hs`` holds one (n, k, k) stack per block; ``step`` is one duration for
     all or an (n, 1) column of them.  Each block takes one stacked ``eigh``.
-    This is the only place a Hamiltonian is exponentiated.
+    This is one of the two places a Hamiltonian is exponentiated, the one
+    for constant segments and sweep stacks: a whole segment has t ||H|| of
+    order 10^3 or more, and the eigendecomposition takes it exactly, to the
+    eigensolver's round-off, at any t.  Ramp steps go through
+    ``_ramp_exponentials`` instead (see the module docstring).
     """
     us = []
     for h in hs:
         w, v = np.linalg.eigh(h)
         us.append(np.matmul(v * np.exp(-1j * w * step)[:, None, :], v.conj().transpose(0, 2, 1)))
     return us
+
+
+def _even_series(coeffs, y: np.ndarray, y2: np.ndarray, y3: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] y^k (k <= 8) for a stack y, by Paterson–Stockmeyer in y^3: two matmuls."""
+
+    def group(c0, c1, c2):
+        g = c2 * y2
+        g += c1 * y
+        g.reshape(len(g), -1)[:, :: g.shape[-1] + 1] += c0  # c0 I, on the diagonal in place
+        return g
+
+    p = np.matmul(y3, group(*coeffs[6:9]))
+    p += group(*coeffs[3:6])
+    p = np.matmul(y3, p)
+    p += group(*coeffs[0:3])
+    return p
+
+
+def _ramp_exponentials(h0: np.ndarray, d1: np.ndarray, scales: np.ndarray, step: float):
+    """exp(-i step (h0 + s diag(d1))) for each scale s, without an eigensolver.
+
+    ``h0`` is a real symmetric (k, k) block and ``d1`` the diagonal of its h1,
+    so only the diagonal varies over ``scales``.  Returns the stack
+    u = cos X - i sin X, with X = step (h0 + s diag(d1) - mu_s I) and mu_s the
+    mean of that diagonal, and the shifts mu (n,): each exponential is
+    exp(-i step mu_s) u_s.  X is halved q times, q the least with
+    ||X||_1 / 2^q <= 1 over the stack; cos and sin are then summed as
+    series in Y = X^2 through Y^8 (remainder at most 1/18! ~ 1.6e-16) and
+    squared back q times in real arithmetic,
+    (C, S) -> (C^2 - S^2, CS + SC), which takes three products since
+    SC = (CS)^T for symmetric X.
+    """
+    k = len(d1)
+    diag = np.diagonal(h0) + scales[:, None] * d1
+    mu = diag.mean(axis=1)
+    diag -= mu[:, None]
+    off = np.abs(h0 - np.diag(np.diagonal(h0))).sum(axis=0)
+    norm = step * float((np.abs(diag) + off).max())
+    q = math.ceil(math.log2(norm)) if norm > 1 else 0
+    tau = step * 0.5**q
+    x = np.empty((len(scales), k, k))
+    x[:] = tau * h0
+    x.reshape(len(x), -1)[:, :: k + 1] = tau * diag
+    y = np.matmul(x, x)
+    y2 = np.matmul(y, y)
+    y3 = np.matmul(y2, y)
+    c = _even_series(_COS_SERIES, y, y2, y3)
+    s = np.matmul(x, _even_series(_SINC_SERIES, y, y2, y3))
+    for _ in range(q):
+        cs = np.matmul(c, s)
+        c, s = np.matmul(c, c) - np.matmul(s, s), cs + cs.transpose(0, 2, 1)
+    u = np.empty(c.shape, dtype=complex)
+    u.real = c
+    u.imag = -s
+    return u, mu
 
 
 def _gather(h: np.ndarray, blocks) -> list[np.ndarray]:
@@ -174,20 +255,24 @@ def _scatter(us: list[np.ndarray], blocks) -> np.ndarray:
     return u
 
 
-def _propagator(parts: list[tuple[np.ndarray, np.ndarray]], scales: np.ndarray, step: float):
-    """Blocks of the time-ordered product of exp(-i step (h0 + s h1)) over ``scales``.
+def _ramp_propagator(parts: list[tuple[np.ndarray, np.ndarray]], seg: ScheduleSegment, n: int):
+    """Blocks of the CF4 propagator of a ramped segment in ``n`` steps.
 
-    ``parts`` holds the (h0, h1) of each block; the earliest scale acts first.
+    ``parts`` holds the (h0, h1) of each block, h1 diagonal.  Each step
+    takes two half-step exponentials at the CF4 nodes, the earliest first.
+    The scalar phases exp(-i step mu_s) of a chunk's exponentials commute
+    with everything, so they are applied once per block and chunk, as
+    exp(-i step sum(mu_s)).
     """
+    frac = (np.arange(n)[:, None] + _CF4_NODES).ravel() / n
+    scales = seg.scale_start + (seg.scale_end - seg.scale_start) * frac
+    step = seg.duration / (2 * n)
     chunks = [[] for _ in parts]
     for start in range(0, len(scales), _CHUNK):
-        s = scales[start : start + _CHUNK, None, None]
-        # Holding ``us`` until the next chunk replaces it keeps its memory in
-        # use; freed at once, it is handed back to the system and faulted in
-        # again by the next chunk, which costs a ramp 10–20 %.
-        us = _exponentials([h0 + s * h1 for h0, h1 in parts], step)
-        for chunk, u in zip(chunks, us):
-            chunk.append(_product_in_order(u))
+        s = scales[start : start + _CHUNK]
+        for chunk, (h0, h1) in zip(chunks, parts):
+            u, mu = _ramp_exponentials(h0, np.diagonal(h1), s, step)
+            chunk.append(np.exp(-1j * step * mu.sum()) * _product_in_order(u))
     return [_product_in_order(np.stack(chunk)) for chunk in chunks]
 
 
@@ -223,24 +308,11 @@ def propagate_constant(h: np.ndarray, t: float) -> PropagationResult:
     scale = np.max(np.abs(h))
     if scale > 0 and np.max(np.abs(h - h.conj().T)) > 1e-9 * scale:
         raise ValueError("matrix is not Hermitian within 1e-9 of its norm")
-    (u,) = _propagator([(h, np.zeros_like(h))], np.ones(1), t)
+    ((u,),) = _exponentials([h[None]], t)
     defect = _unitarity_defect(u)
     if defect > CONSTANT_UNITARITY_TOL:
         raise UnitarityError(f"unitarity defect {defect:.3e} exceeds {CONSTANT_UNITARITY_TOL:g}")
     return PropagationResult(u, float(t), defect, 1)
-
-
-def _samples(seg: ScheduleSegment, dt: float) -> tuple[np.ndarray, float, int]:
-    """Scales and step length of one segment's exponentials, and its step count.
-
-    A constant segment is one exponential over its whole duration; a ramp of
-    n steps takes two half-step exponentials per step at the CF4 nodes.
-    """
-    if seg.is_constant:
-        return np.array([seg.scale_start]), seg.duration, 1
-    n = math.ceil(seg.duration / dt)
-    frac = (np.arange(n)[:, None] + _CF4_NODES).ravel() / n
-    return seg.scale_start + (seg.scale_end - seg.scale_start) * frac, seg.duration / (2 * n), n
 
 
 def propagate_schedule(
@@ -271,9 +343,15 @@ def propagate_schedule(
     steps = 0
     done = {}
     for seg in schedule.segments:
-        scales, step, n_steps = _samples(seg, dt)
+        n_steps = 1 if seg.is_constant else math.ceil(seg.duration / dt)
         earlier = done.get((seg.duration, seg.scale_end, seg.scale_start))
-        seg_us = _propagator(parts, scales, step) if earlier is None else [u.T for u in earlier]
+        if earlier is not None:
+            seg_us = [u.T for u in earlier]
+        elif seg.is_constant:
+            hs = [(b0 + seg.scale_start * b1)[None] for b0, b1 in parts]
+            seg_us = [u[0] for u in _exponentials(hs, seg.duration)]
+        else:
+            seg_us = _ramp_propagator(parts, seg, n_steps)
         done[seg.duration, seg.scale_start, seg.scale_end] = seg_us
         us = [seg_u @ u for seg_u, u in zip(seg_us, us)]
         steps += n_steps

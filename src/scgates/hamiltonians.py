@@ -275,8 +275,10 @@ def hamiltonian_parts(spec: DirectSystemSpec | IndirectSystemSpec) -> tuple[np.n
     """Split H(scale) = h0 + scale * h1, with h1 the scaled part of qubit B.
 
     Returns real float64 arrays (the Hamiltonians here are real symmetric),
-    which keeps the time stepper on LAPACK's faster real path.  The identity
-    ``h0 + s*h1 == build_*_hamiltonian(spec, s)`` holds to round-off.
+    which keeps the time stepper on real arithmetic.  The identity
+    ``h0 + s*h1 == build_*_hamiltonian(spec, s)`` holds to round-off.  h1 is
+    diagonal, since the scale multiplies only qubit B's level energies; the
+    ramp propagator relies on that, so along a ramp only the diagonal moves.
     """
     h1 = _assemble(_scaled_levels([spec]), [])
     return (_assemble(*_modes([spec])) - h1)[0], h1[0]

@@ -16,13 +16,14 @@ from scgates import (
     QubitSpec,
     ScheduleSegment,
     build_direct_hamiltonian,
+    build_indirect_hamiltonian,
     gate_time,
     propagate_constant,
     propagate_schedule,
     square_schedule,
     trapezoid_schedule,
 )
-from scgates import presets
+from scgates import evolution, presets
 from scgates.cli import parse_config
 from scgates.evolution import SCHEDULE_UNITARITY_TOL, UnitarityError, constant_propagators
 from scgates.hamiltonians import hamiltonian_stack, parity_blocks
@@ -151,7 +152,8 @@ class TestPropagateSchedule:
         assert diffs[1] < diffs[0]
 
     def test_halving_dt_is_converged_on_ramp_schedules(self):
-        # contract check at the default discretization on a short ramp; the
+        # contract check at the default discretization (0.01) on a short ramp,
+        # against dt = 0.5 * 2.5e-4, half of an earlier, finer default; the
         # full-length (40 ns) version runs in the acceptance suite
         sched = trapezoid_schedule(2.0, 12.9)
         u1 = propagate_schedule(CZ_SPEC, sched).unitary
@@ -246,6 +248,21 @@ class TestParitySplit:
         with pytest.raises(UnitarityError):
             propagate_schedule(spec, trapezoid_schedule(0.5, 3.0))
 
+    @pytest.mark.parametrize("spoiled", [0, 1], ids=["even", "odd"])
+    def test_unitarity_check_covers_every_ramp_block(self, spoiled, monkeypatch):
+        # ramp exponentials 1e-6 too long in one block only: the defect must see it
+        spec = SPLIT_SPECS["cavity-3"]
+        size = len(parity_blocks(spec)[spoiled])
+        ramp_exponentials = evolution._ramp_exponentials
+
+        def spoiled_ramp_exponentials(h0, *args):
+            u, mu = ramp_exponentials(h0, *args)
+            return (u * (1 + 1e-6) if len(h0) == size else u), mu
+
+        monkeypatch.setattr(evolution, "_ramp_exponentials", spoiled_ramp_exponentials)
+        with pytest.raises(UnitarityError):
+            propagate_schedule(spec, PulseSchedule((ScheduleSegment(0.5, 1.1, 1.0),)))
+
     def test_an_arbitrary_hermitian_matrix_is_one_block(self):
         # a complex matrix that couples every state to every other
         rng = np.random.default_rng(7)
@@ -253,6 +270,69 @@ class TestParitySplit:
         h = a + a.conj().T
         res = propagate_constant(h, 0.4)
         assert np.max(np.abs(res.unitary - scipy.linalg.expm(-0.4j * h))) < 1e-12
+
+
+def _shifted_norm(h: np.ndarray) -> float:
+    """Largest ||h - mean(diag h) I||_1 over a stack of square matrices."""
+    shift = np.diagonal(h, axis1=-2, axis2=-1).mean(axis=-1)
+    return float(np.abs(h - shift[:, None, None] * np.eye(h.shape[-1])).sum(axis=-2).max())
+
+
+class TestRampExponentials:
+    """Ramp chunks are exponentiated by a real Taylor series; it must agree with the eigensolver."""
+
+    @staticmethod
+    def assert_matches_eigh(h0, d1, scales, step):
+        # squaring amplifies round-off, so the bound grows with step ||X||_1
+        u, mu = evolution._ramp_exponentials(h0, d1, scales, step)
+        h = h0 + scales[:, None, None] * np.diag(d1)
+        (ref,) = evolution._exponentials([h], step)
+        bound = 1e-13 * max(1.0, step * _shifted_norm(h))
+        assert np.max(np.abs(u * np.exp(-1j * step * mu)[:, None, None] - ref)) <= bound
+
+    @pytest.mark.parametrize("norm", [1e-3, 0.5, 1.0, 3.0, 40.0, 300.0])
+    def test_random_symmetric_stacks_match_eigh(self, norm):
+        rng = np.random.default_rng(11)
+        for k in range(1, 24):
+            a = rng.normal(size=(k, k))
+            h0, d1 = a + a.T, rng.normal(size=k)
+            scales = rng.uniform(0.9, 1.2, size=7)
+            # a 1x1 block has X = 0: only its phase is left to check
+            step = norm / (_shifted_norm(h0 + scales[:, None, None] * np.diag(d1)) or 1.0)
+            self.assert_matches_eigh(h0, d1, scales, step)
+
+    @pytest.mark.parametrize("norm", [1e-3, 1.0, 300.0])
+    def test_uncoupled_stacks_stay_diagonal_and_match_eigh(self, norm):
+        rng = np.random.default_rng(5)
+        h0, d1 = np.diag(rng.normal(size=6)), rng.normal(size=6)
+        scales = np.linspace(1.1, 1.0, 5)
+        step = norm / _shifted_norm(h0 + scales[:, None, None] * np.diag(d1))
+        u, _ = evolution._ramp_exponentials(h0, d1, scales, step)
+        assert not (u * (1 - np.eye(6))).any()
+        self.assert_matches_eigh(h0, d1, scales, step)
+
+    def test_zero_stack_gives_identity(self):
+        u, mu = evolution._ramp_exponentials(np.zeros((4, 4)), np.zeros(4), np.ones(3), 0.7)
+        assert np.array_equal(u, np.broadcast_to(np.eye(4), (3, 4, 4)))
+        assert not mu.any()
+
+    @pytest.mark.parametrize("dt", [0.05, 0.3])
+    @pytest.mark.parametrize("figure", ["fig3b", "fig6b"])
+    def test_short_ramps_match_a_cf4_product_of_expm(self, figure, dt):
+        # two half-step exponentials per step, H frozen at 1/6 and 5/6 of it
+        system = parse_config(presets.figure_config(figure)).base.system
+        direct = isinstance(system, DirectSystemSpec)
+        build = build_direct_hamiltonian if direct else build_indirect_hamiltonian
+        seg = ScheduleSegment(1.0, 1.1, 1.0)
+        n = math.ceil(seg.duration / dt)
+        ref = np.eye(system.dim)
+        for j in range(n):
+            for node in (1 / 6, 5 / 6):
+                s = seg.scale_start + (seg.scale_end - seg.scale_start) * (j + node) / n
+                ref = scipy.linalg.expm(-0.5j * seg.duration / n * build(system, s)) @ ref
+        res = propagate_schedule(system, PulseSchedule((seg,)), dt=dt)
+        assert np.max(np.abs(res.unitary - ref)) < 1e-12
+        assert res.steps_used == n
 
 
 qubits = st.builds(

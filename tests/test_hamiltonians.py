@@ -322,6 +322,14 @@ direct_specs = st.builds(DirectSystemSpec, qubits, qubits, couplings)
 cavity_specs = st.builds(IndirectSystemSpec, qubits, qubits, st.floats(4.0, 9.0), couplings, levels)
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(spec=st.one_of(direct_specs, cavity_specs))
+def test_scaled_part_is_diagonal(spec):
+    # the ramp exponentials in ``evolution`` vary only the diagonal along a ramp
+    _, h1 = hamiltonian_parts(spec)
+    assert np.array_equal(h1, np.diag(np.diagonal(h1)))
+
+
 class TestParityBlocks:
     @staticmethod
     def excitation_parity(spec):

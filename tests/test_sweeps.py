@@ -371,6 +371,20 @@ class TestParitySplit:
         dim = run()
         assert sides and max(sides) <= math.ceil(dim / 2)
 
+    def test_ramps_bypass_the_eigensolver(self, monkeypatch):
+        # only the hold of the trapezoid is diagonalized, as one stack of one
+        # matrix per parity block; its ramps take the Taylor series
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def spying_eigh(h):
+            shapes.append(h.shape)
+            return eigh(h)
+
+        monkeypatch.setattr(np.linalg, "eigh", spying_eigh)
+        ramped_cz_gate()
+        assert shapes == [(1, len(ix), len(ix)) for ix in parity_blocks(CZ_BASE.system)]
+
 
 class TestThreshold:
     def test_crossing_location_and_gate_time(self):
