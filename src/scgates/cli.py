@@ -7,6 +7,11 @@ gnuplot script that plots the CSV without further dependencies.  Config
 parsing is strict: unknown keys anywhere in the file are rejected, which
 catches unit mistakes and typos before any computation starts.
 
+What a run mode is lives in one place, ``_MODE_TABLE``: for each mode, the
+number of sweep axes it takes, the runner that computes its summary and grids,
+and the keys its summary must carry.  ``MODES``, the config's axis count,
+``execute`` and ``validate_summary`` all read it.
+
 Exit codes: 0 success, 1 config error (nothing is written), 2 numerical
 failure (nothing is written), 3 the output directory or an artifact could
 not be written.  The artifacts are written under temporary names and renamed
@@ -22,8 +27,10 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
 from contextlib import suppress
 from dataclasses import dataclass, replace
+from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
@@ -43,8 +50,6 @@ from .sweeps import (
     threshold,
     truncation_study,
 )
-
-MODES = ("gate", "sweep1d", "sweep2d", "effective", "threshold", "truncation", "ramp")
 
 #: Levels reported in 1D sweep summaries (skipped when the curve starts below).
 SUMMARY_THRESHOLD_LEVELS = (0.95, 0.99)
@@ -145,11 +150,45 @@ def _parse_axis(obj, where: str) -> SweepAxis:
         raise ConfigError(f"{where}: {exc}") from None
 
 
-_AXES_REQUIRED = {"sweep1d": 1, "sweep2d": 2, "threshold": 1, "truncation": 1, "ramp": 1}
-
 _TOP_KEYS = {
     "mode", "system", "gate", "schedule", "axes", "tie_anharm",
     "level", "n_levels_list", "tau_d_list", "output",
+}
+
+
+def _threshold_level(level) -> float:
+    if level is None or not 0.0 < level < 1.0:
+        raise ConfigError("mode 'threshold' needs a level strictly between 0 and 1")
+    return level
+
+
+def _n_levels_list(value) -> tuple[int, ...]:
+    if not isinstance(value, list) or not value or not all(
+        isinstance(n, int) and not isinstance(n, bool) and n >= 2 for n in value
+    ):
+        raise ConfigError("mode 'truncation' needs n_levels_list of integers >= 2")
+    if len(set(value)) < len(value):
+        raise ConfigError(f"mode 'truncation' needs n_levels_list without repeated entries, got {value}")
+    return tuple(value)
+
+
+def _tau_d_list(value) -> tuple[float, ...]:
+    if not isinstance(value, list) or not value or not all(
+        isinstance(t, (int, float)) and not isinstance(t, bool) and 0 <= t < math.inf
+        for t in value
+    ):
+        raise ConfigError("mode 'ramp' needs tau_d_list of non-negative finite durations")
+    if len(set(value)) < len(value):
+        raise ConfigError(f"mode 'ramp' needs tau_d_list without repeated entries, got {value}")
+    return tuple(float(t) for t in value)
+
+
+#: Config keys that only one mode takes: key -> (that mode, parser of the key's value).
+#: The lists may not repeat an entry, because summaries key their results by entry.
+_MODE_KEYS = {
+    "level": ("threshold", _threshold_level),
+    "n_levels_list": ("truncation", _n_levels_list),
+    "tau_d_list": ("ramp", _tau_d_list),
 }
 
 
@@ -194,45 +233,24 @@ def parse_config(obj: dict) -> RunConfig:
     if not isinstance(axes_obj, list):
         raise ConfigError("axes must be a list")
     axes = tuple(_parse_axis(a, f"axes[{i}]") for i, a in enumerate(axes_obj))
-    expected = _AXES_REQUIRED.get(mode, 0)
+    expected = _MODE_TABLE[mode].n_axes
     if len(axes) != expected:
         raise ConfigError(f"mode {mode!r} needs exactly {expected} axes, got {len(axes)}")
 
-    level = _get(obj, "level", float, "config", default=None)
-    if mode == "threshold":
-        if level is None or not 0.0 < level < 1.0:
-            raise ConfigError("mode 'threshold' needs a level strictly between 0 and 1")
-    elif level is not None:
-        raise ConfigError("key 'level' only applies to mode 'threshold'")
-
-    n_levels_list = obj.get("n_levels_list")
-    if mode == "truncation":
-        if not isinstance(n_levels_list, list) or not n_levels_list or not all(
-            isinstance(n, int) and not isinstance(n, bool) and n >= 2 for n in n_levels_list
-        ):
-            raise ConfigError("mode 'truncation' needs n_levels_list of integers >= 2")
-        n_levels_list = tuple(n_levels_list)
-    elif n_levels_list is not None:
-        raise ConfigError("key 'n_levels_list' only applies to mode 'truncation'")
-
-    tau_d_list = obj.get("tau_d_list")
-    if mode == "ramp":
-        if not isinstance(tau_d_list, list) or not tau_d_list or not all(
-            isinstance(t, (int, float)) and not isinstance(t, bool) and 0 <= t < math.inf
-            for t in tau_d_list
-        ):
-            raise ConfigError("mode 'ramp' needs tau_d_list of non-negative finite durations")
-        tau_d_list = tuple(float(t) for t in tau_d_list)
-    elif tau_d_list is not None:
-        raise ConfigError("key 'tau_d_list' only applies to mode 'ramp'")
+    # A wrong-typed level is a type error in every mode, before any mode rule.
+    _get(obj, "level", float, "config")
+    mode_values = {}
+    for key, (owner, parse) in _MODE_KEYS.items():
+        if mode == owner:
+            mode_values[key] = parse(obj.get(key))
+        elif obj.get(key) is not None:
+            raise ConfigError(f"key {key!r} only applies to mode {owner!r}")
 
     return RunConfig(
         mode=mode,
         base=base,
         axes=axes,
-        level=level,
-        n_levels_list=n_levels_list,
-        tau_d_list=tau_d_list,
+        **mode_values,
         output=_get(obj, "output", str, "config", default=None),
     )
 
@@ -329,22 +347,23 @@ def _extremal_rows(grid: SweepGrid) -> dict:
     }
 
 
+def _threshold_entry(grid: SweepGrid, level: float) -> dict:
+    result = threshold(grid, level)
+    return {
+        "level": result.level,
+        "crossed": result.crossed,
+        "value": result.value,
+        "t_g_ns": result.t_g_ns,
+    }
+
+
 def _threshold_entries(grid: SweepGrid, levels) -> list[dict]:
     entries = []
     for level in levels:
         try:
-            result = threshold(grid, level)
+            entries.append(_threshold_entry(grid, level))
         except ValueError as exc:
             entries.append({"level": level, "crossed": None, "note": str(exc)})
-            continue
-        entries.append(
-            {
-                "level": result.level,
-                "crossed": result.crossed,
-                "value": result.value,
-                "t_g_ns": result.t_g_ns,
-            }
-        )
     return entries
 
 
@@ -379,30 +398,35 @@ _PLOT_NONE = """# No curve to draw for this mode; see summary.json next to this 
 """
 
 
-def _plot_script(cfg: RunConfig, csv_name: str, label_values=None) -> str:
-    if cfg.mode in ("gate", "effective"):
+def _plot_script(csv_name: str, grids, label_name, label_values) -> str:
+    """The gnuplot script for what a run returned: no grid, a labelled family, a map or a curve."""
+    if not grids:
         return _PLOT_NONE
-    xlabel = cfg.axes[0].name
-    if cfg.mode == "sweep2d":
-        return _PLOT_2D.format(csv=csv_name, xlabel=xlabel, ylabel=cfg.axes[1].name)
-    if cfg.mode in ("truncation", "ramp"):
-        label_name = "n_levels" if cfg.mode == "truncation" else "tau_d_ns"
+    axes = grids[0].axes
+    if label_name:
         labels = " ".join(_fmt(v) for v in label_values)
-        return _PLOT_FAMILY.format(csv=csv_name, xlabel=xlabel, labels=labels, label_name=label_name)
-    return _PLOT_1D.format(csv=csv_name, xlabel=xlabel)
+        return _PLOT_FAMILY.format(csv=csv_name, xlabel=axes[0].name, labels=labels, label_name=label_name)
+    if len(axes) == 2:
+        return _PLOT_2D.format(csv=csv_name, xlabel=axes[0].name, ylabel=axes[1].name)
+    return _PLOT_1D.format(csv=csv_name, xlabel=axes[0].name)
 
 
 # --------------------------------------------------------------------------
 # per-mode execution
+#
+# A runner takes a parsed config and returns (summary, grids, label): the
+# summary without its "mode" key, the result grids, and for a family of grids
+# the (name, values) of the column that tells them apart, else None.  Runners
+# look the library functions up as module globals at call time, so wrapping
+# those globals (as the benchmark's tracing does) sees every call.
 
 
-def _gate_summary(cfg: RunConfig) -> tuple[dict, list[SweepGrid], None]:
+def _run_gate(cfg: RunConfig):
     target = gate_target(cfg.base.gate)
     t_g = gate_time(cfg.base.system, target)
     schedule = trapezoid_schedule(cfg.base.tau_d, t_g)
     result = run_gate(cfg.base.system, target, schedule, cfg.base.dt)
     summary = {
-        "mode": "gate",
         "gate": cfg.base.gate,
         "t_g_ns": t_g,
         "tau_d_ns": cfg.base.tau_d,
@@ -411,83 +435,89 @@ def _gate_summary(cfg: RunConfig) -> tuple[dict, list[SweepGrid], None]:
     return summary, [], None
 
 
-def _effective_summary(cfg: RunConfig) -> tuple[dict, list[SweepGrid], None]:
-    couplings = effective_couplings(cfg.base.system)
-    return {"mode": "effective", **couplings.as_dict()}, [], None
+def _run_effective(cfg: RunConfig):
+    return effective_couplings(cfg.base.system).as_dict(), [], None
+
+
+def _run_sweep(cfg: RunConfig):
+    grid = sweep(cfg.base, cfg.axes)
+    summary = {
+        "gate": cfg.base.gate,
+        "n_rows": len(grid.rows),
+        **_extremal_rows(grid),
+    }
+    if len(cfg.axes) == 1:
+        summary["thresholds"] = _threshold_entries(grid, SUMMARY_THRESHOLD_LEVELS)
+    return summary, [grid], None
+
+
+def _run_threshold(cfg: RunConfig):
+    grid = sweep(cfg.base, cfg.axes)
+    return {"gate": cfg.base.gate, **_threshold_entry(grid, cfg.level)}, [grid], None
+
+
+def _run_truncation(cfg: RunConfig):
+    grids = truncation_study(cfg.base, cfg.n_levels_list, cfg.axes[0])
+    diffs = {
+        f"{a}-{b}": float(np.max(np.abs(ga.fidelity_array() - gb.fidelity_array())))
+        for (a, ga), (b, gb) in pairwise(zip(cfg.n_levels_list, grids))
+    }
+    summary = {
+        "gate": cfg.base.gate,
+        "n_levels_list": list(cfg.n_levels_list),
+        "max_abs_fidelity_diff": diffs,
+    }
+    return summary, grids, ("n_levels", list(cfg.n_levels_list))
+
+
+def _run_ramp(cfg: RunConfig):
+    grids = ramp_study(cfg.base, cfg.tau_d_list, cfg.axes[0])
+    summary = {
+        "gate": cfg.base.gate,
+        "tau_d_list": list(cfg.tau_d_list),
+        "detrended_amplitudes": {
+            _fmt(tau): detrended_amplitude(grid)
+            for tau, grid in zip(cfg.tau_d_list, grids)
+        },
+    }
+    return summary, grids, ("tau_d_ns", list(cfg.tau_d_list))
+
+
+@dataclass(frozen=True)
+class _Mode:
+    n_axes: int
+    run: Callable[[RunConfig], tuple[dict, list[SweepGrid], tuple[str, list] | None]]
+    summary_keys: set[str]
+
+
+#: Every run mode; its order is that of ``MODES``, which the unknown-mode error prints.
+_MODE_TABLE = {
+    "gate": _Mode(
+        0, _run_gate, {"gate", "t_g_ns", "fidelity", "leakage", "theta_a", "theta_b", "theta_global", "projected_block"}
+    ),
+    "sweep1d": _Mode(1, _run_sweep, {"gate", "n_rows", "max_fidelity", "min_fidelity", "thresholds"}),
+    "sweep2d": _Mode(2, _run_sweep, {"gate", "n_rows", "max_fidelity", "min_fidelity"}),
+    "effective": _Mode(
+        0,
+        _run_effective,
+        {
+            "g_eff_1", "g_eff_2", "g_eff_3", "g_eff_4",
+            "dressed_freq_a1", "dressed_freq_b1", "dressed_freq_a2", "dressed_freq_b2",
+            "detuning_a", "detuning_b",
+        },
+    ),
+    "threshold": _Mode(1, _run_threshold, {"gate", "level", "crossed", "value", "t_g_ns"}),
+    "truncation": _Mode(1, _run_truncation, {"gate", "n_levels_list", "max_abs_fidelity_diff"}),
+    "ramp": _Mode(1, _run_ramp, {"gate", "tau_d_list", "detrended_amplitudes"}),
+}
+
+MODES = tuple(_MODE_TABLE)
 
 
 def execute(cfg: RunConfig):
     """Run one config; returns (summary, grids, label spec) without writing."""
-    if cfg.mode == "gate":
-        return _gate_summary(cfg)
-    if cfg.mode == "effective":
-        return _effective_summary(cfg)
-    if cfg.mode in ("sweep1d", "sweep2d"):
-        grid = sweep(cfg.base, cfg.axes)
-        summary = {
-            "mode": cfg.mode,
-            "gate": cfg.base.gate,
-            "n_rows": len(grid.rows),
-            **_extremal_rows(grid),
-        }
-        if cfg.mode == "sweep1d":
-            summary["thresholds"] = _threshold_entries(grid, SUMMARY_THRESHOLD_LEVELS)
-        return summary, [grid], None
-    if cfg.mode == "threshold":
-        grid = sweep(cfg.base, cfg.axes)
-        result = threshold(grid, cfg.level)
-        summary = {
-            "mode": "threshold",
-            "gate": cfg.base.gate,
-            "level": result.level,
-            "crossed": result.crossed,
-            "value": result.value,
-            "t_g_ns": result.t_g_ns,
-        }
-        return summary, [grid], None
-    if cfg.mode == "truncation":
-        grids = truncation_study(cfg.base, cfg.n_levels_list, cfg.axes[0])
-        diffs = {
-            f"{a}-{b}": float(np.max(np.abs(ga.fidelity_array() - gb.fidelity_array())))
-            for (a, ga), (b, gb) in zip(
-                zip(cfg.n_levels_list, grids), zip(cfg.n_levels_list[1:], grids[1:])
-            )
-        }
-        summary = {
-            "mode": "truncation",
-            "gate": cfg.base.gate,
-            "n_levels_list": list(cfg.n_levels_list),
-            "max_abs_fidelity_diff": diffs,
-        }
-        return summary, grids, ("n_levels", list(cfg.n_levels_list))
-    if cfg.mode == "ramp":
-        grids = ramp_study(cfg.base, cfg.tau_d_list, cfg.axes[0])
-        summary = {
-            "mode": "ramp",
-            "gate": cfg.base.gate,
-            "tau_d_list": list(cfg.tau_d_list),
-            "detrended_amplitudes": {
-                _fmt(tau): detrended_amplitude(grid)
-                for tau, grid in zip(cfg.tau_d_list, grids)
-            },
-        }
-        return summary, grids, ("tau_d_ns", list(cfg.tau_d_list))
-    raise ConfigError(f"unhandled mode {cfg.mode!r}")
-
-
-_SUMMARY_REQUIRED = {
-    "gate": {"gate", "t_g_ns", "fidelity", "leakage", "theta_a", "theta_b", "theta_global", "projected_block"},
-    "effective": {
-        "g_eff_1", "g_eff_2", "g_eff_3", "g_eff_4",
-        "dressed_freq_a1", "dressed_freq_b1", "dressed_freq_a2", "dressed_freq_b2",
-        "detuning_a", "detuning_b",
-    },
-    "sweep1d": {"gate", "n_rows", "max_fidelity", "min_fidelity", "thresholds"},
-    "sweep2d": {"gate", "n_rows", "max_fidelity", "min_fidelity"},
-    "threshold": {"gate", "level", "crossed", "value", "t_g_ns"},
-    "truncation": {"gate", "n_levels_list", "max_abs_fidelity_diff"},
-    "ramp": {"gate", "tau_d_list", "detrended_amplitudes"},
-}
+    summary, grids, label = _MODE_TABLE[cfg.mode].run(cfg)
+    return {"mode": cfg.mode, **summary}, grids, label
 
 
 def validate_summary(summary: dict) -> None:
@@ -495,9 +525,9 @@ def validate_summary(summary: dict) -> None:
     if not isinstance(summary, dict) or "mode" not in summary:
         raise ValueError("summary must be an object with a 'mode' key")
     mode = summary["mode"]
-    if mode not in _SUMMARY_REQUIRED:
+    if mode not in _MODE_TABLE:
         raise ValueError(f"summary has unknown mode {mode!r}")
-    missing = _SUMMARY_REQUIRED[mode] - set(summary)
+    missing = _MODE_TABLE[mode].summary_keys - set(summary)
     if missing:
         raise ValueError(f"summary for mode {mode!r} is missing keys {sorted(missing)}")
 
@@ -516,7 +546,7 @@ def run_config(cfg: RunConfig, out_dir: str | Path, jobs: int = 1, stem: str = "
     plot_name = "plot.gp" if stem == "results" else f"{stem}_plot.gp"
     label_name, label_values = label or (None, None)
     summary_text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    plot_text = _plot_script(cfg, csv_name, label_values)
+    plot_text = _plot_script(csv_name, grids, label_name, label_values)
 
     def write_csv(path: Path) -> None:
         if grids:

@@ -297,14 +297,14 @@ def propagate_constant(h: np.ndarray, t: float) -> PropagationResult:
     """Propagator exp(-i h t) for a constant Hermitian ``h`` (rad/ns, ns).
 
     Rejects matrices whose Hermiticity defect exceeds 1e-9 of their largest
-    entry, and negative times (use the adjoint of the result instead of
-    evolving backwards).
+    entry, non-finite times, and negative times (use the adjoint of the
+    result instead of evolving backwards).
     """
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    if t < 0:
-        raise ValueError(f"propagation time must be non-negative, got {t}")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"propagation time must be non-negative and finite, got {t}")
     scale = np.max(np.abs(h))
     if scale > 0 and np.max(np.abs(h - h.conj().T)) > 1e-9 * scale:
         raise ValueError("matrix is not Hermitian within 1e-9 of its norm")

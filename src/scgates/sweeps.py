@@ -91,6 +91,8 @@ class SweepAxis:
                 raise ValueError(f"axis {field} must be finite, got {getattr(self, field)}")
         if not self.start < self.stop:
             raise ValueError(f"axis needs start < stop, got [{self.start}, {self.stop}]")
+        if not isinstance(self.n_points, (int, np.integer)):
+            raise ValueError(f"axis n_points must be an integer, got {self.n_points!r}")
         if self.n_points < 2:
             raise ValueError(f"axis needs at least 2 points, got {self.n_points}")
 

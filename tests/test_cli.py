@@ -44,6 +44,120 @@ SWEEP_CONFIG = {
 }
 
 
+RAMP_CONFIG = {
+    "mode": "ramp",
+    "system": {
+        "kind": "direct",
+        "qubit_a": {"freq": 7.16, "anharm": 0.087},
+        "qubit_b": {"freq": 7.274, "anharm": 0.114},
+        "g": 0.0091,
+    },
+    "gate": "cz",
+    "axes": [{"name": "g_over_delta_b", "start": 0.1, "stop": 0.3, "n_points": 5}],
+    "tau_d_list": [0.0, 2.0],
+}
+
+TRUNCATION_CONFIG = {**SWEEP_CONFIG, "mode": "truncation", "n_levels_list": [3, 4]}
+
+MODES_TEXT = "('gate', 'sweep1d', 'sweep2d', 'effective', 'threshold', 'truncation', 'ramp')"
+
+# Each mode rule's full message; where a config breaks two rules, the pinned
+# message is the one that fires first.
+MODE_RULE_MESSAGES = {
+    "unknown-mode": ({**GATE_CONFIG, "mode": "dance"}, f"mode must be one of {MODES_TEXT}, got 'dance'"),
+    "null-gate": ({**SWEEP_CONFIG, "gate": None}, "key 'gate' in config has wrong type NoneType"),
+    "gate-required": (
+        {"mode": "sweep1d", "system": GATE_CONFIG["system"], "axes": SWEEP_CONFIG["axes"]},
+        "mode 'sweep1d' requires a gate",
+    ),
+    "effective-on-direct": (
+        {"mode": "effective", "system": GATE_CONFIG["system"]},
+        "mode 'effective' needs an indirect system",
+    ),
+    "too-few-axes": ({**SWEEP_CONFIG, "mode": "sweep2d"}, "mode 'sweep2d' needs exactly 2 axes, got 1"),
+    "axes-on-gate": ({**GATE_CONFIG, "axes": SWEEP_CONFIG["axes"]}, "mode 'gate' needs exactly 0 axes, got 1"),
+    "no-axes-on-ramp": ({**RAMP_CONFIG, "axes": []}, "mode 'ramp' needs exactly 1 axes, got 0"),
+    "axes-before-level": (
+        {**GATE_CONFIG, "axes": SWEEP_CONFIG["axes"], "level": 0.5},
+        "mode 'gate' needs exactly 0 axes, got 1",
+    ),
+    "level-outside-threshold": ({**SWEEP_CONFIG, "level": 0.99}, "key 'level' only applies to mode 'threshold'"),
+    "wrong-typed-level-outside-threshold": (
+        {**SWEEP_CONFIG, "level": "high"},
+        "key 'level' in config has wrong type str",
+    ),
+    "boolean-level-outside-threshold": ({**SWEEP_CONFIG, "level": True}, "key 'level' in config has wrong type bool"),
+    "wrong-typed-level-in-truncation": (
+        {**TRUNCATION_CONFIG, "n_levels_list": [1], "level": [0.5]},
+        "key 'level' in config has wrong type list",
+    ),
+    "level-before-own-list": (
+        {**TRUNCATION_CONFIG, "n_levels_list": [1], "level": 0.5},
+        "key 'level' only applies to mode 'threshold'",
+    ),
+    "threshold-without-level": (
+        {**SWEEP_CONFIG, "mode": "threshold"},
+        "mode 'threshold' needs a level strictly between 0 and 1",
+    ),
+    "threshold-level-out-of-range": (
+        {**SWEEP_CONFIG, "mode": "threshold", "level": 1.0},
+        "mode 'threshold' needs a level strictly between 0 and 1",
+    ),
+    "own-level-before-stray-list": (
+        {**SWEEP_CONFIG, "mode": "threshold", "tau_d_list": [0.0]},
+        "mode 'threshold' needs a level strictly between 0 and 1",
+    ),
+    "n_levels_list-outside-truncation": (
+        {**SWEEP_CONFIG, "n_levels_list": [3, 4]},
+        "key 'n_levels_list' only applies to mode 'truncation'",
+    ),
+    "tau_d_list-outside-ramp": (
+        {**SWEEP_CONFIG, "tau_d_list": [0.0]},
+        "key 'tau_d_list' only applies to mode 'ramp'",
+    ),
+    "wrong-typed-tau_d_list-outside-ramp": (
+        {**SWEEP_CONFIG, "tau_d_list": "none"},
+        "key 'tau_d_list' only applies to mode 'ramp'",
+    ),
+    "truncation-without-list": (
+        {**SWEEP_CONFIG, "mode": "truncation"},
+        "mode 'truncation' needs n_levels_list of integers >= 2",
+    ),
+    "truncation-list-too-small": (
+        {**TRUNCATION_CONFIG, "n_levels_list": [3, 1]},
+        "mode 'truncation' needs n_levels_list of integers >= 2",
+    ),
+    "truncation-list-of-booleans": (
+        {**TRUNCATION_CONFIG, "n_levels_list": [True, 3]},
+        "mode 'truncation' needs n_levels_list of integers >= 2",
+    ),
+    "truncation-empty-list": (
+        {**TRUNCATION_CONFIG, "n_levels_list": []},
+        "mode 'truncation' needs n_levels_list of integers >= 2",
+    ),
+    "own-list-before-stray-list": (
+        {**TRUNCATION_CONFIG, "n_levels_list": "3", "tau_d_list": [0.0]},
+        "mode 'truncation' needs n_levels_list of integers >= 2",
+    ),
+    "ramp-without-list": (
+        {**RAMP_CONFIG, "tau_d_list": None},
+        "mode 'ramp' needs tau_d_list of non-negative finite durations",
+    ),
+    "ramp-negative-duration": (
+        {**RAMP_CONFIG, "tau_d_list": [-1.0]},
+        "mode 'ramp' needs tau_d_list of non-negative finite durations",
+    ),
+    "ramp-infinite-duration": (
+        {**RAMP_CONFIG, "tau_d_list": [0.0, float("inf")]},
+        "mode 'ramp' needs tau_d_list of non-negative finite durations",
+    ),
+    "stray-list-before-own-list": (
+        {**RAMP_CONFIG, "tau_d_list": [], "n_levels_list": [3]},
+        "key 'n_levels_list' only applies to mode 'truncation'",
+    ),
+}
+
+
 class TestParsing:
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -116,6 +230,12 @@ class TestParsing:
     def test_effective_requires_indirect(self):
         with pytest.raises(ConfigError, match="indirect"):
             parse_config({"mode": "effective", "system": GATE_CONFIG["system"]})
+
+    @pytest.mark.parametrize("config, message", MODE_RULE_MESSAGES.values(), ids=MODE_RULE_MESSAGES.keys())
+    def test_mode_rule_messages(self, config, message):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(config)
+        assert str(exc.value) == message
 
     def test_schedule_keys(self):
         parse_config({**GATE_CONFIG, "schedule": {"tau_d": 5.0, "dt": 0.01}})
@@ -208,6 +328,62 @@ class TestRunArtifacts:
         assert summary["max_abs_fidelity_diff"]["3-4"] < 0.01
 
 
+    def test_sweep2d_mode(self, tmp_path):
+        cfg = parse_config(
+            {
+                **SWEEP_CONFIG,
+                "mode": "sweep2d",
+                "axes": [
+                    {"name": "delta_a_over_g", "start": 2.0, "stop": 8.0, "n_points": 2},
+                    {"name": "delta_b_over_g", "start": 2.0, "stop": 8.0, "n_points": 3},
+                ],
+            }
+        )
+        summary = run_config(cfg, tmp_path)
+        assert sorted(summary) == ["gate", "max_fidelity", "min_fidelity", "mode", "n_rows"]
+        assert summary["mode"] == "sweep2d" and summary["n_rows"] == 6
+        assert sorted(summary["max_fidelity"]) == ["delta_a_over_g", "delta_b_over_g", "fidelity", "leakage", "t_g_ns"]
+        assert json.loads((tmp_path / "summary.json").read_text()) == summary
+        lines = (tmp_path / "results.csv").read_text().splitlines()
+        assert lines[0] == (
+            "delta_a_over_g,delta_b_over_g,fidelity,t_g_ns,leakage,theta_a,theta_b,theta_global,status"
+        )
+        assert [line.split(",")[:2] for line in lines[1:]] == [
+            [a, b] for a in ("2.0", "8.0") for b in ("2.0", "5.0", "8.0")
+        ]
+        assert (tmp_path / "plot.gp").read_text() == (
+            "set datafile separator ','\n"
+            "set key off\n"
+            "set xlabel 'delta_a_over_g'\n"
+            "set ylabel 'delta_b_over_g'\n"
+            "set cblabel 'fidelity'\n"
+            "set view map\n"
+            "splot 'results.csv' every ::1 using 1:2:3 with points palette pt 5 ps 2\n"
+        )
+
+    def test_ramp_mode(self, tmp_path):
+        summary = run_config(parse_config(RAMP_CONFIG), tmp_path)
+        assert sorted(summary) == ["detrended_amplitudes", "gate", "mode", "tau_d_list"]
+        assert summary["mode"] == "ramp" and summary["tau_d_list"] == [0.0, 2.0]
+        assert sorted(summary["detrended_amplitudes"]) == ["0.0", "2.0"]
+        assert json.loads((tmp_path / "summary.json").read_text()) == summary
+        lines = (tmp_path / "results.csv").read_text().splitlines()
+        assert lines[0] == (
+            "tau_d_ns,g_over_delta_b,fidelity,t_g_ns,leakage,theta_a,theta_b,theta_global,status"
+        )
+        assert [line.split(",")[0] for line in lines[1:]] == ["0.0"] * 5 + ["2.0"] * 5
+        assert (tmp_path / "plot.gp").read_text() == (
+            "set datafile separator ','\n"
+            "set key autotitle columnhead\n"
+            "set xlabel 'g_over_delta_b'\n"
+            "set ylabel 'fidelity'\n"
+            "set grid\n"
+            "plot for [label in \"0.0 2.0\"] 'results.csv' \\\n"
+            "    using (strcol(1) eq label ? column(2) : NaN):3 with linespoints \\\n"
+            "    title 'tau_d_ns = '.label\n"
+        )
+
+
 class TestCliEntry:
     def test_config_error_exit_code_and_no_artifacts(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -267,6 +443,27 @@ class TestCliEntry:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert json.loads(err)["kind"] == "config"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            (
+                {**RAMP_CONFIG, "tau_d_list": [0.0, 5, 0]},
+                "mode 'ramp' needs tau_d_list without repeated entries, got [0.0, 5, 0]",
+            ),
+            (
+                {**TRUNCATION_CONFIG, "n_levels_list": [3, 4, 3]},
+                "mode 'truncation' needs n_levels_list without repeated entries, got [3, 4, 3]",
+            ),
+        ],
+        ids=["tau_d_list", "n_levels_list"],
+    )
+    def test_repeated_list_entries_are_config_errors(self, tmp_path, capsys, config, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert json.loads(capsys.readouterr().err) == {"kind": "config", "error": message}
         assert not (tmp_path / "o").exists()
 
     def test_unwritable_output_is_io_error(self, tmp_path, capsys):

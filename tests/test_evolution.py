@@ -83,9 +83,10 @@ class TestPropagateConstant:
         with pytest.raises(ValueError, match="Hermitian"):
             propagate_constant(h, 1.0)
 
-    def test_rejects_negative_time(self):
-        with pytest.raises(ValueError):
-            propagate_constant(np.zeros((2, 2)), -1.0)
+    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+    def test_rejects_negative_time(self, t):
+        with pytest.raises(ValueError, match="propagation time must be non-negative"):
+            propagate_constant(np.diag([0.0, 1.0]), t)
 
     def test_unitarity_defect_recorded(self):
         h = build_direct_hamiltonian(CZ_SPEC)

@@ -62,6 +62,8 @@ class TestAxis:
             SweepAxis("g_abs", 1.0, 0.5, 5)
         with pytest.raises(ValueError):
             SweepAxis("g_abs", 0.0, 1.0, 1)
+        with pytest.raises(ValueError, match="axis n_points must be an integer, got 2.5"):
+            SweepAxis("g_over_delta_b", 0.1, 0.2, 2.5)
 
     @pytest.mark.parametrize("field", ["start", "stop"])
     @pytest.mark.parametrize("value", [-math.inf, math.inf, math.nan])
