@@ -525,7 +525,7 @@ def validate_summary(summary: dict) -> None:
     if not isinstance(summary, dict) or "mode" not in summary:
         raise ValueError("summary must be an object with a 'mode' key")
     mode = summary["mode"]
-    if mode not in _MODE_TABLE:
+    if not isinstance(mode, str) or mode not in _MODE_TABLE:
         raise ValueError(f"summary has unknown mode {mode!r}")
     missing = _MODE_TABLE[mode].summary_keys - set(summary)
     if missing:

@@ -19,19 +19,32 @@ The exponentials are taken in one of two ways, chosen by the segment kind:
   eigendecomposition, one stacked LAPACK ``eigh`` per block.  It is exact to
   the eigensolver's round-off however long the segment, and a whole segment
   has t ||H|| of order 10^3 or more.
-* Ramp steps (``_ramp_exponentials``) take a real Taylor series with
+* Ramp steps (``_ramp_exponentials``) take no eigensolver.  The mean of the
+  diagonal is split off as a scalar phase, leaving X_s = step (H(s) - mu_s I).
+  h1 is diagonal, so along a ramp only the diagonal of X moves: over a chunk
+  of consecutive steps (``_ramp_chunks``), X_s = Xc + delta_s W with Xc at
+  the chunk's mid scale, W a small diagonal and delta_s in [-1, 1].  Each
+  exponential is then an entire function of delta, whose Taylor
+  coefficients F_0 ... F_M are the first block row of one block-matrix
+  exponential (Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)), with
+  ||F_m|| <= ||W||^m / m!.  A chunk keeps ||W||_max <= 1/16, and M is the
+  least degree whose remainder bound is 2^-53 or less (M <= 8; 5 or 6 for
+  the fig3b pair at the default dt, 3 or 4 for 45-level cavity systems).
+  That block exponential is a real Taylor series for cos and sin with
   scaling and squaring (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970
-  (2009)), built from real matrix products only.  The mean of the diagonal
-  is split off as a scalar phase, leaving X = step (H - mu I).  Where
-  ||X||_1 <= 1, the series for cos X and sin X through X^16 and X^17 leaves
-  a remainder of at most 1/18! ~ 1.6e-16, so they are exact to round-off.
-  A longer step is halved q times until the bound holds and squared back;
-  round-off then grows about as 2^q.  At the default dt, ||X||_1 is about
-  0.5 for the fig3b pair (q = 0) and 1.0 to 1.5 for 45- to 125-level cavity
-  systems (q = 1).  h1 is diagonal, so along a ramp only the diagonal of X
-  moves.
+  (2009)): through X^16 and X^17 the series' remainder is at most
+  1/18! ~ 1.6e-16 where the 1-norm is at most 1, which holds at the default
+  dt for the fig3b pair (q = 0), and a longer argument is halved q times and
+  squared back, round-off growing about as 2^q.  One matrix product of the
+  Vandermonde matrix of the delta_s with the F_m, each in its real (2k, 2k)
+  image, gives every exponential of the chunk.  In blocks of more than 28
+  levels a chunk is too short to pay for its block exponential, so there
+  each exponential is a group of its own, with W = 0 and M = 0 (the plain
+  series of X), and a chunk stacks as many groups as its memory cap admits.
 
-Exponentials within a ramp chunk are combined with a pairwise product tree.
+Exponentials within a ramp chunk are combined with a pairwise product tree
+over their real images, and only the chunk's product is taken back to
+complex.
 
 The exponentials and their products are formed block by block, one block per
 parity of the total excitation number (``hamiltonians.parity_blocks``).  The
@@ -64,17 +77,25 @@ DEFAULT_DT = 0.01
 CONSTANT_UNITARITY_TOL = 1e-10
 SCHEDULE_UNITARITY_TOL = 1e-8
 
-#: Exponentials per ramp chunk, formed together and multiplied out before the
-#: next chunk; bounds a ramp's memory to a few real (_CHUNK, k, k) stacks
-#: per block.
-_CHUNK = 1024
+#: Largest ||W||_max of a ramp chunk (see ``_ramp_exponentials``).  At 1/16
+#: the degree M that bounds the remainder by 2^-53 is at most 8.
+_THETA = 1.0 / 16.0
+
+#: Most entries in the real (2k, 2k) images of one ramp chunk's exponentials,
+#: n_c (2k)^2, 800 KB of doubles: 1,024 exponentials of a 5-level block, 48
+#: of a 23-level one and 6 of a 63-level one.  A chunk's block exponential
+#: costs about as much as (M + 1)^3 of its exponentials taken one at a time,
+#: so where the cap admits fewer than _CHUNK_LEAST (blocks of more than 28
+#: levels) each exponential is a group of its own, with W = 0 and M = 0.
+_CHUNK_ENTRIES = 100 * 1024
+_CHUNK_LEAST = 32
 
 #: Fractions of a CF4 step at which its two half-step exponentials freeze H.
 _CF4_NODES = np.array([1.0 / 6.0, 5.0 / 6.0])
 
-#: cos X and sin(X) / X as series in Y = X^2, through Y^8.
-_COS_SERIES = [(-1) ** k / math.factorial(2 * k) for k in range(9)]
-_SINC_SERIES = [(-1) ** k / math.factorial(2 * k + 1) for k in range(9)]
+#: cos X and sin(X) / X as series in Y = X^2 through Y^8, in three groups of
+#: three coefficients each for Paterson–Stockmeyer in Y^3.
+_SERIES = np.array([[(-1) ** j / math.factorial(2 * j + r) for j in range(9)] for r in (0, 1)]).reshape(2, 3, 3)
 
 
 class UnitarityError(RuntimeError):
@@ -161,10 +182,11 @@ def _unitarity_defect(u: np.ndarray) -> float:
 
 def _product_in_order(us: np.ndarray) -> np.ndarray:
     """Product us[-1] @ ... @ us[0] by pairwise tree reduction."""
-    while us.shape[0] > 1:
-        pairs = us.shape[0] // 2
-        head = np.matmul(us[1 : 2 * pairs : 2], us[0 : 2 * pairs : 2])
-        us = np.concatenate([head, us[-1:]]) if us.shape[0] % 2 else head
+    while len(us) > 1:
+        head = np.matmul(us[1::2], us[0:-1:2])
+        if len(us) % 2:
+            head[-1] = us[-1] @ head[-1]
+        us = head
     return us[0]
 
 
@@ -186,59 +208,65 @@ def _exponentials(hs: list[np.ndarray], step) -> list[np.ndarray]:
     return us
 
 
-def _even_series(coeffs, y: np.ndarray, y2: np.ndarray, y3: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[k] y^k (k <= 8) for a stack y, by Paterson–Stockmeyer in y^3: two matmuls."""
+def _cos_sin(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos X and sin X of each real square matrix of a stack, from real matrix products only.
 
-    def group(c0, c1, c2):
-        g = c2 * y2
-        g += c1 * y
-        g.reshape(len(g), -1)[:, :: g.shape[-1] + 1] += c0  # c0 I, on the diagonal in place
-        return g
-
-    p = np.matmul(y3, group(*coeffs[6:9]))
-    p += group(*coeffs[3:6])
-    p = np.matmul(y3, p)
-    p += group(*coeffs[0:3])
-    return p
+    X is halved q times, q the least with ||X||_1 / 2^q <= 1 over the stack.
+    cos and sin are then summed as series in Y = X^2 through Y^8, remainder
+    at most 1/18! ~ 1.6e-16, by Paterson–Stockmeyer in Y^3, and squared back
+    q times by (C, S) -> (C^2 - S^2, CS + SC).  X need not be symmetric.
+    """
+    norm = float(np.abs(x).sum(axis=-2).max(initial=0.0))
+    q = math.ceil(math.log2(norm)) if norm > 1 else 0
+    x = x * 0.5**q
+    y = x @ x
+    y2 = y @ y
+    y3 = y2 @ y
+    groups = np.tensordot(_SERIES, np.stack([np.broadcast_to(np.eye(x.shape[-1]), y.shape), y, y2]), 1)
+    p = (groups[:, 2] @ y3 + groups[:, 1]) @ y3 + groups[:, 0]
+    c, s = p[0], x @ p[1]
+    for _ in range(q):
+        c, s = c @ c - s @ s, c @ s + s @ c
+    return c, s
 
 
 def _ramp_exponentials(h0: np.ndarray, d1: np.ndarray, scales: np.ndarray, step: float):
-    """exp(-i step (h0 + s diag(d1))) for each scale s, without an eigensolver.
+    """exp(-i step (h0 + s diag(d1))) for one ramp chunk of scales, without an eigensolver.
 
-    ``h0`` is a real symmetric (k, k) block and ``d1`` the diagonal of its h1,
-    so only the diagonal varies over ``scales``.  Returns the stack
-    u = cos X - i sin X, with X = step (h0 + s diag(d1) - mu_s I) and mu_s the
-    mean of that diagonal, and the shifts mu (n,): each exponential is
-    exp(-i step mu_s) u_s.  X is halved q times, q the least with
-    ||X||_1 / 2^q <= 1 over the stack; cos and sin are then summed as
-    series in Y = X^2 through Y^8 (remainder at most 1/18! ~ 1.6e-16) and
-    squared back q times in real arithmetic,
-    (C, S) -> (C^2 - S^2, CS + SC), which takes three products since
-    SC = (CS)^T for symmetric X.
+    ``h0`` is a real symmetric (k, k) block and ``d1`` the diagonal of its h1;
+    ``scales`` is (g, n), g groups of n scales each.  Returns the real
+    (2k, 2k) images [[Re, -Im], [Im, Re]] of u_s = exp(-i X_s), in row-major
+    order of ``scales``, with X_s = step (h0 + s diag(d1) - mu_s I) and mu_s
+    the mean of that diagonal, and the shifts mu (g n,): each exponential is
+    exp(-i step mu_s) u_s.  With c and w the mid scale and half-span of a
+    group, X_s = Xc + delta W, Xc = X at c and W = step w diag(d1 - mean d1),
+    delta = (s - c) / w in [-1, 1].  Then u_s = sum_{m <= M} delta^m F_m up to
+    a remainder of at most sum_{m > M} ||W||^m / m!, and M is the least degree
+    that bounds it by 2^-53 for every group.  F_0 ... F_M are the first block
+    row of exp(-i N) (Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)), N
+    the block upper bidiagonal matrix of M + 1 blocks Xc on the diagonal and
+    W above it; ``_cos_sin`` takes the g of them as one stack, and one product
+    of each group's Vandermonde matrix of the delta with the images of its
+    F_m gives all of the group.
     """
-    k = len(d1)
-    diag = np.diagonal(h0) + scales[:, None] * d1
-    mu = diag.mean(axis=1)
-    diag -= mu[:, None]
-    off = np.abs(h0 - np.diag(np.diagonal(h0))).sum(axis=0)
-    norm = step * float((np.abs(diag) + off).max())
-    q = math.ceil(math.log2(norm)) if norm > 1 else 0
-    tau = step * 0.5**q
-    x = np.empty((len(scales), k, k))
-    x[:] = tau * h0
-    x.reshape(len(x), -1)[:, :: k + 1] = tau * diag
-    y = np.matmul(x, x)
-    y2 = np.matmul(y, y)
-    y3 = np.matmul(y2, y)
-    c = _even_series(_COS_SERIES, y, y2, y3)
-    s = np.matmul(x, _even_series(_SINC_SERIES, y, y2, y3))
-    for _ in range(q):
-        cs = np.matmul(c, s)
-        c, s = np.matmul(c, c) - np.matmul(s, s), cs + cs.transpose(0, 2, 1)
-    u = np.empty(c.shape, dtype=complex)
-    u.real = c
-    u.imag = -s
-    return u, mu
+    k, eye = len(d1), np.eye(len(d1))
+    shift, b = np.mean(np.diagonal(h0)), d1 - d1.mean()
+    lo, hi = scales.min(axis=1, keepdims=True), scales.max(axis=1, keepdims=True)
+    mid, half = (hi + lo) / 2, (hi - lo) / 2
+    w = step * half * b
+    norm, degree = float(np.abs(w).max(initial=0.0)), 0
+    while norm ** (degree + 1) / math.factorial(degree + 1) > 2.0**-54:
+        degree += 1  # the tail is at most twice its first term while ||W|| <= 1
+    bidiagonal = np.zeros((len(scales), degree + 1, k, degree + 1, k))
+    blocks = np.arange(degree + 1)
+    bidiagonal[:, blocks, :, blocks] = step * (h0 - shift * eye + (mid * b)[:, :, None] * eye)
+    bidiagonal[:, blocks[:-1], :, blocks[1:]] = w[:, :, None] * eye
+    first_rows = np.stack(_cos_sin(bidiagonal.reshape(len(scales), (degree + 1) * k, -1)))[:, :, :k]
+    c, s = first_rows.reshape(2, len(scales), k, degree + 1, k).transpose(0, 1, 3, 2, 4)
+    images = np.block([[c, s], [-s, c]]).reshape(len(scales), degree + 1, -1)
+    delta = (scales - mid) / np.where(half > 0, half, 1.0)
+    u = np.vander(delta.ravel(), degree + 1, increasing=True).reshape(*scales.shape, -1) @ images
+    return u.reshape(scales.size, 2 * k, 2 * k), shift + scales.ravel() * d1.mean()
 
 
 def _gather(h: np.ndarray, blocks) -> list[np.ndarray]:
@@ -255,25 +283,51 @@ def _scatter(us: list[np.ndarray], blocks) -> np.ndarray:
     return u
 
 
+def _ramp_chunks(d1: np.ndarray, scales: np.ndarray, step: float):
+    """One block's monotone ``scales`` cut into ramp chunks, each as its (g, n) groups.
+
+    A chunk is the longest run from where the last one ended with at most
+    _CHUNK_ENTRIES entries in its real images.  Where that cap admits
+    _CHUNK_LEAST exponentials or more, a chunk is one group, and it ends
+    where ||W||_max = step w max|d1 - mean d1| would pass _THETA, w its
+    half-span of scales; otherwise each exponential is a group of its own.
+    """
+    offsets = np.abs(scales - scales[0])
+    spread = step * float(np.abs(d1 - d1.mean()).max())
+    most = max(1, _CHUNK_ENTRIES // (2 * len(d1)) ** 2)
+    grouped = most >= _CHUNK_LEAST
+    reach = 2 * _THETA / spread if spread and grouped else math.inf
+    start = 0
+    while start < len(scales):
+        stop = min(start + most, int(np.searchsorted(offsets, offsets[start] + reach, "right")))
+        yield scales[start:stop][None] if grouped else scales[start:stop][:, None]
+        start = stop
+
+
 def _ramp_propagator(parts: list[tuple[np.ndarray, np.ndarray]], seg: ScheduleSegment, n: int):
     """Blocks of the CF4 propagator of a ramped segment in ``n`` steps.
 
     ``parts`` holds the (h0, h1) of each block, h1 diagonal.  Each step
     takes two half-step exponentials at the CF4 nodes, the earliest first.
-    The scalar phases exp(-i step mu_s) of a chunk's exponentials commute
-    with everything, so they are applied once per block and chunk, as
-    exp(-i step sum(mu_s)).
+    Per block, each chunk of them (``_ramp_chunks``) takes one
+    ``_ramp_exponentials`` and a product tree over the real images.  The
+    scalar phases exp(-i step mu_s) of a chunk's exponentials commute with
+    everything, so they are applied once per block and chunk, as
+    exp(-i step sum(mu_s)), to the chunk's product taken back to complex.
     """
     frac = (np.arange(n)[:, None] + _CF4_NODES).ravel() / n
     scales = seg.scale_start + (seg.scale_end - seg.scale_start) * frac
     step = seg.duration / (2 * n)
-    chunks = [[] for _ in parts]
-    for start in range(0, len(scales), _CHUNK):
-        s = scales[start : start + _CHUNK]
-        for chunk, (h0, h1) in zip(chunks, parts):
-            u, mu = _ramp_exponentials(h0, np.diagonal(h1), s, step)
-            chunk.append(np.exp(-1j * step * mu.sum()) * _product_in_order(u))
-    return [_product_in_order(np.stack(chunk)) for chunk in chunks]
+    us = []
+    for h0, h1 in parts:
+        d1, k = np.diagonal(h1), len(h0)
+        chunks = []
+        for chunk in _ramp_chunks(d1, scales, step):
+            u, mu = _ramp_exponentials(h0, d1, chunk, step)
+            p = _product_in_order(u)
+            chunks.append(np.exp(-1j * step * mu.sum()) * (p[:k, :k] + 1j * p[k:, :k]))
+        us.append(_product_in_order(np.stack(chunks)))
+    return us
 
 
 def constant_propagators(h: np.ndarray, t: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:

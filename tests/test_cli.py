@@ -524,6 +524,12 @@ class TestSummaryValidation:
         with pytest.raises(ValueError, match="missing"):
             validate_summary({"mode": "gate", "fidelity": 1.0})
 
+    @pytest.mark.parametrize("mode", [[], {}, ["gate"], {"gate": 1}, None, 3], ids=repr)
+    def test_rejects_a_mode_that_is_not_a_known_name(self, mode):
+        # unhashable modes used to escape as TypeError from the table lookup
+        with pytest.raises(ValueError, match="unknown mode"):
+            validate_summary({"mode": mode})
+
     def test_loader_rejects_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.json")

@@ -279,25 +279,49 @@ def _shifted_norm(h: np.ndarray) -> float:
     return float(np.abs(h - shift[:, None, None] * np.eye(h.shape[-1])).sum(axis=-2).max())
 
 
+@pytest.fixture
+def chunk_sizes(monkeypatch):
+    """(block size, shape of its groups of scales) of each ramp chunk exponentiated during the test."""
+    sizes = []
+    ramp_exponentials = evolution._ramp_exponentials
+
+    def recording_ramp_exponentials(h0, d1, scales, step):
+        sizes.append((len(h0), scales.shape))
+        return ramp_exponentials(h0, d1, scales, step)
+
+    monkeypatch.setattr(evolution, "_ramp_exponentials", recording_ramp_exponentials)
+    return sizes
+
+
 class TestRampExponentials:
-    """Ramp chunks are exponentiated by a real Taylor series; it must agree with the eigensolver."""
+    """Ramp chunks are exponentiated as polynomials in the scale; they must agree with the eigensolver."""
 
     @staticmethod
-    def assert_matches_eigh(h0, d1, scales, step):
+    def exponentials(h0, d1, scales, step):
+        # every chunk the propagator would cut from these scales, back to complex
+        k, us = len(d1), []
+        for chunk in evolution._ramp_chunks(d1, scales, step):
+            u, mu = evolution._ramp_exponentials(h0, d1, chunk, step)
+            us.append((u[:, :k, :k] + 1j * u[:, k:, :k]) * np.exp(-1j * step * mu)[:, None, None])
+        return np.concatenate(us)
+
+    @classmethod
+    def assert_matches_eigh(cls, h0, d1, scales, step):
         # squaring amplifies round-off, so the bound grows with step ||X||_1
-        u, mu = evolution._ramp_exponentials(h0, d1, scales, step)
         h = h0 + scales[:, None, None] * np.diag(d1)
         (ref,) = evolution._exponentials([h], step)
         bound = 1e-13 * max(1.0, step * _shifted_norm(h))
-        assert np.max(np.abs(u * np.exp(-1j * step * mu)[:, None, None] - ref)) <= bound
+        assert np.max(np.abs(cls.exponentials(h0, d1, scales, step) - ref)) <= bound
 
     @pytest.mark.parametrize("norm", [1e-3, 0.5, 1.0, 3.0, 40.0, 300.0])
     def test_random_symmetric_stacks_match_eigh(self, norm):
         rng = np.random.default_rng(11)
-        for k in range(1, 24):
+        # blocks past 28 levels take one exponential per group (_CHUNK_LEAST)
+        for k in [*range(1, 24), 30, 63]:
             a = rng.normal(size=(k, k))
             h0, d1 = a + a.T, rng.normal(size=k)
-            scales = rng.uniform(0.9, 1.2, size=7)
+            # chunks are cut from a ramp, so the scales come in order
+            scales = np.sort(rng.uniform(0.9, 1.2, size=7))
             # a 1x1 block has X = 0: only its phase is left to check
             step = norm / (_shifted_norm(h0 + scales[:, None, None] * np.diag(d1)) or 1.0)
             self.assert_matches_eigh(h0, d1, scales, step)
@@ -308,18 +332,64 @@ class TestRampExponentials:
         h0, d1 = np.diag(rng.normal(size=6)), rng.normal(size=6)
         scales = np.linspace(1.1, 1.0, 5)
         step = norm / _shifted_norm(h0 + scales[:, None, None] * np.diag(d1))
-        u, _ = evolution._ramp_exponentials(h0, d1, scales, step)
+        u = self.exponentials(h0, d1, scales, step)
         assert not (u * (1 - np.eye(6))).any()
         self.assert_matches_eigh(h0, d1, scales, step)
 
+    def test_one_scaling_power_covers_a_stack_of_groups(self):
+        # a 30-level block takes one exponential per group; the last has 100 times the norm of the first
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(30, 30))
+        h0, d1 = a + a.T, 50 * rng.normal(size=30)
+        scales = np.linspace(0.1, 10.0, 6)
+        (chunk,) = evolution._ramp_chunks(d1, scales, 1.0)
+        assert chunk.shape == (6, 1)
+        self.assert_matches_eigh(h0, d1, scales, 40.0 / _shifted_norm((h0 + 10.0 * np.diag(d1))[None]))
+
     def test_zero_stack_gives_identity(self):
-        u, mu = evolution._ramp_exponentials(np.zeros((4, 4)), np.zeros(4), np.ones(3), 0.7)
-        assert np.array_equal(u, np.broadcast_to(np.eye(4), (3, 4, 4)))
+        u, mu = evolution._ramp_exponentials(np.zeros((4, 4)), np.zeros(4), np.ones((1, 3)), 0.7)
+        assert np.array_equal(u, np.broadcast_to(np.eye(8), (3, 8, 8)))
         assert not mu.any()
+
+    @pytest.mark.parametrize("k", [1, 5, 23])
+    def test_a_chunk_at_the_widest_span_matches_eigh(self, k):
+        # the scales span just under 2 theta / (step max|b|), so ||W||_max is
+        # theta to round-off: the rule's widest chunk, which takes degree 8
+        rng = np.random.default_rng(k)
+        a = rng.normal(size=(k, k))
+        h0, d1 = 20 * (a + a.T), 40 * rng.normal(size=k)
+        step = 0.01
+        half = evolution._THETA / (step * (np.abs(d1 - d1.mean()).max() or 1.0)) * (1 - 1e-12)
+        n = evolution._CHUNK_ENTRIES // (2 * k) ** 2
+        scales = np.linspace(1.0 - half, 1.0 + half, n)
+        (chunk,) = evolution._ramp_chunks(d1, scales, step)
+        assert np.array_equal(chunk, scales[None])
+        self.assert_matches_eigh(h0, d1, scales, step)
+        wider = np.linspace(1.0 - 1.01 * half, 1.0 + 1.01 * half, n)
+        assert len(list(evolution._ramp_chunks(d1, wider, step))) == (1 if k == 1 else 2)
+
+    @pytest.mark.parametrize("levels", [3, 5], ids=["45-level", "125-level"])
+    def test_cavity_chunks_stay_within_the_entry_cap(self, levels, chunk_sizes):
+        spec = IndirectSystemSpec(QubitSpec(8.2, 0.2, levels), QubitSpec(8.45, 0.25, levels), 6.9, 0.199)
+        seg = ScheduleSegment(0.5 if levels == 5 else 2.0, 1.1, 1.0)
+        assert propagate_schedule(spec, PulseSchedule((seg,))).unitarity_defect < 1e-12
+        blocks = sorted(len(ix) for ix in parity_blocks(spec))
+        assert sorted({k for k, _ in chunk_sizes}) == blocks
+        for k in blocks:
+            shapes = [shape for block, shape in chunk_sizes if block == k]
+            sizes = [math.prod(shape) for shape in shapes]
+            cap = evolution._CHUNK_ENTRIES // (2 * k) ** 2
+            assert cap == {23: 48, 22: 52, 63: 6, 62: 6}[k]
+            # the cap binds: every chunk but the last of its block is full
+            assert sizes[:-1] == [cap] * (len(sizes) - 1) and 0 < sizes[-1] <= cap
+            assert sum(sizes) == 2 * math.ceil(seg.duration / DEFAULT_DT)
+            # one polynomial per chunk where the cap admits _CHUNK_LEAST, else one per exponential
+            grouped = cap >= evolution._CHUNK_LEAST
+            assert all(shape == ((1, n) if grouped else (n, 1)) for shape, n in zip(shapes, sizes))
 
     @pytest.mark.parametrize("dt", [0.05, 0.3])
     @pytest.mark.parametrize("figure", ["fig3b", "fig6b"])
-    def test_short_ramps_match_a_cf4_product_of_expm(self, figure, dt):
+    def test_short_ramps_match_a_cf4_product_of_expm(self, figure, dt, chunk_sizes):
         # two half-step exponentials per step, H frozen at 1/6 and 5/6 of it
         system = parse_config(presets.figure_config(figure)).base.system
         direct = isinstance(system, DirectSystemSpec)
@@ -334,6 +404,9 @@ class TestRampExponentials:
         res = propagate_schedule(system, PulseSchedule((seg,)), dt=dt)
         assert np.max(np.abs(res.unitary - ref)) < 1e-12
         assert res.steps_used == n
+        if figure == "fig6b" and dt == 0.3:
+            # ||W||_max <= theta admits two of each block's eight exponentials per chunk
+            assert chunk_sizes == [(23, (1, 2))] * 4 + [(22, (1, 2))] * 4
 
 
 qubits = st.builds(
