@@ -20,31 +20,32 @@ The exponentials are taken in one of two ways, chosen by the segment kind:
   the eigensolver's round-off however long the segment, and a whole segment
   has t ||H|| of order 10^3 or more.
 * Ramp steps (``_ramp_exponentials``) take no eigensolver.  The mean of the
-  diagonal is split off as a scalar phase, leaving X_s = step (H(s) - mu_s I).
-  h1 is diagonal, so along a ramp only the diagonal of X moves: over a chunk
-  of consecutive steps (``_ramp_chunks``), X_s = Xc + delta_s W with Xc at
-  the chunk's mid scale, W a small diagonal and delta_s in [-1, 1].  Each
-  exponential is then an entire function of delta, whose Taylor
-  coefficients F_0 ... F_M are the first block row of one block-matrix
-  exponential (Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)), with
+  diagonal is split off as a scalar phase, leaving X_s = step (H(s) - mu_s I),
+  and the exponentials are real Taylor series for cos and sin with scaling
+  and squaring (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)):
+  through X^16 and X^17 the remainder is at most 1/18! ~ 1.6e-16 where the
+  1-norm is at most 1, and a longer argument is halved q times and squared
+  back, round-off growing about as 2^q.  h1 is diagonal, so along a ramp only
+  the diagonal of X moves: over a chunk of consecutive steps
+  (``_ramp_chunks``), X_s = Xc + delta_s W with Xc at the chunk's mid scale,
+  W a small diagonal and delta_s in [-1, 1].  Each exponential is then an
+  entire function of delta, whose Taylor coefficients F_0 ... F_M are the
+  first block row of one block-matrix exponential of size (M + 1) k (Van
+  Loan, IEEE Trans. Autom. Control 23, 395 (1978)), with
   ||F_m|| <= ||W||^m / m!.  A chunk keeps ||W||_max <= 1/16, and M is the
-  least degree whose remainder bound is 2^-53 or less (M <= 8; 5 or 6 for
-  the fig3b pair at the default dt, 3 or 4 for 45-level cavity systems).
-  That block exponential is a real Taylor series for cos and sin with
-  scaling and squaring (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970
-  (2009)): through X^16 and X^17 the series' remainder is at most
-  1/18! ~ 1.6e-16 where the 1-norm is at most 1, which holds at the default
-  dt for the fig3b pair (q = 0), and a longer argument is halved q times and
-  squared back, round-off growing about as 2^q.  One matrix product of the
-  Vandermonde matrix of the delta_s with the F_m, each in its real (2k, 2k)
-  image, gives every exponential of the chunk.  In blocks of more than 28
-  levels a chunk is too short to pay for its block exponential, so there
-  each exponential is a group of its own, with W = 0 and M = 0 (the plain
-  series of X), and a chunk stacks as many groups as its memory cap admits.
+  least degree whose remainder bound is 2^-53 or less (M <= 8; 4 to 6 for
+  the fig3b pair at the default dt).  One matrix product of the Vandermonde
+  matrix of the delta_s with the F_m, each in its real (2k, 2k) image, then
+  gives every exponential of the chunk.  That block exponential costs about
+  as much as (M + 1)^3 exponentials of size k, so a chunk is a polynomial
+  only where it holds more; elsewhere (wide chunks, short ramps, and in
+  practice every block of more than about 20 levels, where few exponentials
+  fit in a chunk) each exponential takes the series on its own, as one
+  complex stack per chunk.
 
-Exponentials within a ramp chunk are combined with a pairwise product tree
-over their real images, and only the chunk's product is taken back to
-complex.
+Exponentials within a ramp chunk are combined with a pairwise product tree,
+over their real images where the chunk is a polynomial, and only the chunk's
+product is taken back to complex.
 
 The exponentials and their products are formed block by block, one block per
 parity of the total excitation number (``hamiltonians.parity_blocks``).  The
@@ -77,25 +78,22 @@ DEFAULT_DT = 0.01
 CONSTANT_UNITARITY_TOL = 1e-10
 SCHEDULE_UNITARITY_TOL = 1e-8
 
-#: Largest ||W||_max of a ramp chunk (see ``_ramp_exponentials``).  At 1/16
-#: the degree M that bounds the remainder by 2^-53 is at most 8.
+#: Largest ||W||_max of a ramp chunk taken as a polynomial (see
+#: ``_ramp_exponentials``).  At 1/16 the degree M that bounds the remainder by
+#: 2^-53 is at most 8.
 _THETA = 1.0 / 16.0
 
 #: Most entries in the real (2k, 2k) images of one ramp chunk's exponentials,
 #: n_c (2k)^2, 800 KB of doubles: 1,024 exponentials of a 5-level block, 48
-#: of a 23-level one and 6 of a 63-level one.  A chunk's block exponential
-#: costs about as much as (M + 1)^3 of its exponentials taken one at a time,
-#: so where the cap admits fewer than _CHUNK_LEAST (blocks of more than 28
-#: levels) each exponential is a group of its own, with W = 0 and M = 0.
+#: of a 23-level one and 6 of a 63-level one.
 _CHUNK_ENTRIES = 100 * 1024
-_CHUNK_LEAST = 32
 
 #: Fractions of a CF4 step at which its two half-step exponentials freeze H.
 _CF4_NODES = np.array([1.0 / 6.0, 5.0 / 6.0])
 
-#: cos X and sin(X) / X as series in Y = X^2 through Y^8, in three groups of
-#: three coefficients each for Paterson–Stockmeyer in Y^3.
-_SERIES = np.array([[(-1) ** j / math.factorial(2 * j + r) for j in range(9)] for r in (0, 1)]).reshape(2, 3, 3)
+#: cos X and sin(X) / X as series in Y = X^2, through Y^8.
+_COS_SERIES = [(-1) ** k / math.factorial(2 * k) for k in range(9)]
+_SINC_SERIES = [(-1) ** k / math.factorial(2 * k + 1) for k in range(9)]
 
 
 class UnitarityError(RuntimeError):
@@ -182,11 +180,10 @@ def _unitarity_defect(u: np.ndarray) -> float:
 
 def _product_in_order(us: np.ndarray) -> np.ndarray:
     """Product us[-1] @ ... @ us[0] by pairwise tree reduction."""
-    while len(us) > 1:
-        head = np.matmul(us[1::2], us[0:-1:2])
-        if len(us) % 2:
-            head[-1] = us[-1] @ head[-1]
-        us = head
+    while us.shape[0] > 1:
+        pairs = us.shape[0] // 2
+        head = np.matmul(us[1 : 2 * pairs : 2], us[0 : 2 * pairs : 2])
+        us = np.concatenate([head, us[-1:]]) if us.shape[0] % 2 else head
     return us[0]
 
 
@@ -208,65 +205,79 @@ def _exponentials(hs: list[np.ndarray], step) -> list[np.ndarray]:
     return us
 
 
-def _cos_sin(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cos X and sin X of each real square matrix of a stack, from real matrix products only.
+def _even_series(coeffs, y: np.ndarray, y2: np.ndarray, y3: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] y^k (k <= 8) for a stack y, by Paterson–Stockmeyer in y^3: two matmuls."""
 
-    X is halved q times, q the least with ||X||_1 / 2^q <= 1 over the stack.
-    cos and sin are then summed as series in Y = X^2 through Y^8, remainder
-    at most 1/18! ~ 1.6e-16, by Paterson–Stockmeyer in Y^3, and squared back
-    q times by (C, S) -> (C^2 - S^2, CS + SC).  X need not be symmetric.
+    def group(c0, c1, c2):
+        g = c2 * y2
+        g += c1 * y
+        g.reshape(len(g), -1)[:, :: g.shape[-1] + 1] += c0  # c0 I, on the diagonal in place
+        return g
+
+    p = np.matmul(y3, group(*coeffs[6:9]))
+    p += group(*coeffs[3:6])
+    p = np.matmul(y3, p)
+    p += group(*coeffs[0:3])
+    return p
+
+
+def _series_exponentials(x: np.ndarray, symmetric: bool) -> np.ndarray:
+    """exp(-i X) = cos X - i sin X for each real square matrix of a stack, from real matrix products only.
+
+    The stack is one matrix or an affine family X_0 + s (X_1 - X_0) in the
+    order of monotone s, such as a ramp chunk's X_s.  ||X||_1 is convex
+    along the family, so it is largest at one end, and X is halved q times,
+    q the least with ||X||_1 / 2^q <= 1 at both ends.  cos and sin are then
+    summed as series in Y = X^2 through Y^8 (remainder at most
+    1/18! ~ 1.6e-16) and squared back q times by
+    (C, S) -> (C^2 - S^2, CS + SC), which takes three products where X is
+    ``symmetric``, since SC = (CS)^T there.
     """
-    norm = float(np.abs(x).sum(axis=-2).max(initial=0.0))
+    norm = float(np.abs(x[[0, -1]]).sum(axis=-2).max())
     q = math.ceil(math.log2(norm)) if norm > 1 else 0
-    x = x * 0.5**q
-    y = x @ x
-    y2 = y @ y
-    y3 = y2 @ y
-    groups = np.tensordot(_SERIES, np.stack([np.broadcast_to(np.eye(x.shape[-1]), y.shape), y, y2]), 1)
-    p = (groups[:, 2] @ y3 + groups[:, 1]) @ y3 + groups[:, 0]
-    c, s = p[0], x @ p[1]
+    x = x * 0.5**q if q else x
+    y = np.matmul(x, x)
+    y2 = np.matmul(y, y)
+    y3 = np.matmul(y2, y)
+    c = _even_series(_COS_SERIES, y, y2, y3)
+    s = np.matmul(x, _even_series(_SINC_SERIES, y, y2, y3))
     for _ in range(q):
-        c, s = c @ c - s @ s, c @ s + s @ c
-    return c, s
+        cs = np.matmul(c, s)
+        c, s = np.matmul(c, c) - np.matmul(s, s), cs + (cs.transpose(0, 2, 1) if symmetric else np.matmul(s, c))
+    u = np.empty(c.shape, dtype=complex)
+    u.real, u.imag = c, -s
+    return u
 
 
-def _ramp_exponentials(h0: np.ndarray, d1: np.ndarray, scales: np.ndarray, step: float):
-    """exp(-i step (h0 + s diag(d1))) for one ramp chunk of scales, without an eigensolver.
+def _ramp_exponentials(h0: np.ndarray, d1: np.ndarray, scales: np.ndarray, step: float, degree: int | None):
+    """exp(-i step (h0 + s diag(d1))) for the (n,) ``scales`` of one ramp chunk, without an eigensolver.
 
-    ``h0`` is a real symmetric (k, k) block and ``d1`` the diagonal of its h1;
-    ``scales`` is (g, n), g groups of n scales each.  Returns the real
-    (2k, 2k) images [[Re, -Im], [Im, Re]] of u_s = exp(-i X_s), in row-major
-    order of ``scales``, with X_s = step (h0 + s diag(d1) - mu_s I) and mu_s
-    the mean of that diagonal, and the shifts mu (g n,): each exponential is
-    exp(-i step mu_s) u_s.  With c and w the mid scale and half-span of a
-    group, X_s = Xc + delta W, Xc = X at c and W = step w diag(d1 - mean d1),
-    delta = (s - c) / w in [-1, 1].  Then u_s = sum_{m <= M} delta^m F_m up to
-    a remainder of at most sum_{m > M} ||W||^m / m!, and M is the least degree
-    that bounds it by 2^-53 for every group.  F_0 ... F_M are the first block
-    row of exp(-i N) (Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)), N
-    the block upper bidiagonal matrix of M + 1 blocks Xc on the diagonal and
-    W above it; ``_cos_sin`` takes the g of them as one stack, and one product
-    of each group's Vandermonde matrix of the delta with the images of its
-    F_m gives all of the group.
+    ``h0`` is a real symmetric (k, k) block and ``d1`` the diagonal of its h1.
+    Returns u_s = exp(-i X_s), with X_s = step (h0 + s diag(d1) - mu_s I) and
+    mu_s the mean of that diagonal, and the shifts mu (n,): each exponential
+    is exp(-i step mu_s) u_s.  ``scales`` are monotone.  With ``degree``
+    None the u_s are a complex (n, k, k) stack, one
+    ``_series_exponentials`` of each X_s.  Otherwise they are the
+    real (2k, 2k) images [[Re, -Im], [Im, Re]] of a polynomial of that degree
+    M in the scale.  With c and w the chunk's mid scale and half-span,
+    X_s = Xc + delta W, Xc = X at c, W = step w diag(d1 - mean d1) and
+    delta = (s - c) / w in [-1, 1], so u_s = sum_{m <= M} delta^m F_m up to a
+    remainder of at most sum_{m > M} ||W||^m / m!.  F_0 ... F_M are the first
+    block row of exp(-i N) (Van Loan, IEEE Trans. Autom. Control 23, 395
+    (1978)), N the block upper bidiagonal matrix of M + 1 blocks Xc on the
+    diagonal and W above it, and one product of the Vandermonde matrix of the
+    delta with the images of the F_m gives every u_s.
     """
-    k, eye = len(d1), np.eye(len(d1))
-    shift, b = np.mean(np.diagonal(h0)), d1 - d1.mean()
-    lo, hi = scales.min(axis=1, keepdims=True), scales.max(axis=1, keepdims=True)
-    mid, half = (hi + lo) / 2, (hi - lo) / 2
-    w = step * half * b
-    norm, degree = float(np.abs(w).max(initial=0.0)), 0
-    while norm ** (degree + 1) / math.factorial(degree + 1) > 2.0**-54:
-        degree += 1  # the tail is at most twice its first term while ||W|| <= 1
-    bidiagonal = np.zeros((len(scales), degree + 1, k, degree + 1, k))
-    blocks = np.arange(degree + 1)
-    bidiagonal[:, blocks, :, blocks] = step * (h0 - shift * eye + (mid * b)[:, :, None] * eye)
-    bidiagonal[:, blocks[:-1], :, blocks[1:]] = w[:, :, None] * eye
-    first_rows = np.stack(_cos_sin(bidiagonal.reshape(len(scales), (degree + 1) * k, -1)))[:, :, :k]
-    c, s = first_rows.reshape(2, len(scales), k, degree + 1, k).transpose(0, 1, 3, 2, 4)
-    images = np.block([[c, s], [-s, c]]).reshape(len(scales), degree + 1, -1)
-    delta = (scales - mid) / np.where(half > 0, half, 1.0)
-    u = np.vander(delta.ravel(), degree + 1, increasing=True).reshape(*scales.shape, -1) @ images
-    return u.reshape(scales.size, 2 * k, 2 * k), shift + scales.ravel() * d1.mean()
+    k, shift = len(d1), np.mean(np.diagonal(h0))
+    a, b = step * (h0 - shift * np.eye(k)), step * np.diag(d1 - d1.mean())
+    if degree is None:
+        return _series_exponentials(a + scales[:, None, None] * b, symmetric=True), shift + scales * d1.mean()
+    mid, half = (scales[0] + scales[-1]) / 2, abs(scales[-1] - scales[0]) / 2
+    n_mat = np.kron(np.eye(degree + 1), a + mid * b) + np.kron(np.eye(degree + 1, k=1), half * b)
+    f = _series_exponentials(n_mat[None], symmetric=False)[0, :k].reshape(k, degree + 1, k).swapaxes(0, 1)
+    images = np.block([[f.real, -f.imag], [f.imag, f.real]]).reshape(degree + 1, -1)
+    vander = np.vander((scales - mid) / (half or 1.0), degree + 1, increasing=True)
+    return (vander @ images).reshape(-1, 2 * k, 2 * k), shift + scales * d1.mean()
 
 
 def _gather(h: np.ndarray, blocks) -> list[np.ndarray]:
@@ -284,24 +295,27 @@ def _scatter(us: list[np.ndarray], blocks) -> np.ndarray:
 
 
 def _ramp_chunks(d1: np.ndarray, scales: np.ndarray, step: float):
-    """One block's monotone ``scales`` cut into ramp chunks, each as its (g, n) groups.
+    """One block's monotone ``scales`` cut into ramp chunks, each with its degree M or None.
 
-    A chunk is the longest run from where the last one ended with at most
-    _CHUNK_ENTRIES entries in its real images.  Where that cap admits
-    _CHUNK_LEAST exponentials or more, a chunk is one group, and it ends
-    where ||W||_max = step w max|d1 - mean d1| would pass _THETA, w its
-    half-span of scales; otherwise each exponential is a group of its own.
+    A chunk starts where the last one ended and holds at most
+    _CHUNK_ENTRIES entries in its exponentials' real (2k, 2k) images.  Its
+    polynomial run is the longest start of it with ||W||_max =
+    step w max|d1 - mean d1| <= _THETA, w the run's half-span of scales, and
+    M the least degree whose remainder bound is 2^-53 or less.  The block
+    exponential of size (M + 1) k costs about as much as (M + 1)^3 of the
+    exponentials taken one at a time, so the run is a chunk of degree M only
+    where it holds more than (M + 1)^3 of them.  Otherwise the whole capped
+    chunk takes its exponentials one at a time (degree None).
     """
-    offsets = np.abs(scales - scales[0])
-    spread = step * float(np.abs(d1 - d1.mean()).max())
     most = max(1, _CHUNK_ENTRIES // (2 * len(d1)) ** 2)
-    grouped = most >= _CHUNK_LEAST
-    reach = 2 * _THETA / spread if spread and grouped else math.inf
-    start = 0
-    while start < len(scales):
-        stop = min(start + most, int(np.searchsorted(offsets, offsets[start] + reach, "right")))
-        yield scales[start:stop][None] if grouped else scales[start:stop][:, None]
-        start = stop
+    while len(scales):
+        widths = step * np.abs(d1 - d1.mean()).max() / 2 * np.abs(scales[:most] - scales[0])
+        n = int(np.searchsorted(widths, _THETA, "right"))
+        # the tail is at most twice its first term while ||W|| <= 1
+        degree = next(m for m in range(64) if float(widths[n - 1]) ** (m + 1) / math.factorial(m + 1) <= 2.0**-54)
+        chunk, degree = (scales[:n], degree) if (degree + 1) ** 3 < n else (scales[:most], None)
+        yield chunk, degree
+        scales = scales[len(chunk) :]
 
 
 def _ramp_propagator(parts: list[tuple[np.ndarray, np.ndarray]], seg: ScheduleSegment, n: int):
@@ -310,10 +324,11 @@ def _ramp_propagator(parts: list[tuple[np.ndarray, np.ndarray]], seg: ScheduleSe
     ``parts`` holds the (h0, h1) of each block, h1 diagonal.  Each step
     takes two half-step exponentials at the CF4 nodes, the earliest first.
     Per block, each chunk of them (``_ramp_chunks``) takes one
-    ``_ramp_exponentials`` and a product tree over the real images.  The
-    scalar phases exp(-i step mu_s) of a chunk's exponentials commute with
-    everything, so they are applied once per block and chunk, as
-    exp(-i step sum(mu_s)), to the chunk's product taken back to complex.
+    ``_ramp_exponentials`` and a product tree, over the real images where
+    the chunk is a polynomial.  The scalar phases exp(-i step mu_s) of a
+    chunk's exponentials commute with everything, so they are applied once
+    per block and chunk, as exp(-i step sum(mu_s)), to the chunk's complex
+    product.
     """
     frac = (np.arange(n)[:, None] + _CF4_NODES).ravel() / n
     scales = seg.scale_start + (seg.scale_end - seg.scale_start) * frac
@@ -322,10 +337,10 @@ def _ramp_propagator(parts: list[tuple[np.ndarray, np.ndarray]], seg: ScheduleSe
     for h0, h1 in parts:
         d1, k = np.diagonal(h1), len(h0)
         chunks = []
-        for chunk in _ramp_chunks(d1, scales, step):
-            u, mu = _ramp_exponentials(h0, d1, chunk, step)
+        for chunk, degree in _ramp_chunks(d1, scales, step):
+            u, mu = _ramp_exponentials(h0, d1, chunk, step, degree)
             p = _product_in_order(u)
-            chunks.append(np.exp(-1j * step * mu.sum()) * (p[:k, :k] + 1j * p[k:, :k]))
+            chunks.append(np.exp(-1j * step * mu.sum()) * (p if degree is None else p[:k, :k] + 1j * p[k:, :k]))
         us.append(_product_in_order(np.stack(chunks)))
     return us
 

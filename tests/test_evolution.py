@@ -252,17 +252,11 @@ class TestParitySplit:
     @pytest.mark.parametrize("spoiled", [0, 1], ids=["even", "odd"])
     def test_unitarity_check_covers_every_ramp_block(self, spoiled, monkeypatch):
         # ramp exponentials 1e-6 too long in one block only: the defect must see it
-        spec = SPLIT_SPECS["cavity-3"]
-        size = len(parity_blocks(spec)[spoiled])
-        ramp_exponentials = evolution._ramp_exponentials
+        spoil_ramp_block(SPLIT_SPECS["cavity-3"], 0.5, spoiled, False, monkeypatch)
 
-        def spoiled_ramp_exponentials(h0, *args):
-            u, mu = ramp_exponentials(h0, *args)
-            return (u * (1 + 1e-6) if len(h0) == size else u), mu
-
-        monkeypatch.setattr(evolution, "_ramp_exponentials", spoiled_ramp_exponentials)
-        with pytest.raises(UnitarityError):
-            propagate_schedule(spec, PulseSchedule((ScheduleSegment(0.5, 1.1, 1.0),)))
+    @pytest.mark.parametrize("spoiled", [0, 1], ids=["even", "odd"])
+    def test_unitarity_check_covers_every_polynomial_ramp_block(self, spoiled, monkeypatch):
+        spoil_ramp_block(SPLIT_SPECS["direct-3"], 5.0, spoiled, True, monkeypatch)
 
     def test_an_arbitrary_hermitian_matrix_is_one_block(self):
         # a complex matrix that couples every state to every other
@@ -273,6 +267,27 @@ class TestParitySplit:
         assert np.max(np.abs(res.unitary - scipy.linalg.expm(-0.4j * h))) < 1e-12
 
 
+def spoil_ramp_block(spec, duration: float, spoiled: int, polynomial: bool, monkeypatch):
+    """Spoil one block's ramp exponentials by 1 + 1e-6 and expect ``UnitarityError``.
+
+    ``polynomial`` says whether every chunk of the ramp-only segment from
+    scale 1.1 to 1 is a polynomial in the scale or none is.
+    """
+    size = len(parity_blocks(spec)[spoiled])
+    ramp_exponentials = evolution._ramp_exponentials
+    degrees = []
+
+    def spoiled_ramp_exponentials(h0, d1, scales, step, degree):
+        u, mu = ramp_exponentials(h0, d1, scales, step, degree)
+        degrees.append(degree)
+        return (u * (1 + 1e-6) if len(h0) == size else u), mu
+
+    monkeypatch.setattr(evolution, "_ramp_exponentials", spoiled_ramp_exponentials)
+    with pytest.raises(UnitarityError):
+        propagate_schedule(spec, PulseSchedule((ScheduleSegment(duration, 1.1, 1.0),)))
+    assert degrees and all((degree is not None) == polynomial for degree in degrees)
+
+
 def _shifted_norm(h: np.ndarray) -> float:
     """Largest ||h - mean(diag h) I||_1 over a stack of square matrices."""
     shift = np.diagonal(h, axis1=-2, axis2=-1).mean(axis=-1)
@@ -281,29 +296,45 @@ def _shifted_norm(h: np.ndarray) -> float:
 
 @pytest.fixture
 def chunk_sizes(monkeypatch):
-    """(block size, shape of its groups of scales) of each ramp chunk exponentiated during the test."""
+    """(block size, exponentials, degree or None) of each ramp chunk exponentiated during the test."""
     sizes = []
     ramp_exponentials = evolution._ramp_exponentials
 
-    def recording_ramp_exponentials(h0, d1, scales, step):
-        sizes.append((len(h0), scales.shape))
-        return ramp_exponentials(h0, d1, scales, step)
+    def recording_ramp_exponentials(h0, d1, scales, step, degree):
+        sizes.append((len(h0), len(scales), degree))
+        return ramp_exponentials(h0, d1, scales, step, degree)
 
     monkeypatch.setattr(evolution, "_ramp_exponentials", recording_ramp_exponentials)
     return sizes
 
 
+def _least_degree(w: float) -> int:
+    """Least M whose remainder bound sum_{m > M} w^m / m! is 2^-53 or less."""
+    return next(m for m in range(64) if sum(w**j / math.factorial(j) for j in range(m + 1, m + 40)) <= 2.0**-53)
+
+
 class TestRampExponentials:
-    """Ramp chunks are exponentiated as polynomials in the scale; they must agree with the eigensolver."""
+    """Ramp chunks are exponentiated by a real Taylor series, each exponential
+    on its own or as a polynomial in the scale; both must agree with the eigensolver."""
 
     @staticmethod
-    def exponentials(h0, d1, scales, step):
-        # every chunk the propagator would cut from these scales, back to complex
+    def exponentials(h0, d1, chunks, step):
+        # each (scales, degree) chunk through the kernel, back to complex with its phases
         k, us = len(d1), []
-        for chunk in evolution._ramp_chunks(d1, scales, step):
-            u, mu = evolution._ramp_exponentials(h0, d1, chunk, step)
-            us.append((u[:, :k, :k] + 1j * u[:, k:, :k]) * np.exp(-1j * step * mu)[:, None, None])
+        for scales, degree in chunks:
+            u, mu = evolution._ramp_exponentials(h0, d1, scales, step, degree)
+            if degree is not None:
+                u = u[:, :k, :k] + 1j * u[:, k:, :k]
+            us.append(u * np.exp(-1j * step * mu)[:, None, None])
         return np.concatenate(us)
+
+    @classmethod
+    def cuts(cls, h0, d1, scales, step):
+        # the chunks the propagator cuts, every exponential on its own, and, where
+        # ||W||_max <= theta, the whole stack as one polynomial of the least degree
+        w = step * np.ptp(scales) / 2 * np.abs(d1 - d1.mean()).max()
+        cuts = [list(evolution._ramp_chunks(d1, scales, step)), [(scales, None)]]
+        return cuts + ([[(scales, _least_degree(w))]] if w <= evolution._THETA else [])
 
     @classmethod
     def assert_matches_eigh(cls, h0, d1, scales, step):
@@ -311,12 +342,12 @@ class TestRampExponentials:
         h = h0 + scales[:, None, None] * np.diag(d1)
         (ref,) = evolution._exponentials([h], step)
         bound = 1e-13 * max(1.0, step * _shifted_norm(h))
-        assert np.max(np.abs(cls.exponentials(h0, d1, scales, step) - ref)) <= bound
+        for chunks in cls.cuts(h0, d1, scales, step):
+            assert np.max(np.abs(cls.exponentials(h0, d1, chunks, step) - ref)) <= bound
 
     @pytest.mark.parametrize("norm", [1e-3, 0.5, 1.0, 3.0, 40.0, 300.0])
     def test_random_symmetric_stacks_match_eigh(self, norm):
         rng = np.random.default_rng(11)
-        # blocks past 28 levels take one exponential per group (_CHUNK_LEAST)
         for k in [*range(1, 24), 30, 63]:
             a = rng.normal(size=(k, k))
             h0, d1 = a + a.T, rng.normal(size=k)
@@ -332,26 +363,33 @@ class TestRampExponentials:
         h0, d1 = np.diag(rng.normal(size=6)), rng.normal(size=6)
         scales = np.linspace(1.1, 1.0, 5)
         step = norm / _shifted_norm(h0 + scales[:, None, None] * np.diag(d1))
-        u = self.exponentials(h0, d1, scales, step)
-        assert not (u * (1 - np.eye(6))).any()
+        cuts = self.cuts(h0, d1, scales, step)
+        # at norm 300 the five scales span ||W||_max > theta: no one-polynomial cut
+        assert len(cuts) == (2 if norm > 1 else 3)
+        for chunks in cuts:
+            u = self.exponentials(h0, d1, chunks, step)
+            assert not (u * (1 - np.eye(6))).any()
         self.assert_matches_eigh(h0, d1, scales, step)
 
-    def test_one_scaling_power_covers_a_stack_of_groups(self):
-        # a 30-level block takes one exponential per group; the last has 100 times the norm of the first
+    def test_one_scaling_power_covers_a_stack(self):
+        # a 30-level block takes its exponentials one at a time; the last has 100 times the norm of the first
         rng = np.random.default_rng(3)
         a = rng.normal(size=(30, 30))
         h0, d1 = a + a.T, 50 * rng.normal(size=30)
         scales = np.linspace(0.1, 10.0, 6)
-        (chunk,) = evolution._ramp_chunks(d1, scales, 1.0)
-        assert chunk.shape == (6, 1)
+        ((chunk, degree),) = evolution._ramp_chunks(d1, scales, 1.0)
+        assert degree is None and np.array_equal(chunk, scales)
         self.assert_matches_eigh(h0, d1, scales, 40.0 / _shifted_norm((h0 + 10.0 * np.diag(d1))[None]))
 
     def test_zero_stack_gives_identity(self):
-        u, mu = evolution._ramp_exponentials(np.zeros((4, 4)), np.zeros(4), np.ones((1, 3)), 0.7)
+        u, mu = evolution._ramp_exponentials(np.zeros((4, 4)), np.zeros(4), np.ones(3), 0.7, None)
+        assert np.array_equal(u, np.broadcast_to(np.eye(4), (3, 4, 4)))
+        assert not mu.any()
+        u, mu = evolution._ramp_exponentials(np.zeros((4, 4)), np.zeros(4), np.ones(3), 0.7, 0)
         assert np.array_equal(u, np.broadcast_to(np.eye(8), (3, 8, 8)))
         assert not mu.any()
 
-    @pytest.mark.parametrize("k", [1, 5, 23])
+    @pytest.mark.parametrize("k", [1, 3, 5])
     def test_a_chunk_at_the_widest_span_matches_eigh(self, k):
         # the scales span just under 2 theta / (step max|b|), so ||W||_max is
         # theta to round-off: the rule's widest chunk, which takes degree 8
@@ -362,11 +400,28 @@ class TestRampExponentials:
         half = evolution._THETA / (step * (np.abs(d1 - d1.mean()).max() or 1.0)) * (1 - 1e-12)
         n = evolution._CHUNK_ENTRIES // (2 * k) ** 2
         scales = np.linspace(1.0 - half, 1.0 + half, n)
-        (chunk,) = evolution._ramp_chunks(d1, scales, step)
-        assert np.array_equal(chunk, scales[None])
+        ((chunk, degree),) = evolution._ramp_chunks(d1, scales, step)
+        assert np.array_equal(chunk, scales) and degree == (0 if k == 1 else 8)
         self.assert_matches_eigh(h0, d1, scales, step)
+        # 1 % wider: the longest run within theta, then the rest on its own
         wider = np.linspace(1.0 - 1.01 * half, 1.0 + 1.01 * half, n)
-        assert len(list(evolution._ramp_chunks(d1, wider, step))) == (1 if k == 1 else 2)
+        chunks = list(evolution._ramp_chunks(d1, wider, step))
+        assert [degree for _, degree in chunks] == ([0] if k == 1 else [8, None])
+        self.assert_matches_eigh(h0, d1, wider, step)
+
+    @pytest.mark.parametrize("w, degree", [(1e-4, 3), (1e-3, None)])
+    def test_a_chunk_is_a_polynomial_where_it_holds_more_than_degree_plus_one_cubed(self, w, degree):
+        # 100 exponentials: degree 3 (64 < 100) pays for its block exponential, degree 4 (125) does not
+        assert _least_degree(1e-4) == 3 and _least_degree(1e-3) == 4
+        rng = np.random.default_rng(9)
+        a = rng.normal(size=(5, 5))
+        h0, d1 = a + a.T, rng.normal(size=5)
+        step = 0.05
+        half = w / (step * np.abs(d1 - d1.mean()).max())
+        scales = np.linspace(1.0 + half, 1.0 - half, 100)
+        ((chunk, got),) = evolution._ramp_chunks(d1, scales, step)
+        assert len(chunk) == 100 and got == degree
+        self.assert_matches_eigh(h0, d1, scales, step)
 
     @pytest.mark.parametrize("levels", [3, 5], ids=["45-level", "125-level"])
     def test_cavity_chunks_stay_within_the_entry_cap(self, levels, chunk_sizes):
@@ -374,39 +429,46 @@ class TestRampExponentials:
         seg = ScheduleSegment(0.5 if levels == 5 else 2.0, 1.1, 1.0)
         assert propagate_schedule(spec, PulseSchedule((seg,))).unitarity_defect < 1e-12
         blocks = sorted(len(ix) for ix in parity_blocks(spec))
-        assert sorted({k for k, _ in chunk_sizes}) == blocks
+        assert sorted({k for k, _, _ in chunk_sizes}) == blocks
         for k in blocks:
-            shapes = [shape for block, shape in chunk_sizes if block == k]
-            sizes = [math.prod(shape) for shape in shapes]
+            sizes = [n for block, n, _ in chunk_sizes if block == k]
             cap = evolution._CHUNK_ENTRIES // (2 * k) ** 2
             assert cap == {23: 48, 22: 52, 63: 6, 62: 6}[k]
             # the cap binds: every chunk but the last of its block is full
             assert sizes[:-1] == [cap] * (len(sizes) - 1) and 0 < sizes[-1] <= cap
             assert sum(sizes) == 2 * math.ceil(seg.duration / DEFAULT_DT)
-            # one polynomial per chunk where the cap admits _CHUNK_LEAST, else one per exponential
-            grouped = cap >= evolution._CHUNK_LEAST
-            assert all(shape == ((1, n) if grouped else (n, 1)) for shape, n in zip(shapes, sizes))
+        # a chunk this short does not pay for a block exponential: one exponential at a time
+        assert {degree for _, _, degree in chunk_sizes} == {None}
 
     @pytest.mark.parametrize("dt", [0.05, 0.3])
     @pytest.mark.parametrize("figure", ["fig3b", "fig6b"])
-    def test_short_ramps_match_a_cf4_product_of_expm(self, figure, dt, chunk_sizes):
-        # two half-step exponentials per step, H frozen at 1/6 and 5/6 of it
-        system = parse_config(presets.figure_config(figure)).base.system
-        direct = isinstance(system, DirectSystemSpec)
-        build = build_direct_hamiltonian if direct else build_indirect_hamiltonian
-        seg = ScheduleSegment(1.0, 1.1, 1.0)
-        n = math.ceil(seg.duration / dt)
-        ref = np.eye(system.dim)
-        for j in range(n):
-            for node in (1 / 6, 5 / 6):
-                s = seg.scale_start + (seg.scale_end - seg.scale_start) * (j + node) / n
-                ref = scipy.linalg.expm(-0.5j * seg.duration / n * build(system, s)) @ ref
-        res = propagate_schedule(system, PulseSchedule((seg,)), dt=dt)
-        assert np.max(np.abs(res.unitary - ref)) < 1e-12
-        assert res.steps_used == n
-        if figure == "fig6b" and dt == 0.3:
-            # ||W||_max <= theta admits two of each block's eight exponentials per chunk
-            assert chunk_sizes == [(23, (1, 2))] * 4 + [(22, (1, 2))] * 4
+    def test_short_ramps_match_a_cf4_product_of_expm(self, figure, dt):
+        assert_matches_cf4_expm(figure, 1.0, dt)
+
+    def test_a_ramp_cut_into_both_kinds_of_chunk_matches_a_cf4_product_of_expm(self, chunk_sizes):
+        assert_matches_cf4_expm("fig3b", 6.0, DEFAULT_DT)
+        # 1,200 exponentials per block: the 5-level block fills its entry cap
+        # with one polynomial and takes the 176 left one at a time, since
+        # they do not pay for a block exponential of degree 6
+        assert chunk_sizes == [(5, 1024, 6), (5, 176, None), (4, 1200, 6)]
+
+
+def assert_matches_cf4_expm(figure: str, duration: float, dt: float):
+    """A ramp-only segment from scale 1.1 to 1 against a CF4 product of ``scipy.linalg.expm``."""
+    # two half-step exponentials per step, H frozen at 1/6 and 5/6 of it
+    system = parse_config(presets.figure_config(figure)).base.system
+    direct = isinstance(system, DirectSystemSpec)
+    build = build_direct_hamiltonian if direct else build_indirect_hamiltonian
+    seg = ScheduleSegment(duration, 1.1, 1.0)
+    n = math.ceil(seg.duration / dt)
+    ref = np.eye(system.dim)
+    for j in range(n):
+        for node in (1 / 6, 5 / 6):
+            s = seg.scale_start + (seg.scale_end - seg.scale_start) * (j + node) / n
+            ref = scipy.linalg.expm(-0.5j * seg.duration / n * build(system, s)) @ ref
+    res = propagate_schedule(system, PulseSchedule((seg,)), dt=dt)
+    assert np.max(np.abs(res.unitary - ref)) < 1e-12
+    assert res.steps_used == n
 
 
 qubits = st.builds(
