@@ -6,6 +6,8 @@ fidelity degrades as the coupling strength approaches the anharmonicity, and
 sweeps out the safe operating regimes.
 """
 
+from types import ModuleType as _ModuleType
+
 from .dispersive import (
     DispersiveRegimeError,
     EffectiveCouplings,
@@ -66,52 +68,7 @@ from .sweeps import (
 
 __version__ = "0.1.0"
 
+#: Every name imported above; the submodules that importing them binds are not exports.
 __all__ = [
-    "TWOPI",
-    "DEFAULT_DT",
-    "QubitSpec",
-    "DirectSystemSpec",
-    "IndirectSystemSpec",
-    "BasisIndex",
-    "ladder_diagonal",
-    "build_jx",
-    "build_direct_hamiltonian",
-    "build_indirect_hamiltonian",
-    "hamiltonian_parts",
-    "computational_indices",
-    "EffectiveCouplings",
-    "DispersiveRegimeError",
-    "effective_couplings",
-    "build_effective_hamiltonian",
-    "build_rwa_direct_hamiltonian",
-    "PulseSchedule",
-    "ScheduleSegment",
-    "PropagationResult",
-    "UnitarityError",
-    "square_schedule",
-    "trapezoid_schedule",
-    "propagate_constant",
-    "propagate_schedule",
-    "GateTarget",
-    "GateResult",
-    "ISWAP",
-    "CZ",
-    "gate_target",
-    "phase_diagonal",
-    "project_computational",
-    "gate_fidelity",
-    "gate_time",
-    "run_gate",
-    "SweepAxis",
-    "SweepBase",
-    "SweepGrid",
-    "SweepPoint",
-    "ThresholdResult",
-    "sweep",
-    "threshold",
-    "truncation_study",
-    "ramp_study",
-    "detrended_amplitude",
-    "derive_point_spec",
-    "evaluate_point",
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

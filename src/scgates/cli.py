@@ -5,7 +5,10 @@ built-in figure preset (``--reproduce``).  Every run writes three artifacts
 into the output directory: a CSV table of results, a JSON summary and a
 gnuplot script that plots the CSV without further dependencies.  Config
 parsing is strict: unknown keys anywhere in the file are rejected, which
-catches unit mistakes and typos before any computation starts.
+catches unit mistakes and typos before any computation starts.  The system,
+qubit, axis and schedule objects are read from the fields of the dataclasses
+they build, and the CSV columns and summary keys from those of the result
+types, so each schema is stated once, by its dataclass.
 
 What a run mode is lives in one place, ``_MODE_TABLE``: for each mode, the
 number of sweep axes it takes, the runner that computes its summary and grids,
@@ -29,21 +32,25 @@ import os
 import sys
 from collections.abc import Callable
 from contextlib import suppress
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
+from functools import cache
 from itertools import pairwise
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from . import presets
-from .dispersive import DispersiveRegimeError, effective_couplings
-from .evolution import DEFAULT_DT, UnitarityError, trapezoid_schedule
-from .gates import gate_target, gate_time, run_gate
-from .hamiltonians import DirectSystemSpec, IndirectSystemSpec, QubitSpec
+from .dispersive import DispersiveRegimeError, EffectiveCouplings, effective_couplings
+from .evolution import UnitarityError, trapezoid_schedule
+from .gates import GateResult, gate_target, gate_time, run_gate
+from .hamiltonians import DirectSystemSpec, IndirectSystemSpec
 from .sweeps import (
     SweepAxis,
     SweepBase,
     SweepGrid,
+    SweepPoint,
+    ThresholdResult,
     detrended_amplitude,
     ramp_study,
     sweep,
@@ -54,7 +61,8 @@ from .sweeps import (
 #: Levels reported in 1D sweep summaries (skipped when the curve starts below).
 SUMMARY_THRESHOLD_LEVELS = (0.95, 0.99)
 
-CSV_VALUE_COLUMNS = ("fidelity", "t_g_ns", "leakage", "theta_a", "theta_b", "theta_global", "status")
+#: A sweep row's columns after its axis values: the fields of ``SweepPoint`` after ``values``.
+CSV_VALUE_COLUMNS = tuple(field.name for field in fields(SweepPoint))[1:]
 
 
 class ConfigError(ValueError):
@@ -84,70 +92,79 @@ def _get(obj: dict, key: str, types, where: str, default=None, required: bool = 
             raise ConfigError(f"missing required key {key!r} in {where}")
         return default
     value = obj[key]
-    if types is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, types) or isinstance(value, bool) and types is not bool:
-        raise ConfigError(f"key {key!r} in {where} has wrong type {type(value).__name__}")
+    if type(value) is not types:  # a value of exactly the field's type needs neither step
+        if types is float and isinstance(value, int) and not isinstance(value, bool):
+            value = float(value)
+        if not isinstance(value, types) or isinstance(value, bool) and types is not bool:
+            raise ConfigError(f"key {key!r} in {where} has wrong type {type(value).__name__}")
     if types is float and not math.isfinite(value):
         raise ConfigError(f"key {key!r} in {where} must be finite, got {value}")
     return value
 
 
-def _parse_qubit(obj, where: str) -> QubitSpec:
+@cache
+def _schema(cls, extra: frozenset[str] = frozenset(), only: tuple[str, ...] | None = None):
+    """``(keys, fields)`` of a JSON object read into dataclass ``cls``, resolved once per class.
+
+    ``fields`` holds ``(name, type, default, required, nested)`` for each
+    field of ``cls``, or each named in ``only``, in field order.  A field
+    without a default is required; a dataclass-typed field is read from its
+    own object, and ``nested`` is that dataclass's schema, else None.
+    ``keys`` are the field names and ``extra``.
+    """
+    types = get_type_hints(cls)
+    specs = tuple(
+        (f.name, types[f.name], f.default, f.default is MISSING,
+         _schema(types[f.name]) if is_dataclass(types[f.name]) else None)
+        for f in fields(cls)
+        if only is None or f.name in only
+    )
+    return frozenset(spec[0] for spec in specs) | extra, specs
+
+
+def _parse(obj, cls, where: str, schema=None):
+    """``cls`` called with the typed values of the fields of ``schema`` in the JSON object ``obj``.
+
+    ``schema`` defaults to ``_schema(cls)``.  Fields are read in order and
+    passed by position; with ``cls`` None they are returned as a list.  Only
+    the call's own ``ValueError`` is prefixed with ``where``.
+    """
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be an object")
-    _check_keys(obj, {"freq", "anharm", "n_levels"}, where)
+    keys, specs = schema or _schema(cls)
+    _check_keys(obj, keys, where)
+    values = []
+    for name, kind, default, required, nested in specs:
+        if nested is None:
+            values.append(_get(obj, name, kind, where, default, required))
+        else:
+            values.append(_parse(obj.get(name), kind, f"{where}.{name}", nested))
+    if cls is None:
+        return values
     try:
-        return QubitSpec(
-            freq=_get(obj, "freq", float, where, required=True),
-            anharm=_get(obj, "anharm", float, where, required=True),
-            n_levels=_get(obj, "n_levels", int, where, default=3),
-        )
+        return cls(*values)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
+
+
+#: Each system kind's spec and the schema of its object, which also holds ``kind``.
+_SYSTEMS = {
+    "direct": (DirectSystemSpec, _schema(DirectSystemSpec, frozenset({"kind"}))),
+    "indirect": (IndirectSystemSpec, _schema(IndirectSystemSpec, frozenset({"kind"}))),
+}
+
+#: The schedule object holds the pulse fields of ``SweepBase``, which follow its gate.
+_SCHEDULE = _schema(SweepBase, only=("tau_d", "dt"))
 
 
 def _parse_system(obj, where: str = "system"):
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be an object")
     kind = _get(obj, "kind", str, where, required=True)
-    try:
-        if kind == "direct":
-            _check_keys(obj, {"kind", "qubit_a", "qubit_b", "g"}, where)
-            return DirectSystemSpec(
-                qubit_a=_parse_qubit(obj.get("qubit_a"), f"{where}.qubit_a"),
-                qubit_b=_parse_qubit(obj.get("qubit_b"), f"{where}.qubit_b"),
-                g=_get(obj, "g", float, where, required=True),
-            )
-        if kind == "indirect":
-            _check_keys(obj, {"kind", "qubit_a", "qubit_b", "cavity_freq", "g_qc", "n_photons"}, where)
-            return IndirectSystemSpec(
-                qubit_a=_parse_qubit(obj.get("qubit_a"), f"{where}.qubit_a"),
-                qubit_b=_parse_qubit(obj.get("qubit_b"), f"{where}.qubit_b"),
-                cavity_freq=_get(obj, "cavity_freq", float, where, required=True),
-                g_qc=_get(obj, "g_qc", float, where, required=True),
-                n_photons=_get(obj, "n_photons", int, where, default=5),
-            )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-    raise ConfigError(f"{where}.kind must be 'direct' or 'indirect', got {kind!r}")
-
-
-def _parse_axis(obj, where: str) -> SweepAxis:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object")
-    _check_keys(obj, {"name", "start", "stop", "n_points"}, where)
-    try:
-        return SweepAxis(
-            name=_get(obj, "name", str, where, required=True),
-            start=_get(obj, "start", float, where, required=True),
-            stop=_get(obj, "stop", float, where, required=True),
-            n_points=_get(obj, "n_points", int, where, required=True),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+    if kind not in _SYSTEMS:
+        raise ConfigError(f"{where}.kind must be 'direct' or 'indirect', got {kind!r}")
+    cls, schema = _SYSTEMS[kind]
+    return _parse(obj, cls, where, schema)
 
 
 _TOP_KEYS = {
@@ -204,12 +221,7 @@ def parse_config(obj: dict) -> RunConfig:
         raise ConfigError("missing required key 'system' in config")
     system = _parse_system(obj["system"])
 
-    schedule_obj = obj.get("schedule", {})
-    if not isinstance(schedule_obj, dict):
-        raise ConfigError("schedule must be an object")
-    _check_keys(schedule_obj, {"tau_d", "dt"}, "schedule")
-    tau_d = _get(schedule_obj, "tau_d", float, "schedule", default=0.0)
-    dt = _get(schedule_obj, "dt", float, "schedule", default=DEFAULT_DT)
+    schedule = _parse(obj.get("schedule", {}), None, "schedule", _SCHEDULE)
 
     gate = _get(obj, "gate", str, "config", default=None)
     if mode == "effective":
@@ -220,10 +232,9 @@ def parse_config(obj: dict) -> RunConfig:
         raise ConfigError(f"mode {mode!r} requires a gate")
     try:
         base = SweepBase(
-            system=system,
-            gate=gate,
-            tau_d=tau_d,
-            dt=dt,
+            system,
+            gate,
+            *schedule,
             tie_anharm=_get(obj, "tie_anharm", bool, "config", default=False),
         )
     except ValueError as exc:
@@ -232,7 +243,7 @@ def parse_config(obj: dict) -> RunConfig:
     axes_obj = obj.get("axes", [])
     if not isinstance(axes_obj, list):
         raise ConfigError("axes must be a list")
-    axes = tuple(_parse_axis(a, f"axes[{i}]") for i, a in enumerate(axes_obj))
+    axes = tuple(_parse(a, SweepAxis, f"axes[{i}]") for i, a in enumerate(axes_obj))
     expected = _MODE_TABLE[mode].n_axes
     if len(axes) != expected:
         raise ConfigError(f"mode {mode!r} needs exactly {expected} axes, got {len(axes)}")
@@ -284,10 +295,7 @@ def _fmt(value) -> str:
 def _grid_rows(grid: SweepGrid, label: tuple[str, float] | None = None):
     for row in grid.rows:
         head = [_fmt(label[1])] if label else []
-        yield head + [_fmt(v) for v in row.values] + [
-            _fmt(row.fidelity), _fmt(row.t_g_ns), _fmt(row.leakage),
-            _fmt(row.theta_a), _fmt(row.theta_b), _fmt(row.theta_global), row.status,
-        ]
+        yield head + [_fmt(v) for v in row.values] + [_fmt(getattr(row, name)) for name in CSV_VALUE_COLUMNS]
 
 
 def write_grids_csv(path: Path, grids, label_name: str | None = None, label_values=None) -> None:
@@ -347,21 +355,11 @@ def _extremal_rows(grid: SweepGrid) -> dict:
     }
 
 
-def _threshold_entry(grid: SweepGrid, level: float) -> dict:
-    result = threshold(grid, level)
-    return {
-        "level": result.level,
-        "crossed": result.crossed,
-        "value": result.value,
-        "t_g_ns": result.t_g_ns,
-    }
-
-
 def _threshold_entries(grid: SweepGrid, levels) -> list[dict]:
     entries = []
     for level in levels:
         try:
-            entries.append(_threshold_entry(grid, level))
+            entries.append(asdict(threshold(grid, level)))
         except ValueError as exc:
             entries.append({"level": level, "crossed": None, "note": str(exc)})
     return entries
@@ -453,7 +451,7 @@ def _run_sweep(cfg: RunConfig):
 
 def _run_threshold(cfg: RunConfig):
     grid = sweep(cfg.base, cfg.axes)
-    return {"gate": cfg.base.gate, **_threshold_entry(grid, cfg.level)}, [grid], None
+    return {"gate": cfg.base.gate, **asdict(threshold(grid, cfg.level))}, [grid], None
 
 
 def _run_truncation(cfg: RunConfig):
@@ -490,23 +488,17 @@ class _Mode:
     summary_keys: set[str]
 
 
+def _field_names(cls) -> set[str]:
+    return {field.name for field in fields(cls)}
+
+
 #: Every run mode; its order is that of ``MODES``, which the unknown-mode error prints.
 _MODE_TABLE = {
-    "gate": _Mode(
-        0, _run_gate, {"gate", "t_g_ns", "fidelity", "leakage", "theta_a", "theta_b", "theta_global", "projected_block"}
-    ),
+    "gate": _Mode(0, _run_gate, {"gate", "t_g_ns", *_field_names(GateResult)}),
     "sweep1d": _Mode(1, _run_sweep, {"gate", "n_rows", "max_fidelity", "min_fidelity", "thresholds"}),
     "sweep2d": _Mode(2, _run_sweep, {"gate", "n_rows", "max_fidelity", "min_fidelity"}),
-    "effective": _Mode(
-        0,
-        _run_effective,
-        {
-            "g_eff_1", "g_eff_2", "g_eff_3", "g_eff_4",
-            "dressed_freq_a1", "dressed_freq_b1", "dressed_freq_a2", "dressed_freq_b2",
-            "detuning_a", "detuning_b",
-        },
-    ),
-    "threshold": _Mode(1, _run_threshold, {"gate", "level", "crossed", "value", "t_g_ns"}),
+    "effective": _Mode(0, _run_effective, _field_names(EffectiveCouplings)),
+    "threshold": _Mode(1, _run_threshold, {"gate", *_field_names(ThresholdResult)}),
     "truncation": _Mode(1, _run_truncation, {"gate", "n_levels_list", "max_abs_fidelity_diff"}),
     "ramp": _Mode(1, _run_ramp, {"gate", "tau_d_list", "detrended_amplitudes"}),
 }

@@ -65,6 +65,8 @@ class QubitSpec:
             raise ValueError(f"qubit freq must be positive and finite, got {self.freq}")
         if not 0 <= self.anharm < math.inf:
             raise ValueError(f"qubit anharm must be non-negative and finite, got {self.anharm}")
+        if not isinstance(self.n_levels, (int, np.integer)):
+            raise ValueError(f"qubit n_levels must be an integer, got {self.n_levels!r}")
         if self.n_levels < 2:
             raise ValueError(f"a qubit needs at least two levels, got {self.n_levels}")
 
@@ -108,6 +110,8 @@ class IndirectSystemSpec:
             raise ValueError(f"cavity_freq must be positive and finite, got {self.cavity_freq}")
         if not 0 <= self.g_qc < math.inf:
             raise ValueError(f"coupling g_qc must be non-negative and finite, got {self.g_qc}")
+        if not isinstance(self.n_photons, (int, np.integer)):
+            raise ValueError(f"cavity truncation n_photons must be an integer, got {self.n_photons!r}")
         if self.n_photons < 2:
             raise ValueError(f"cavity truncation must be at least 2, got {self.n_photons}")
 
@@ -252,23 +256,20 @@ def _scaled_levels(specs) -> list[np.ndarray]:
     return scaled
 
 
-def build_direct_hamiltonian(spec: DirectSystemSpec, freq_scale_b: float = 1.0) -> np.ndarray:
-    """Full Hamiltonian of a directly coupled pair, rad/ns.
+def build_direct_hamiltonian(spec: DirectSystemSpec | IndirectSystemSpec, freq_scale_b: float = 1.0) -> np.ndarray:
+    """Full Hamiltonian of a directly or a cavity-coupled pair, rad/ns.
 
     ``freq_scale_b`` multiplies qubit B's bare frequency term ``n*freq`` only;
     the anharmonicity is a junction property and stays fixed while the qubit
-    is flux-tuned.  Scale 1.0 is the nominal operating point.
+    is flux-tuned.  Scale 1.0 is the nominal operating point.  A cavity pair's
+    qubit-cavity coupling enters as (a + a^dag) Jx for each qubit, with both
+    rotating and counter-rotating terms kept.  ``build_indirect_hamiltonian``
+    is the same function.
     """
     return _assemble(*_modes([spec], freq_scale_b))[0].astype(complex)
 
 
-def build_indirect_hamiltonian(spec: IndirectSystemSpec, freq_scale_b: float = 1.0) -> np.ndarray:
-    """Full Hamiltonian of a cavity-coupled pair, rad/ns.
-
-    The qubit-cavity coupling enters as (a + a^dag) Jx for each qubit, with
-    both rotating and counter-rotating terms kept.
-    """
-    return _assemble(*_modes([spec], freq_scale_b))[0].astype(complex)
+build_indirect_hamiltonian = build_direct_hamiltonian
 
 
 def hamiltonian_parts(spec: DirectSystemSpec | IndirectSystemSpec) -> tuple[np.ndarray, np.ndarray]:

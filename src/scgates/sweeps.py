@@ -350,6 +350,8 @@ def threshold(grid: SweepGrid, level: float) -> ThresholdResult:
     crossing is what bounds the safe operating regime.  Returns an explicit
     not-crossed result when the curve never drops below ``level``.
     """
+    if not math.isfinite(level):
+        raise ValueError(f"threshold level must be finite, got {level}")
     if len(grid.axes) != 1:
         raise ValueError("threshold extraction needs a 1D grid")
     ok_rows = [row for row in grid.rows if row.status == "ok"]
@@ -390,8 +392,8 @@ def truncation_study(base: SweepBase, n_levels_list, axis: SweepAxis, jobs: int 
     for n in n_levels_list:
         system = replace(
             base.system,
-            qubit_a=replace(base.system.qubit_a, n_levels=int(n)),
-            qubit_b=replace(base.system.qubit_b, n_levels=int(n)),
+            qubit_a=replace(base.system.qubit_a, n_levels=n),
+            qubit_b=replace(base.system.qubit_b, n_levels=n),
         )
         grids.append(sweep(replace(base, system=system), (axis,)))
     return grids

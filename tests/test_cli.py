@@ -158,6 +158,162 @@ MODE_RULE_MESSAGES = {
 }
 
 
+
+def _with_system(config: dict, **system) -> dict:
+    """``config`` with its system's keys updated; a key set to None is removed."""
+    merged = {**config["system"], **system}
+    return {**config, "system": {k: v for k, v in merged.items() if v is not None}}
+
+
+def _with_qubit(config: dict, name: str, **qubit) -> dict:
+    merged = {**config["system"][name], **qubit}
+    return _with_system(config, **{name: {k: v for k, v in merged.items() if v is not None}})
+
+
+def _with_axis(**axis) -> dict:
+    merged = {**SWEEP_CONFIG["axes"][0], **axis}
+    return {**SWEEP_CONFIG, "axes": [{k: v for k, v in merged.items() if v is not None}]}
+
+
+AXIS_NAMES_TEXT = (
+    "['delta_a_over_g', 'delta_b_abs', 'delta_b_over_g', 'g_abs', 'g_over_delta_b', 'geff_abs', 'geff_over_delta_b']"
+)
+
+# The full message of each error in the system, qubit, axis and schedule
+# objects; where a config breaks two rules, the pinned message is the one
+# that fires first.  A spec's own ValueError carries its location as a
+# prefix, except SweepBase's, which has none.
+SPEC_ERROR_MESSAGES = {
+    "system-not-an-object": ({**GATE_CONFIG, "system": []}, "system must be an object"),
+    "qubit-not-an-object": (_with_system(GATE_CONFIG, qubit_a=5), "system.qubit_a must be an object"),
+    "axis-not-an-object": ({**SWEEP_CONFIG, "axes": [3]}, "axes[0] must be an object"),
+    "schedule-not-an-object": ({**GATE_CONFIG, "schedule": [1]}, "schedule must be an object"),
+    "axes-not-a-list": ({**SWEEP_CONFIG, "axes": {}}, "axes must be a list"),
+    "unknown-system-key": (_with_system(GATE_CONFIG, n_photons=5), "unknown key(s) ['n_photons'] in system"),
+    "unknown-indirect-system-key": (
+        _with_system(EFFECTIVE_CONFIG, g=0.01),
+        "unknown key(s) ['g'] in system",
+    ),
+    "unknown-qubit-key": (
+        _with_qubit(GATE_CONFIG, "qubit_a", color="blue"),
+        "unknown key(s) ['color'] in system.qubit_a",
+    ),
+    "unknown-axis-key": (_with_axis(step=0.1), "unknown key(s) ['step'] in axes[0]"),
+    "unknown-schedule-key": ({**GATE_CONFIG, "schedule": {"tau": 5.0}}, "unknown key(s) ['tau'] in schedule"),
+    "missing-kind": (_with_system(GATE_CONFIG, kind=None), "missing required key 'kind' in system"),
+    "missing-g": (_with_system(GATE_CONFIG, g=None), "missing required key 'g' in system"),
+    "missing-g_qc": (_with_system(EFFECTIVE_CONFIG, g_qc=None), "missing required key 'g_qc' in system"),
+    "missing-qubit-freq": (
+        _with_qubit(GATE_CONFIG, "qubit_a", freq=None),
+        "missing required key 'freq' in system.qubit_a",
+    ),
+    "missing-axis-n_points": (_with_axis(n_points=None), "missing required key 'n_points' in axes[0]"),
+    "wrong-typed-kind": (_with_system(GATE_CONFIG, kind=3), "key 'kind' in system has wrong type int"),
+    "wrong-typed-g": (_with_system(GATE_CONFIG, g="0.011"), "key 'g' in system has wrong type str"),
+    "wrong-typed-n_photons": (
+        _with_system(EFFECTIVE_CONFIG, n_photons=4.5),
+        "key 'n_photons' in system has wrong type float",
+    ),
+    "wrong-typed-qubit-n_levels": (
+        _with_qubit(GATE_CONFIG, "qubit_a", n_levels=3.0),
+        "key 'n_levels' in system.qubit_a has wrong type float",
+    ),
+    "boolean-qubit-anharm": (
+        _with_qubit(GATE_CONFIG, "qubit_b", anharm=True),
+        "key 'anharm' in system.qubit_b has wrong type bool",
+    ),
+    "wrong-typed-axis-n_points": (_with_axis(n_points=2.5), "key 'n_points' in axes[0] has wrong type float"),
+    "wrong-typed-axis-name": (_with_axis(name=3), "key 'name' in axes[0] has wrong type int"),
+    "wrong-typed-schedule-dt": (
+        {**GATE_CONFIG, "schedule": {"dt": "0.01"}},
+        "key 'dt' in schedule has wrong type str",
+    ),
+    "wrong-typed-tie_anharm": ({**GATE_CONFIG, "tie_anharm": "yes"}, "key 'tie_anharm' in config has wrong type str"),
+    "non-finite-g": (_with_system(GATE_CONFIG, g=float("nan")), "key 'g' in system must be finite, got nan"),
+    "non-finite-qubit-freq": (
+        _with_qubit(GATE_CONFIG, "qubit_a", freq=float("inf")),
+        "key 'freq' in system.qubit_a must be finite, got inf",
+    ),
+    "non-finite-axis-start": (_with_axis(start=float("-inf")), "key 'start' in axes[0] must be finite, got -inf"),
+    "non-finite-schedule-tau_d": (
+        {**GATE_CONFIG, "schedule": {"tau_d": float("inf")}},
+        "key 'tau_d' in schedule must be finite, got inf",
+    ),
+    "direct-spec-error": (
+        _with_system(GATE_CONFIG, g=-0.1),
+        "system: coupling g must be non-negative and finite, got -0.1",
+    ),
+    "indirect-spec-error": (
+        _with_system(EFFECTIVE_CONFIG, cavity_freq=0),
+        "system: cavity_freq must be positive and finite, got 0.0",
+    ),
+    "cavity-truncation-error": (
+        _with_system(EFFECTIVE_CONFIG, n_photons=1),
+        "system: cavity truncation must be at least 2, got 1",
+    ),
+    "qubit-spec-error": (
+        _with_qubit(GATE_CONFIG, "qubit_a", freq=-1),
+        "system.qubit_a: qubit freq must be positive and finite, got -1.0",
+    ),
+    "qubit-levels-error": (
+        _with_qubit(GATE_CONFIG, "qubit_b", n_levels=1),
+        "system.qubit_b: a qubit needs at least two levels, got 1",
+    ),
+    "axis-name-error": (
+        _with_axis(name="bogus"),
+        f"axes[0]: unknown axis 'bogus'; expected one of {AXIS_NAMES_TEXT}",
+    ),
+    "axis-order-error": (_with_axis(start=0.2, stop=0.1), "axes[0]: axis needs start < stop, got [0.2, 0.1]"),
+    "axis-points-error": (_with_axis(n_points=1), "axes[0]: axis needs at least 2 points, got 1"),
+    "bad-kind": (
+        _with_system(GATE_CONFIG, kind="capacitive"),
+        "system.kind must be 'direct' or 'indirect', got 'capacitive'",
+    ),
+    "base-dt-error": ({**GATE_CONFIG, "schedule": {"dt": -0.01}}, "dt must be positive and finite, got -0.01"),
+    "base-tau_d-error": (
+        {**GATE_CONFIG, "schedule": {"tau_d": -1}},
+        "ramp duration tau_d must be non-negative and finite, got -1.0",
+    ),
+    "base-gate-error": (
+        {**GATE_CONFIG, "gate": "cnot"},
+        "unknown gate kind 'cnot'; expected one of ['cz', 'iswap']",
+    ),
+    "kind-before-unknown-keys": (
+        _with_system(GATE_CONFIG, kind="capacitive", bogus=1),
+        "system.kind must be 'direct' or 'indirect', got 'capacitive'",
+    ),
+    "unknown-keys-before-qubit-errors": (
+        _with_system(_with_qubit(GATE_CONFIG, "qubit_a", freq=-1), bogus=1),
+        "unknown key(s) ['bogus'] in system",
+    ),
+    "qubit_a-before-qubit_b": (
+        _with_qubit(_with_qubit(GATE_CONFIG, "qubit_a", freq=-1), "qubit_b", freq=None),
+        "system.qubit_a: qubit freq must be positive and finite, got -1.0",
+    ),
+    "qubit_b-before-missing-g": (
+        _with_qubit(_with_system(GATE_CONFIG, g=None), "qubit_b", anharm=-0.1),
+        "system.qubit_b: qubit anharm must be non-negative and finite, got -0.1",
+    ),
+    "missing-qubit_a": (_with_system(GATE_CONFIG, qubit_a=None), "system.qubit_a must be an object"),
+    "system-before-schedule": (
+        {**_with_system(GATE_CONFIG, g=-0.1), "schedule": {"tau": 1.0}},
+        "system: coupling g must be non-negative and finite, got -0.1",
+    ),
+    "schedule-before-gate": (
+        {**GATE_CONFIG, "gate": "cnot", "schedule": {"dt": "0.01"}},
+        "key 'dt' in schedule has wrong type str",
+    ),
+    "gate-before-axes": (
+        {**_with_axis(n_points=1), "gate": "cnot"},
+        "unknown gate kind 'cnot'; expected one of ['cz', 'iswap']",
+    ),
+    "first-axis-first": (
+        {**SWEEP_CONFIG, "mode": "sweep2d", "axes": [{"name": "g_abs"}, 3]},
+        "missing required key 'start' in axes[0]",
+    ),
+}
+
+
 class TestParsing:
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -233,6 +389,12 @@ class TestParsing:
 
     @pytest.mark.parametrize("config, message", MODE_RULE_MESSAGES.values(), ids=MODE_RULE_MESSAGES.keys())
     def test_mode_rule_messages(self, config, message):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(config)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("config, message", SPEC_ERROR_MESSAGES.values(), ids=SPEC_ERROR_MESSAGES.keys())
+    def test_spec_error_messages(self, config, message):
         with pytest.raises(ConfigError) as exc:
             parse_config(config)
         assert str(exc.value) == message

@@ -48,6 +48,10 @@ class TestQubitSpec:
             QubitSpec(freq=5.0, anharm=-0.1)
         with pytest.raises(ValueError):
             QubitSpec(freq=5.0, anharm=0.1, n_levels=1)
+        with pytest.raises(ValueError, match="qubit n_levels must be an integer, got 2.5"):
+            QubitSpec(5.5, 0.15, 2.5)
+        with pytest.raises(ValueError, match="cavity truncation n_photons must be an integer, got 4.5"):
+            IndirectSystemSpec(QA, QB, 6.9, 0.1, n_photons=4.5)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("field", sorted(NON_FINITE_FIELDS))

@@ -415,6 +415,12 @@ class TestThreshold:
         with pytest.raises(ValueError, match="below level"):
             threshold(grid, 0.99)
 
+    @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_level(self, level):
+        grid = synthetic_grid(np.linspace(0.1, 0.2, 5), np.ones(5))
+        with pytest.raises(ValueError, match=f"threshold level must be finite, got {level}"):
+            threshold(grid, level)
+
     def test_needs_1d_grid(self):
         axes = (
             SweepAxis("delta_a_over_g", 1.0, 2.0, 2),
@@ -439,6 +445,8 @@ class TestStudies:
         grids = truncation_study(ISWAP_BASE, [3, 5], axis)
         assert grids[1].base.system.qubit_a.n_levels == 5
         assert grids[1].base.system.qubit_b.n_levels == 5
+        with pytest.raises(ValueError, match="qubit n_levels must be an integer, got 3.7"):
+            truncation_study(ISWAP_BASE, [3.7], axis)
 
     def test_ramp_study_requires_direct_cz(self):
         axis = SweepAxis("g_over_delta_b", 0.1, 0.2, 2)
