@@ -34,18 +34,22 @@ The exponentials are taken in one of two ways, chosen by the segment kind:
   Loan, IEEE Trans. Autom. Control 23, 395 (1978)), with
   ||F_m|| <= ||W||^m / m!.  A chunk keeps ||W||_max <= 1/16, and M is the
   least degree whose remainder bound is 2^-53 or less (M <= 8; 4 to 6 for
-  the fig3b pair at the default dt).  One matrix product of the Vandermonde
-  matrix of the delta_s with the F_m, each in its real (2k, 2k) image, then
-  gives every exponential of the chunk.  That block exponential costs about
-  as much as (M + 1)^3 exponentials of size k, so a chunk is a polynomial
-  only where it holds more; elsewhere (wide chunks, short ramps, and in
-  practice every block of more than about 20 levels, where few exponentials
-  fit in a chunk) each exponential takes the series on its own, as one
-  complex stack per chunk.
+  the fig3b pair at the default dt).  The product of the Vandermonde matrix
+  of the delta_s with the F_m, each in its real (2k, 2k) image, then gives
+  every exponential of the chunk.  That block exponential costs about as
+  much as (M + 1)^3 exponentials of size k, so a chunk is such a polynomial
+  run only where it holds more; elsewhere (wide chunks, short ramps) each
+  exponential takes the series on its own, as one complex stack per chunk.
+  Only accuracy ends a polynomial run, so at the default dt a whole ramp of
+  the fig3b pair, or a 5 ns ramp of a 45-level cavity system, is one run per
+  block.
 
-Exponentials within a ramp chunk are combined with a pairwise product tree,
-over their real images where the chunk is a polynomial, and only the chunk's
-product is taken back to complex.
+Memory is bounded apart from accuracy, by _CHUNK_ENTRIES entries of real
+(2k, 2k) images: a chunk taken one exponential at a time holds at most that
+many, and a polynomial run is evaluated in slices of at most that many, into
+one workspace of 1.5 slices.  The exponentials of a chunk or slice are
+combined with a pairwise product tree, over their real images where they
+come from a polynomial, and only a chunk's product is taken back to complex.
 
 The exponentials and their products are formed block by block, one block per
 parity of the total excitation number (``hamiltonians.parity_blocks``).  The
@@ -83,9 +87,11 @@ SCHEDULE_UNITARITY_TOL = 1e-8
 #: 2^-53 is at most 8.
 _THETA = 1.0 / 16.0
 
-#: Most entries in the real (2k, 2k) images of one ramp chunk's exponentials,
-#: n_c (2k)^2, 800 KB of doubles: 1,024 exponentials of a 5-level block, 48
-#: of a 23-level one and 6 of a 63-level one.
+#: Most entries, n (2k)^2, in the real (2k, 2k) images of the exponentials of
+#: one ramp chunk taken one at a time, or of one slice of a polynomial run
+#: (see ``_run_product``), and at least one image: 800 KB of doubles, 1,024
+#: exponentials of a 5-level block, 48 of a 23-level one and 6 of a 63-level
+#: one.  It bounds memory only; accuracy alone ends a polynomial run.
 _CHUNK_ENTRIES = 100 * 1024
 
 #: Fractions of a CF4 step at which its two half-step exponentials freeze H.
@@ -178,12 +184,20 @@ def _unitarity_defect(u: np.ndarray) -> float:
     return float(_unitarity_defects(u[None])[0])
 
 
-def _product_in_order(us: np.ndarray) -> np.ndarray:
-    """Product us[-1] @ ... @ us[0] by pairwise tree reduction."""
-    while us.shape[0] > 1:
-        pairs = us.shape[0] // 2
-        head = np.matmul(us[1 : 2 * pairs : 2], us[0 : 2 * pairs : 2])
-        us = np.concatenate([head, us[-1:]]) if us.shape[0] % 2 else head
+def _product_in_order(us: np.ndarray, spare: np.ndarray | None = None) -> np.ndarray:
+    """Product us[-1] @ ... @ us[0] by pairwise tree reduction.
+
+    Where a level has an odd matrix out, it is multiplied onto the level's
+    last product.  With ``spare``, a stack of at least half as many matrices
+    as ``us``, the levels are written into ``spare`` and ``us`` in turn, so
+    the tree overwrites ``us`` and allocates no stack.
+    """
+    while len(us) > 1:
+        pairs = len(us) // 2
+        out = np.matmul(us[1 : 2 * pairs : 2], us[0 : 2 * pairs : 2], out=None if spare is None else spare[:pairs])
+        if len(us) % 2:
+            out[-1] = us[-1] @ out[-1]
+        us, spare = out, None if spare is None else us
     return us[0]
 
 
@@ -249,6 +263,40 @@ def _series_exponentials(x: np.ndarray, symmetric: bool) -> np.ndarray:
     return u
 
 
+def _shifted(h0: np.ndarray, d1: np.ndarray, scales: np.ndarray, step: float):
+    """X_s = a + s b of one ramp chunk, as (a, b), and the shifts mu_s split off it (see ``_ramp_exponentials``)."""
+    shift = np.mean(np.diagonal(h0))
+    return step * (h0 - shift * np.eye(len(d1))), step * np.diag(d1 - d1.mean()), shift + scales * d1.mean()
+
+
+def _ramp_coefficients(h0: np.ndarray, d1: np.ndarray, scales: np.ndarray, step: float, degree: int):
+    """A polynomial ramp run's coefficients: the real images of F_0 ... F_M, its delta_s and its shifts mu.
+
+    The images [[Re, -Im], [Im, Re]] of the F_m are the rows of an
+    (M + 1, 4 k^2) matrix, so the images of the u_s are the rows of the
+    product of the run's Vandermonde matrix in delta with it (see
+    ``_ramp_exponentials``).
+    """
+    k = len(d1)
+    a, b, mu = _shifted(h0, d1, scales, step)
+    mid, half = (scales[0] + scales[-1]) / 2, abs(scales[-1] - scales[0]) / 2
+    n_mat, m = np.zeros((degree + 1, k, degree + 1, k)), np.arange(degree + 1)
+    n_mat[m, :, m], n_mat[m[:-1], :, m[1:]] = a + mid * b, half * b
+    n_mat = n_mat.reshape((degree + 1) * k, -1)
+    f = _series_exponentials(n_mat[None], symmetric=False)[0, :k].reshape(k, degree + 1, k).swapaxes(0, 1)
+    images = np.block([[f.real, -f.imag], [f.imag, f.real]]).reshape(degree + 1, -1)
+    return images, (scales - mid) / (half or 1.0), mu
+
+
+def _powers(delta: np.ndarray, degree: int) -> np.ndarray:
+    """The (n, degree + 1) Vandermonde matrix delta^0 ... delta^degree, as a transposed view."""
+    p = np.empty((degree + 1, len(delta)))
+    p[0] = 1.0
+    for m in range(degree):
+        np.multiply(p[m], delta, out=p[m + 1])
+    return p.T
+
+
 def _ramp_exponentials(h0: np.ndarray, d1: np.ndarray, scales: np.ndarray, step: float, degree: int | None):
     """exp(-i step (h0 + s diag(d1))) for the (n,) ``scales`` of one ramp chunk, without an eigensolver.
 
@@ -265,19 +313,16 @@ def _ramp_exponentials(h0: np.ndarray, d1: np.ndarray, scales: np.ndarray, step:
     remainder of at most sum_{m > M} ||W||^m / m!.  F_0 ... F_M are the first
     block row of exp(-i N) (Van Loan, IEEE Trans. Autom. Control 23, 395
     (1978)), N the block upper bidiagonal matrix of M + 1 blocks Xc on the
-    diagonal and W above it, and one product of the Vandermonde matrix of the
-    delta with the images of the F_m gives every u_s.
+    diagonal and W above it (``_ramp_coefficients``), and one product of the
+    Vandermonde matrix of the delta with the images of the F_m gives every
+    u_s.  The propagator forms that product in memory-capped slices instead
+    (``_run_product``); this form gives all of a chunk's u_s at once.
     """
-    k, shift = len(d1), np.mean(np.diagonal(h0))
-    a, b = step * (h0 - shift * np.eye(k)), step * np.diag(d1 - d1.mean())
     if degree is None:
-        return _series_exponentials(a + scales[:, None, None] * b, symmetric=True), shift + scales * d1.mean()
-    mid, half = (scales[0] + scales[-1]) / 2, abs(scales[-1] - scales[0]) / 2
-    n_mat = np.kron(np.eye(degree + 1), a + mid * b) + np.kron(np.eye(degree + 1, k=1), half * b)
-    f = _series_exponentials(n_mat[None], symmetric=False)[0, :k].reshape(k, degree + 1, k).swapaxes(0, 1)
-    images = np.block([[f.real, -f.imag], [f.imag, f.real]]).reshape(degree + 1, -1)
-    vander = np.vander((scales - mid) / (half or 1.0), degree + 1, increasing=True)
-    return (vander @ images).reshape(-1, 2 * k, 2 * k), shift + scales * d1.mean()
+        a, b, mu = _shifted(h0, d1, scales, step)
+        return _series_exponentials(a + scales[:, None, None] * b, symmetric=True), mu
+    images, delta, mu = _ramp_coefficients(h0, d1, scales, step, degree)
+    return (_powers(delta, degree) @ images).reshape(len(scales), 2 * len(d1), -1), mu
 
 
 def _gather(h: np.ndarray, blocks) -> list[np.ndarray]:
@@ -294,28 +339,60 @@ def _scatter(us: list[np.ndarray], blocks) -> np.ndarray:
     return u
 
 
+def _most(k: int) -> int:
+    """Most real (2k, 2k) images within _CHUNK_ENTRIES entries, and at least one."""
+    return max(1, _CHUNK_ENTRIES // (2 * k) ** 2)
+
+
 def _ramp_chunks(d1: np.ndarray, scales: np.ndarray, step: float):
     """One block's monotone ``scales`` cut into ramp chunks, each with its degree M or None.
 
-    A chunk starts where the last one ended and holds at most
-    _CHUNK_ENTRIES entries in its exponentials' real (2k, 2k) images.  Its
-    polynomial run is the longest start of it with ||W||_max =
-    step w max|d1 - mean d1| <= _THETA, w the run's half-span of scales, and
-    M the least degree whose remainder bound is 2^-53 or less.  The block
-    exponential of size (M + 1) k costs about as much as (M + 1)^3 of the
-    exponentials taken one at a time, so the run is a chunk of degree M only
-    where it holds more than (M + 1)^3 of them.  Otherwise the whole capped
-    chunk takes its exponentials one at a time (degree None).
+    A chunk starts where the last one ended.  Its polynomial run is the
+    longest start of it with ||W||_max = step w max|d1 - mean d1| <= _THETA,
+    w the run's half-span of scales, and M the least degree whose remainder
+    bound is 2^-53 or less.  The run is found by one ``searchsorted`` on the
+    block's ||W||_max from its first scale, which costs O(log n) per run.
+    The block exponential of size (M + 1) k costs about as much as
+    (M + 1)^3 of the exponentials taken one at a time, so the run is a chunk
+    of degree M only where it holds more than (M + 1)^3 of them, however
+    many that is.  Otherwise the chunk takes the most exponentials whose
+    real (2k, 2k) images fit in _CHUNK_ENTRIES entries one at a time
+    (degree None).
     """
-    most = max(1, _CHUNK_ENTRIES // (2 * len(d1)) ** 2)
-    while len(scales):
-        widths = step * np.abs(d1 - d1.mean()).max() / 2 * np.abs(scales[:most] - scales[0])
-        n = int(np.searchsorted(widths, _THETA, "right"))
+    # ||W||_max of the run from scales[i] to scales[j] is reach[j] - reach[i]
+    reach = step * np.abs(d1 - d1.mean()).max() / 2 * np.abs(scales - scales[0])
+    start = 0
+    while start < len(scales):
+        end = int(np.searchsorted(reach, reach[start] + _THETA, "right"))
+        width = float(reach[end - 1] - reach[start])
         # the tail is at most twice its first term while ||W|| <= 1
-        degree = next(m for m in range(64) if float(widths[n - 1]) ** (m + 1) / math.factorial(m + 1) <= 2.0**-54)
-        chunk, degree = (scales[:n], degree) if (degree + 1) ** 3 < n else (scales[:most], None)
-        yield chunk, degree
-        scales = scales[len(chunk) :]
+        degree = next(m for m in range(64) if width ** (m + 1) / math.factorial(m + 1) <= 2.0**-54)
+        if (degree + 1) ** 3 >= end - start:
+            end, degree = start + _most(len(d1)), None
+        yield scales[start:end], degree
+        start = end
+
+
+def _run_product(images: np.ndarray, delta: np.ndarray, k: int) -> np.ndarray:
+    """Product u_s[-1] ... u_s[0] of a polynomial run's exponentials, without the shifts mu_s.
+
+    ``images`` and ``delta`` are the run's, from ``_ramp_coefficients``, and
+    k its block size.  The run is taken in slices of at most _CHUNK_ENTRIES
+    image entries.  Each slice's Vandermonde rows times ``images`` is formed
+    into one workspace of 1.5 slices, reduced there by a product tree whose
+    levels alternate with the workspace's spare half, and multiplied onto
+    the real product of the slices before it.  So a run allocates one stack
+    of at most 1.5 _CHUNK_ENTRIES doubles however long it is, and only its
+    product is taken back to complex.
+    """
+    most = _most(k)
+    work = np.empty((most + most // 2, 2 * k, 2 * k))
+    p = np.eye(2 * k)
+    for lo in range(0, len(delta), most):
+        rows = _powers(delta[lo : lo + most], len(images) - 1)
+        v = np.matmul(rows, images, out=work[: len(rows)].reshape(len(rows), -1))
+        p = _product_in_order(v.reshape(-1, 2 * k, 2 * k), work[most:]) @ p
+    return p[:k, :k] + 1j * p[k:, :k]
 
 
 def _ramp_propagator(parts: list[tuple[np.ndarray, np.ndarray]], seg: ScheduleSegment, n: int):
@@ -323,12 +400,13 @@ def _ramp_propagator(parts: list[tuple[np.ndarray, np.ndarray]], seg: ScheduleSe
 
     ``parts`` holds the (h0, h1) of each block, h1 diagonal.  Each step
     takes two half-step exponentials at the CF4 nodes, the earliest first.
-    Per block, each chunk of them (``_ramp_chunks``) takes one
-    ``_ramp_exponentials`` and a product tree, over the real images where
-    the chunk is a polynomial.  The scalar phases exp(-i step mu_s) of a
-    chunk's exponentials commute with everything, so they are applied once
-    per block and chunk, as exp(-i step sum(mu_s)), to the chunk's complex
-    product.
+    Per block, the chunks (``_ramp_chunks``) are multiplied in time order.
+    A chunk of degree None takes one ``_ramp_exponentials`` and a product
+    tree; a polynomial run takes one ``_ramp_coefficients`` and one
+    ``_run_product``, in memory-capped slices.  The scalar phases
+    exp(-i step mu_s) of a chunk's exponentials commute with everything, so
+    they are applied once per chunk, as exp(-i step sum(mu_s)), to the
+    chunk's complex product.
     """
     frac = (np.arange(n)[:, None] + _CF4_NODES).ravel() / n
     scales = seg.scale_start + (seg.scale_end - seg.scale_start) * frac
@@ -336,12 +414,16 @@ def _ramp_propagator(parts: list[tuple[np.ndarray, np.ndarray]], seg: ScheduleSe
     us = []
     for h0, h1 in parts:
         d1, k = np.diagonal(h1), len(h0)
-        chunks = []
+        u = np.eye(k, dtype=complex)
         for chunk, degree in _ramp_chunks(d1, scales, step):
-            u, mu = _ramp_exponentials(h0, d1, chunk, step, degree)
-            p = _product_in_order(u)
-            chunks.append(np.exp(-1j * step * mu.sum()) * (p if degree is None else p[:k, :k] + 1j * p[k:, :k]))
-        us.append(_product_in_order(np.stack(chunks)))
+            if degree is None:
+                v, mu = _ramp_exponentials(h0, d1, chunk, step, None)
+                p = _product_in_order(v)
+            else:
+                images, delta, mu = _ramp_coefficients(h0, d1, chunk, step, degree)
+                p = _run_product(images, delta, k)
+            u = np.exp(-1j * step * mu.sum()) * p @ u
+        us.append(u)
     return us
 
 

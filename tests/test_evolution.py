@@ -26,7 +26,7 @@ from scgates import (
 from scgates import evolution, presets
 from scgates.cli import parse_config
 from scgates.evolution import SCHEDULE_UNITARITY_TOL, UnitarityError, constant_propagators
-from scgates.hamiltonians import hamiltonian_stack, parity_blocks
+from scgates.hamiltonians import hamiltonian_parts, hamiltonian_stack, parity_blocks
 
 CZ_SPEC = DirectSystemSpec(QubitSpec(7.16, 0.087, 3), QubitSpec(7.274, 0.114, 3), 0.0274)
 
@@ -270,22 +270,31 @@ class TestParitySplit:
 def spoil_ramp_block(spec, duration: float, spoiled: int, polynomial: bool, monkeypatch):
     """Spoil one block's ramp exponentials by 1 + 1e-6 and expect ``UnitarityError``.
 
-    ``polynomial`` says whether every chunk of the ramp-only segment from
-    scale 1.1 to 1 is a polynomial in the scale or none is.
+    Exponentials taken one at a time are spoiled where ``_ramp_exponentials``
+    returns them, and a polynomial run's in its coefficients, where
+    ``_ramp_coefficients`` returns them.  ``polynomial`` says whether every
+    chunk of the ramp-only segment from scale 1.1 to 1 is a polynomial run
+    or none is.
     """
     size = len(parity_blocks(spec)[spoiled])
-    ramp_exponentials = evolution._ramp_exponentials
-    degrees = []
+    calls = []
 
-    def spoiled_ramp_exponentials(h0, d1, scales, step, degree):
-        u, mu = ramp_exponentials(h0, d1, scales, step, degree)
-        degrees.append(degree)
-        return (u * (1 + 1e-6) if len(h0) == size else u), mu
+    def spoil(name):
+        kernel = getattr(evolution, name)
 
-    monkeypatch.setattr(evolution, "_ramp_exponentials", spoiled_ramp_exponentials)
+        def spoiled_kernel(h0, d1, scales, step, degree):
+            first, *rest = kernel(h0, d1, scales, step, degree)
+            calls.append((len(h0), degree is not None))
+            return (first * (1 + 1e-6) if len(h0) == size else first), *rest
+
+        monkeypatch.setattr(evolution, name, spoiled_kernel)
+
+    spoil("_ramp_exponentials")
+    spoil("_ramp_coefficients")
     with pytest.raises(UnitarityError):
         propagate_schedule(spec, PulseSchedule((ScheduleSegment(duration, 1.1, 1.0),)))
-    assert degrees and all((degree is not None) == polynomial for degree in degrees)
+    assert {k for k, _ in calls} == {len(ix) for ix in parity_blocks(spec)}
+    assert {kind for _, kind in calls} == {polynomial}
 
 
 def _shifted_norm(h: np.ndarray) -> float:
@@ -296,16 +305,31 @@ def _shifted_norm(h: np.ndarray) -> float:
 
 @pytest.fixture
 def chunk_sizes(monkeypatch):
-    """(block size, exponentials, degree or None) of each ramp chunk exponentiated during the test."""
+    """(block size, exponentials, degree or None) of each ramp chunk cut during the test."""
     sizes = []
-    ramp_exponentials = evolution._ramp_exponentials
+    ramp_chunks = evolution._ramp_chunks
 
-    def recording_ramp_exponentials(h0, d1, scales, step, degree):
-        sizes.append((len(h0), len(scales), degree))
-        return ramp_exponentials(h0, d1, scales, step, degree)
+    def recording_ramp_chunks(d1, scales, step):
+        for chunk, degree in ramp_chunks(d1, scales, step):
+            sizes.append((len(d1), len(chunk), degree))
+            yield chunk, degree
 
-    monkeypatch.setattr(evolution, "_ramp_exponentials", recording_ramp_exponentials)
+    monkeypatch.setattr(evolution, "_ramp_chunks", recording_ramp_chunks)
     return sizes
+
+
+@pytest.fixture
+def tree_inputs(monkeypatch):
+    """(matrices, matrix size, real or not) of each stack handed to the ramp product tree during the test."""
+    stacks = []
+    product_in_order = evolution._product_in_order
+
+    def recording_product_in_order(us, spare=None):
+        stacks.append((len(us), us.shape[-1], not np.iscomplexobj(us)))
+        return product_in_order(us, spare)
+
+    monkeypatch.setattr(evolution, "_product_in_order", recording_product_in_order)
+    return stacks
 
 
 def _least_degree(w: float) -> int:
@@ -381,6 +405,20 @@ class TestRampExponentials:
         assert degree is None and np.array_equal(chunk, scales)
         self.assert_matches_eigh(h0, d1, scales, 40.0 / _shifted_norm((h0 + 10.0 * np.diag(d1))[None]))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 11])
+    def test_the_product_tree_multiplies_in_time_order(self, n):
+        # with a spare stack of half as many matrices the tree writes its levels
+        # there and back into the stack, and allocates none of its own
+        rng = np.random.default_rng(n)
+        us = rng.normal(size=(n, 4, 4)) / 2
+        ref = np.eye(4)
+        for u in us:
+            ref = u @ ref
+        work = np.concatenate([us, np.empty((n // 2, 4, 4))])
+        for p in evolution._product_in_order(us.copy()), evolution._product_in_order(work[:n], work[n:]):
+            assert np.max(np.abs(p - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert np.shares_memory(p, work)
+
     def test_zero_stack_gives_identity(self):
         u, mu = evolution._ramp_exponentials(np.zeros((4, 4)), np.zeros(4), np.ones(3), 0.7, None)
         assert np.array_equal(u, np.broadcast_to(np.eye(4), (3, 4, 4)))
@@ -424,21 +462,47 @@ class TestRampExponentials:
         self.assert_matches_eigh(h0, d1, scales, step)
 
     @pytest.mark.parametrize("levels", [3, 5], ids=["45-level", "125-level"])
-    def test_cavity_chunks_stay_within_the_entry_cap(self, levels, chunk_sizes):
+    def test_cavity_chunks_stay_within_the_entry_cap(self, levels, chunk_sizes, tree_inputs):
+        # the cap binds the chunks taken one exponential at a time and the slices of a polynomial run
         spec = IndirectSystemSpec(QubitSpec(8.2, 0.2, levels), QubitSpec(8.45, 0.25, levels), 6.9, 0.199)
         seg = ScheduleSegment(0.5 if levels == 5 else 2.0, 1.1, 1.0)
         assert propagate_schedule(spec, PulseSchedule((seg,))).unitarity_defect < 1e-12
         blocks = sorted(len(ix) for ix in parity_blocks(spec))
         assert sorted({k for k, _, _ in chunk_sizes}) == blocks
         for k in blocks:
-            sizes = [n for block, n, _ in chunk_sizes if block == k]
+            chunks = [(n, degree) for block, n, degree in chunk_sizes if block == k]
             cap = evolution._CHUNK_ENTRIES // (2 * k) ** 2
             assert cap == {23: 48, 22: 52, 63: 6, 62: 6}[k]
-            # the cap binds: every chunk but the last of its block is full
+            assert sum(n for n, _ in chunks) == 2 * math.ceil(seg.duration / DEFAULT_DT)
+            # every stack the product tree takes is full but the last of its block
+            sizes = [n for n, size, _ in tree_inputs if size in (k, 2 * k)]
             assert sizes[:-1] == [cap] * (len(sizes) - 1) and 0 < sizes[-1] <= cap
-            assert sum(sizes) == 2 * math.ceil(seg.duration / DEFAULT_DT)
-        # a chunk this short does not pay for a block exponential: one exponential at a time
-        assert {degree for _, _, degree in chunk_sizes} == {None}
+            if levels == 3:
+                # 400 exponentials within theta pay for a block exponential of degree 6:
+                # one polynomial run per block, taken in real slices
+                assert chunks == [(400, 6)] and {(size, real) for _, size, real in tree_inputs} >= {(2 * k, True)}
+            else:
+                # 100 exponentials do not pay for one: each is taken on its own, in capped chunks
+                assert [n for n, _ in chunks] == sizes and {degree for _, degree in chunks} == {None}
+
+    def test_polynomial_slices_stay_within_the_entry_cap(self, monkeypatch, tree_inputs):
+        # a 5 ns fig3b ramp is one polynomial run per block; a cap of six 5-level images
+        # cuts it into slices of 6 (5 levels) and 9 (4 levels) exponentials
+        system = parse_config(presets.figure_config("fig3b")).base.system
+        h0, h1 = hamiltonian_parts(system)
+        parts = list(zip(*(evolution._gather(h, parity_blocks(system)) for h in (h0, h1))))
+        seg = ScheduleSegment(5.0, 1.1, 1.0)
+        n = math.ceil(seg.duration / DEFAULT_DT)
+        full = evolution._ramp_propagator(parts, seg, n)
+        assert {real for _, _, real in tree_inputs} == {True}
+        tree_inputs.clear()
+        monkeypatch.setattr(evolution, "_CHUNK_ENTRIES", 6 * 10**2)
+        sliced = evolution._ramp_propagator(parts, seg, n)
+        for u, v in zip(full, sliced):
+            assert np.max(np.abs(u - v)) < 1e-13
+        assert {(size, real) for _, size, real in tree_inputs} == {(10, True), (8, True)}
+        assert max(m * size**2 for m, size, _ in tree_inputs) <= 600
+        assert sum(m for m, _, _ in tree_inputs) == 2 * 2 * n
 
     @pytest.mark.parametrize("dt", [0.05, 0.3])
     @pytest.mark.parametrize("figure", ["fig3b", "fig6b"])
@@ -446,14 +510,20 @@ class TestRampExponentials:
         assert_matches_cf4_expm(figure, 1.0, dt)
 
     def test_a_ramp_cut_into_both_kinds_of_chunk_matches_a_cf4_product_of_expm(self, chunk_sizes):
-        assert_matches_cf4_expm("fig3b", 6.0, DEFAULT_DT)
-        # 1,200 exponentials per block: the 5-level block fills its entry cap
-        # with one polynomial and takes the 176 left one at a time, since
-        # they do not pay for a block exponential of degree 6
-        assert chunk_sizes == [(5, 1024, 6), (5, 176, None), (4, 1200, 6)]
+        assert_matches_cf4_expm("fig3b", 30.0, 0.06)
+        # 1,000 exponentials per block whose scales span ||W||_max = 1.1 theta:
+        # theta ends a run of degree 8 after 912 of them, and the 88 left do not
+        # pay for a block exponential, so they are taken one at a time
+        assert chunk_sizes == [(5, 912, 8), (5, 88, None), (4, 912, 8), (4, 88, None)]
+
+    def test_a_long_ramp_matches_a_cf4_product_of_expm(self, chunk_sizes):
+        # one polynomial reused for 8,000 exponentials per block: round-off may add
+        # up coherently, so the bound is 8,000 unit round-offs of 2^-52
+        assert_matches_cf4_expm("fig3b", 40.0, DEFAULT_DT, bound=8000 * 2.0**-52)
+        assert chunk_sizes == [(5, 8000, 6), (4, 8000, 6)]
 
 
-def assert_matches_cf4_expm(figure: str, duration: float, dt: float):
+def assert_matches_cf4_expm(figure: str, duration: float, dt: float, bound: float = 1e-12):
     """A ramp-only segment from scale 1.1 to 1 against a CF4 product of ``scipy.linalg.expm``."""
     # two half-step exponentials per step, H frozen at 1/6 and 5/6 of it
     system = parse_config(presets.figure_config(figure)).base.system
@@ -467,7 +537,7 @@ def assert_matches_cf4_expm(figure: str, duration: float, dt: float):
             s = seg.scale_start + (seg.scale_end - seg.scale_start) * (j + node) / n
             ref = scipy.linalg.expm(-0.5j * seg.duration / n * build(system, s)) @ ref
     res = propagate_schedule(system, PulseSchedule((seg,)), dt=dt)
-    assert np.max(np.abs(res.unitary - ref)) < 1e-12
+    assert np.max(np.abs(res.unitary - ref)) < bound
     assert res.steps_used == n
 
 
