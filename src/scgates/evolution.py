@@ -43,13 +43,32 @@ The exponentials are taken in one of two ways, chosen by the segment kind:
   Only accuracy ends a polynomial run, so at the default dt a whole ramp of
   the fig3b pair, or a 5 ns ramp of a 45-level cavity system, is one run per
   block.
+* A polynomial run is multiplied in groups of g = 2^L consecutive
+  exponentials (``_run_product``).  The CF4 nodes repeat with period 2, so
+  the offsets e_j of a group's deltas from its first are the same for every
+  group of a run, and the group's product G(c) = u(c + e_{g-1}) ... u(c + e_0)
+  is one matrix polynomial in c, the first delta.  G comes from the F_m by L
+  doublings G_2s(c) = G_s(c + e_s) G_s(c), each a binomial shift and one
+  block-Toeplitz GEMM, cut by the same 2^-53 remainder bound
+  (``_grouped``).  The Vandermonde product then gives the n / g group
+  products at the groups' first deltas, and the tree multiplies those; the
+  n mod g exponentials left over are taken as before.  L grows while a
+  doubling saves more tree products than it costs and holds no more memory
+  than the block exponential (``_group_degrees``): at
+  the default dt g is 8 for a 5 ns ramp of the fig3b pair and 16 for a
+  40 ns one.
 
 Memory is bounded apart from accuracy, by _CHUNK_ENTRIES entries of real
 (2k, 2k) images: a chunk taken one exponential at a time holds at most that
-many, and a polynomial run is evaluated in slices of at most that many, into
-one workspace of 1.5 slices.  The exponentials of a chunk or slice are
-combined with a pairwise product tree, over their real images where they
-come from a polynomial, and only a chunk's product is taken back to complex.
+many, and a polynomial run is evaluated in slices of at most that many group
+products or exponentials, into one workspace of 1.5 slices.  The
+exponentials of a chunk, or the images of a slice, are combined with a
+pairwise product tree, over their real images where they come from a
+polynomial, and only a chunk's product is taken back to complex.  A run's
+coefficients are not bounded by it: the block exponential holds about ten
+matrices of ((M + 1) k)^2 entries, and a doubling's Toeplitz matrix,
+(D + 1)(p + 1)(2k)^2 entries for degrees p before it and D after, is kept
+within ten of those.
 
 The exponentials and their products are formed block by block, one block per
 parity of the total excitation number (``hamiltonians.parity_blocks``).  The
@@ -65,6 +84,7 @@ propagators are assembled from their blocks only where they are returned.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -264,9 +284,12 @@ def _series_exponentials(x: np.ndarray, symmetric: bool) -> np.ndarray:
 
 
 def _shifted(h0: np.ndarray, d1: np.ndarray, scales: np.ndarray, step: float):
-    """X_s = a + s b of one ramp chunk, as (a, b), and the shifts mu_s split off it (see ``_ramp_exponentials``)."""
-    shift = np.mean(np.diagonal(h0))
-    return step * (h0 - shift * np.eye(len(d1))), step * np.diag(d1 - d1.mean()), shift + scales * d1.mean()
+    """X_s = a + s diag(b) of one ramp chunk, as (a, b), and the shifts mu_s split off it (see ``_ramp_exponentials``)."""
+    shift, mean = np.mean(np.diagonal(h0)), d1.mean()
+    a = h0.copy()
+    a.flat[:: len(d1) + 1] -= shift
+    a *= step
+    return a, step * (d1 - mean), shift + scales * mean
 
 
 def _ramp_coefficients(h0: np.ndarray, d1: np.ndarray, scales: np.ndarray, step: float, degree: int):
@@ -280,12 +303,17 @@ def _ramp_coefficients(h0: np.ndarray, d1: np.ndarray, scales: np.ndarray, step:
     k = len(d1)
     a, b, mu = _shifted(h0, d1, scales, step)
     mid, half = (scales[0] + scales[-1]) / 2, abs(scales[-1] - scales[0]) / 2
-    n_mat, m = np.zeros((degree + 1, k, degree + 1, k)), np.arange(degree + 1)
-    n_mat[m, :, m], n_mat[m[:-1], :, m[1:]] = a + mid * b, half * b
+    n_mat, m, i = np.zeros((degree + 1, k, degree + 1, k)), np.arange(degree + 1), np.arange(k)
+    a.flat[:: k + 1] += mid * b  # Xc
+    n_mat[m, :, m] = a
+    n_mat[m[:-1, None], i, m[1:, None], i] = half * b
     n_mat = n_mat.reshape((degree + 1) * k, -1)
     f = _series_exponentials(n_mat[None], symmetric=False)[0, :k].reshape(k, degree + 1, k).swapaxes(0, 1)
-    images = np.block([[f.real, -f.imag], [f.imag, f.real]]).reshape(degree + 1, -1)
-    return images, (scales - mid) / (half or 1.0), mu
+    images = np.empty((degree + 1, 2 * k, 2 * k))
+    images[:, :k, :k] = images[:, k:, k:] = f.real
+    images[:, k:, :k] = f.imag
+    np.negative(f.imag, out=images[:, :k, k:])
+    return images.reshape(degree + 1, -1), (scales - mid) / (half or 1.0), mu
 
 
 def _powers(delta: np.ndarray, degree: int) -> np.ndarray:
@@ -320,7 +348,9 @@ def _ramp_exponentials(h0: np.ndarray, d1: np.ndarray, scales: np.ndarray, step:
     """
     if degree is None:
         a, b, mu = _shifted(h0, d1, scales, step)
-        return _series_exponentials(a + scales[:, None, None] * b, symmetric=True), mu
+        x = np.repeat(a[None], len(scales), axis=0)
+        x.reshape(len(scales), -1)[:, :: len(d1) + 1] += scales[:, None] * b
+        return _series_exponentials(x, symmetric=True), mu
     images, delta, mu = _ramp_coefficients(h0, d1, scales, step, degree)
     return (_powers(delta, degree) @ images).reshape(len(scales), 2 * len(d1), -1), mu
 
@@ -344,6 +374,20 @@ def _most(k: int) -> int:
     return max(1, _CHUNK_ENTRIES // (2 * k) ** 2)
 
 
+def _degree(width: float) -> int:
+    """Least degree M with width^(M + 1) / (M + 1)! <= 2^-54.
+
+    A polynomial whose coefficients are bounded by width^m / m! is then cut
+    at M with a remainder of 2^-53 or less on [-1, 1], since the tail is at
+    most twice its first term while width <= 1.
+    """
+    degree, term = 0, width
+    while term > 2.0**-54:
+        degree += 1
+        term *= width / (degree + 1)
+    return degree
+
+
 def _ramp_chunks(d1: np.ndarray, scales: np.ndarray, step: float):
     """One block's monotone ``scales`` cut into ramp chunks, each with its degree M or None.
 
@@ -357,41 +401,125 @@ def _ramp_chunks(d1: np.ndarray, scales: np.ndarray, step: float):
     of degree M only where it holds more than (M + 1)^3 of them, however
     many that is.  Otherwise the chunk takes the most exponentials whose
     real (2k, 2k) images fit in _CHUNK_ENTRIES entries one at a time
-    (degree None).
+    (degree None).  The cuts do not depend on how a run is then multiplied
+    (``_run_product``, in groups), which only makes runs cheaper.
     """
     # ||W||_max of the run from scales[i] to scales[j] is reach[j] - reach[i]
     reach = step * np.abs(d1 - d1.mean()).max() / 2 * np.abs(scales - scales[0])
     start = 0
     while start < len(scales):
         end = int(np.searchsorted(reach, reach[start] + _THETA, "right"))
-        width = float(reach[end - 1] - reach[start])
-        # the tail is at most twice its first term while ||W|| <= 1
-        degree = next(m for m in range(64) if width ** (m + 1) / math.factorial(m + 1) <= 2.0**-54)
+        degree = _degree(float(reach[end - 1] - reach[start]))
         if (degree + 1) ** 3 >= end - start:
             end, degree = start + _most(len(d1)), None
         yield scales[start:end], degree
         start = end
 
 
-def _run_product(images: np.ndarray, delta: np.ndarray, k: int) -> np.ndarray:
+@functools.cache
+def _binomials(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """C(m, n) at [n, m] and the lags max(m - n, 0), for n, m < ``size``: the shift of a polynomial's coefficients; built on first use."""
+    n, m = np.indices((size, size))
+    return np.vectorize(math.comb, otypes=[float])(m, n), np.maximum(m - n, 0)
+
+
+def _cauchy(a: np.ndarray, b: np.ndarray, degree: int) -> np.ndarray:
+    """Coefficients 0 ... ``degree`` of A(c) B(c), from (p + 1, r, r) stacks of A's and B's, p <= degree, in one GEMM.
+
+    Block (n, j) of the block-Toeplitz matrix is A_{n - j}, zero outside 0 ... p,
+    so its product with B's coefficients stacked in a column is the column
+    of sum_j A_{n - j} B_j.  The matrix is one copy of a strided view, whose
+    entry [n, x, j, y] is entry [p + n - j, x, y] of A padded with p zero
+    blocks before and degree - p after.
+    """
+    p, r = len(a) - 1, a.shape[-1]
+    padded = np.zeros((degree + p + 1, r, r))
+    padded[p : 2 * p + 1] = a
+    block, row, col = padded.strides
+    toeplitz = np.ndarray((degree + 1, r, p + 1, r), float, padded, p * block, (block, row, -block, col))
+    return np.matmul(toeplitz.reshape((degree + 1) * r, -1), b.reshape(-1, r)).reshape(degree + 1, r, r)
+
+
+def _group_degrees(n: int, width: float, degree: int) -> list[int]:
+    """Degrees D_1 ... D_L of the group products of a polynomial run of ``n`` exponentials, ||W||_max ``width`` and degree M.
+
+    The run is taken in groups of g = 2^L (``_grouped``).  Doubling l, from
+    groups of 2^(l - 1) exponentials to groups of 2^l, cuts its product at
+    D_l = _degree(2^l width), or at 2 D_(l - 1) where that is less, with
+    D_0 = M.  Its block-Toeplitz GEMM costs (D_l + 1)(D_(l - 1) + 1)
+    products of real images and saves n / 2^l products of the tree.  The
+    doubling is taken while
+    * it saves more products than it costs;
+    * its Toeplitz matrix, (D_l + 1)(D_(l - 1) + 1)(2k)^2 entries, is at most
+      ten of the block exponential's ((M + 1) k)^2, about what the
+      exponential itself holds, so the doublings take no more memory than
+      the coefficients did;
+    * 2^l width <= 1, where a group's coefficients sum to at most e in norm
+      and D_l is at most 18.
+    At the default dt that gives g = 8 for a 5 ns ramp of the fig3b pair or
+    of a 45-level cavity system, and g = 16 for a 40 ns one.
+    """
+    degrees = [degree]
+    while (g := 2 << (len(degrees) - 1)) * width <= 1:
+        cut = min(2 * degrees[-1], _degree(g * width))
+        cost = (cut + 1) * (degrees[-1] + 1)
+        if cost >= n // g or 2 * cost > 5 * (degree + 1) ** 2:
+            break
+        degrees.append(cut)
+    return degrees[1:]
+
+
+def _grouped(images: np.ndarray, delta: np.ndarray, degrees: list[int]) -> np.ndarray:
+    """Coefficients of G(c) = u(c + e_{g - 1}) ... u(c + e_0), g = 2^L, from those of u, as real images.
+
+    ``images`` (M + 1, r, r) are the u's of a polynomial run with ``delta``,
+    e_j = delta_j - delta_0, and ``degrees`` are the L degrees at which the
+    doublings cut their products (``_group_degrees``).  The CF4 nodes repeat
+    with period 2, so for every even s the offsets satisfy
+    e_{s + j} = e_s + e_j, and G_{2s}(c) = G_s(c + e_s) G_s(c): each doubling
+    shifts G_s by e_s (a binomial matrix times its coefficients) and takes
+    one ``_cauchy`` product.  A product of s exponentials has
+    ||coeff_m|| <= (s ||W||)^m / m!, as one has ||F_m|| <= ||W||^m / m!, so
+    with D_l = _degree(2^l ||W||) each cut leaves a remainder of at most
+    2^-53 on [-1, 1]; a product of degree 2 D_(l - 1) or less is not cut.
+    """
+    for level, degree in enumerate(degrees):
+        p, s = len(images) - 1, 1 << level
+        comb, lag = _binomials(p + 1)
+        later = np.matmul(comb * (delta[s] - delta[0]) ** lag, images.reshape(p + 1, -1)).reshape(images.shape)
+        images = _cauchy(later, images, degree)
+    return images
+
+
+def _run_product(images: np.ndarray, delta: np.ndarray, k: int, width: float) -> np.ndarray:
     """Product u_s[-1] ... u_s[0] of a polynomial run's exponentials, without the shifts mu_s.
 
-    ``images`` and ``delta`` are the run's, from ``_ramp_coefficients``, and
-    k its block size.  The run is taken in slices of at most _CHUNK_ENTRIES
-    image entries.  Each slice's Vandermonde rows times ``images`` is formed
-    into one workspace of 1.5 slices, reduced there by a product tree whose
-    levels alternate with the workspace's spare half, and multiplied onto
-    the real product of the slices before it.  So a run allocates one stack
-    of at most 1.5 _CHUNK_ENTRIES doubles however long it is, and only its
-    product is taken back to complex.
+    ``images`` and ``delta`` are the run's, from ``_ramp_coefficients``, k
+    its block size and ``width`` its ||W||_max.  The run is taken in groups
+    of g = 2^L consecutive exponentials (``_group_degrees``), each group the
+    value of one polynomial G (``_grouped``) at its anchor, the delta of its
+    first exponential, and the n mod g exponentials left over on their own.
+    Anchors, then leftovers, are taken in slices of at most _CHUNK_ENTRIES
+    image entries.  Each slice's Vandermonde rows times its coefficients is
+    formed into one workspace of 1.5 slices, reduced there by a product tree
+    whose levels alternate with the workspace's spare half, and multiplied
+    onto the real product of the slices before it.  So a run allocates one
+    stack of at most 1.5 _CHUNK_ENTRIES doubles however long it is, and only
+    its product is taken back to complex.  With g = 1 every slice holds
+    exponentials, and nothing is left over.
     """
+    degrees = _group_degrees(len(delta), width, len(images) - 1)
+    g = 1 << len(degrees)
+    whole = len(delta) - len(delta) % g
+    groups = _grouped(images.reshape(len(images), 2 * k, 2 * k), delta, degrees).reshape(-1, 4 * k * k)
     most = _most(k)
     work = np.empty((most + most // 2, 2 * k, 2 * k))
     p = np.eye(2 * k)
-    for lo in range(0, len(delta), most):
-        rows = _powers(delta[lo : lo + most], len(images) - 1)
-        v = np.matmul(rows, images, out=work[: len(rows)].reshape(len(rows), -1))
-        p = _product_in_order(v.reshape(-1, 2 * k, 2 * k), work[most:]) @ p
+    for coeffs, anchors in (groups, delta[:whole:g]), (images, delta[whole:]):
+        for lo in range(0, len(anchors), most):
+            rows = _powers(anchors[lo : lo + most], len(coeffs) - 1)
+            v = np.matmul(rows, coeffs, out=work[: len(rows)].reshape(len(rows), -1))
+            p = _product_in_order(v.reshape(-1, 2 * k, 2 * k), work[most:]) @ p
     return p[:k, :k] + 1j * p[k:, :k]
 
 
@@ -403,7 +531,8 @@ def _ramp_propagator(parts: list[tuple[np.ndarray, np.ndarray]], seg: ScheduleSe
     Per block, the chunks (``_ramp_chunks``) are multiplied in time order.
     A chunk of degree None takes one ``_ramp_exponentials`` and a product
     tree; a polynomial run takes one ``_ramp_coefficients`` and one
-    ``_run_product``, in memory-capped slices.  The scalar phases
+    ``_run_product``, which multiplies it in groups of 2^L exponentials,
+    each group one polynomial, in memory-capped slices.  The scalar phases
     exp(-i step mu_s) of a chunk's exponentials commute with everything, so
     they are applied once per chunk, as exp(-i step sum(mu_s)), to the
     chunk's complex product.
@@ -414,6 +543,7 @@ def _ramp_propagator(parts: list[tuple[np.ndarray, np.ndarray]], seg: ScheduleSe
     us = []
     for h0, h1 in parts:
         d1, k = np.diagonal(h1), len(h0)
+        spread = step * np.abs(d1 - d1.mean()).max() / 2
         u = np.eye(k, dtype=complex)
         for chunk, degree in _ramp_chunks(d1, scales, step):
             if degree is None:
@@ -421,7 +551,7 @@ def _ramp_propagator(parts: list[tuple[np.ndarray, np.ndarray]], seg: ScheduleSe
                 p = _product_in_order(v)
             else:
                 images, delta, mu = _ramp_coefficients(h0, d1, chunk, step, degree)
-                p = _run_product(images, delta, k)
+                p = _run_product(images, delta, k, spread * abs(chunk[-1] - chunk[0]))
             u = np.exp(-1j * step * mu.sum()) * p @ u
         us.append(u)
     return us

@@ -272,9 +272,9 @@ def spoil_ramp_block(spec, duration: float, spoiled: int, polynomial: bool, monk
 
     Exponentials taken one at a time are spoiled where ``_ramp_exponentials``
     returns them, and a polynomial run's in its coefficients, where
-    ``_ramp_coefficients`` returns them.  ``polynomial`` says whether every
-    chunk of the ramp-only segment from scale 1.1 to 1 is a polynomial run
-    or none is.
+    ``_ramp_coefficients`` returns them, before its groups are built from
+    them.  ``polynomial`` says whether every chunk of the ramp-only segment
+    from scale 1.1 to 1 is a polynomial run or none is.
     """
     size = len(parity_blocks(spec)[spoiled])
     calls = []
@@ -291,10 +291,21 @@ def spoil_ramp_block(spec, duration: float, spoiled: int, polynomial: bool, monk
 
     spoil("_ramp_exponentials")
     spoil("_ramp_coefficients")
+    grouped = evolution._grouped
+    groups = []
+
+    def recording_grouped(images, delta, degrees):
+        groups.append((images.shape[-1] // 2, len(degrees)))
+        return grouped(images, delta, degrees)
+
+    monkeypatch.setattr(evolution, "_grouped", recording_grouped)
     with pytest.raises(UnitarityError):
         propagate_schedule(spec, PulseSchedule((ScheduleSegment(duration, 1.1, 1.0),)))
     assert {k for k, _ in calls} == {len(ix) for ix in parity_blocks(spec)}
     assert {kind for _, kind in calls} == {polynomial}
+    # every polynomial run is multiplied in groups of at least two, built from the spoiled coefficients
+    assert {k for k, _ in groups} == ({len(ix) for ix in parity_blocks(spec)} if polynomial else set())
+    assert all(levels > 0 for _, levels in groups)
 
 
 def _shifted_norm(h: np.ndarray) -> float:
@@ -486,8 +497,9 @@ class TestRampExponentials:
                 assert [n for n, _ in chunks] == sizes and {degree for _, degree in chunks} == {None}
 
     def test_polynomial_slices_stay_within_the_entry_cap(self, monkeypatch, tree_inputs):
-        # a 5 ns fig3b ramp is one polynomial run per block; a cap of six 5-level images
-        # cuts it into slices of 6 (5 levels) and 9 (4 levels) exponentials
+        # a 5 ns fig3b ramp is one polynomial run per block, multiplied as 125 groups of
+        # 8 exponentials; a cap of six 5-level images cuts the groups' anchors into
+        # slices of 6 (5 levels) and 9 (4 levels)
         system = parse_config(presets.figure_config("fig3b")).base.system
         h0, h1 = hamiltonian_parts(system)
         parts = list(zip(*(evolution._gather(h, parity_blocks(system)) for h in (h0, h1))))
@@ -502,7 +514,7 @@ class TestRampExponentials:
             assert np.max(np.abs(u - v)) < 1e-13
         assert {(size, real) for _, size, real in tree_inputs} == {(10, True), (8, True)}
         assert max(m * size**2 for m, size, _ in tree_inputs) <= 600
-        assert sum(m for m, _, _ in tree_inputs) == 2 * 2 * n
+        assert sum(m for m, _, _ in tree_inputs) == 2 * 2 * n // 8
 
     @pytest.mark.parametrize("dt", [0.05, 0.3])
     @pytest.mark.parametrize("figure", ["fig3b", "fig6b"])
@@ -521,6 +533,124 @@ class TestRampExponentials:
         # up coherently, so the bound is 8,000 unit round-offs of 2^-52
         assert_matches_cf4_expm("fig3b", 40.0, DEFAULT_DT, bound=8000 * 2.0**-52)
         assert chunk_sizes == [(5, 8000, 6), (4, 8000, 6)]
+
+
+def _system(name: str):
+    """A figure preset's system, or one of SPLIT_SPECS (cavity-3 has 45 levels)."""
+    return SPLIT_SPECS[name] if name in SPLIT_SPECS else parse_config(presets.figure_config(name)).base.system
+
+
+def _ramp_blocks(system):
+    """(h0, diagonal of h1) of each parity block of ``system``."""
+    h0, h1 = hamiltonian_parts(system)
+    blocks = parity_blocks(system)
+    return [(b0, np.diagonal(b1).copy()) for b0, b1 in zip(evolution._gather(h0, blocks), evolution._gather(h1, blocks))]
+
+
+def _ramp_down(duration: float):
+    """The CF4 scales and step of a ramp from scale 1.1 to 1 at the default dt."""
+    n = math.ceil(duration / DEFAULT_DT)
+    return 1.1 - 0.1 * (np.arange(n)[:, None] + evolution._CF4_NODES).ravel() / n, duration / (2 * n)
+
+
+def _run(h0, d1, scales, step):
+    """A polynomial run over all of ``scales``: its images, delta, degree and ||W||_max."""
+    width = step * np.abs(d1 - d1.mean()).max() * abs(scales[-1] - scales[0]) / 2
+    degree = evolution._degree(width)
+    images, delta, _ = evolution._ramp_coefficients(h0, d1, scales, step, degree)
+    return images, delta, degree, width
+
+
+class TestGroupedRuns:
+    """A polynomial run is multiplied in groups of 2^L exponentials, each one polynomial in
+    its first exponential's delta; the products must be those of the exponentials one at a time."""
+
+    @pytest.mark.parametrize("system", ["fig3b", "cavity-3"])
+    def test_run_coefficients_equal_the_eye_diag_and_block_formulas(self, system):
+        # the images are written in place; they must be bitwise those of the formulas they replace
+        spec = _system(system)
+        scales, step = _ramp_down(5.0)
+        for h0, d1 in _ramp_blocks(spec):
+            k, degree = len(d1), 6
+            shift = np.mean(np.diagonal(h0))
+            a, b = step * (h0 - shift * np.eye(k)), step * np.diag(d1 - d1.mean())
+            mid, half = (scales[0] + scales[-1]) / 2, abs(scales[-1] - scales[0]) / 2
+            n_mat, m = np.zeros((degree + 1, k, degree + 1, k)), np.arange(degree + 1)
+            n_mat[m, :, m], n_mat[m[:-1], :, m[1:]] = a + mid * b, half * b
+            n_mat = n_mat.reshape((degree + 1) * k, -1)
+            f = evolution._series_exponentials(n_mat[None], symmetric=False)[0, :k]
+            f = f.reshape(k, degree + 1, k).swapaxes(0, 1)
+            images, delta, mu = evolution._ramp_coefficients(h0, d1, scales, step, degree)
+            assert np.array_equal(images, np.block([[f.real, -f.imag], [f.imag, f.real]]).reshape(degree + 1, -1))
+            assert np.array_equal(delta, (scales - mid) / half)
+            assert np.array_equal(mu, shift + scales * d1.mean())
+            # and the exponentials taken one at a time
+            u, _ = evolution._ramp_exponentials(h0, d1, scales[:7], step, None)
+            x = a + scales[:7, None, None] * b
+            assert np.array_equal(u, evolution._series_exponentials(x, symmetric=True))
+
+    @pytest.mark.parametrize(
+        "system, duration, groups",
+        [("fig3b", 5.0, 8), ("fig3b", 40.0, 16), ("cavity-3", 5.0, 8)],
+    )
+    def test_grouped_ramps_equal_their_exponentials_one_at_a_time(self, system, duration, groups, monkeypatch):
+        # both sides are within n round-offs of the exact CF4 product, n exponentials per block
+        # (the model of test_a_long_ramp_matches_a_cf4_product_of_expm), so they differ by 2n
+        spec = _system(system)
+        segment = PulseSchedule((ScheduleSegment(duration, 1.1, 1.0),))
+        grouped = evolution._grouped
+        sizes = []
+
+        def recording_grouped(images, delta, degrees):
+            sizes.append(1 << len(degrees))
+            return grouped(images, delta, degrees)
+
+        monkeypatch.setattr(evolution, "_grouped", recording_grouped)
+        u = propagate_schedule(spec, segment).unitary
+        assert sizes == [groups, groups]
+        monkeypatch.setattr(evolution, "_group_degrees", lambda n, width, degree: [])
+        one_at_a_time = propagate_schedule(spec, segment).unitary
+        assert sizes == [groups, groups, 1, 1]
+        n = 2 * math.ceil(duration / DEFAULT_DT)
+        assert np.max(np.abs(u - one_at_a_time)) < 2 * n * 2.0**-52
+
+    def test_a_run_from_mid_step_with_exponentials_left_over(self, monkeypatch, tree_inputs):
+        # a run that starts at the second exponential of a CF4 step and holds 1,003:
+        # 125 groups of 8 whose offsets start with the short half of a step, and 3 left over;
+        # under a cap of six 5-level images the anchors go in slices of 6 and the 3 in one more
+        h0, d1 = _ramp_blocks(_system("fig3b"))[0]
+        scales, step = _ramp_down(5.1)
+        images, delta, degree, width = _run(h0, d1, scales[1:1004], step)
+        assert len(delta) == 1003 and len(evolution._group_degrees(1003, width, degree)) == 3
+        monkeypatch.setattr(evolution, "_CHUNK_ENTRIES", 6 * 10**2)
+        p = evolution._run_product(images, delta, 5, width)
+        assert [m for m, _, _ in tree_inputs] == [6] * 20 + [5, 3]
+        assert max(m * size**2 for m, size, _ in tree_inputs) <= 600
+        us, _ = evolution._ramp_exponentials(h0, d1, scales[1:1004], step, degree)
+        ref = np.eye(10)
+        for u in us:
+            ref = u @ ref
+        assert np.max(np.abs(p - (ref[:5, :5] + 1j * ref[5:, :5]))) < 2 * 1003 * 2.0**-52
+
+    @pytest.mark.parametrize("system, duration", [("fig3b", 5.0), ("fig3b", 40.0), ("cavity-3", 5.0)])
+    def test_truncated_groups_match_the_full_product_at_every_anchor(self, system, duration):
+        # each doubling cuts its product with a remainder of at most 2^-53 on [-1, 1], and
+        # doubles the error it is given, so a group of g is off by at most (g - 1) 2^-53;
+        # one 2^-53 more covers round-off
+        spec = _system(system)
+        scales, step = _ramp_down(duration)
+        for h0, d1 in _ramp_blocks(spec):
+            k = len(d1)
+            images, delta, degree, width = _run(h0, d1, scales, step)
+            degrees = evolution._group_degrees(len(delta), width, degree)
+            g = 1 << len(degrees)
+            images = images.reshape(-1, 2 * k, 2 * k)
+            cut = evolution._grouped(images, delta, degrees)
+            full = evolution._grouped(images, delta, [degree << level for level in range(1, len(degrees) + 1)])
+            assert len(full) == g * degree + 1 and len(cut) == degrees[-1] + 1 < len(full)
+            anchors = delta[::g]
+            values = [np.einsum("nm,mij->nij", evolution._powers(anchors, len(c) - 1), c) for c in (cut, full)]
+            assert np.max(np.abs(values[0] - values[1])) <= g * 2.0**-53
 
 
 def assert_matches_cf4_expm(figure: str, duration: float, dt: float, bound: float = 1e-12):
