@@ -10,8 +10,11 @@ Math. 56, 1519 (2006); Alvermann & Fehske, J. Comput. Phys. 230, 5930
 (2011)).  Because H is affine in the scale and the ramp is linear in time, a
 CF4 step is exactly two half-step exponentials with H frozen at 1/6 and 5/6
 of the step, so the error falls as ``dt**4``.
-Sweeps propagate many square pulses at once through the same stacked
-exponential (``constant_propagators``), one Hamiltonian per grid point.
+One propagator, ``schedule_propagators``, takes a stack of points that share
+a truncation and a schedule shape, such as a sweep's grid points: each
+constant segment, at each point's own duration, is one stacked exponential,
+and each point's ramps are its own.  ``propagate_schedule`` is its one-point
+case.
 
 The exponentials are taken in one of two ways, chosen by the segment kind:
 
@@ -355,11 +358,6 @@ def _ramp_exponentials(h0: np.ndarray, d1: np.ndarray, scales: np.ndarray, step:
     return (_powers(delta, degree) @ images).reshape(len(scales), 2 * len(d1), -1), mu
 
 
-def _gather(h: np.ndarray, blocks) -> list[np.ndarray]:
-    """The diagonal blocks ``h[..., ix, ix]`` of a matrix or stack, one per index set."""
-    return [h[..., ix[:, None], ix] for ix in blocks]
-
-
 def _scatter(us: list[np.ndarray], blocks) -> np.ndarray:
     """Full complex matrices (or stacks) with the given diagonal blocks and zeros elsewhere."""
     d = sum(len(ix) for ix in blocks)
@@ -526,7 +524,7 @@ def _run_product(images: np.ndarray, delta: np.ndarray, k: int, width: float) ->
 def _ramp_propagator(parts: list[tuple[np.ndarray, np.ndarray]], seg: ScheduleSegment, n: int):
     """Blocks of the CF4 propagator of a ramped segment in ``n`` steps.
 
-    ``parts`` holds the (h0, h1) of each block, h1 diagonal.  Each step
+    ``parts`` holds the (h0, d1) of each block, d1 the diagonal of h1.  Each step
     takes two half-step exponentials at the CF4 nodes, the earliest first.
     Per block, the chunks (``_ramp_chunks``) are multiplied in time order.
     A chunk of degree None takes one ``_ramp_exponentials`` and a product
@@ -541,8 +539,8 @@ def _ramp_propagator(parts: list[tuple[np.ndarray, np.ndarray]], seg: ScheduleSe
     scales = seg.scale_start + (seg.scale_end - seg.scale_start) * frac
     step = seg.duration / (2 * n)
     us = []
-    for h0, h1 in parts:
-        d1, k = np.diagonal(h1), len(h0)
+    for h0, d1 in parts:
+        k = len(h0)
         spread = step * np.abs(d1 - d1.mean()).max() / 2
         u = np.eye(k, dtype=complex)
         for chunk, degree in _ramp_chunks(d1, scales, step):
@@ -557,20 +555,50 @@ def _ramp_propagator(parts: list[tuple[np.ndarray, np.ndarray]], seg: ScheduleSe
     return us
 
 
-def constant_propagators(h: np.ndarray, t: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
-    """exp(-i t_k h_k) for a stack of real symmetric ``h`` (n, d, d) and times ``t`` (n,).
+def schedule_propagators(h0: np.ndarray, d1: np.ndarray, schedules, blocks, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Propagators of a stack of points over their schedules, and the unitarity defect max |U^dag U - I| of each.
 
-    ``blocks`` are index sets that partition range(d), with no entries of
-    any ``h_k`` between two sets, such as ``hamiltonians.parity_blocks``;
-    each block is exponentiated on its own.  Returns the full propagators
-    and the unitarity defect max |U^dag U - I| of each.  For ``h`` from
-    ``hamiltonians.hamiltonian_stack`` and the spec's parity blocks, every
-    propagator equals, entry for entry, what ``propagate_schedule`` gives for
-    that spec's square schedule of duration t_k; checking each defect against
-    ``SCHEDULE_UNITARITY_TOL`` is left to the caller, so that one failing
-    entry does not fail the stack.
+    ``h0`` (n, d, d) and ``d1`` (n, d) are each point's real symmetric h0
+    and the diagonal of its h1 (``hamiltonians.hamiltonian_parts_stack``),
+    and ``blocks`` are index sets that partition range(d) with no entries of
+    any h0 between two sets, such as ``hamiltonians.parity_blocks``; each
+    block is propagated on its own.  The ``schedules``, one per point, have
+    the same segments but for their durations: the first schedule's scales
+    are taken for all.  Segment by segment, in time order:
+    * a constant segment is one stacked ``_exponentials`` per block, each
+      point at its own duration;
+    * a ramped segment is each point's own ``_ramp_propagator``, discretized
+      as the module docstring describes;
+    * a segment that retraces an earlier one (the same durations, start and
+      end scales swapped, as the ramp back up of a trapezoid) reuses the
+      transposes of the earlier propagators.  This is exact: h0 and h1 are
+      real symmetric, so each exponential is symmetric, and the CF4 nodes
+      {1/6, 5/6} map onto each other under f -> 1 - f, so the retraced
+      segment's exponentials are the earlier ones in reverse order.
+    The first segment's propagators start the product as they are.  Checking
+    each defect against ``SCHEDULE_UNITARITY_TOL`` is left to the caller, so
+    that one failing point does not fail the stack.
     """
-    us = _exponentials(_gather(h, blocks), np.asarray(t, dtype=float)[:, None])
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    us, done = None, {}
+    for segs in zip(*(schedule.segments for schedule in schedules)):
+        seg, durations = segs[0], tuple(s.duration for s in segs)
+        earlier = done.get((durations, seg.scale_end, seg.scale_start))
+        if earlier is not None:
+            seg_us = [u.transpose(0, 2, 1) for u in earlier]
+        elif seg.is_constant:
+            h = h0.copy()
+            h.reshape(len(h), -1)[:, :: h.shape[-1] + 1] += seg.scale_start * d1  # the diagonal, in place
+            seg_us = _exponentials([h[:, ix[:, None], ix] for ix in blocks], np.array(durations)[:, None])
+        else:
+            points = [
+                _ramp_propagator([(p0[ix[:, None], ix], p1[ix]) for ix in blocks], s, math.ceil(s.duration / dt))
+                for p0, p1, s in zip(h0, d1, segs)
+            ]
+            seg_us = [np.stack(block) for block in zip(*points)]
+        done[durations, seg.scale_start, seg.scale_end] = seg_us
+        us = seg_us if us is None else [np.matmul(seg_u, u) for seg_u, u in zip(seg_us, us)]
     return _scatter(us, blocks), np.max([_unitarity_defects(u) for u in us], axis=0)
 
 
@@ -604,39 +632,15 @@ def propagate_schedule(
     """Propagator of the full system over a frequency schedule for qubit B.
 
     Constant segments are evolved exactly; ramped segments are discretized as
-    described in the module docstring.  Segment propagators are multiplied in
-    time order, and ``steps_used`` counts one per constant segment plus the
-    CF4 steps of each ramp.
-
-    A segment that retraces an earlier one (same duration, start and end
-    scales swapped, as the ramp back up of a trapezoid) reuses the transpose
-    of the earlier propagator.  This is exact: h0 and h1 are real symmetric,
-    so each exponential is symmetric, and the CF4 nodes {1/6, 5/6} map onto
-    each other under f -> 1 - f, so the retraced segment's exponentials are
-    the earlier ones in reverse order.
+    described in the module docstring.  This is the one-point case of
+    ``schedule_propagators``, which says how the segments are taken, and a
+    defect above ``SCHEDULE_UNITARITY_TOL`` raises ``UnitarityError``.
+    ``steps_used`` counts one per constant segment plus the CF4 steps of each
+    ramp.
     """
-    if not 0 < dt < math.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt}")
     h0, h1 = hamiltonian_parts(spec)
-    blocks = parity_blocks(spec)
-    parts = list(zip(_gather(h0, blocks), _gather(h1, blocks)))
-    us = [np.eye(len(ix), dtype=complex) for ix in blocks]
-    steps = 0
-    done = {}
-    for seg in schedule.segments:
-        n_steps = 1 if seg.is_constant else math.ceil(seg.duration / dt)
-        earlier = done.get((seg.duration, seg.scale_end, seg.scale_start))
-        if earlier is not None:
-            seg_us = [u.T for u in earlier]
-        elif seg.is_constant:
-            hs = [(b0 + seg.scale_start * b1)[None] for b0, b1 in parts]
-            seg_us = [u[0] for u in _exponentials(hs, seg.duration)]
-        else:
-            seg_us = _ramp_propagator(parts, seg, n_steps)
-        done[seg.duration, seg.scale_start, seg.scale_end] = seg_us
-        us = [seg_u @ u for seg_u, u in zip(seg_us, us)]
-        steps += n_steps
-    defect = max(_unitarity_defect(u) for u in us)
-    if defect > SCHEDULE_UNITARITY_TOL:
-        raise UnitarityError(f"unitarity defect {defect:.3e} exceeds {SCHEDULE_UNITARITY_TOL:g}")
-    return PropagationResult(_scatter(us, blocks), schedule.total_time, defect, steps)
+    u, defects = schedule_propagators(h0[None], np.diagonal(h1)[None], [schedule], parity_blocks(spec), dt)
+    if defects[0] > SCHEDULE_UNITARITY_TOL:
+        raise UnitarityError(f"unitarity defect {defects[0]:.3e} exceeds {SCHEDULE_UNITARITY_TOL:g}")
+    steps = sum(1 if seg.is_constant else math.ceil(seg.duration / dt) for seg in schedule.segments)
+    return PropagationResult(u[0], schedule.total_time, float(defects[0]), steps)

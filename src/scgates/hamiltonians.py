@@ -272,6 +272,20 @@ def build_direct_hamiltonian(spec: DirectSystemSpec | IndirectSystemSpec, freq_s
 build_indirect_hamiltonian = build_direct_hamiltonian
 
 
+def hamiltonian_parts_stack(specs) -> tuple[np.ndarray, np.ndarray]:
+    """The parts h0 (n, d, d) and the diagonals d1 (n, d) of h1 of specs sharing one kind and truncation.
+
+    Entry k is ``hamiltonian_parts(specs[k])`` bit for bit, with h1 given by
+    its diagonal, which is all of it.  The stack is assembled as one: one row
+    of level energies and one coupling strength per spec.
+    """
+    h0 = _assemble(*_modes(specs))
+    d1 = _outer_sum(_scaled_levels(specs))
+    i = np.arange(h0.shape[1])
+    h0[:, i, i] -= d1
+    return h0, d1
+
+
 def hamiltonian_parts(spec: DirectSystemSpec | IndirectSystemSpec) -> tuple[np.ndarray, np.ndarray]:
     """Split H(scale) = h0 + scale * h1, with h1 the scaled part of qubit B.
 
@@ -280,26 +294,10 @@ def hamiltonian_parts(spec: DirectSystemSpec | IndirectSystemSpec) -> tuple[np.n
     ``h0 + s*h1 == build_*_hamiltonian(spec, s)`` holds to round-off.  h1 is
     diagonal, since the scale multiplies only qubit B's level energies; the
     ramp propagator relies on that, so along a ramp only the diagonal moves.
+    This is the one-spec case of ``hamiltonian_parts_stack``.
     """
-    h1 = _assemble(_scaled_levels([spec]), [])
-    return (_assemble(*_modes([spec])) - h1)[0], h1[0]
-
-
-def hamiltonian_stack(specs) -> np.ndarray:
-    """Real Hamiltonians at the nominal scale of specs sharing one kind and truncation.
-
-    Returns an (n, d, d) float64 stack whose entry k equals
-    ``h0 + 1.0 * h1`` of ``hamiltonian_parts(specs[k])`` bit for bit: the
-    sum is formed in that order, which is how the propagator of a square
-    pulse forms the matrix it diagonalizes.  h1 is diagonal, and the
-    off-diagonal entries, all +0.0 or positive, pass through that sum
-    unchanged, so only the diagonal is recomputed.
-    """
-    h = _assemble(*_modes(specs))
-    h1 = _outer_sum(_scaled_levels(specs))
-    i = np.arange(h.shape[1])
-    h[:, i, i] = (h[:, i, i] - h1) + 1.0 * h1
-    return h
+    h0, d1 = hamiltonian_parts_stack([spec])
+    return h0[0], np.diag(d1[0])
 
 
 @lru_cache

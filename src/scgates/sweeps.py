@@ -3,14 +3,16 @@
 A sweep takes a fully specified base system plus one or two axes and produces
 a dense table of gate fidelities, gate times and leakage.  Axis values modify
 the base system point by point; everything not named by an axis is taken from
-the base.  Every point's system and gate time are derived first.  Square-pulse
-points are then evaluated as stacks, in chunks of at most ``_STACK_ENTRIES``
-matrix entries: one Hamiltonian stack, one stacked propagation, projection and
-phase solve per chunk.  Ramped points (``tau_d > 0``) run one at a time through
-``run_gate``.  Everything runs in the calling thread, rows come out in
-lexicographic axis order, and failed points are recorded in-row rather than
-aborting the sweep; a chunk whose stacked evaluation raises is evaluated again
-point by point, so that a failure stays in its own row.  A single point
+the base.  Every point's system and gate time are derived first.  The points
+are then evaluated as stacks, in chunks of at most ``_STACK_ENTRIES`` matrix
+entries: one Hamiltonian stack, one stacked schedule propagation
+(``evolution.schedule_propagators``), projection and phase solve per chunk.
+Square and ramped points take the same path; a ramped point's ramps are
+propagated point by point inside the stack, its hold with the others.
+Everything runs in the calling thread, rows come out in lexicographic axis
+order, and failed points are recorded in-row rather than aborting the sweep;
+a chunk whose stacked evaluation raises is run again point by point through
+``run_gate``, so that a failure stays in its own row.  A single point
 (``evaluate_point``) is a chunk of one.  The ``jobs`` keywords of the sweep
 functions are kept for compatibility and change nothing.
 
@@ -49,7 +51,7 @@ from .evolution import (
     DEFAULT_DT,
     SCHEDULE_UNITARITY_TOL,
     UnitarityError,
-    constant_propagators,
+    schedule_propagators,
     trapezoid_schedule,
 )
 from .gates import (
@@ -64,7 +66,7 @@ from .hamiltonians import (
     DirectSystemSpec,
     IndirectSystemSpec,
     QubitSpec,
-    hamiltonian_stack,
+    hamiltonian_parts_stack,
     parity_blocks,
 )
 
@@ -244,9 +246,9 @@ def _failed(values, error: type[Exception]) -> SweepPoint:
     return SweepPoint(tuple(values), *[_FAILED] * 6, f"error:{error.__name__}")
 
 
-def _ramped_row(base: SweepBase, target, values, spec, t_g: float, schedule) -> SweepPoint:
+def _single_row(dt: float, target, values, spec, t_g: float, schedule) -> SweepPoint:
     try:
-        result = run_gate(spec, target, schedule, base.dt)
+        result = run_gate(spec, target, schedule, dt)
     except _POINT_ERRORS as exc:
         return _failed(values, type(exc))
     return SweepPoint(
@@ -255,24 +257,23 @@ def _ramped_row(base: SweepBase, target, values, spec, t_g: float, schedule) -> 
     )
 
 
-def _square_rows(chunk, target) -> list[SweepPoint]:
-    """Rows of square-pulse points ``(values, spec, t_g, schedule)`` sharing one truncation.
+def _rows(chunk, target, dt: float) -> list[SweepPoint]:
+    """Rows of points ``(values, spec, t_g, schedule)`` sharing one truncation and one schedule shape.
 
-    The chunk is propagated, one stack per parity block, then projected and
-    scored as one stack.  A point whose propagator fails the unitarity bound
-    of ``propagate_schedule`` is an ``error:UnitarityError`` row; if the
-    stacked evaluation raises, each point is evaluated on its own.
+    The chunk is propagated as one stack (``schedule_propagators``), then
+    projected and scored as one stack.  A point whose propagator fails the
+    unitarity bound of ``propagate_schedule`` is an ``error:UnitarityError``
+    row; if the stacked evaluation raises, each point is run on its own by
+    ``run_gate``, which warns again for a detuned point.
     """
     specs = [point[1] for point in chunk]
     try:
-        u, defects = constant_propagators(
-            hamiltonian_stack(specs), [point[2] for point in chunk], parity_blocks(specs[0])
+        u, defects = schedule_propagators(
+            *hamiltonian_parts_stack(specs), [point[3] for point in chunk], parity_blocks(specs[0]), dt
         )
         scores = score_blocks(project_computational(u, specs[0]), target)
-    except _POINT_ERRORS as exc:
-        if len(chunk) == 1:
-            return [_failed(chunk[0][0], type(exc))]
-        return [row for point in chunk for row in _square_rows([point], target)]
+    except _POINT_ERRORS:
+        return [_single_row(dt, target, *point) for point in chunk]
     fidelity, theta_a, theta_b, theta, leakage = (x.tolist() for x in scores)
     return [
         _failed(values, UnitarityError)
@@ -301,22 +302,19 @@ def _evaluate(base: SweepBase, axes: tuple[SweepAxis, ...], points) -> list[Swee
     """Rows of the given grid points, in order; failures become status tags.
 
     Every point's system and gate time are derived before any is run.  A
-    detuned square pulse warns once, for the first detuned point, as
-    ``run_gate`` would.
+    detuned sweep warns once, for the first detuned point, as ``run_gate``
+    would.
     """
     target = gate_target(base.gate)
     derived = [_derive(base, axes, target, values) for values in points]
     good = [point for point in derived if not isinstance(point, SweepPoint)]
-    if base.tau_d > 0:
-        evaluated = [_ramped_row(base, target, *point) for point in good]
-    else:
-        detuned = (resonance_violation(point[1], target) for point in good)
-        message = next((m for m in detuned if m), None)
-        if message:
-            warnings.warn(message, stacklevel=3)
-        size = max(1, _STACK_ENTRIES // base.system.dim**2)
-        chunks = (good[start : start + size] for start in range(0, len(good), size))
-        evaluated = [row for chunk in chunks for row in _square_rows(chunk, target)]
+    detuned = (resonance_violation(point[1], target) for point in good)
+    message = next((m for m in detuned if m), None)
+    if message:
+        warnings.warn(message, stacklevel=3)
+    size = max(1, _STACK_ENTRIES // base.system.dim**2)
+    chunks = (good[start : start + size] for start in range(0, len(good), size))
+    evaluated = [row for chunk in chunks for row in _rows(chunk, target, base.dt)]
     rows = iter(evaluated)
     return [point if isinstance(point, SweepPoint) else next(rows) for point in derived]
 
@@ -344,8 +342,9 @@ def sweep(base: SweepBase, axes, jobs: int = 1) -> SweepGrid:
 def threshold(grid: SweepGrid, level: float) -> ThresholdResult:
     """First crossing of ``level`` scanning a 1D grid from the low end.
 
-    The grid must start above ``level``.  The bracketing pair of grid points
-    is refined by bisection on fresh gate evaluations down to an axis
+    The grid must start above ``level``.  Failed rows are skipped: the
+    crossing is bracketed by consecutive successful rows, and that pair is
+    refined by bisection on fresh gate evaluations down to an axis
     resolution of 1e-4; oscillating curves may re-cross later, but the first
     crossing is what bounds the safe operating regime.  Returns an explicit
     not-crossed result when the curve never drops below ``level``.
@@ -362,9 +361,7 @@ def threshold(grid: SweepGrid, level: float) -> ThresholdResult:
             f"curve starts at fidelity {ok_rows[0].fidelity:.6f}, already below level {level}"
         )
     bracket = None
-    for row_lo, row_hi in zip(grid.rows, grid.rows[1:]):
-        if row_lo.status != "ok" or row_hi.status != "ok":
-            continue
+    for row_lo, row_hi in zip(ok_rows, ok_rows[1:]):
         if row_lo.fidelity >= level > row_hi.fidelity:
             bracket = (row_lo.values[0], row_hi.values[0])
             break

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,8 +26,8 @@ from scgates import (
 )
 from scgates import evolution, presets
 from scgates.cli import parse_config
-from scgates.evolution import SCHEDULE_UNITARITY_TOL, UnitarityError, constant_propagators
-from scgates.hamiltonians import hamiltonian_parts, hamiltonian_stack, parity_blocks
+from scgates.evolution import SCHEDULE_UNITARITY_TOL, UnitarityError, schedule_propagators
+from scgates.hamiltonians import hamiltonian_parts, hamiltonian_parts_stack, parity_blocks
 
 CZ_SPEC = DirectSystemSpec(QubitSpec(7.16, 0.087, 3), QubitSpec(7.274, 0.114, 3), 0.0274)
 
@@ -203,23 +204,30 @@ class TestParitySplit:
         # times of at most 2 ns keep expm's own round-off, which grows with t ||H||, below 1e-12
         spec = SPLIT_SPECS[name]
         t = np.array([0.05, 0.7, 2.0])
-        h = hamiltonian_stack([spec] * len(t))
-        u, defects = constant_propagators(h, t, parity_blocks(spec))
-        for u_k, h_k, t_k in zip(u, h, t):
-            assert np.max(np.abs(u_k - scipy.linalg.expm(-1j * t_k * h_k))) < 1e-12
+        h0, d1 = hamiltonian_parts_stack([spec] * len(t))
+        schedules = [square_schedule(t_k) for t_k in t]
+        u, defects = schedule_propagators(h0, d1, schedules, parity_blocks(spec), DEFAULT_DT)
+        h = h0[0] + np.diag(d1[0])  # what a square segment exponentiates
+        for u_k, t_k in zip(u, t):
+            assert np.max(np.abs(u_k - scipy.linalg.expm(-1j * t_k * h))) < 1e-12
         assert np.all(defects < 1e-13)
         square = propagate_schedule(spec, square_schedule(2.0)).unitary
-        assert np.max(np.abs(square - scipy.linalg.expm(-2j * h[0]))) < 1e-12
+        assert np.max(np.abs(square - scipy.linalg.expm(-2j * h))) < 1e-12
 
     @pytest.mark.parametrize("name", sorted(SPLIT_SPECS))
-    def test_constant_propagators_equal_square_schedules_entry_for_entry(self, name):
+    @pytest.mark.parametrize("tau_d", [0.0, 1.5])
+    def test_stacked_schedules_equal_single_schedules_entry_for_entry(self, name, tau_d):
+        # two points of one truncation, each with its own coupling and hold time
         spec = SPLIT_SPECS[name]
-        t = [7.3, 3.1]
-        u, defects = constant_propagators(hamiltonian_stack([spec, spec]), t, parity_blocks(spec))
-        for u_k, defect, t_k in zip(u, defects, t):
-            res = propagate_schedule(spec, square_schedule(t_k))
+        other = replace(spec, qubit_b=replace(spec.qubit_b, freq=spec.qubit_b.freq + 0.01))
+        schedules = [trapezoid_schedule(tau_d, 7.3), trapezoid_schedule(tau_d, 3.1)]
+        u, defects = schedule_propagators(
+            *hamiltonian_parts_stack([spec, other]), schedules, parity_blocks(spec), 0.05
+        )
+        for u_k, defect, s_k, sched in zip(u, defects, [spec, other], schedules):
+            res = propagate_schedule(s_k, sched, 0.05)
             assert np.array_equal(u_k, res.unitary)
-            assert defect < SCHEDULE_UNITARITY_TOL
+            assert defect == res.unitarity_defect < SCHEDULE_UNITARITY_TOL
 
     @pytest.mark.parametrize("name", sorted(SPLIT_SPECS))
     @pytest.mark.parametrize("tau_d", [0.0, 1.5])
@@ -244,7 +252,9 @@ class TestParitySplit:
             return w, v * (1 + 1e-6) if h.shape[-1] == size else v
 
         monkeypatch.setattr(np.linalg, "eigh", spoiled_eigh)
-        _, defects = constant_propagators(hamiltonian_stack([spec]), [3.0], parity_blocks(spec))
+        _, defects = schedule_propagators(
+            *hamiltonian_parts_stack([spec]), [square_schedule(3.0)], parity_blocks(spec), DEFAULT_DT
+        )
         assert defects[0] > SCHEDULE_UNITARITY_TOL
         with pytest.raises(UnitarityError):
             propagate_schedule(spec, trapezoid_schedule(0.5, 3.0))
@@ -500,9 +510,7 @@ class TestRampExponentials:
         # a 5 ns fig3b ramp is one polynomial run per block, multiplied as 125 groups of
         # 8 exponentials; a cap of six 5-level images cuts the groups' anchors into
         # slices of 6 (5 levels) and 9 (4 levels)
-        system = parse_config(presets.figure_config("fig3b")).base.system
-        h0, h1 = hamiltonian_parts(system)
-        parts = list(zip(*(evolution._gather(h, parity_blocks(system)) for h in (h0, h1))))
+        parts = _ramp_blocks(parse_config(presets.figure_config("fig3b")).base.system)
         seg = ScheduleSegment(5.0, 1.1, 1.0)
         n = math.ceil(seg.duration / DEFAULT_DT)
         full = evolution._ramp_propagator(parts, seg, n)
@@ -543,8 +551,7 @@ def _system(name: str):
 def _ramp_blocks(system):
     """(h0, diagonal of h1) of each parity block of ``system``."""
     h0, h1 = hamiltonian_parts(system)
-    blocks = parity_blocks(system)
-    return [(b0, np.diagonal(b1).copy()) for b0, b1 in zip(evolution._gather(h0, blocks), evolution._gather(h1, blocks))]
+    return [(h0[np.ix_(ix, ix)], np.diagonal(h1)[ix]) for ix in parity_blocks(system)]
 
 
 def _ramp_down(duration: float):

@@ -21,7 +21,7 @@ from scgates import (
     ladder_diagonal,
 )
 from scgates import hamiltonians
-from scgates.hamiltonians import hamiltonian_stack, parity_blocks
+from scgates.hamiltonians import hamiltonian_parts_stack, parity_blocks
 
 QA = QubitSpec(freq=5.5, anharm=0.15, n_levels=3)
 QB = QubitSpec(freq=5.5, anharm=0.10, n_levels=3)
@@ -297,21 +297,22 @@ class TestAssemblyAgainstReference:
             assert np.array_equal(h, h.T)
 
 
-class TestHamiltonianStack:
+class TestHamiltonianPartsStack:
     @pytest.mark.parametrize("kind", ["direct", "cavity"])
-    def test_entries_are_the_square_pulse_matrices_bit_for_bit(self, kind):
-        # the propagator of a square pulse diagonalizes h0 + 1.0 * h1
+    def test_entries_are_the_single_spec_parts_bit_for_bit(self, kind):
+        # a sweep stack and a single gate run must propagate the same matrices
         spec = TestAssemblyAgainstReference.SPECS[kind][0]
         specs = [
             replace(spec, qubit_b=QubitSpec(spec.qubit_b.freq + 0.01 * k, 0.05 * k, spec.qubit_b.n_levels))
             for k in range(4)
         ]
-        stack = hamiltonian_stack(specs)
-        assert stack.shape == (4, spec.dim, spec.dim) and stack.dtype == np.float64
-        for h, s in zip(stack, specs):
+        h0s, d1s = hamiltonian_parts_stack(specs)
+        assert h0s.shape == (4, spec.dim, spec.dim) and d1s.shape == (4, spec.dim)
+        assert h0s.dtype == d1s.dtype == np.float64
+        for h0_k, d1_k, s in zip(h0s, d1s, specs):
             h0, h1 = hamiltonian_parts(s)
-            assert np.array_equal(h, h0 + 1.0 * h1)
-            assert np.array_equal(h, h.T)
+            assert np.array_equal(h0_k, h0) and np.array_equal(np.diag(d1_k), h1)
+            assert np.array_equal(h0_k, h0_k.T)
 
 
 levels = st.integers(2, 5)
@@ -355,7 +356,7 @@ class TestParityBlocks:
         assert np.array_equal(odd, np.flatnonzero(parity == 1))
         cross = np.ix_(even, odd)
         h0, h1 = hamiltonian_parts(spec)
-        for h in (h0, h1, h0 + scale * h1, hamiltonian_stack([spec, spec])[1]):
+        for h in (h0, h1, h0 + scale * h1, hamiltonian_parts_stack([spec, spec])[0][1]):
             assert not h[cross].any() and not h.T[cross].any()
 
     def test_blocks_follow_the_mode_sizes_not_the_couplings(self):
@@ -380,7 +381,7 @@ class TestCouplingFactors:
         hamiltonian_parts(spec)
         other = replace(spec, g_qc=0.1, qubit_a=replace(spec.qubit_a, freq=8.0))
         hamiltonian_parts(other)
-        hamiltonian_stack([spec, other])
+        hamiltonian_parts_stack([spec, other])
         info = hamiltonians._coupling_factor.cache_info()
         assert (info.misses, info.currsize) == (2, 2)
         factor = hamiltonians._coupling_factor((3, 3, 4), 0, 2)

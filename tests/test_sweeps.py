@@ -1,12 +1,14 @@
 import math
 import threading
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from scgates import sweeps as sweeps_module
-from scgates.hamiltonians import hamiltonian_stack, parity_blocks
+from scgates import evolution
+from scgates.hamiltonians import hamiltonian_parts, parity_blocks
 from scgates import (
     CZ,
     ISWAP,
@@ -187,16 +189,16 @@ class TestSweep:
             assert list(warnings.filters) == before
 
     def test_sweep_runs_every_point_in_the_calling_thread(self, monkeypatch):
-        # square-pulse points are evaluated in stacks: record the thread of
-        # each stacked evaluation once per point it evaluates
+        # points are evaluated in stacks: record the thread of each stacked
+        # evaluation once per point it evaluates
         threads = []
-        square_rows = sweeps_module._square_rows
+        rows = sweeps_module._rows
 
-        def recording_square_rows(chunk, target):
+        def recording_rows(chunk, target, dt):
             threads.extend([threading.get_ident()] * len(chunk))
-            return square_rows(chunk, target)
+            return rows(chunk, target, dt)
 
-        monkeypatch.setattr(sweeps_module, "_square_rows", recording_square_rows)
+        monkeypatch.setattr(sweeps_module, "_rows", recording_rows)
         sweep(ISWAP_BASE, (SweepAxis("g_over_delta_b", 0.05, 0.3, 8),), jobs=4)
         assert threads == [threading.get_ident()] * 8
 
@@ -267,6 +269,25 @@ def assert_rows_are_single_point_rows(base, axes, rows):
     assert rows == tuple(evaluate_point(base, axes, row.values) for row in rows)
 
 
+RAMPED_CASES = {
+    # 2 ns ramps at dt 0.05: six points of dimension 9, one stack
+    "direct-cz": (replace(CZ_BASE, tau_d=2.0, dt=0.05), (SweepAxis("g_over_delta_b", 0.1, 0.3, 6),)),
+    # 1 ns ramps of dimension 45 at the default dt: stacks of 8, 8 and 2
+    "cavity-1ns": (replace(INDIRECT_BASE, tau_d=1.0), (SweepAxis("geff_over_delta_b", 0.05, 0.5, 18),)),
+}
+
+
+def assert_rows_are_run_gate_rows(base, axes, rows):
+    # evaluate_point shares the stacked path, so compare with run_gate itself
+    target = gate_target(base.gate)
+    for row in rows:
+        spec = derive_point_spec(base, axes, row.values)
+        t_g = gate_time(spec, target)
+        res = run_gate(spec, target, trapezoid_schedule(base.tau_d, t_g), base.dt)
+        phases = (res.theta_a, res.theta_b, res.theta_global)
+        assert row == SweepPoint(row.values, res.fidelity, t_g, res.leakage, *phases, "ok")
+
+
 class TestBatching:
     @pytest.mark.parametrize("case", sorted(BATCH_CASES))
     def test_sweep_rows_equal_single_point_rows(self, case):
@@ -280,13 +301,13 @@ class TestBatching:
 
     def test_chunks_hold_at_most_the_stack_bound(self, monkeypatch):
         sizes = []
-        square_rows = sweeps_module._square_rows
+        rows = sweeps_module._rows
 
-        def recording_square_rows(chunk, target):
+        def recording_rows(chunk, target, dt):
             sizes.append(len(chunk))
-            return square_rows(chunk, target)
+            return rows(chunk, target, dt)
 
-        monkeypatch.setattr(sweeps_module, "_square_rows", recording_square_rows)
+        monkeypatch.setattr(sweeps_module, "_rows", recording_rows)
         sweep(*BATCH_CASES["direct-1d"])
         sweep(*BATCH_CASES["cavity"])
         assert sizes == [202, 48, 8, 8, 3]
@@ -310,7 +331,8 @@ class TestBatching:
         expected = sweep(base, axes).rows
         spec = derive_point_spec(base, axes, expected[10].values)
         even, _ = parity_blocks(spec)
-        bad = hamiltonian_stack([spec])[0][np.ix_(even, even)]
+        h0, h1 = hamiltonian_parts(spec)
+        bad = (h0 + 1.0 * h1)[np.ix_(even, even)]  # what the square segment exponentiates
         eigh = np.linalg.eigh
 
         def failing_eigh(h):
@@ -327,18 +349,66 @@ class TestBatching:
     def test_unitarity_failure_stays_in_its_row(self, monkeypatch):
         base, axes = BATCH_CASES["cavity"]
         expected = sweep(base, axes).rows
-        bad = hamiltonian_stack([derive_point_spec(base, axes, expected[3].values)])[0]
-        constant_propagators = sweeps_module.constant_propagators
+        bad, _ = hamiltonian_parts(derive_point_spec(base, axes, expected[3].values))
+        schedule_propagators = sweeps_module.schedule_propagators
 
-        def leaky_propagators(h, *args):
-            u, defects = constant_propagators(h, *args)
-            hit = np.array([np.array_equal(m, bad) for m in h])
+        def leaky_propagators(h0, *args):
+            u, defects = schedule_propagators(h0, *args)
+            hit = np.array([np.array_equal(m, bad) for m in h0])
             return u, np.where(hit, 1e-6, defects)
 
-        monkeypatch.setattr(sweeps_module, "constant_propagators", leaky_propagators)
+        monkeypatch.setattr(sweeps_module, "schedule_propagators", leaky_propagators)
         rows = sweep(base, axes).rows
         assert rows[3].status == "error:UnitarityError"
         assert rows[:3] + rows[4:] == expected[:3] + expected[4:]
+
+    @pytest.mark.parametrize("case", sorted(RAMPED_CASES))
+    def test_ramped_rows_equal_run_gate_rows(self, case, monkeypatch):
+        base, axes = RAMPED_CASES[case]
+        degrees = []
+        chunks = evolution._ramp_chunks
+
+        def recording_chunks(*args):
+            for chunk, degree in chunks(*args):
+                degrees.append(degree)
+                yield chunk, degree
+
+        monkeypatch.setattr(evolution, "_ramp_chunks", recording_chunks)
+        rows = sweep(base, axes).rows
+        if case == "cavity-1ns":
+            # 200 exponentials per block do not pay for a block exponential
+            assert degrees and set(degrees) == {None}
+        assert_rows_are_run_gate_rows(base, axes, rows)
+
+    def test_ramp_failure_stays_in_its_row(self, monkeypatch):
+        base, axes = RAMPED_CASES["direct-cz"]
+        expected = sweep(base, axes).rows
+        h0, _ = hamiltonian_parts(derive_point_spec(base, axes, expected[2].values))
+        even, _ = parity_blocks(base.system)
+        bad = h0[np.ix_(even, even)]
+        ramp_propagator = evolution._ramp_propagator
+
+        def failing_ramp_propagator(parts, seg, n):
+            if np.array_equal(parts[0][0], bad):
+                raise np.linalg.LinAlgError("forced")
+            return ramp_propagator(parts, seg, n)
+
+        monkeypatch.setattr(evolution, "_ramp_propagator", failing_ramp_propagator)
+        rows = sweep(base, axes).rows
+        assert rows[2].status == "error:LinAlgError"
+        assert np.isnan(rows[2].fidelity)
+        assert rows[:2] + rows[3:] == expected[:2] + expected[3:]
+
+    def test_detuned_ramped_sweep_warns_once(self):
+        system = replace(CZ_BASE.system, qubit_b=replace(CZ_BASE.system.qubit_b, freq=7.3))
+        base = SweepBase(system, "cz", tau_d=1.0, dt=0.05)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            grid = sweep(base, (SweepAxis("g_over_delta_b", 0.1, 0.3, 4),))
+        assert [str(w.message).split(" is ")[0] for w in caught] == [
+            "cz resonance condition freq_b = freq_a + anharm_b"
+        ]
+        assert all(row.status == "ok" for row in grid.rows)
 
 
 def sweep_case(name):
@@ -396,6 +466,17 @@ class TestThreshold:
         assert result.crossed
         assert result.value == pytest.approx(0.1523, abs=0.002)
         assert result.t_g_ns == pytest.approx(1 / (4 * result.value * 0.10), rel=1e-6)
+
+    def test_a_failed_row_beside_the_crossing_does_not_hide_it(self):
+        # the crossing is bracketed by the successful rows on either side of the failed one
+        grid = sweep(ISWAP_BASE, (SweepAxis("g_over_delta_b", 0.10, 0.20, 11),))
+        after = next(i for i, row in enumerate(grid.rows) if row.fidelity < 0.99)
+        rows = list(grid.rows)
+        rows[after] = SweepPoint(rows[after].values, *[math.nan] * 6, "error:ValueError")
+        result = threshold(replace(grid, rows=tuple(rows)), 0.99)
+        assert result.crossed
+        assert result.value == pytest.approx(0.1523, abs=0.002)
+        assert abs(result.value - threshold(grid, 0.99).value) <= 2e-4
 
     def test_result_invariant_to_grid_density(self):
         coarse = sweep(ISWAP_BASE, (SweepAxis("g_over_delta_b", 0.10, 0.20, 50),), jobs=2)
