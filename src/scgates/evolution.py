@@ -13,8 +13,10 @@ of the step, so the error falls as ``dt**4``.
 One propagator, ``schedule_propagators``, takes a stack of points that share
 a truncation and a schedule shape, such as a sweep's grid points: each
 constant segment, at each point's own duration, is one stacked exponential,
-and each point's ramps are its own.  ``propagate_schedule`` is its one-point
-case.
+and each ramped segment is one stacked ramp propagation, in which the points
+of one ramp plan (``_ramp_plans``: the same chunks, degrees and group
+degrees) share every call and each point does exactly the arithmetic it
+would do alone.  ``propagate_schedule`` is its one-point case.
 
 The exponentials are taken in one of two ways, chosen by the segment kind:
 
@@ -64,7 +66,9 @@ The exponentials are taken in one of two ways, chosen by the segment kind:
 Memory is bounded apart from accuracy, by _CHUNK_ENTRIES entries of real
 (2k, 2k) images: a chunk taken one exponential at a time holds at most that
 many, and a polynomial run is evaluated in slices of at most that many group
-products or exponentials, into one workspace of 1.5 slices.  The
+products or exponentials, into one workspace of 1.5 slices.  A stack of
+points shares that bound: its points go through a ramp in sub-stacks whose
+slices and block matrices together fit it.  The
 exponentials of a chunk, or the images of a slice, are combined with a
 pairwise product tree, over their real images where they come from a
 polynomial, and only a chunk's product is taken back to complex.  A run's
@@ -96,9 +100,11 @@ import numpy as np
 from .hamiltonians import DirectSystemSpec, IndirectSystemSpec, hamiltonian_parts, parity_blocks
 
 #: Default ramp discretization (ns): the length of one CF4 step, which costs
-#: two exponentials.  Verified by the convergence suite: halving it changes no
-#: propagator entry by more than 1e-8 for the schedules used in the
-#: acceptance runs (the worst case being 40 ns ramps).
+#: two exponentials.  Halving it moves no entry of a trapezoid's propagator by
+#: more than 1e-8 for the fig3b pair (4.9e-10 with 5 ns ramps, 4.1e-11 with
+#: 40 ns ones) or for 5 ns ramps of 45- and 125-level cavity systems (3.5e-9
+#: and 2.9e-9).  Short ramps of large systems move more: 1.6e-8 for 1 ns ramps
+#: of the 125-level cavity system.
 DEFAULT_DT = 0.01
 
 #: Unitarity tolerances declared per method.
@@ -208,20 +214,21 @@ def _unitarity_defect(u: np.ndarray) -> float:
 
 
 def _product_in_order(us: np.ndarray, spare: np.ndarray | None = None) -> np.ndarray:
-    """Product us[-1] @ ... @ us[0] by pairwise tree reduction.
+    """Product us[-1] @ ... @ us[0] by pairwise tree reduction, of each stack (..., n, r, r) on the leading axes.
 
     Where a level has an odd matrix out, it is multiplied onto the level's
     last product.  With ``spare``, a stack of at least half as many matrices
     as ``us``, the levels are written into ``spare`` and ``us`` in turn, so
     the tree overwrites ``us`` and allocates no stack.
     """
-    while len(us) > 1:
-        pairs = len(us) // 2
-        out = np.matmul(us[1 : 2 * pairs : 2], us[0 : 2 * pairs : 2], out=None if spare is None else spare[:pairs])
-        if len(us) % 2:
-            out[-1] = us[-1] @ out[-1]
+    while (n := us.shape[-3]) > 1:
+        pairs = n // 2
+        out = None if spare is None else spare[..., :pairs, :, :]
+        out = np.matmul(us[..., 1 : 2 * pairs : 2, :, :], us[..., 0 : 2 * pairs : 2, :, :], out=out)
+        if n % 2:
+            out[..., -1, :, :] = us[..., -1, :, :] @ out[..., -1, :, :]
         us, spare = out, None if spare is None else us
-    return us[0]
+    return us[..., 0, :, :]
 
 
 def _exponentials(hs: list[np.ndarray], step) -> list[np.ndarray]:
@@ -248,7 +255,7 @@ def _even_series(coeffs, y: np.ndarray, y2: np.ndarray, y3: np.ndarray) -> np.nd
     def group(c0, c1, c2):
         g = c2 * y2
         g += c1 * y
-        g.reshape(len(g), -1)[:, :: g.shape[-1] + 1] += c0  # c0 I, on the diagonal in place
+        g.reshape(-1, g.shape[-1] ** 2)[:, :: g.shape[-1] + 1] += c0  # c0 I, on the diagonal in place
         return g
 
     p = np.matmul(y3, group(*coeffs[6:9]))
@@ -261,17 +268,26 @@ def _even_series(coeffs, y: np.ndarray, y2: np.ndarray, y3: np.ndarray) -> np.nd
 def _series_exponentials(x: np.ndarray, symmetric: bool) -> np.ndarray:
     """exp(-i X) = cos X - i sin X for each real square matrix of a stack, from real matrix products only.
 
-    The stack is one matrix or an affine family X_0 + s (X_1 - X_0) in the
-    order of monotone s, such as a ramp chunk's X_s.  ||X||_1 is convex
-    along the family, so it is largest at one end, and X is halved q times,
-    q the least with ||X||_1 / 2^q <= 1 at both ends.  cos and sin are then
-    summed as series in Y = X^2 through Y^8 (remainder at most
-    1/18! ~ 1.6e-16) and squared back q times by
-    (C, S) -> (C^2 - S^2, CS + SC), which takes three products where X is
-    ``symmetric``, since SC = (CS)^T there.
+    The stack (..., n, K, K) holds one family per leading index, each one
+    matrix or an affine family X_0 + s (X_1 - X_0) in the order of monotone
+    s, such as a ramp chunk's X_s.  ||X||_1 is convex along a family, so it
+    is largest at one end, and the family is halved q times, q the least
+    with ||X||_1 / 2^q <= 1 at both ends.  cos and sin are then summed as
+    series in Y = X^2 through Y^8 (remainder at most 1/18! ~ 1.6e-16) and
+    squared back q times by (C, S) -> (C^2 - S^2, CS + SC), which takes
+    three products where X is ``symmetric``, since SC = (CS)^T there.
+    Families of different q are taken apart, so each family gets the
+    arithmetic it would get on its own.
     """
-    norm = float(np.abs(x[[0, -1]]).sum(axis=-2).max())
-    q = math.ceil(math.log2(norm)) if norm > 1 else 0
+    ends = x[..., :: max(1, x.shape[-3] - 1), :, :]  # the first and the last matrix of each family
+    norm = np.abs(ends).sum(axis=-2).max(axis=(-2, -1))
+    qs = [math.ceil(math.log2(v)) if v > 1 else 0 for v in norm.flat]
+    if len(set(qs)) > 1:
+        qs, u = np.reshape(qs, norm.shape), np.empty(x.shape, dtype=complex)
+        for q in set(qs.flat):
+            u[qs == q] = _series_exponentials(x[qs == q], symmetric)
+        return u
+    q = qs[0]
     x = x * 0.5**q if q else x
     y = np.matmul(x, x)
     y2 = np.matmul(y, y)
@@ -280,17 +296,23 @@ def _series_exponentials(x: np.ndarray, symmetric: bool) -> np.ndarray:
     s = np.matmul(x, _even_series(_SINC_SERIES, y, y2, y3))
     for _ in range(q):
         cs = np.matmul(c, s)
-        c, s = np.matmul(c, c) - np.matmul(s, s), cs + (cs.transpose(0, 2, 1) if symmetric else np.matmul(s, c))
+        c, s = np.matmul(c, c) - np.matmul(s, s), cs + (cs.swapaxes(-1, -2) if symmetric else np.matmul(s, c))
     u = np.empty(c.shape, dtype=complex)
     u.real, u.imag = c, -s
     return u
 
 
 def _shifted(h0: np.ndarray, d1: np.ndarray, scales: np.ndarray, step: float):
-    """X_s = a + s diag(b) of one ramp chunk, as (a, b), and the shifts mu_s split off it (see ``_ramp_exponentials``)."""
-    shift, mean = np.mean(np.diagonal(h0)), d1.mean()
-    a = h0.copy()
-    a.flat[:: len(d1) + 1] -= shift
+    """X_s = a + s diag(b) of one ramp chunk, as (a, b), and the shifts mu_s split off it (see ``_ramp_exponentials``).
+
+    ``h0`` (..., k, k) and ``d1`` (..., k) may lead with a points axis; mu is then (..., n).
+    """
+    # the means as np.mean takes them, a sum and then a division by the count, each over
+    # C-ordered data, so that a point's sums run in the order they would for it alone
+    k, a = d1.shape[-1], h0.copy()
+    shift = np.diagonal(a, axis1=-2, axis2=-1).sum(axis=-1, keepdims=True) / k
+    mean = np.ascontiguousarray(d1).sum(axis=-1, keepdims=True) / k
+    a.reshape(*a.shape[:-2], -1)[..., :: k + 1] -= shift
     a *= step
     return a, step * (d1 - mean), shift + scales * mean
 
@@ -301,22 +323,23 @@ def _ramp_coefficients(h0: np.ndarray, d1: np.ndarray, scales: np.ndarray, step:
     The images [[Re, -Im], [Im, Re]] of the F_m are the rows of an
     (M + 1, 4 k^2) matrix, so the images of the u_s are the rows of the
     product of the run's Vandermonde matrix in delta with it (see
-    ``_ramp_exponentials``).
+    ``_ramp_exponentials``).  With a points axis leading ``h0`` and ``d1``,
+    the images and mu lead with it too; delta is the points' own.
     """
-    k = len(d1)
+    k, lead = d1.shape[-1], d1.shape[:-1]
     a, b, mu = _shifted(h0, d1, scales, step)
     mid, half = (scales[0] + scales[-1]) / 2, abs(scales[-1] - scales[0]) / 2
-    n_mat, m, i = np.zeros((degree + 1, k, degree + 1, k)), np.arange(degree + 1), np.arange(k)
-    a.flat[:: k + 1] += mid * b  # Xc
-    n_mat[m, :, m] = a
-    n_mat[m[:-1, None], i, m[1:, None], i] = half * b
-    n_mat = n_mat.reshape((degree + 1) * k, -1)
-    f = _series_exponentials(n_mat[None], symmetric=False)[0, :k].reshape(k, degree + 1, k).swapaxes(0, 1)
-    images = np.empty((degree + 1, 2 * k, 2 * k))
-    images[:, :k, :k] = images[:, k:, k:] = f.real
-    images[:, k:, :k] = f.imag
-    np.negative(f.imag, out=images[:, :k, k:])
-    return images.reshape(degree + 1, -1), (scales - mid) / (half or 1.0), mu
+    n_mat, m, i = np.zeros(lead + (degree + 1, k, degree + 1, k)), np.arange(degree + 1), np.arange(k)
+    a.reshape(*lead, -1)[..., :: k + 1] += mid * b  # Xc
+    n_mat[..., m, :, m, :] = a
+    n_mat[..., m[:-1, None], i, m[1:, None], i] = half * b[..., None, :]
+    n_mat = n_mat.reshape(*lead, 1, (degree + 1) * k, -1)
+    f = _series_exponentials(n_mat, symmetric=False)[..., 0, :k, :].reshape(*lead, k, degree + 1, k).swapaxes(-3, -2)
+    images = np.empty(lead + (degree + 1, 2 * k, 2 * k))
+    images[..., :k, :k] = images[..., k:, k:] = f.real
+    images[..., k:, :k] = f.imag
+    np.negative(f.imag, out=images[..., :k, k:])
+    return images.reshape(*lead, degree + 1, -1), (scales - mid) / (half or 1.0), mu
 
 
 def _powers(delta: np.ndarray, degree: int) -> np.ndarray:
@@ -347,15 +370,17 @@ def _ramp_exponentials(h0: np.ndarray, d1: np.ndarray, scales: np.ndarray, step:
     diagonal and W above it (``_ramp_coefficients``), and one product of the
     Vandermonde matrix of the delta with the images of the F_m gives every
     u_s.  The propagator forms that product in memory-capped slices instead
-    (``_run_product``); this form gives all of a chunk's u_s at once.
+    (``_run_product``); this form gives all of a chunk's u_s at once.  A
+    points axis may lead ``h0`` and ``d1``, and then leads the u_s and mu.
     """
+    k, lead = d1.shape[-1], d1.shape[:-1]
     if degree is None:
         a, b, mu = _shifted(h0, d1, scales, step)
-        x = np.repeat(a[None], len(scales), axis=0)
-        x.reshape(len(scales), -1)[:, :: len(d1) + 1] += scales[:, None] * b
+        x = np.repeat(a[..., None, :, :], len(scales), axis=-3)
+        x.reshape(*lead, len(scales), -1)[..., :: k + 1] += scales[:, None] * b[..., None, :]
         return _series_exponentials(x, symmetric=True), mu
     images, delta, mu = _ramp_coefficients(h0, d1, scales, step, degree)
-    return (_powers(delta, degree) @ images).reshape(len(scales), 2 * len(d1), -1), mu
+    return (_powers(delta, degree) @ images).reshape(*lead, len(scales), 2 * k, -1), mu
 
 
 def _scatter(us: list[np.ndarray], blocks) -> np.ndarray:
@@ -422,7 +447,7 @@ def _binomials(size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cauchy(a: np.ndarray, b: np.ndarray, degree: int) -> np.ndarray:
-    """Coefficients 0 ... ``degree`` of A(c) B(c), from (p + 1, r, r) stacks of A's and B's, p <= degree, in one GEMM.
+    """Coefficients 0 ... ``degree`` of A(c) B(c), from (..., p + 1, r, r) stacks of A's and B's, p <= degree, in one GEMM each.
 
     Block (n, j) of the block-Toeplitz matrix is A_{n - j}, zero outside 0 ... p,
     so its product with B's coefficients stacked in a column is the column
@@ -430,12 +455,13 @@ def _cauchy(a: np.ndarray, b: np.ndarray, degree: int) -> np.ndarray:
     entry [n, x, j, y] is entry [p + n - j, x, y] of A padded with p zero
     blocks before and degree - p after.
     """
-    p, r = len(a) - 1, a.shape[-1]
-    padded = np.zeros((degree + p + 1, r, r))
-    padded[p : 2 * p + 1] = a
-    block, row, col = padded.strides
-    toeplitz = np.ndarray((degree + 1, r, p + 1, r), float, padded, p * block, (block, row, -block, col))
-    return np.matmul(toeplitz.reshape((degree + 1) * r, -1), b.reshape(-1, r)).reshape(degree + 1, r, r)
+    lead, p, r = a.shape[:-3], a.shape[-3] - 1, a.shape[-1]
+    padded = np.zeros(lead + (degree + p + 1, r, r))
+    padded[..., p : 2 * p + 1, :, :] = a
+    *outer, block, row, col = padded.strides
+    toeplitz = np.ndarray((*lead, degree + 1, r, p + 1, r), float, padded, p * block, (*outer, block, row, -block, col))
+    toeplitz = toeplitz.reshape(*lead, (degree + 1) * r, -1)
+    return np.matmul(toeplitz, b.reshape(*lead, -1, r)).reshape(*lead, degree + 1, r, r)
 
 
 def _group_degrees(n: int, width: float, degree: int) -> list[int]:
@@ -470,7 +496,7 @@ def _group_degrees(n: int, width: float, degree: int) -> list[int]:
 def _grouped(images: np.ndarray, delta: np.ndarray, degrees: list[int]) -> np.ndarray:
     """Coefficients of G(c) = u(c + e_{g - 1}) ... u(c + e_0), g = 2^L, from those of u, as real images.
 
-    ``images`` (M + 1, r, r) are the u's of a polynomial run with ``delta``,
+    ``images`` (..., M + 1, r, r) are the u's of a polynomial run with ``delta``,
     e_j = delta_j - delta_0, and ``degrees`` are the L degrees at which the
     doublings cut their products (``_group_degrees``).  The CF4 nodes repeat
     with period 2, so for every even s the offsets satisfy
@@ -482,75 +508,124 @@ def _grouped(images: np.ndarray, delta: np.ndarray, degrees: list[int]) -> np.nd
     2^-53 on [-1, 1]; a product of degree 2 D_(l - 1) or less is not cut.
     """
     for level, degree in enumerate(degrees):
-        p, s = len(images) - 1, 1 << level
+        p, s = images.shape[-3] - 1, 1 << level
         comb, lag = _binomials(p + 1)
-        later = np.matmul(comb * (delta[s] - delta[0]) ** lag, images.reshape(p + 1, -1)).reshape(images.shape)
+        shift = comb * (delta[s] - delta[0]) ** lag
+        later = np.matmul(shift, images.reshape(*images.shape[:-3], p + 1, -1)).reshape(images.shape)
         images = _cauchy(later, images, degree)
     return images
 
 
-def _run_product(images: np.ndarray, delta: np.ndarray, k: int, width: float) -> np.ndarray:
+def _run_product(images: np.ndarray, delta: np.ndarray, k: int, degrees: list[int]) -> np.ndarray:
     """Product u_s[-1] ... u_s[0] of a polynomial run's exponentials, without the shifts mu_s.
 
     ``images`` and ``delta`` are the run's, from ``_ramp_coefficients``, k
-    its block size and ``width`` its ||W||_max.  The run is taken in groups
-    of g = 2^L consecutive exponentials (``_group_degrees``), each group the
-    value of one polynomial G (``_grouped``) at its anchor, the delta of its
-    first exponential, and the n mod g exponentials left over on their own.
-    Anchors, then leftovers, are taken in slices of at most _CHUNK_ENTRIES
-    image entries.  Each slice's Vandermonde rows times its coefficients is
-    formed into one workspace of 1.5 slices, reduced there by a product tree
-    whose levels alternate with the workspace's spare half, and multiplied
-    onto the real product of the slices before it.  So a run allocates one
-    stack of at most 1.5 _CHUNK_ENTRIES doubles however long it is, and only
-    its product is taken back to complex.  With g = 1 every slice holds
-    exponentials, and nothing is left over.
+    its block size and ``degrees`` its group degrees (``_group_degrees``).
+    The run is taken in groups of g = 2^L consecutive exponentials, each
+    group the value of one polynomial G (``_grouped``) at its anchor, the
+    delta of its first exponential, and the n mod g exponentials left over
+    on their own.  Anchors, then leftovers, are taken in slices of at most
+    _CHUNK_ENTRIES image entries.  Each slice's Vandermonde rows times its
+    coefficients is formed into one workspace of 1.5 slices, sized by the
+    longest slice the run takes, reduced there by a product tree whose
+    levels alternate with the workspace's spare half, and multiplied onto
+    the real product of the slices before it.  So a run allocates one stack
+    of at most 1.5 _CHUNK_ENTRIES doubles however long it is, and only its
+    product is taken back to complex.  With g = 1 every slice holds
+    exponentials, and nothing is left over.  A points axis may lead
+    ``images``: each point then takes the same slices, one batched product
+    per step, into a workspace with the same axis.
     """
-    degrees = _group_degrees(len(delta), width, len(images) - 1)
-    g = 1 << len(degrees)
+    lead, g = images.shape[:-2], 1 << len(degrees)
     whole = len(delta) - len(delta) % g
-    groups = _grouped(images.reshape(len(images), 2 * k, 2 * k), delta, degrees).reshape(-1, 4 * k * k)
-    most = _most(k)
-    work = np.empty((most + most // 2, 2 * k, 2 * k))
+    groups = _grouped(images.reshape(*lead, -1, 2 * k, 2 * k), delta, degrees).reshape(*lead, -1, 4 * k * k)
+    most = min(_most(k), max(divmod(len(delta), g)))
+    work = np.empty(lead + (most + most // 2, 4 * k * k))
+    spare = work[..., most:, :].reshape(*lead, -1, 2 * k, 2 * k)
     p = np.eye(2 * k)
     for coeffs, anchors in (groups, delta[:whole:g]), (images, delta[whole:]):
         for lo in range(0, len(anchors), most):
-            rows = _powers(anchors[lo : lo + most], len(coeffs) - 1)
-            v = np.matmul(rows, coeffs, out=work[: len(rows)].reshape(len(rows), -1))
-            p = _product_in_order(v.reshape(-1, 2 * k, 2 * k), work[most:]) @ p
-    return p[:k, :k] + 1j * p[k:, :k]
+            rows = _powers(anchors[lo : lo + most], coeffs.shape[-2] - 1)
+            v = np.matmul(rows, coeffs, out=work[..., : len(rows), :])
+            p = _product_in_order(v.reshape(*lead, -1, 2 * k, 2 * k), spare) @ p
+    return p[..., :k, :k] + 1j * p[..., k:, :k]
 
 
-def _ramp_propagator(parts: list[tuple[np.ndarray, np.ndarray]], seg: ScheduleSegment, n: int):
-    """Blocks of the CF4 propagator of a ramped segment in ``n`` steps.
-
-    ``parts`` holds the (h0, d1) of each block, d1 the diagonal of h1.  Each step
-    takes two half-step exponentials at the CF4 nodes, the earliest first.
-    Per block, the chunks (``_ramp_chunks``) are multiplied in time order.
-    A chunk of degree None takes one ``_ramp_exponentials`` and a product
-    tree; a polynomial run takes one ``_ramp_coefficients`` and one
-    ``_run_product``, which multiplies it in groups of 2^L exponentials,
-    each group one polynomial, in memory-capped slices.  The scalar phases
-    exp(-i step mu_s) of a chunk's exponentials commute with everything, so
-    they are applied once per chunk, as exp(-i step sum(mu_s)), to the
-    chunk's complex product.
-    """
+def _cf4_scales(seg: ScheduleSegment, dt: float) -> tuple[np.ndarray, float]:
+    """The scales of a ramped segment's exponentials and their step: n = ceil(duration / dt) CF4 steps, two half steps each, at the CF4 nodes."""
+    n = math.ceil(seg.duration / dt)
     frac = (np.arange(n)[:, None] + _CF4_NODES).ravel() / n
-    scales = seg.scale_start + (seg.scale_end - seg.scale_start) * frac
-    step = seg.duration / (2 * n)
-    us = []
+    return seg.scale_start + (seg.scale_end - seg.scale_start) * frac, seg.duration / (2 * n)
+
+
+def _ramp_plans(d1: np.ndarray, segs: list[int], grids: list[tuple[np.ndarray, float]]):
+    """The points of one block grouped by ramp plan: (indices, step, [(chunk, degree, group degrees), ...]).
+
+    ``d1`` (P, k) holds each point's diagonal of h1, ``segs`` the index of
+    each point's ramped segment in ``grids``, and ``grids`` the scales and
+    step of each segment (``_cf4_scales``).  A point's chunks and degrees
+    (``_ramp_chunks``) and each polynomial run's group degrees
+    (``_group_degrees``, () for a chunk of degree None) follow from its
+    segment and d1, so they are found once per distinct pair, and points
+    with one segment whose chunks, degrees and group degrees all agree share
+    a plan.
+    """
+    plans, found = {}, {}
+    for point, (b, seg) in enumerate(zip(d1, segs)):
+        if (key := (seg, b.tobytes())) not in found:
+            scales, step = grids[seg]
+            spread = step * np.abs(b - b.mean()).max() / 2
+            chunks = [
+                (chunk, degree, () if degree is None else tuple(_group_degrees(len(chunk), spread * abs(chunk[-1] - chunk[0]), degree)))
+                for chunk, degree in _ramp_chunks(b, scales, step)
+            ]
+            found[key] = (seg, *((len(chunk), degree, degrees) for chunk, degree, degrees in chunks)), (step, chunks)
+        plan, ramp = found[key]
+        plans.setdefault(plan, (ramp, []))[1].append(point)
+    return [(points, step, chunks) for (step, chunks), points in plans.values()]
+
+
+def _ramp_propagator(parts: list[tuple[np.ndarray, np.ndarray]], segs, dt: float):
+    """Blocks of the CF4 propagators of a ramped segment, one per point of a stack.
+
+    ``parts`` holds the (h0, d1) of each block, stacks (P, k, k) and (P, k)
+    over the points, d1 the diagonal of h1, and ``segs`` each point's
+    segment, discretized at ``dt`` (``_cf4_scales``).  Per block, the points
+    are grouped by ramp plan (``_ramp_plans``), and a plan's points go in
+    sub-stacks within _CHUNK_ENTRIES entries, each point counted at the
+    larger of its longest slice of images, min(_most(k), slice) (2k)^2, and
+    its block matrix, ((M + 1) k)^2, over its chunks.  A sub-stack's chunks
+    are multiplied in time order, all its points at once: a chunk of degree
+    None takes one ``_ramp_exponentials`` and a product tree; a polynomial
+    run takes one ``_ramp_coefficients`` and one ``_run_product``, which
+    multiplies it in groups of 2^L exponentials, each group one polynomial,
+    in memory-capped slices.  Every point so takes the arithmetic of a stack
+    of one, batched.  The scalar phases exp(-i step mu_s) of a chunk's
+    exponentials commute with everything, so they are applied once per
+    chunk, as exp(-i step sum(mu_s)), to the chunk's complex product.
+    """
+    index = {}  # each distinct segment, numbered in order of first use
+    which = [index.setdefault(seg, len(index)) for seg in segs]
+    grids, us = [_cf4_scales(seg, dt) for seg in index], []
     for h0, d1 in parts:
-        k = len(h0)
-        spread = step * np.abs(d1 - d1.mean()).max() / 2
-        u = np.eye(k, dtype=complex)
-        for chunk, degree in _ramp_chunks(d1, scales, step):
-            if degree is None:
-                v, mu = _ramp_exponentials(h0, d1, chunk, step, None)
-                p = _product_in_order(v)
-            else:
-                images, delta, mu = _ramp_coefficients(h0, d1, chunk, step, degree)
-                p = _run_product(images, delta, k, spread * abs(chunk[-1] - chunk[0]))
-            u = np.exp(-1j * step * mu.sum()) * p @ u
+        k = d1.shape[-1]
+        u = np.empty(h0.shape, dtype=complex)
+        for points, step, chunks in _ramp_plans(d1, which, grids):
+            # the longest slice of anchors or leftovers (every exponential, for degree None)
+            slices = [min(_most(k), max(divmod(len(chunk), 1 << len(degrees)))) for chunk, _, degrees in chunks]
+            entries = max(max(n * (2 * k) ** 2, (((d or 0) + 1) * k) ** 2) for n, (_, d, _) in zip(slices, chunks))
+            size = max(1, _CHUNK_ENTRIES // entries)
+            for lo in range(0, len(points), size):
+                at, v = points[lo : lo + size], np.eye(k)
+                for chunk, degree, degrees in chunks:
+                    if degree is None:
+                        x, mu = _ramp_exponentials(h0[at], d1[at], chunk, step, None)
+                        p = _product_in_order(x)
+                    else:
+                        images, delta, mu = _ramp_coefficients(h0[at], d1[at], chunk, step, degree)
+                        p = _run_product(images, delta, k, degrees)
+                    v = np.exp(-1j * step * mu.sum(axis=-1))[:, None, None] * p @ v
+                u[at] = v
         us.append(u)
     return us
 
@@ -567,8 +642,9 @@ def schedule_propagators(h0: np.ndarray, d1: np.ndarray, schedules, blocks, dt: 
     are taken for all.  Segment by segment, in time order:
     * a constant segment is one stacked ``_exponentials`` per block, each
       point at its own duration;
-    * a ramped segment is each point's own ``_ramp_propagator``, discretized
-      as the module docstring describes;
+    * a ramped segment is one ``_ramp_propagator`` for all points, each at
+      its own duration, discretized as the module docstring describes, its
+      points grouped by ramp plan;
     * a segment that retraces an earlier one (the same durations, start and
       end scales swapped, as the ramp back up of a trapezoid) reuses the
       transposes of the earlier propagators.  This is exact: h0 and h1 are
@@ -592,11 +668,7 @@ def schedule_propagators(h0: np.ndarray, d1: np.ndarray, schedules, blocks, dt: 
             h.reshape(len(h), -1)[:, :: h.shape[-1] + 1] += seg.scale_start * d1  # the diagonal, in place
             seg_us = _exponentials([h[:, ix[:, None], ix] for ix in blocks], np.array(durations)[:, None])
         else:
-            points = [
-                _ramp_propagator([(p0[ix[:, None], ix], p1[ix]) for ix in blocks], s, math.ceil(s.duration / dt))
-                for p0, p1, s in zip(h0, d1, segs)
-            ]
-            seg_us = [np.stack(block) for block in zip(*points)]
+            seg_us = _ramp_propagator([(h0[:, ix[:, None], ix], d1[:, ix]) for ix in blocks], segs, dt)
         done[durations, seg.scale_start, seg.scale_end] = seg_us
         us = seg_us if us is None else [np.matmul(seg_u, u) for seg_u, u in zip(seg_us, us)]
     return _scatter(us, blocks), np.max([_unitarity_defects(u) for u in us], axis=0)

@@ -7,12 +7,13 @@ the base.  Every point's system and gate time are derived first.  The points
 are then evaluated as stacks, in chunks of at most ``_STACK_ENTRIES`` matrix
 entries: one Hamiltonian stack, one stacked schedule propagation
 (``evolution.schedule_propagators``), projection and phase solve per chunk.
-Square and ramped points take the same path; a ramped point's ramps are
-propagated point by point inside the stack, its hold with the others.
+Square and ramped points take the same path: each ramped segment is one
+stacked ramp propagation, shared by the points whose ramp plans agree.
 Everything runs in the calling thread, rows come out in lexicographic axis
 order, and failed points are recorded in-row rather than aborting the sweep;
 a chunk whose stacked evaluation raises is run again point by point through
-``run_gate``, so that a failure stays in its own row.  A single point
+``run_gate``, so that a failure stays in its own row, without a second
+resonance warning.  A single point
 (``evaluate_point``) is a chunk of one.  The ``jobs`` keywords of the sweep
 functions are kept for compatibility and change nothing.
 
@@ -264,7 +265,8 @@ def _rows(chunk, target, dt: float) -> list[SweepPoint]:
     projected and scored as one stack.  A point whose propagator fails the
     unitarity bound of ``propagate_schedule`` is an ``error:UnitarityError``
     row; if the stacked evaluation raises, each point is run on its own by
-    ``run_gate``, which warns again for a detuned point.
+    ``run_gate``, with its resonance warnings silenced, since the sweep has
+    given its one already.
     """
     specs = [point[1] for point in chunk]
     try:
@@ -273,7 +275,9 @@ def _rows(chunk, target, dt: float) -> list[SweepPoint]:
         )
         scores = score_blocks(project_computational(u, specs[0]), target)
     except _POINT_ERRORS:
-        return [_single_row(dt, target, *point) for point in chunk]
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", r"\w+ resonance condition ")
+            return [_single_row(dt, target, *point) for point in chunk]
     fidelity, theta_a, theta_b, theta, leakage = (x.tolist() for x in scores)
     return [
         _failed(values, UnitarityError)

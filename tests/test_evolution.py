@@ -294,8 +294,8 @@ def spoil_ramp_block(spec, duration: float, spoiled: int, polynomial: bool, monk
 
         def spoiled_kernel(h0, d1, scales, step, degree):
             first, *rest = kernel(h0, d1, scales, step, degree)
-            calls.append((len(h0), degree is not None))
-            return (first * (1 + 1e-6) if len(h0) == size else first), *rest
+            calls.append((h0.shape[-1], degree is not None))
+            return (first * (1 + 1e-6) if h0.shape[-1] == size else first), *rest
 
         monkeypatch.setattr(evolution, name, spoiled_kernel)
 
@@ -346,7 +346,7 @@ def tree_inputs(monkeypatch):
     product_in_order = evolution._product_in_order
 
     def recording_product_in_order(us, spare=None):
-        stacks.append((len(us), us.shape[-1], not np.iscomplexobj(us)))
+        stacks.append((us.shape[-3], us.shape[-1], not np.iscomplexobj(us)))
         return product_in_order(us, spare)
 
     monkeypatch.setattr(evolution, "_product_in_order", recording_product_in_order)
@@ -510,19 +510,55 @@ class TestRampExponentials:
         # a 5 ns fig3b ramp is one polynomial run per block, multiplied as 125 groups of
         # 8 exponentials; a cap of six 5-level images cuts the groups' anchors into
         # slices of 6 (5 levels) and 9 (4 levels)
-        parts = _ramp_blocks(parse_config(presets.figure_config("fig3b")).base.system)
+        # (a stack of one point)
+        parts = [(h0[None], d1[None]) for h0, d1 in _ramp_blocks(parse_config(presets.figure_config("fig3b")).base.system)]
         seg = ScheduleSegment(5.0, 1.1, 1.0)
         n = math.ceil(seg.duration / DEFAULT_DT)
-        full = evolution._ramp_propagator(parts, seg, n)
+        full = evolution._ramp_propagator(parts, [seg], DEFAULT_DT)
         assert {real for _, _, real in tree_inputs} == {True}
         tree_inputs.clear()
         monkeypatch.setattr(evolution, "_CHUNK_ENTRIES", 6 * 10**2)
-        sliced = evolution._ramp_propagator(parts, seg, n)
+        sliced = evolution._ramp_propagator(parts, [seg], DEFAULT_DT)
         for u, v in zip(full, sliced):
             assert np.max(np.abs(u - v)) < 1e-13
         assert {(size, real) for _, size, real in tree_inputs} == {(10, True), (8, True)}
         assert max(m * size**2 for m, size, _ in tree_inputs) <= 600
         assert sum(m for m, _, _ in tree_inputs) == 2 * 2 * n // 8
+
+    def test_stacked_ramps_stay_within_the_entry_cap_and_equal_each_point_alone(self, monkeypatch):
+        # five fig3b points, each with its own coupling and one with its own qubit-B frequency,
+        # through one 5 ns ramp: one polynomial run per block of 125 anchors of 8 exponentials.
+        # Under a cap of 25,000 entries a point counts 125 (2k)^2, so sub-stacks hold 2 points
+        # of the 5-level block and 3 of the 4-level one; each tree input stays within the cap
+        system = parse_config(presets.figure_config("fig3b")).base.system
+        specs = [replace(system, g=g) for g in (0.02, 0.03, 0.04, 0.05)]
+        specs.append(replace(system, qubit_b=replace(system.qubit_b, freq=system.qubit_b.freq + 0.05)))
+        h0, d1 = hamiltonian_parts_stack(specs)
+        parts = [(h0[np.ix_(range(5), ix, ix)], d1[:, ix]) for ix in parity_blocks(system)]
+        seg = ScheduleSegment(5.0, 1.1, 1.0)
+        n = math.ceil(seg.duration / DEFAULT_DT)
+        alone = [evolution._ramp_propagator([(h[[p]], b[[p]]) for h, b in parts], [seg], DEFAULT_DT) for p in range(5)]
+        tree, stacks = [], []
+        product_in_order, coefficients = evolution._product_in_order, evolution._ramp_coefficients
+
+        def recording_product_in_order(us, spare=None):
+            tree.append(us.shape)
+            return product_in_order(us, spare)
+
+        def recording_coefficients(h0, d1, scales, step, degree):
+            stacks.append(h0.shape[:2])
+            return coefficients(h0, d1, scales, step, degree)
+
+        monkeypatch.setattr(evolution, "_product_in_order", recording_product_in_order)
+        monkeypatch.setattr(evolution, "_ramp_coefficients", recording_coefficients)
+        monkeypatch.setattr(evolution, "_CHUNK_ENTRIES", 25_000)
+        stacked = evolution._ramp_propagator(parts, [seg] * 5, DEFAULT_DT)
+        assert stacks == [(2, 5), (2, 5), (1, 5), (3, 4), (2, 4)]
+        assert {shape[:2] for shape in tree} == {(2, n // 4), (1, n // 4), (3, n // 4)}
+        assert max(math.prod(shape) for shape in tree) <= 25_000
+        for p, blocks in enumerate(alone):
+            for u, (v,) in zip(stacked, blocks):
+                assert np.array_equal(u[p], v)
 
     @pytest.mark.parametrize("dt", [0.05, 0.3])
     @pytest.mark.parametrize("figure", ["fig3b", "fig6b"])
@@ -630,7 +666,7 @@ class TestGroupedRuns:
         images, delta, degree, width = _run(h0, d1, scales[1:1004], step)
         assert len(delta) == 1003 and len(evolution._group_degrees(1003, width, degree)) == 3
         monkeypatch.setattr(evolution, "_CHUNK_ENTRIES", 6 * 10**2)
-        p = evolution._run_product(images, delta, 5, width)
+        p = evolution._run_product(images, delta, 5, evolution._group_degrees(1003, width, degree))
         assert [m for m, _, _ in tree_inputs] == [6] * 20 + [5, 3]
         assert max(m * size**2 for m, size, _ in tree_inputs) <= 600
         us, _ = evolution._ramp_exponentials(h0, d1, scales[1:1004], step, degree)

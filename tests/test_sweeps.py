@@ -274,6 +274,14 @@ RAMPED_CASES = {
     "direct-cz": (replace(CZ_BASE, tau_d=2.0, dt=0.05), (SweepAxis("g_over_delta_b", 0.1, 0.3, 6),)),
     # 1 ns ramps of dimension 45 at the default dt: stacks of 8, 8 and 2
     "cavity-1ns": (replace(INDIRECT_BASE, tau_d=1.0), (SweepAxis("geff_over_delta_b", 0.05, 0.5, 18),)),
+    # qubit B's anharmonicity, and with it its frequency and d1, differ from point to point
+    "direct-cz-detuning": (replace(CZ_BASE, tau_d=2.0, dt=0.05), (SweepAxis("delta_b_abs", 0.06, 0.3, 6),)),
+    # 5 ns ramps at the default dt, one polynomial run per block: qubit B's frequency
+    # crosses 5.57 GHz, where the run's group degrees change, so the stack splits in two plans
+    "direct-cz-plans": (
+        SweepBase(DirectSystemSpec(QubitSpec(5.5, 0.15, 3), QubitSpec(5.6, 0.10, 3), 0.01), "cz", tau_d=5.0),
+        (SweepAxis("delta_b_abs", 0.05, 0.3, 6),),
+    ),
 }
 
 
@@ -380,6 +388,39 @@ class TestBatching:
             assert degrees and set(degrees) == {None}
         assert_rows_are_run_gate_rows(base, axes, rows)
 
+    def test_a_ramped_stack_takes_one_ramp_kernel_call_per_block(self, monkeypatch):
+        # the ramp back up retraces the ramp down, so each block's six points take one call
+        base, axes = RAMPED_CASES["direct-cz"]
+        stacks = []
+
+        def record(name):
+            kernel = getattr(evolution, name)
+
+            def recording_kernel(h0, d1, scales, step, degree):
+                stacks.append(h0.shape[:-1])
+                return kernel(h0, d1, scales, step, degree)
+
+            monkeypatch.setattr(evolution, name, recording_kernel)
+
+        record("_ramp_exponentials")
+        record("_ramp_coefficients")
+        assert all(row.status == "ok" for row in sweep(base, axes).rows)
+        assert sorted(stacks) == sorted((6, len(ix)) for ix in parity_blocks(base.system))
+
+    def test_a_ramped_stack_splits_by_ramp_plan(self, monkeypatch):
+        base, axes = RAMPED_CASES["direct-cz-plans"]
+        plans = []
+        ramp_plans = evolution._ramp_plans
+
+        def recording_plans(d1, segs, grids):
+            found = ramp_plans(d1, segs, grids)
+            plans.append([(points, [degrees for _, _, degrees in chunks]) for points, _, chunks in found])
+            return found
+
+        monkeypatch.setattr(evolution, "_ramp_plans", recording_plans)
+        assert all(row.status == "ok" for row in sweep(base, axes).rows)
+        assert plans == [[([0], [(7, 7, 9)]), ([1, 2, 3, 4, 5], [(7, 8, 9)])]] * 2
+
     def test_ramp_failure_stays_in_its_row(self, monkeypatch):
         base, axes = RAMPED_CASES["direct-cz"]
         expected = sweep(base, axes).rows
@@ -388,10 +429,11 @@ class TestBatching:
         bad = h0[np.ix_(even, even)]
         ramp_propagator = evolution._ramp_propagator
 
-        def failing_ramp_propagator(parts, seg, n):
-            if np.array_equal(parts[0][0], bad):
+        def failing_ramp_propagator(parts, segs, dt):
+            # a stack that holds the point fails as a whole, and is then run point by point
+            if any(np.array_equal(h0, bad) for h0 in parts[0][0]):
                 raise np.linalg.LinAlgError("forced")
-            return ramp_propagator(parts, seg, n)
+            return ramp_propagator(parts, segs, dt)
 
         monkeypatch.setattr(evolution, "_ramp_propagator", failing_ramp_propagator)
         rows = sweep(base, axes).rows
@@ -409,6 +451,31 @@ class TestBatching:
             "cz resonance condition freq_b = freq_a + anharm_b"
         ]
         assert all(row.status == "ok" for row in grid.rows)
+
+    def test_a_failed_detuned_stack_warns_once(self, monkeypatch):
+        # the stack's ramp fails once, so its points are run again one by one through run_gate
+        system = replace(CZ_BASE.system, qubit_b=replace(CZ_BASE.system.qubit_b, freq=7.3))
+        base, axes = SweepBase(system, "cz", tau_d=1.0, dt=0.05), (SweepAxis("g_over_delta_b", 0.1, 0.3, 4),)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expected = sweep(base, axes).rows
+        ramp_propagator, calls = evolution._ramp_propagator, []
+
+        def failing_once(parts, segs, dt):
+            calls.append(len(parts[0][0]))
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("forced")
+            return ramp_propagator(parts, segs, dt)
+
+        monkeypatch.setattr(evolution, "_ramp_propagator", failing_once)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows = sweep(base, axes).rows
+        assert calls == [4, 1, 1, 1, 1]
+        assert [str(w.message).split(" is ")[0] for w in caught] == [
+            "cz resonance condition freq_b = freq_a + anharm_b"
+        ]
+        assert rows == expected
 
 
 def sweep_case(name):
