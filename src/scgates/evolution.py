@@ -10,13 +10,16 @@ Math. 56, 1519 (2006); Alvermann & Fehske, J. Comput. Phys. 230, 5930
 (2011)).  Because H is affine in the scale and the ramp is linear in time, a
 CF4 step is exactly two half-step exponentials with H frozen at 1/6 and 5/6
 of the step, so the error falls as ``dt**4``.
-One propagator, ``schedule_propagators``, takes a stack of points that share
-a truncation and a schedule shape, such as a sweep's grid points: each
-constant segment, at each point's own duration, is one stacked exponential,
-and each ramped segment is one stacked ramp propagation, in which the points
-of one ramp plan (``_ramp_plans``: the same chunks, degrees and group
-degrees) share every call and each point does exactly the arithmetic it
-would do alone.  ``propagate_schedule`` is its one-point case.
+One propagator, ``schedule_columns``, takes a stack of points that share
+a truncation and a schedule shape, such as a sweep's grid points, and
+propagates given columns of each parity block: each constant segment, at
+each point's own duration, is one stacked exponential, and each ramped
+segment is one stacked ramp propagation, in which the points of one ramp
+plan (``_ramp_plans``: the same chunks, degrees and group degrees) share
+every call and each point does exactly the arithmetic it would do alone.  A
+gate is scored on the columns of its four computational states alone
+(``gates.computational_blocks``); ``schedule_propagators`` is the
+every-column case, and ``propagate_schedule`` its one-point case.
 
 The exponentials are taken in one of two ways, chosen by the segment kind:
 
@@ -84,14 +87,17 @@ Jx_i Jx_j, counter-rotating part included, changes n_a + n_b (+ n_c) by 0 or
 +-2, and h1 is diagonal, so h0 + s h1 has exact zeros between the two parities
 at every scale s, and so has every product of its exponentials.  Two
 half-size eigensolves cost about a quarter of one full-size eigensolve.  The
-unitarity defect of a propagator is the largest over its blocks, which is the
-full-matrix defect, since the entries between blocks are exact zeros.  Full
-propagators are assembled from their blocks only where they are returned.
+unitarity defect, max |X^dag X - I|, is taken over the propagated columns of
+every block.  With every column that is the full-matrix defect, since the
+entries between blocks are exact zeros; with some, it is the defect of those
+columns, which is what a score read from them relies on.  Full propagators
+are assembled from their blocks only where they are returned.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -202,11 +208,11 @@ class PropagationResult:
     steps_used: int
 
 
-def _unitarity_defects(u: np.ndarray) -> np.ndarray:
-    """max |U^dag U - I| of each propagator in a stack (n, d, d)."""
-    gram = np.matmul(u.conj().transpose(0, 2, 1), u)
-    gram.reshape(len(u), -1)[:, :: u.shape[-1] + 1] -= 1.0  # the diagonal, in place
-    return np.abs(gram).reshape(len(u), -1).max(axis=1)
+def _unitarity_defects(x: np.ndarray) -> np.ndarray:
+    """max |X^dag X - I| of each matrix in a stack (n, d, c): of its c columns, all of a propagator's where c = d."""
+    gram = np.matmul(x.conj().transpose(0, 2, 1), x)
+    gram.reshape(len(x), -1)[:, :: x.shape[-1] + 1] -= 1.0  # the diagonal, in place
+    return np.abs(gram).reshape(len(x), -1).max(axis=1)
 
 
 def _unitarity_defect(u: np.ndarray) -> float:
@@ -231,11 +237,15 @@ def _product_in_order(us: np.ndarray, spare: np.ndarray | None = None) -> np.nda
     return us[..., 0, :, :]
 
 
-def _exponentials(hs: list[np.ndarray], step) -> list[np.ndarray]:
-    """exp(-i step h) for each Hermitian matrix of each block stack of ``hs``.
+def _exponentials(hs, step, columns=None) -> list[np.ndarray]:
+    """exp(-i step h) for each Hermitian matrix of each block stack of ``hs``, or the given columns of each.
 
-    ``hs`` holds one (n, k, k) stack per block; ``step`` is one duration for
-    all or an (n, 1) column of them.  Each block takes one stacked ``eigh``.
+    ``hs`` yields one (n, k, k) stack per block; ``step`` is one duration for
+    all or an (n, 1) column of them.  Each block takes one stacked ``eigh``,
+    h = V diag(w) V^dag, and its exponential is (V e^{-i step w}) V^dag.
+    ``columns`` holds, per block, the indices of the columns to form, or
+    None for all of them: the columns are (V e^{-i step w}) V[cols]^dag,
+    O(k^2) per matrix after the eigensolver instead of a k^3 product.
     This is one of the two places a Hamiltonian is exponentiated, the one
     for constant segments and sweep stacks: a whole segment has t ||H|| of
     order 10^3 or more, and the eigendecomposition takes it exactly, to the
@@ -243,9 +253,10 @@ def _exponentials(hs: list[np.ndarray], step) -> list[np.ndarray]:
     ``_ramp_exponentials`` instead (see the module docstring).
     """
     us = []
-    for h in hs:
+    for h, cols in zip(hs, columns or itertools.repeat(None)):
         w, v = np.linalg.eigh(h)
-        us.append(np.matmul(v * np.exp(-1j * w * step)[:, None, :], v.conj().transpose(0, 2, 1)))
+        vh = v.conj().transpose(0, 2, 1)
+        us.append(np.matmul(v * np.exp(-1j * w * step)[:, None, :], vh if cols is None else vh[..., cols]))
     return us
 
 
@@ -630,48 +641,82 @@ def _ramp_propagator(parts: list[tuple[np.ndarray, np.ndarray]], segs, dt: float
     return us
 
 
-def schedule_propagators(h0: np.ndarray, d1: np.ndarray, schedules, blocks, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Propagators of a stack of points over their schedules, and the unitarity defect max |U^dag U - I| of each.
+def _with_diagonal(h: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+    """``h`` (n, k, k) with ``diagonal`` (n, k) added to its diagonal, in place."""
+    h.reshape(len(h), -1)[:, :: h.shape[-1] + 1] += diagonal
+    return h
+
+
+def schedule_columns(h0: np.ndarray, d1: np.ndarray, schedules, blocks, columns, dt: float):
+    """Given columns of the propagators of a stack of points over their schedules, and the unitarity defect of each point.
 
     ``h0`` (n, d, d) and ``d1`` (n, d) are each point's real symmetric h0
     and the diagonal of its h1 (``hamiltonians.hamiltonian_parts_stack``),
     and ``blocks`` are index sets that partition range(d) with no entries of
     any h0 between two sets, such as ``hamiltonians.parity_blocks``; each
-    block is propagated on its own.  The ``schedules``, one per point, have
-    the same segments but for their durations: the first schedule's scales
-    are taken for all.  Segment by segment, in time order:
+    block is propagated on its own.  ``columns`` holds, per block, the
+    block-local indices of the columns to propagate, or is None for every
+    column of every block.  Returns one (n, k, c) stack per block, the
+    columns of its propagators, and the defect max |X^dag X - I| of each
+    point over the columns of all its blocks.  The ``schedules``, one per
+    point, have the same segments but for their durations: the first
+    schedule's scales are taken for all.  Segment by segment, in time order:
     * a constant segment is one stacked ``_exponentials`` per block, each
-      point at its own duration;
+      point at its own duration.  A first segment forms only the given
+      columns, O(k^2) per point after the eigensolver;
     * a ramped segment is one ``_ramp_propagator`` for all points, each at
       its own duration, discretized as the module docstring describes, its
-      points grouped by ramp plan;
+      points grouped by ramp plan.  As a first segment it is cut to the
+      given columns;
     * a segment that retraces an earlier one (the same durations, start and
       end scales swapped, as the ramp back up of a trapezoid) reuses the
       transposes of the earlier propagators.  This is exact: h0 and h1 are
       real symmetric, so each exponential is symmetric, and the CF4 nodes
       {1/6, 5/6} map onto each other under f -> 1 - f, so the retraced
-      segment's exponentials are the earlier ones in reverse order.
-    The first segment's propagators start the product as they are.  Checking
+      segment's exponentials are the earlier ones in reverse order.  Only
+      whole propagators are kept for this, so a first constant segment that
+      forms some columns is not;
+    * each later segment's propagators multiply the columns carried forward.
+    With every column the arithmetic is that of whole propagators.  Checking
     each defect against ``SCHEDULE_UNITARITY_TOL`` is left to the caller, so
     that one failing point does not fail the stack.
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    us, done = None, {}
+    xs, done = None, {}
     for segs in zip(*(schedule.segments for schedule in schedules)):
         seg, durations = segs[0], tuple(s.duration for s in segs)
         earlier = done.get((durations, seg.scale_end, seg.scale_start))
+        cut = columns if xs is None else None  # only a first segment starts from the given columns
         if earlier is not None:
             seg_us = [u.transpose(0, 2, 1) for u in earlier]
         elif seg.is_constant:
-            h = h0.copy()
-            h.reshape(len(h), -1)[:, :: h.shape[-1] + 1] += seg.scale_start * d1  # the diagonal, in place
-            seg_us = _exponentials([h[:, ix[:, None], ix] for ix in blocks], np.array(durations)[:, None])
+            # each block of h0 + s h1 is taken when its eigensolver needs it, so one is held at a time
+            diagonal = seg.scale_start * d1
+            hs = (_with_diagonal(h0[:, ix[:, None], ix], diagonal[:, ix]) for ix in blocks)
+            seg_us = _exponentials(hs, np.array(durations)[:, None], cut)
+            if cut is not None:
+                xs = seg_us
+                continue
         else:
             seg_us = _ramp_propagator([(h0[:, ix[:, None], ix], d1[:, ix]) for ix in blocks], segs, dt)
         done[durations, seg.scale_start, seg.scale_end] = seg_us
-        us = seg_us if us is None else [np.matmul(seg_u, u) for seg_u, u in zip(seg_us, us)]
-    return _scatter(us, blocks), np.max([_unitarity_defects(u) for u in us], axis=0)
+        if xs is None:
+            xs = seg_us if cut is None else [u[..., cols] for u, cols in zip(seg_us, cut)]
+        else:
+            xs = [np.matmul(seg_u, x) for seg_u, x in zip(seg_us, xs)]
+    return xs, np.max([_unitarity_defects(x) for x in xs], axis=0)
+
+
+def schedule_propagators(h0: np.ndarray, d1: np.ndarray, schedules, blocks, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Full propagators (n, d, d) of a stack of points over their schedules, and the unitarity defect max |U^dag U - I| of each.
+
+    This is the every-column case of ``schedule_columns``, which says how
+    the segments are taken; the blocks' propagators are assembled into full
+    matrices, with exact zeros between blocks.
+    """
+    us, defects = schedule_columns(h0, d1, schedules, blocks, None, dt)
+    return _scatter(us, blocks), defects
 
 
 def propagate_constant(h: np.ndarray, t: float) -> PropagationResult:

@@ -35,8 +35,24 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .dispersive import effective_couplings
-from .evolution import DEFAULT_DT, PulseSchedule, propagate_schedule, square_schedule
-from .hamiltonians import DirectSystemSpec, IndirectSystemSpec, computational_indices
+from .evolution import (
+    DEFAULT_DT,
+    SCHEDULE_UNITARITY_TOL,
+    PulseSchedule,
+    UnitarityError,
+    schedule_columns,
+    square_schedule,
+)
+
+# Not used here: bench/layers.py patches this name when tracing (--trace 1).
+from .evolution import propagate_schedule  # noqa: F401
+from .hamiltonians import (
+    DirectSystemSpec,
+    IndirectSystemSpec,
+    computational_indices,
+    hamiltonian_parts_stack,
+    parity_blocks,
+)
 
 __all__ = [
     "GateTarget",
@@ -140,6 +156,41 @@ def project_computational(
         raise ValueError(f"propagator shape {u.shape} does not match system dimension {spec.dim}")
     ix = np.array(computational_indices(spec))
     return np.ascontiguousarray(u[..., ix[:, None], ix], dtype=complex)
+
+
+#: Per truncation: the parity blocks, and per block the block-local indices of
+#: the computational states it holds and their places among |00> ... |11>, as
+#: a (row, column) index pair into M.
+_COMPUTATIONAL_COLUMNS: dict[tuple, tuple] = {}
+
+
+def _computational_columns(spec: DirectSystemSpec | IndirectSystemSpec):
+    """``(blocks, columns, places)`` of ``spec``'s truncation, built once per truncation, as ``parity_blocks`` is."""
+    key = spec.qubit_a.n_levels, spec.qubit_b.n_levels, getattr(spec, "n_photons", None)
+    if key not in _COMPUTATIONAL_COLUMNS:
+        blocks, states = parity_blocks(spec), np.array(computational_indices(spec))
+        places = [np.flatnonzero(np.isin(states, ix)) for ix in blocks]
+        columns = [np.searchsorted(ix, states[at]) for ix, at in zip(blocks, places)]
+        _COMPUTATIONAL_COLUMNS[key] = blocks, columns, [(at[:, None], at) for at in places]
+    return _COMPUTATIONAL_COLUMNS[key]
+
+
+def computational_blocks(specs, schedules, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """4x4 computational blocks M (n, 4, 4) of a stack of points over their schedules, and each point's unitarity defect.
+
+    The ``specs`` share one kind and truncation, and the ``schedules`` one
+    shape (``evolution.schedule_columns``).  Only the columns of the
+    computational states are propagated, each in its parity block, and the
+    defect is taken over them; M is read off those columns, with exact zeros
+    between the parities.  Point k's block and defect are those of the stack
+    of its point alone, bit for bit.
+    """
+    blocks, columns, places = _computational_columns(specs[0])
+    xs, defects = schedule_columns(*hamiltonian_parts_stack(specs), schedules, blocks, columns, dt)
+    m = np.zeros((len(specs), 4, 4), dtype=complex)
+    for x, cols, at in zip(xs, columns, places):
+        m[:, at[0], at[1]] = x[:, cols, :]
+    return m, defects
 
 
 def _principal(x: np.ndarray, period: float) -> np.ndarray:
@@ -302,17 +353,21 @@ def run_gate(
     schedule: PulseSchedule | None = None,
     dt: float = DEFAULT_DT,
 ) -> GateResult:
-    """Propagate, project and score one gate.
+    """Propagate and score one gate.
 
     With ``schedule=None`` a square pulse of the resonant gate duration is
-    used.  A violated resonance condition only warns: deliberately detuned
-    runs are legitimate sensitivity studies.
+    used.  The computational block is propagated as a sweep propagates it
+    (``computational_blocks``), and a unitarity defect above
+    ``SCHEDULE_UNITARITY_TOL`` raises ``UnitarityError``, as
+    ``propagate_schedule`` does.  A violated resonance condition only
+    warns: deliberately detuned runs are legitimate sensitivity studies.
     """
     message = resonance_violation(spec, target)
     if message:
         warnings.warn(message, stacklevel=2)
     if schedule is None:
         schedule = square_schedule(gate_time(spec, target))
-    result = propagate_schedule(spec, schedule, dt)
-    block = project_computational(result.unitary, spec)
+    (block,), (defect,) = computational_blocks([spec], [schedule], dt)
+    if defect > SCHEDULE_UNITARITY_TOL:
+        raise UnitarityError(f"unitarity defect {defect:.3e} exceeds {SCHEDULE_UNITARITY_TOL:g}")
     return gate_fidelity(block, target)

@@ -3,12 +3,14 @@
 A sweep takes a fully specified base system plus one or two axes and produces
 a dense table of gate fidelities, gate times and leakage.  Axis values modify
 the base system point by point; everything not named by an axis is taken from
-the base.  Every point's system and gate time are derived first.  The points
-are then evaluated as stacks, in chunks of at most ``_STACK_ENTRIES`` matrix
-entries: one Hamiltonian stack, one stacked schedule propagation
-(``evolution.schedule_propagators``), projection and phase solve per chunk.
-Square and ramped points take the same path: each ramped segment is one
-stacked ramp propagation, shared by the points whose ramp plans agree.
+the base.  Every point's system and gate time are derived first, with the
+base coupling of the ratio axes computed once per sweep.  The points are
+then evaluated as stacks, in chunks that hold at most ``_STACK_ENTRIES``
+float64 entries: one Hamiltonian stack, one stacked propagation of the
+computational columns (``gates.computational_blocks``, which ``run_gate``
+shares) and one phase solve per chunk.  Square and ramped points take the
+same path: each ramped segment is one stacked ramp propagation, shared by
+the points whose ramp plans agree.
 Everything runs in the calling thread, rows come out in lexicographic axis
 order, and failed points are recorded in-row rather than aborting the sweep;
 a chunk whose stacked evaluation raises is run again point by point through
@@ -52,13 +54,12 @@ from .evolution import (
     DEFAULT_DT,
     SCHEDULE_UNITARITY_TOL,
     UnitarityError,
-    schedule_propagators,
     trapezoid_schedule,
 )
 from .gates import (
+    computational_blocks,
     gate_target,
     gate_time,
-    project_computational,
     resonance_violation,
     run_gate,
     score_blocks,
@@ -67,8 +68,6 @@ from .hamiltonians import (
     DirectSystemSpec,
     IndirectSystemSpec,
     QubitSpec,
-    hamiltonian_parts_stack,
-    parity_blocks,
 )
 
 DIRECT_COUPLING_AXES = frozenset({"g_over_delta_b", "g_abs"})
@@ -158,7 +157,13 @@ class ThresholdResult:
     t_g_ns: float | None
 
 
-def _base_coupling(base: SweepBase) -> float:
+_RATIO_AXES = frozenset({"delta_a_over_g", "delta_b_over_g"})
+
+
+def _base_coupling(base: SweepBase, names) -> float | None:
+    """The base coupling that the ratio axes among ``names`` multiply, or None if there are none."""
+    if _RATIO_AXES.isdisjoint(names):
+        return None
     if isinstance(base.system, IndirectSystemSpec):
         return effective_couplings(base.system).g_eff_1
     return base.system.g
@@ -186,9 +191,14 @@ def derive_point_spec(
     base: SweepBase, axes: tuple[SweepAxis, ...], values: tuple[float, ...]
 ) -> DirectSystemSpec | IndirectSystemSpec:
     """Concrete system at one grid point, per the module-level axis semantics."""
+    by_name = dict(zip([ax.name for ax in axes], values))
+    return _point_spec(base, by_name, _base_coupling(base, by_name))
+
+
+def _point_spec(base: SweepBase, by_name: dict, coupling: float | None):
+    """``derive_point_spec`` of the axis values ``by_name``, given the base coupling of its ratio axes."""
     system = base.system
     qa, qb = system.qubit_a, system.qubit_b
-    by_name = dict(zip([ax.name for ax in axes], values))
 
     anharm_a, anharm_b = qa.anharm, qb.anharm
     anharm_b_changed = False
@@ -196,10 +206,10 @@ def derive_point_spec(
         anharm_b = by_name["delta_b_abs"]
         anharm_b_changed = True
     if "delta_b_over_g" in by_name:
-        anharm_b = by_name["delta_b_over_g"] * _base_coupling(base)
+        anharm_b = by_name["delta_b_over_g"] * coupling
         anharm_b_changed = True
     if "delta_a_over_g" in by_name:
-        anharm_a = by_name["delta_a_over_g"] * _base_coupling(base)
+        anharm_a = by_name["delta_a_over_g"] * coupling
     if base.tie_anharm and anharm_b_changed:
         anharm_a = anharm_b
 
@@ -235,10 +245,22 @@ def derive_point_spec(
 
 _FAILED = float("nan")
 
-#: Most matrix entries (points times dim**2) evaluated as one stack.  This
-#: bounds the memory of a chunk's temporaries to about a megabyte at every
-#: truncation, so a sweep's peak memory stays that of a single point.
-_STACK_ENTRIES = 16384
+#: Most float64 entries a chunk of points holds at once, 1.875 MiB, with each
+#: point counted at ``_point_entries``.  A point holds its h0 and, while it is
+#: assembled or one of its parity blocks is exponentiated, about as much again
+#: in temporaries: 2.1 to 2.6 d^2 entries in all for d = 45 to 125.  Of its
+#: propagator only the columns of the computational states are kept, and its
+#: phase solve holds a few hundred entries.  So a chunk holds 5 points of the
+#: 125-level cavity system, 12 of the 80-level one, 38 of the 45-level one and
+#: 492 of a 9-level pair.  A ramped point holds about as much, beside the ramp
+#: kernel's own workspace, which ``evolution._CHUNK_ENTRIES`` bounds.
+_STACK_ENTRIES = 240 * 1024
+
+
+def _point_entries(dim: int) -> int:
+    """The float64 entries one point of dimension ``dim`` is counted at in a chunk (see ``_STACK_ENTRIES``)."""
+    return 3 * dim * dim + 256
+
 
 _POINT_ERRORS = (ValueError, ArithmeticError, np.linalg.LinAlgError, RuntimeError)
 
@@ -261,19 +283,16 @@ def _single_row(dt: float, target, values, spec, t_g: float, schedule) -> SweepP
 def _rows(chunk, target, dt: float) -> list[SweepPoint]:
     """Rows of points ``(values, spec, t_g, schedule)`` sharing one truncation and one schedule shape.
 
-    The chunk is propagated as one stack (``schedule_propagators``), then
-    projected and scored as one stack.  A point whose propagator fails the
-    unitarity bound of ``propagate_schedule`` is an ``error:UnitarityError``
-    row; if the stacked evaluation raises, each point is run on its own by
-    ``run_gate``, with its resonance warnings silenced, since the sweep has
-    given its one already.
+    The chunk's computational blocks are propagated as one stack
+    (``computational_blocks``), then scored as one stack.  A point whose
+    propagated columns fail the unitarity bound of ``run_gate`` is an
+    ``error:UnitarityError`` row; if the stacked evaluation raises, each
+    point is run on its own by ``run_gate``, with its resonance warnings
+    silenced, since the sweep has given its one already.
     """
-    specs = [point[1] for point in chunk]
     try:
-        u, defects = schedule_propagators(
-            *hamiltonian_parts_stack(specs), [point[3] for point in chunk], parity_blocks(specs[0]), dt
-        )
-        scores = score_blocks(project_computational(u, specs[0]), target)
+        m, defects = computational_blocks([point[1] for point in chunk], [point[3] for point in chunk], dt)
+        scores = score_blocks(m, target)
     except _POINT_ERRORS:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", r"\w+ resonance condition ")
@@ -289,13 +308,15 @@ def _rows(chunk, target, dt: float) -> list[SweepPoint]:
     ]
 
 
-def _derive(base: SweepBase, axes, target, values):
+def _derive(base: SweepBase, names, coupling, target, values):
     """``(values, spec, t_g, schedule)`` of one grid point, or its failed row.
 
-    The schedule also checks the gate time, as a segment duration.
+    ``names`` are the axis names and ``coupling`` the base coupling of the
+    sweep's ratio axes.  The schedule also checks the gate time, as a
+    segment duration.
     """
     try:
-        spec = derive_point_spec(base, axes, values)
+        spec = _point_spec(base, dict(zip(names, values)), coupling)
         t_g = gate_time(spec, target)
         return values, spec, t_g, trapezoid_schedule(base.tau_d, t_g)
     except _POINT_ERRORS as exc:
@@ -305,18 +326,24 @@ def _derive(base: SweepBase, axes, target, values):
 def _evaluate(base: SweepBase, axes: tuple[SweepAxis, ...], points) -> list[SweepPoint]:
     """Rows of the given grid points, in order; failures become status tags.
 
-    Every point's system and gate time are derived before any is run.  A
-    detuned sweep warns once, for the first detuned point, as ``run_gate``
-    would.
+    Every point's system and gate time are derived before any is run, with
+    the base coupling of the ratio axes computed once; if that fails, every
+    point fails with it, as each would alone.  A detuned sweep warns once,
+    for the first detuned point, as ``run_gate`` would.
     """
     target = gate_target(base.gate)
-    derived = [_derive(base, axes, target, values) for values in points]
+    names = [ax.name for ax in axes]
+    try:
+        coupling = _base_coupling(base, names)
+    except _POINT_ERRORS as exc:
+        return [_failed(values, type(exc)) for values in points]
+    derived = [_derive(base, names, coupling, target, values) for values in points]
     good = [point for point in derived if not isinstance(point, SweepPoint)]
     detuned = (resonance_violation(point[1], target) for point in good)
     message = next((m for m in detuned if m), None)
     if message:
         warnings.warn(message, stacklevel=3)
-    size = max(1, _STACK_ENTRIES // base.system.dim**2)
+    size = max(1, _STACK_ENTRIES // _point_entries(base.system.dim))
     chunks = (good[start : start + size] for start in range(0, len(good), size))
     evaluated = [row for chunk in chunks for row in _rows(chunk, target, base.dt)]
     rows = iter(evaluated)

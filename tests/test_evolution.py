@@ -26,7 +26,7 @@ from scgates import (
 )
 from scgates import evolution, presets
 from scgates.cli import parse_config
-from scgates.evolution import SCHEDULE_UNITARITY_TOL, UnitarityError, schedule_propagators
+from scgates.evolution import SCHEDULE_UNITARITY_TOL, UnitarityError, schedule_columns, schedule_propagators
 from scgates.hamiltonians import hamiltonian_parts, hamiltonian_parts_stack, parity_blocks
 
 CZ_SPEC = DirectSystemSpec(QubitSpec(7.16, 0.087, 3), QubitSpec(7.274, 0.114, 3), 0.0274)
@@ -228,6 +228,26 @@ class TestParitySplit:
             res = propagate_schedule(s_k, sched, 0.05)
             assert np.array_equal(u_k, res.unitary)
             assert defect == res.unitarity_defect < SCHEDULE_UNITARITY_TOL
+
+    @pytest.mark.parametrize("name", sorted(SPLIT_SPECS))
+    @pytest.mark.parametrize("tau_d", [0.0, 1.5])
+    def test_given_columns_are_the_columns_of_the_full_propagators(self, name, tau_d):
+        # two columns per block, as a gate's computational states take; every column gives the full matrix
+        spec = SPLIT_SPECS[name]
+        other = replace(spec, qubit_b=replace(spec.qubit_b, freq=spec.qubit_b.freq + 0.01))
+        parts, blocks = hamiltonian_parts_stack([spec, other]), parity_blocks(spec)
+        schedules = [trapezoid_schedule(tau_d, 7.3), trapezoid_schedule(tau_d, 3.1)]
+        columns = [np.array([0, len(ix) - 1]) for ix in blocks]
+        xs, defects = schedule_columns(*parts, schedules, blocks, columns, 0.05)
+        u, full_defects = schedule_propagators(*parts, schedules, blocks, 0.05)
+        for x, ix, cols in zip(xs, blocks, columns):
+            assert x.shape == (2, len(ix), 2)
+            assert np.max(np.abs(x - u[:, ix[:, None], ix[cols]])) < 1e-12
+        assert np.all(defects <= full_defects + 1e-15)
+        us, every_defects = schedule_columns(*parts, schedules, blocks, None, 0.05)
+        for u_block, ix in zip(us, blocks):
+            assert np.array_equal(u_block, u[:, ix[:, None], ix])
+        assert np.array_equal(every_defects, full_defects)
 
     @pytest.mark.parametrize("name", sorted(SPLIT_SPECS))
     @pytest.mark.parametrize("tau_d", [0.0, 1.5])

@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -19,6 +20,7 @@ from scgates import (
     SweepBase,
     SweepGrid,
     SweepPoint,
+    UnitarityError,
     derive_point_spec,
     detrended_amplitude,
     effective_couplings,
@@ -223,6 +225,27 @@ class TestSweep:
         assert statuses[-1] == "ok"
         assert np.isnan(grid.rows[0].fidelity)
 
+    def test_the_base_coupling_is_computed_once_per_sweep(self, monkeypatch):
+        calls = []
+
+        def counted(spec):
+            calls.append(spec)
+            return effective_couplings(spec)
+
+        monkeypatch.setattr(sweeps_module, "effective_couplings", counted)
+        axes = (SweepAxis("delta_a_over_g", 1.0, 2.0, 3), SweepAxis("delta_b_over_g", 1.0, 2.0, 3))
+        rows = sweep(INDIRECT_BASE, axes).rows
+        assert calls == [INDIRECT_BASE.system]
+        assert_rows_are_single_point_rows(INDIRECT_BASE, axes, rows)
+        # qubit A at the cavity: the base coupling fails, and with it every row, as each would alone
+        calls.clear()
+        system = replace(INDIRECT_BASE.system, qubit_a=replace(INDIRECT_BASE.system.qubit_a, freq=6.9))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rows = sweep(SweepBase(system, "cz"), axes[1:]).rows
+        assert [row.status for row in rows] == ["error:DispersiveRegimeError"] * 3
+        assert len(calls) == 1
+
     def test_fidelity_array_shape(self):
         axes = (
             SweepAxis("delta_a_over_g", 1.0, 2.0, 2),
@@ -241,7 +264,7 @@ FIVE_LEVEL = SweepBase(
     DirectSystemSpec(QubitSpec(5.5, 0.15, 5), QubitSpec(5.5, 0.10, 5), 0.011), "iswap"
 )
 BATCH_CASES = {
-    # 250 points of dimension 9: two stacks of at most 16384 // 81 = 202
+    # 250 points of dimension 9: one stack
     "direct-1d": (ISWAP_BASE, (SweepAxis("g_over_delta_b", 0.01, 0.5, 250),)),
     "direct-2d": (
         DIRECT_2D,
@@ -251,7 +274,7 @@ BATCH_CASES = {
         CZ_BASE,
         (SweepAxis("g_abs", 0.005, 0.06, 3), SweepAxis("delta_b_abs", 0.05, 0.25, 4)),
     ),
-    # dimension 45: stacks of 8
+    # dimension 45: one stack
     "cavity": (INDIRECT_BASE, (SweepAxis("geff_over_delta_b", 0.05, 0.5, 19),)),
     "cavity-iswap": (
         SweepBase(
@@ -272,7 +295,7 @@ def assert_rows_are_single_point_rows(base, axes, rows):
 RAMPED_CASES = {
     # 2 ns ramps at dt 0.05: six points of dimension 9, one stack
     "direct-cz": (replace(CZ_BASE, tau_d=2.0, dt=0.05), (SweepAxis("g_over_delta_b", 0.1, 0.3, 6),)),
-    # 1 ns ramps of dimension 45 at the default dt: stacks of 8, 8 and 2
+    # 1 ns ramps of dimension 45 at the default dt: one stack
     "cavity-1ns": (replace(INDIRECT_BASE, tau_d=1.0), (SweepAxis("geff_over_delta_b", 0.05, 0.5, 18),)),
     # qubit B's anharmonicity, and with it its frequency and d1, differ from point to point
     "direct-cz-detuning": (replace(CZ_BASE, tau_d=2.0, dt=0.05), (SweepAxis("delta_b_abs", 0.06, 0.3, 6),)),
@@ -282,6 +305,21 @@ RAMPED_CASES = {
         SweepBase(DirectSystemSpec(QubitSpec(5.5, 0.15, 3), QubitSpec(5.6, 0.10, 3), 0.01), "cz", tau_d=5.0),
         (SweepAxis("delta_b_abs", 0.05, 0.3, 6),),
     ),
+}
+
+
+def cavity_base(levels: int) -> SweepBase:
+    """The cavity CZ base with both qubits truncated to ``levels``: dimension 45, 80 or 125 for 3, 4 or 5."""
+    system = INDIRECT_BASE.system
+    qubits = {name: replace(getattr(system, name), n_levels=levels) for name in ("qubit_a", "qubit_b")}
+    return replace(INDIRECT_BASE, system=replace(system, **qubits))
+
+
+SQUARE_CASES = {
+    # dimension 45: one stack of 10
+    "cavity-45": (cavity_base(3), (SweepAxis("geff_over_delta_b", 0.05, 0.5, 10),)),
+    # dimension 125: stacks of 5 and 2 (test_chunks_hold_at_most_the_stack_bound)
+    "cavity-125": (cavity_base(5), (SweepAxis("geff_over_delta_b", 0.05, 0.5, 7),)),
 }
 
 
@@ -318,7 +356,33 @@ class TestBatching:
         monkeypatch.setattr(sweeps_module, "_rows", recording_rows)
         sweep(*BATCH_CASES["direct-1d"])
         sweep(*BATCH_CASES["cavity"])
-        assert sizes == [202, 48, 8, 8, 3]
+        sweep(*SQUARE_CASES["cavity-125"])
+        assert sizes == [250, 19, 5, 2]
+
+    @pytest.mark.parametrize("levels", [3, 5])
+    def test_a_full_chunk_holds_at_most_what_the_bound_promises(self, levels, monkeypatch):
+        # numpy reports its array allocations to tracemalloc; the chunk runs once to fill the caches
+        base = cavity_base(levels)
+        dim, peaks = base.system.dim, []
+        size = sweeps_module._STACK_ENTRIES // sweeps_module._point_entries(dim)
+        rows = sweeps_module._rows
+
+        def measured_rows(chunk, target, dt):
+            rows(chunk, target, dt)
+            tracemalloc.start()
+            try:
+                found = rows(chunk, target, dt)
+                peaks.append((len(chunk), tracemalloc.get_traced_memory()[1]))
+            finally:
+                tracemalloc.stop()
+            return found
+
+        monkeypatch.setattr(sweeps_module, "_rows", measured_rows)
+        grid = sweep(base, (SweepAxis("geff_over_delta_b", 0.05, 0.5, size),))
+        assert all(row.status == "ok" for row in grid.rows)
+        ((n, peak),) = peaks
+        assert n == size > 1
+        assert peak <= 8 * n * sweeps_module._point_entries(dim) <= 8 * sweeps_module._STACK_ENTRIES
 
     def test_derivation_failure_stays_in_its_row(self):
         axes = (SweepAxis("delta_b_abs", -0.1, 0.2, 4),)
@@ -357,18 +421,41 @@ class TestBatching:
     def test_unitarity_failure_stays_in_its_row(self, monkeypatch):
         base, axes = BATCH_CASES["cavity"]
         expected = sweep(base, axes).rows
-        bad, _ = hamiltonian_parts(derive_point_spec(base, axes, expected[3].values))
-        schedule_propagators = sweeps_module.schedule_propagators
+        bad = derive_point_spec(base, axes, expected[3].values)
+        computational_blocks = sweeps_module.computational_blocks
 
-        def leaky_propagators(h0, *args):
-            u, defects = schedule_propagators(h0, *args)
-            hit = np.array([np.array_equal(m, bad) for m in h0])
-            return u, np.where(hit, 1e-6, defects)
+        def leaky_blocks(specs, *args):
+            m, defects = computational_blocks(specs, *args)
+            hit = np.array([spec == bad for spec in specs])
+            return m, np.where(hit, 1e-6, defects)
 
-        monkeypatch.setattr(sweeps_module, "schedule_propagators", leaky_propagators)
+        monkeypatch.setattr(sweeps_module, "computational_blocks", leaky_blocks)
         rows = sweep(base, axes).rows
         assert rows[3].status == "error:UnitarityError"
         assert rows[:3] + rows[4:] == expected[:3] + expected[4:]
+
+    @pytest.mark.parametrize("case", sorted(SQUARE_CASES))
+    def test_square_rows_equal_run_gate_rows(self, case):
+        base, axes = SQUARE_CASES[case]
+        assert_rows_are_run_gate_rows(base, axes, sweep(base, axes).rows)
+
+    @pytest.mark.parametrize("spoiled", [0, 1], ids=["even", "odd"])
+    def test_sweep_unitarity_check_covers_every_block(self, spoiled, monkeypatch):
+        # eigenvectors 1e-6 too long in one block only: the defect over the propagated columns must see it
+        base, axes = SQUARE_CASES["cavity-45"]
+        size = len(parity_blocks(base.system)[spoiled])
+        eigh = np.linalg.eigh
+
+        def spoiled_eigh(h):
+            w, v = eigh(h)
+            return w, v * (1 + 1e-6) if h.shape[-1] == size else v
+
+        monkeypatch.setattr(np.linalg, "eigh", spoiled_eigh)
+        monkeypatch.setattr(sweeps_module, "run_gate", None)  # the stack must not fall back to single points
+        assert {row.status for row in sweep(base, axes).rows} == {"error:UnitarityError"}
+        spec = derive_point_spec(base, axes, (0.2,))
+        with pytest.raises(UnitarityError):
+            run_gate(spec, CZ)
 
     @pytest.mark.parametrize("case", sorted(RAMPED_CASES))
     def test_ramped_rows_equal_run_gate_rows(self, case, monkeypatch):
