@@ -227,13 +227,26 @@ def _coupling_factor(sizes: tuple[int, ...], i: int, j: int) -> np.ndarray:
     return factor
 
 
+@lru_cache
+def _coupling_support(sizes: tuple[int, ...], i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only row and column indices of the nonzero entries of ``_coupling_factor(sizes, i, j)``."""
+    support = np.nonzero(_coupling_factor(sizes, i, j))
+    for ix in support:
+        ix.flags.writeable = False
+    return support
+
+
 def _assemble(levels: list[np.ndarray], couplings: list[tuple[int, int, np.ndarray]]) -> np.ndarray:
     """Real Hamiltonians (n, d, d): the ladders' outer sum on the diagonal, plus the couplings.
 
     Each coupling adds 2*pi*g times the Kronecker product of ``build_jx`` on
     its two modes and identities elsewhere; for the cavity, a + a^dag has the
     same sqrt(n) off-diagonal structure as Jx.  The Kronecker factors depend
-    on the truncation only, so each is built once per truncation and pair.
+    on the truncation only, so each, and the indices of its nonzero entries,
+    is built once per truncation and pair.
+    A coupling is added at the nonzero entries of its factor only, so no
+    (n, d, d) temporary is formed beside ``h``; each entry gets the sum the
+    dense formula gives it.
     """
     diag = _outer_sum(levels)
     n, d = diag.shape
@@ -241,7 +254,8 @@ def _assemble(levels: list[np.ndarray], couplings: list[tuple[int, int, np.ndarr
     h[:, np.arange(d), np.arange(d)] = diag
     sizes = tuple(e.shape[1] for e in levels)
     for i, j, g in couplings:
-        h += (TWOPI * g)[:, None, None] * _coupling_factor(sizes, i, j)
+        r, c = _coupling_support(sizes, i, j)
+        h[:, r, c] += (TWOPI * g)[:, None] * _coupling_factor(sizes, i, j)[r, c]
     return h
 
 

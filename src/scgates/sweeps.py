@@ -10,7 +10,11 @@ float64 entries: one Hamiltonian stack, one stacked propagation of the
 computational columns (``gates.computational_blocks``, which ``run_gate``
 shares) and one phase solve per chunk.  Square and ramped points take the
 same path: each ramped segment is one stacked ramp propagation, shared by
-the points whose ramp plans agree.
+the points whose ramp plans agree.  A ramp or truncation study is one such
+run over all its grids (``_evaluate``): points of different grids share a
+stack where the gate, system kind and truncation, segment scales and dt
+agree, whatever their durations, so the ramped curves of a ramp study form
+one stack.
 Everything runs in the calling thread, rows come out in lexicographic axis
 order, and failed points are recorded in-row rather than aborting the sweep;
 a chunk whose stacked evaluation raises is run again point by point through
@@ -323,38 +327,70 @@ def _derive(base: SweepBase, names, coupling, target, values):
         return _failed(values, type(exc))
 
 
-def _evaluate(base: SweepBase, axes: tuple[SweepAxis, ...], points) -> list[SweepPoint]:
-    """Rows of the given grid points, in order; failures become status tags.
+def _stack_key(base: SweepBase, target, schedule) -> tuple:
+    """What the points of one stack share: the target, the system kind and truncation, the segment scales and dt."""
+    system = base.system
+    sizes = system.qubit_a.n_levels, system.qubit_b.n_levels, getattr(system, "n_photons", None)
+    scales = tuple((seg.scale_start, seg.scale_end) for seg in schedule.segments)
+    return target, type(system), sizes, scales, base.dt
 
-    Every point's system and gate time are derived before any is run, with
-    the base coupling of the ratio axes computed once; if that fails, every
-    point fails with it, as each would alone.  A detuned sweep warns once,
-    for the first detuned point, as ``run_gate`` would.
+
+def _evaluate(bases, axes: tuple[SweepAxis, ...], points) -> list[list[SweepPoint]]:
+    """Rows of the given grid points under each base, one list per base, in order; failures become status tags.
+
+    Every point of every grid is derived before any is run, with the base
+    coupling of the ratio axes computed once per base; if that fails, every
+    point of its grid fails with it, as each would alone.  A detuned grid
+    warns once, for its first detuned point, as ``run_gate`` would.  The good
+    points of all grids are then stacked by what a stack must share
+    (``_stack_key``), their durations free, in grid order, and each stack
+    goes in chunks of at most ``_STACK_ENTRIES``; the rows go back to their
+    grids.  A single grid so keeps the chunks of a sweep of its own, and the
+    ramped curves of a ramp study share theirs.
     """
-    target = gate_target(base.gate)
     names = [ax.name for ax in axes]
-    try:
-        coupling = _base_coupling(base, names)
-    except _POINT_ERRORS as exc:
-        return [_failed(values, type(exc)) for values in points]
-    derived = [_derive(base, names, coupling, target, values) for values in points]
-    good = [point for point in derived if not isinstance(point, SweepPoint)]
-    detuned = (resonance_violation(point[1], target) for point in good)
-    message = next((m for m in detuned if m), None)
-    if message:
-        warnings.warn(message, stacklevel=3)
-    size = max(1, _STACK_ENTRIES // _point_entries(base.system.dim))
-    chunks = (good[start : start + size] for start in range(0, len(good), size))
-    evaluated = [row for chunk in chunks for row in _rows(chunk, target, base.dt)]
-    rows = iter(evaluated)
-    return [point if isinstance(point, SweepPoint) else next(rows) for point in derived]
+    grids, keys, stacks = [], [], {}
+    for base in bases:
+        target = gate_target(base.gate)
+        try:
+            coupling = _base_coupling(base, names)
+            derived = [_derive(base, names, coupling, target, values) for values in points]
+        except _POINT_ERRORS as exc:
+            derived = [_failed(values, type(exc)) for values in points]
+        good = [point for point in derived if not isinstance(point, SweepPoint)]
+        detuned = (resonance_violation(point[1], target) for point in good)
+        message = next((m for m in detuned if m), None)
+        if message:
+            warnings.warn(message, stacklevel=3)
+        grids.append(derived)
+        keys.append(_stack_key(base, target, good[0][3]) if good else None)
+        if good:
+            stacks.setdefault(keys[-1], []).extend(good)
+    rows = {}
+    for key, stack in stacks.items():
+        size = max(1, _STACK_ENTRIES // _point_entries(stack[0][1].dim))
+        chunks = (stack[start : start + size] for start in range(0, len(stack), size))
+        rows[key] = iter([row for chunk in chunks for row in _rows(chunk, key[0], key[-1])])
+    return [
+        [point if isinstance(point, SweepPoint) else next(rows[key]) for point in derived]
+        for key, derived in zip(keys, grids)
+    ]
+
+
+def _grid_points(bases, axes: tuple[SweepAxis, ...]) -> list[tuple[float, ...]]:
+    """Every point of the grid over ``axes``, in lexicographic order, once the axes are checked against each base."""
+    if not 1 <= len(axes) <= 2:
+        raise ValueError(f"sweeps take one or two axes, got {len(axes)}")
+    for base in bases:
+        _validate_axes(base, axes)
+    return list(product(*(ax.values() for ax in axes)))
 
 
 def evaluate_point(
     base: SweepBase, axes: tuple[SweepAxis, ...], values: tuple[float, ...]
 ) -> SweepPoint:
     """Derive, run and score a single grid point; failures become a status tag."""
-    return _evaluate(base, axes, [tuple(values)])[0]
+    return _evaluate([base], axes, [tuple(values)])[0][0]
 
 
 def sweep(base: SweepBase, axes, jobs: int = 1) -> SweepGrid:
@@ -363,11 +399,14 @@ def sweep(base: SweepBase, axes, jobs: int = 1) -> SweepGrid:
     ``jobs`` is accepted for compatibility and ignored.
     """
     axes = tuple(axes)
-    if not 1 <= len(axes) <= 2:
-        raise ValueError(f"sweeps take one or two axes, got {len(axes)}")
-    _validate_axes(base, axes)
-    points = list(product(*(ax.values() for ax in axes)))
-    return SweepGrid(base, axes, tuple(_evaluate(base, axes, points)))
+    (rows,) = _evaluate([base], axes, _grid_points([base], axes))
+    return SweepGrid(base, axes, tuple(rows))
+
+
+def _study(bases, axes: tuple[SweepAxis, ...]) -> list[SweepGrid]:
+    """One grid over ``axes`` per base, all evaluated together; a detuned grid's warning points at the study."""
+    grids = _evaluate(bases, axes, _grid_points(bases, axes))
+    return [SweepGrid(base, axes, tuple(rows)) for base, rows in zip(bases, grids)]
 
 
 def threshold(grid: SweepGrid, level: float) -> ThresholdResult:
@@ -377,7 +416,9 @@ def threshold(grid: SweepGrid, level: float) -> ThresholdResult:
     crossing is bracketed by consecutive successful rows, and that pair is
     refined by bisection on fresh gate evaluations down to an axis
     resolution of 1e-4; oscillating curves may re-cross later, but the first
-    crossing is what bounds the safe operating regime.  Returns an explicit
+    crossing is what bounds the safe operating regime.  The crossing's gate
+    time is the resonant one derived at its value, as its row would report
+    it, without propagating the gate there.  Returns an explicit
     not-crossed result when the curve never drops below ``level``.
     """
     if not math.isfinite(level):
@@ -410,21 +451,31 @@ def threshold(grid: SweepGrid, level: float) -> ThresholdResult:
         else:
             hi = mid
     value = 0.5 * (lo + hi)
-    final = evaluate_point(grid.base, grid.axes, (value,))
-    return ThresholdResult(level, True, value, final.t_g_ns)
+    names = [ax.name for ax in grid.axes]
+    coupling = _base_coupling(grid.base, names)
+    point = _derive(grid.base, names, coupling, gate_target(grid.base.gate), (value,))
+    return ThresholdResult(level, True, value, point.t_g_ns if isinstance(point, SweepPoint) else point[2])
 
 
 def truncation_study(base: SweepBase, n_levels_list, axis: SweepAxis, jobs: int = 1) -> list[SweepGrid]:
-    """Repeat one sweep with both qubits truncated to each level count."""
-    grids = []
-    for n in n_levels_list:
-        system = replace(
-            base.system,
-            qubit_a=replace(base.system.qubit_a, n_levels=n),
-            qubit_b=replace(base.system.qubit_b, n_levels=n),
+    """Repeat one sweep with both qubits truncated to each level count.
+
+    The grids are evaluated together (``_evaluate``); each truncation is a
+    stack of its own, so each grid has the chunks, and the rows, of a sweep
+    of its own.
+    """
+    bases = [
+        replace(
+            base,
+            system=replace(
+                base.system,
+                qubit_a=replace(base.system.qubit_a, n_levels=n),
+                qubit_b=replace(base.system.qubit_b, n_levels=n),
+            ),
         )
-        grids.append(sweep(replace(base, system=system), (axis,)))
-    return grids
+        for n in n_levels_list
+    ]
+    return _study(bases, (axis,))
 
 
 def ramp_study(base: SweepBase, tau_d_list, axis: SweepAxis, jobs: int = 1) -> list[SweepGrid]:
@@ -432,13 +483,16 @@ def ramp_study(base: SweepBase, tau_d_list, axis: SweepAxis, jobs: int = 1) -> l
 
     Each curve uses the trapezoid schedule (park scale 1.1 down to 1.0 over
     tau_d, hold for the gate time, back up over tau_d); tau_d = 0 is the
-    square pulse.
+    square pulse.  The curves are evaluated together (``_evaluate``): the
+    ramped ones share their stacks, each point at its own durations, and
+    the square one is a stack of its own.  Every row equals that of a
+    sweep of its own curve.
     """
     if base.gate != "cz" or isinstance(base.system, IndirectSystemSpec):
         raise ValueError("ramp studies are defined for directly coupled CZ configurations")
     if any(tau < 0 for tau in tau_d_list):
         raise ValueError("ramp durations must be non-negative")
-    return [sweep(replace(base, tau_d=float(tau)), (axis,)) for tau in tau_d_list]
+    return _study([replace(base, tau_d=float(tau)) for tau in tau_d_list], (axis,))
 
 
 def detrended_amplitude(grid: SweepGrid, degree: int = 3) -> float:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -313,6 +314,54 @@ class TestHamiltonianPartsStack:
             h0, h1 = hamiltonian_parts(s)
             assert np.array_equal(h0_k, h0) and np.array_equal(np.diag(d1_k), h1)
             assert np.array_equal(h0_k, h0_k.T)
+
+    @staticmethod
+    def cavity_specs(levels: int, n: int):
+        """``n`` cavity specs with both qubits at ``levels`` levels (d = 5 levels^2) and their own couplings and qubit B."""
+        qubit = QubitSpec(8.2, 0.2, levels)
+        return [
+            IndirectSystemSpec(qubit, QubitSpec(8.45 + 0.01 * k, 0.25, levels), 6.9, 0.05 + 0.01 * k)
+            for k in range(n)
+        ]
+
+    @staticmethod
+    def dense_parts_stack(specs):
+        """``hamiltonian_parts_stack`` with each coupling added as a dense (n, d, d) product."""
+        levels, couplings = hamiltonians._modes(specs)
+        diag = hamiltonians._outer_sum(levels)
+        n, d = diag.shape
+        h0 = np.zeros((n, d, d))
+        h0[:, np.arange(d), np.arange(d)] = diag
+        sizes = tuple(e.shape[1] for e in levels)
+        for i, j, g in couplings:
+            h0 += (TWOPI * g)[:, None, None] * hamiltonians._coupling_factor(sizes, i, j)
+        d1 = hamiltonians._outer_sum(hamiltonians._scaled_levels(specs))
+        h0[:, np.arange(d), np.arange(d)] -= d1
+        return h0, d1
+
+    @pytest.mark.parametrize("specs", [
+        [TestAssemblyAgainstReference.SPECS["direct"][0], replace(TestAssemblyAgainstReference.SPECS["direct"][0], g=0.0)],
+        cavity_specs(3, 4),
+        cavity_specs(5, 3),
+    ], ids=["direct", "cavity-45", "cavity-125"])
+    def test_sparse_couplings_equal_the_dense_sum_bit_for_bit(self, specs):
+        h0, d1 = hamiltonian_parts_stack(specs)
+        dense_h0, dense_d1 = self.dense_parts_stack(specs)
+        assert np.array_equal(h0, dense_h0) and np.array_equal(d1, dense_d1)
+
+    @pytest.mark.parametrize("levels", [3, 5])
+    def test_a_stack_peaks_near_its_own_size(self, levels):
+        # numpy reports its allocations to tracemalloc; the first call builds the cached coupling factors
+        specs = self.cavity_specs(levels, 20)
+        d = specs[0].dim
+        hamiltonian_parts_stack(specs)
+        tracemalloc.start()
+        try:
+            hamiltonian_parts_stack(specs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * d * d * 8 * len(specs)
 
 
 levels = st.integers(2, 5)

@@ -20,6 +20,7 @@ from scgates import (
     SweepBase,
     SweepGrid,
     SweepPoint,
+    ThresholdResult,
     UnitarityError,
     derive_point_spec,
     detrended_amplitude,
@@ -621,6 +622,23 @@ class TestThreshold:
         assert result.value == pytest.approx(0.1523, abs=0.002)
         assert result.t_g_ns == pytest.approx(1 / (4 * result.value * 0.10), rel=1e-6)
 
+    def test_the_crossing_gate_time_is_derived_not_propagated(self, monkeypatch):
+        # the bisection evaluates 7 points; the crossing's gate time is that of its row
+        grid = sweep(ISWAP_BASE, (SweepAxis("g_over_delta_b", 0.10, 0.20, 11),))
+        calls = []
+        evaluate = sweeps_module.evaluate_point
+
+        def counted(base, axes, values):
+            calls.append(values)
+            return evaluate(base, axes, values)
+
+        monkeypatch.setattr(sweeps_module, "evaluate_point", counted)
+        result = threshold(grid, 0.99)
+        assert len(calls) == 7
+        row = evaluate(grid.base, grid.axes, (result.value,))
+        assert row.status == "ok"
+        assert result == ThresholdResult(0.99, True, result.value, row.t_g_ns)
+
     def test_a_failed_row_beside_the_crossing_does_not_hide_it(self):
         # the crossing is bracketed by the successful rows on either side of the failed one
         grid = sweep(ISWAP_BASE, (SweepAxis("g_over_delta_b", 0.10, 0.20, 11),))
@@ -666,6 +684,111 @@ class TestThreshold:
         )
         with pytest.raises(ValueError, match="1D"):
             threshold(sweep(base, axes), 0.99)
+
+
+#: One ramp study whose ramped curves form one stack: 0.5 and 1 ns ramps take their exponentials
+#: one at a time, 5 and 40 ns ramps polynomial runs; the square curve is a stack of its own.
+STUDY_TAUS = [0.0, 0.5, 1.0, 5.0, 40.0]
+STUDY_AXIS = SweepAxis("g_over_delta_b", 0.1, 0.3, 4)
+
+
+class TestStudyStacks:
+    def test_ramp_study_grids_equal_their_own_sweeps_bit_for_bit(self, monkeypatch):
+        degrees = set()
+        chunks = evolution._ramp_chunks
+
+        def recording_chunks(*args):
+            for chunk, degree in chunks(*args):
+                degrees.add(degree)
+                yield chunk, degree
+
+        monkeypatch.setattr(evolution, "_ramp_chunks", recording_chunks)
+        grids = ramp_study(CZ_BASE, STUDY_TAUS, STUDY_AXIS)
+        assert None in degrees and len(degrees) > 1
+        assert all(row.status == "ok" for grid in grids for row in grid.rows)
+        assert grids == [sweep(replace(CZ_BASE, tau_d=tau), (STUDY_AXIS,)) for tau in STUDY_TAUS]
+
+    def test_the_ramped_curves_share_one_ramp_propagation(self, monkeypatch):
+        # 4 ramped curves of 4 points: one call for all 16, and one grouping by plan per block
+        calls, plans = [], []
+        ramp_propagator, ramp_plans = evolution._ramp_propagator, evolution._ramp_plans
+
+        def recording_propagator(parts, segs, dt):
+            calls.append([len(h0) for h0, _ in parts])
+            return ramp_propagator(parts, segs, dt)
+
+        def recording_plans(d1, segs, grids):
+            found = ramp_plans(d1, segs, grids)
+            plans.append(sorted(len(points) for points, _, _ in found))
+            return found
+
+        monkeypatch.setattr(evolution, "_ramp_propagator", recording_propagator)
+        monkeypatch.setattr(evolution, "_ramp_plans", recording_plans)
+        ramp_study(CZ_BASE, STUDY_TAUS, STUDY_AXIS)
+        assert calls == [[16, 16]]
+        assert plans == [[4, 4, 4, 4]] * 2
+
+    @pytest.mark.parametrize("failure", ["ramp", "unitarity"])
+    def test_a_failure_in_a_shared_stack_stays_in_its_grid_and_row(self, failure, monkeypatch):
+        # the 5 ns curve's third point fails: its ramp raises, so the stack is run again point
+        # by point, or its defect is spoiled in the stack
+        expected = ramp_study(CZ_BASE, STUDY_TAUS, STUDY_AXIS)
+        bad_spec = derive_point_spec(CZ_BASE, (STUDY_AXIS,), expected[3].rows[2].values)
+        if failure == "ramp":
+            h0, _ = hamiltonian_parts(bad_spec)
+            even, _ = parity_blocks(CZ_BASE.system)
+            bad = h0[np.ix_(even, even)]
+            ramp_propagator = evolution._ramp_propagator
+
+            def failing_ramp_propagator(parts, segs, dt):
+                if any(np.array_equal(h0, bad) and seg.duration == 5.0 for h0, seg in zip(parts[0][0], segs)):
+                    raise np.linalg.LinAlgError("forced")
+                return ramp_propagator(parts, segs, dt)
+
+            monkeypatch.setattr(evolution, "_ramp_propagator", failing_ramp_propagator)
+        else:
+            computational_blocks = sweeps_module.computational_blocks
+
+            def leaky_blocks(specs, schedules, dt):
+                m, defects = computational_blocks(specs, schedules, dt)
+                hit = [spec == bad_spec and s.segments[0].duration == 5.0 for spec, s in zip(specs, schedules)]
+                return m, np.where(hit, 1e-6, defects)
+
+            monkeypatch.setattr(sweeps_module, "computational_blocks", leaky_blocks)
+        grids = ramp_study(CZ_BASE, STUDY_TAUS, STUDY_AXIS)
+        status = "error:LinAlgError" if failure == "ramp" else "error:UnitarityError"
+        assert grids[3].rows[2].status == status
+        assert grids[3].rows[:2] + grids[3].rows[3:] == expected[3].rows[:2] + expected[3].rows[3:]
+        assert grids[:3] + grids[4:] == expected[:3] + expected[4:]
+
+    def test_a_detuned_study_warns_once_per_grid(self):
+        system = replace(CZ_BASE.system, qubit_b=replace(CZ_BASE.system.qubit_b, freq=7.3))
+        base, taus = SweepBase(system, "cz", dt=0.05), [0.0, 1.0, 2.0]
+        with warnings.catch_warnings(record=True) as alone:
+            warnings.simplefilter("always")
+            for tau in taus:
+                sweep(replace(base, tau_d=tau), (STUDY_AXIS,))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            grids = ramp_study(base, taus, STUDY_AXIS)
+        assert len(alone) == 3
+        assert [str(w.message) for w in caught] == [str(w.message) for w in alone]
+        assert all(row.status == "ok" for grid in grids for row in grid.rows)
+
+    def test_truncation_study_chunks_are_those_of_its_own_sweeps(self, monkeypatch):
+        # 13 points of 45, 80 and 125 levels: chunks of 13; 12 and 1; 5, 5 and 3
+        axis, sizes = SweepAxis("geff_over_delta_b", 0.05, 0.5, 13), []
+        rows = sweeps_module._rows
+
+        def recording_rows(chunk, target, dt):
+            sizes.append(len(chunk))
+            return rows(chunk, target, dt)
+
+        grids = truncation_study(INDIRECT_BASE, [3, 4, 5], axis)
+        monkeypatch.setattr(sweeps_module, "_rows", recording_rows)
+        assert truncation_study(INDIRECT_BASE, [3, 4, 5], axis) == grids
+        assert sizes == [13, 12, 1, 5, 5, 3]
+        assert grids == [sweep(grid.base, (axis,)) for grid in grids]
 
 
 class TestStudies:
