@@ -35,6 +35,7 @@ from contextlib import suppress
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from functools import cache
 from itertools import pairwise
+from operator import attrgetter
 from pathlib import Path
 from typing import get_type_hints
 
@@ -283,19 +284,24 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def _fmt(value) -> str:
-    """Round-trip-exact decimal formatting; NaN spells 'nan'."""
+    """Round-trip-exact decimal formatting; NaN spells 'nan', as ``repr`` spells it."""
+    if type(value) is float:
+        return repr(value)
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return str(int(value))
-    value = float(value)
-    return "nan" if math.isnan(value) else repr(value)
+    return repr(float(value))
+
+
+_CSV_VALUES = attrgetter(*CSV_VALUE_COLUMNS)
 
 
 def _grid_rows(grid: SweepGrid, label: tuple[str, float] | None = None):
+    """CSV rows of ``grid``, each led by the label's value if given; grid axis values are floats."""
+    head = [_fmt(label[1])] if label else []
     for row in grid.rows:
-        head = [_fmt(label[1])] if label else []
-        yield head + [_fmt(v) for v in row.values] + [_fmt(getattr(row, name)) for name in CSV_VALUE_COLUMNS]
+        yield head + [repr(float(v)) for v in row.values] + [_fmt(v) for v in _CSV_VALUES(row)]
 
 
 def write_grids_csv(path: Path, grids, label_name: str | None = None, label_values=None) -> None:

@@ -20,19 +20,19 @@ beta = theta - theta_b,
     S_2 = w_1 e^{i theta_a} + w_3 e^{-i theta_a},
 
 with alpha and beta the negative arguments of S_1 and S_2.  ``gate_fidelity``
-solves the one-angle problem through the roots of a degree-6 polynomial, with
-no search.  ``score_blocks`` does the same for a stack of blocks at once, with
-one eigenvalue call for all their polynomials; ``gate_fidelity`` is its
-one-block case.
+solves the one-angle problem through the roots of a real degree-6 polynomial
+in t = tan theta_a, with no search.  ``score_blocks`` does the same for a
+stack of blocks at once, with one real eigenvalue call for all their
+polynomials; ``gate_fidelity`` is its one-block case.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .dispersive import effective_couplings
 from .evolution import (
@@ -213,26 +213,68 @@ def _polymul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _condition_roots(condition: np.ndarray) -> np.ndarray:
-    """Roots of each row of degree-6 coefficients (n, 7), sorted as ``polyroots`` sorts them.
+def _tan_basis() -> np.ndarray:
+    """(14, 7) real rows taking a row [Re c, Im c] of C's coefficients to R's, lowest power first.
 
-    Full-degree rows are solved together: one ``eigvals`` on the stack of
-    their companion matrices, built as ``polycompanion`` builds them.  A row
-    whose leading coefficient vanishes goes through ``polyroots`` itself,
-    which drops the degree; the slots of the roots it lacks hold 1, whose
-    candidate theta_a = 0 repeats the first candidate and so can never win a
-    tie against it.
+    R(t) = sum_j c_j (1 + it)^j (1 - it)^(6-j); the coefficient of t^k in
+    (1 + it)^j (1 - it)^(6-j) is i^k times an integer, so the real part of
+    c_j times it involves Re c_j for even k and Im c_j for odd k only.
     """
-    roots = np.ones((len(condition), 6), dtype=complex)
-    full = condition[:, 6] != 0
-    c = condition[full]
-    companion = np.zeros((len(c), 6, 6), dtype=complex)
-    companion[:, np.arange(1, 6), np.arange(5)] = 1.0
+    basis = np.zeros((7, 7), dtype=complex)
+    for j in range(7):
+        for a in range(j + 1):
+            for b in range(7 - j):
+                basis[j, a + b] += math.comb(j, a) * math.comb(6 - j, b) * 1j**a * (-1j) ** b
+    return np.concatenate([basis.real, -basis.imag])
+
+
+_TAN_BASIS = _tan_basis()
+
+
+def _tan_polynomial(condition: np.ndarray) -> np.ndarray:
+    """R's real coefficients (n, 7), lowest power first, of each row of C's (n, 7).
+
+    Formed element-wise per row, so that a row of a stack rounds as the row
+    alone does.
+    """
+    x = np.concatenate([condition.real, condition.imag], axis=1)
+    return (x[:, :, None] * _TAN_BASIS).sum(axis=1)
+
+
+def _companion_roots(c: np.ndarray) -> np.ndarray:
+    """Roots of each row of real coefficients ``c`` (k, d + 1), lowest power first and the last nonzero, sorted as ``polyroots`` sorts them.
+
+    One ``eigvals`` on the stack of the rows' companion matrices, built as
+    ``polycompanion`` builds them.
+    """
+    k, d = c.shape[0], c.shape[1] - 1
+    companion = np.zeros((k, d, d))
+    companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
     companion[:, :, -1] -= c[:, :-1] / c[:, -1:]
-    roots[full] = np.sort(np.linalg.eigvals(companion), axis=1)
+    return np.sort(np.linalg.eigvals(companion), axis=1)
+
+
+def _condition_roots(condition: np.ndarray) -> np.ndarray:
+    """Roots t of R for each row of C's degree-6 coefficients (n, 7), sorted as ``polyroots`` sorts them.
+
+    Rows of degree 6 are solved together, and no row's roots depend on the
+    rest of the stack.  R's degree drops by one for each root of C at
+    z = -1: a row of degree d < 6 is solved alone, and its last 6 - d slots
+    hold t = inf, whose candidate is theta_a = pi/2.  A row that vanishes
+    has no roots; its slots hold 0, whose candidate theta_a = 0 repeats the
+    first candidate and so can never win a tie against it.
+    """
+    r = _tan_polynomial(condition)
+    roots = np.zeros((len(r), 6), dtype=complex)
+    full = r[:, 6] != 0
+    roots[full] = _companion_roots(r[full])
     for i in np.flatnonzero(~full):
-        r = P.polyroots(condition[i])
-        roots[i, : len(r)] = r
+        nonzero = np.flatnonzero(r[i])
+        if nonzero.size:
+            d = nonzero[-1]
+            roots[i, d:] = np.inf
+            if d:
+                roots[i, :d] = _companion_roots(r[i : i + 1, : d + 1])[0]
     return roots
 
 
@@ -243,7 +285,7 @@ def score_blocks(m: np.ndarray, target: GateTarget) -> tuple[np.ndarray, ...]:
     one entry per block, with the meaning and canonical phase ranges of
     ``gate_fidelity``, which is the case n = 1.  Each row is solved as
     described there; the rows share the array operations and one stacked
-    eigenvalue call, and no row's result depends on another's.
+    real eigenvalue call, and no row's result depends on another's.
     """
     # The row sums below add in memory order: C order makes a block of a
     # stack add in the same order as the block alone.
@@ -267,7 +309,11 @@ def score_blocks(m: np.ndarray, target: GateTarget) -> tuple[np.ndarray, ...]:
     mod2 = np.stack([p.conj() / 2, a, p / 2], axis=2)
     condition = _polymul(im2[:, 0], mod2[:, 1]) - _polymul(im2[:, 1], mod2[:, 0])
     roots = _condition_roots(condition)
-    candidates = np.concatenate([np.zeros((n, 1)), np.angle(roots) / 2, -np.angle(p) / 2], axis=1)
+    # theta_a = arg(z)/2 = (arg(1 + it) - arg(1 - it))/2 for each root t,
+    # taken from t's parts so that t = inf gives pi/2.
+    re, im = roots.real, roots.imag
+    halves = (np.arctan2(re, 1 - im) - np.arctan2(-re, 1 + im)) / 2
+    candidates = np.concatenate([np.zeros((n, 1)), halves, -np.angle(p) / 2], axis=1)
     values = np.abs(_pair_sums(w, candidates)).sum(axis=2)
     best = np.argmax(values, axis=1)
     rows = np.arange(n)
@@ -292,13 +338,19 @@ def gate_fidelity(m: np.ndarray, target: GateTarget) -> GateResult:
     p_2 = 2 w_1 conj(w_3), a_1 = |w_0|^2 + |w_2|^2 and
     a_2 = |w_1|^2 + |w_3|^2, |S_j|^2 = a_j + Re(p_j z).  Every maximum
     is a root of the squared stationarity condition
-    Im(p_1 z)^2 |S_2|^2 = Im(p_2 z)^2 |S_1|^2, a degree-6 polynomial in z.
-    The candidates for theta_a are, in this order: 0, half the argument of
-    each root, and the single-term maxima -arg(p_1)/2 and -arg(p_2)/2.  The
-    last two are needed where the condition vanishes identically, as when
-    both terms peak at the same angle (m a compensated multiple of the
-    target).  Ties go to the first candidate, so the exact target and the
-    zero block give phases (0, 0, 0).
+    Im(p_1 z)^2 |S_2|^2 = Im(p_2 z)^2 |S_1|^2, a degree-6 polynomial C(z).
+    C is self-inversive: z^-3 C(z) is real on |z| = 1.  So with
+    z = (1 + it)/(1 - it), that is t = tan theta_a,
+    R(t) = (1 - it)^6 C(z) = sum_j c_j (1 + it)^j (1 - it)^(6-j) is a real
+    polynomial whose roots map one to one onto C's: the real ones onto
+    the unit circle, and each root z = -1 (theta_a = pi/2) onto a drop in
+    R's degree, counted as a root t = inf.  The candidates for theta_a are,
+    in this order: 0, (arg(1 + it) - arg(1 - it))/2 for each root t of R,
+    and the single-term maxima -arg(p_1)/2 and -arg(p_2)/2.  The last two
+    are needed where the condition vanishes identically, as when both terms
+    peak at the same angle (m a compensated multiple of the target).  Ties
+    go to the first candidate, so the exact target and the zero block give
+    phases (0, 0, 0).
 
     Phases are reported in a canonical form: theta_a and theta_b in [0, pi),
     theta_global in [0, 2pi).  Nothing is lost, since shifting theta_a or

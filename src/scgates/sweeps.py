@@ -221,8 +221,8 @@ def _point_spec(base: SweepBase, by_name: dict, coupling: float | None):
     if anharm_b_changed and base.gate == "cz":
         freq_b = qa.freq + anharm_b
 
-    new_qa = replace(qa, anharm=anharm_a)
-    new_qb = replace(qb, anharm=anharm_b, freq=freq_b)
+    new_qa = QubitSpec(qa.freq, anharm_a, qa.n_levels)
+    new_qb = QubitSpec(freq_b, anharm_b, qb.n_levels)
 
     if isinstance(system, IndirectSystemSpec):
         g_qc = system.g_qc
@@ -237,14 +237,14 @@ def _point_spec(base: SweepBase, by_name: dict, coupling: float | None):
                     f"{qa.freq - system.cavity_freq!r}: opposite signs"
                 )
             g_qc = float(np.sqrt(product_))
-        return replace(system, qubit_a=new_qa, qubit_b=new_qb, g_qc=g_qc)
+        return IndirectSystemSpec(new_qa, new_qb, system.cavity_freq, g_qc, system.n_photons)
 
     g = system.g
     if "g_over_delta_b" in by_name:
         g = by_name["g_over_delta_b"] * anharm_b
     elif "g_abs" in by_name:
         g = by_name["g_abs"]
-    return replace(system, qubit_a=new_qa, qubit_b=new_qb, g=g)
+    return DirectSystemSpec(new_qa, new_qb, g)
 
 
 _FAILED = float("nan")

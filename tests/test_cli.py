@@ -1,11 +1,13 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from scgates import presets
 from scgates.cli import (
     ConfigError,
+    _grid_rows,
     load_config,
     main,
     parse_config,
@@ -13,6 +15,7 @@ from scgates.cli import (
     run_config,
     validate_summary,
 )
+from scgates.sweeps import SweepGrid, SweepPoint
 
 GATE_CONFIG = {
     "mode": "gate",
@@ -544,6 +547,24 @@ class TestRunArtifacts:
             "    using (strcol(1) eq label ? column(2) : NaN):3 with linespoints \\\n"
             "    title 'tau_d_ns = '.label\n"
         )
+
+
+    @pytest.mark.parametrize(
+        "label, head", [(None, []), (3, ["3"]), (np.int64(5), ["5"]), (np.float64(2.5), ["2.5"]), (-0.0, ["-0.0"])]
+    )
+    def test_grid_rows_keep_the_formatted_bytes(self, label, head):
+        # each field as _fmt spelled it: repr of its float, NaN as 'nan', ints as ints
+        nan, inf = float("nan"), float("inf")
+        rows = (
+            SweepPoint((np.float64(0.1), -0.0), nan, inf, -inf, nan, nan, nan, "error:ValueError"),
+            SweepPoint((np.float64(1e-300), np.float64(-2.0)), np.float64(0.9), 12.5, -0.0, 0.1, 3.0, 6.25, "ok"),
+        )
+        grid = SweepGrid(None, (), rows)
+        got = list(_grid_rows(grid, ("tau_d", label) if label is not None else None))
+        assert got == [
+            head + ["0.1", "-0.0", "nan", "inf", "-inf", "nan", "nan", "nan", "error:ValueError"],
+            head + ["1e-300", "-2.0", "0.9", "12.5", "-0.0", "0.1", "3.0", "6.25", "ok"],
+        ]
 
 
 class TestCliEntry:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
+from scipy.optimize import minimize_scalar
 
 from scgates import (
     CZ,
@@ -16,7 +17,7 @@ from scgates import (
     project_computational,
     run_gate,
 )
-from scgates.gates import _condition_roots, _polymul
+from scgates.gates import _condition_roots, _polymul, _tan_polynomial
 
 ISWAP_SPEC = DirectSystemSpec(QubitSpec(5.5, 0.15, 3), QubitSpec(5.5, 0.10, 3), 0.011)
 
@@ -181,14 +182,88 @@ class TestGateFidelity:
         # the tie rule between candidates depends on the order of the roots
         rng = np.random.default_rng(5)
         rows = rng.normal(size=(12, 7)) + 1j * rng.normal(size=(12, 7))
-        rows[3, 6] = 0.0  # degree 5
-        rows[7, 4:] = 0.0  # degree 3
+        # self-inversive rows with roots at z = -1, where R drops its degree
+        rows[3] = [0, 0, 1, 2, 1, 0, 0]  # z^2 (1 + z)^2: R = 4 (1 + t^2)^2
+        rows[5] = [-1j, -1j, 0, 0, 0, 1j, 1j]  # (1 + z)(i z^5 - i): R of degree 5
+        rows[7] = [1, 6, 15, 20, 15, 6, 1]  # (1 + z)^6: R = 64
         rows[9] = 0.0  # no roots
         stacked = _condition_roots(rows)
-        for got, row in zip(stacked, rows):
-            roots = P.polyroots(row)
+        for got, r in zip(stacked, _tan_polynomial(rows)):
+            roots = P.polyroots(r)
             assert np.array_equal(got[: len(roots)], roots)
-            assert np.all(got[len(roots) :] == 1.0)
+            assert np.all(got[len(roots) :] == (np.inf if r.any() else 0.0))
+        assert [np.sum(np.isinf(got)) for got in stacked[[3, 5, 7, 9]]] == [2, 1, 6, 0]
+
+    def test_tan_polynomial_is_the_substituted_condition(self):
+        rng = np.random.default_rng(8)
+        for row in rng.normal(size=(6, 7)) + 1j * rng.normal(size=(6, 7)):
+            row[4:] = row[2::-1].conj()  # self-inversive: z^-3 C(z) real on |z| = 1
+            row[3] = row[3].real
+            ref = sum(
+                c * P.polymul(P.polypow([1, 1j], j), P.polypow([1, -1j], 6 - j)) for j, c in enumerate(row)
+            )
+            assert np.max(np.abs(ref.imag)) <= 1e-13 * np.max(np.abs(ref))
+            assert np.allclose(_tan_polynomial(row[None])[0], ref.real, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+
+    def test_real_tan_roots_are_the_unit_circle_roots(self):
+        # z = (1 + it)/(1 - it) takes the real roots t of R onto the roots of C on |z| = 1
+        rng = np.random.default_rng(11)
+        matched = 0
+        for row in rng.normal(size=(40, 7)) + 1j * rng.normal(size=(40, 7)):
+            row[4:] = row[2::-1].conj()
+            row[3] = row[3].real
+            t = _condition_roots(row[None])[0]
+            t = t[t.imag == 0].real
+            z = P.polyroots(row)
+            on_circle = np.sort_complex(z[np.abs(np.abs(z) - 1) < 1e-8])
+            mapped = np.sort_complex((1 + 1j * t) / (1 - 1j * t))
+            assert len(mapped) == len(on_circle)
+            assert np.max(np.abs(mapped - on_circle), initial=0.0) <= 1e-12
+            matched += len(mapped)
+        assert matched >= 40
+
+    @pytest.mark.parametrize("target", [ISWAP, CZ], ids=["iswap", "cz"])
+    def test_degenerate_overlaps_match_a_phase_scan(self, target):
+        # m = diag(w) U_T has the overlaps w.  Real overlaps make p real, so
+        # C(-1) = 0 and a stationary point sits at theta_a = pi/2; w_1 = 0
+        # makes p_2 = 0, so C loses its degree and R has the root t = -i; and
+        # w = (x, conj(x), y, conj(y)) keeps C(-1) = 0 with p complex.
+        rng = np.random.default_rng(13)
+        rows = []
+        for _ in range(30):
+            x, y = rng.normal(size=2) + 1j * rng.normal(size=2)
+            rows += [rng.normal(size=4), rng.normal(size=4) * [1, 0, 1, 1], [x, x.conjugate(), y, y.conjugate()]]
+        w = np.array(rows, dtype=complex)
+        w /= 1.01 * np.abs(w).max(axis=1, keepdims=True)
+        for overlaps in w:
+            m = overlaps[:, None] * target.matrix
+            res = gate_fidelity(m, target)
+            assert np.isfinite([res.fidelity, res.theta_a, res.theta_b, res.theta_global]).all()
+            assert res.fidelity == pytest.approx(_scanned_fidelity(m, target), abs=1e-12)
+            assert res.fidelity == pytest.approx(explicit_fidelity(m, target, res), abs=1e-12)
+
+
+def _scanned_fidelity(m, target):
+    """Phase-optimized fidelity from a theta_a scan of |S_1| + |S_2|, polished by a bounded search."""
+    w = (m * target.matrix.conj()).sum(axis=1)
+
+    def value(theta_a):
+        e = np.exp(1j * theta_a)
+        return abs(w[0] * e + w[2] / e) + abs(w[1] * e + w[3] / e)
+
+    grid = np.linspace(0.0, np.pi, 4097)
+    i = int(np.argmax([value(x) for x in grid]))
+    polish = minimize_scalar(
+        lambda x: -value(x), bounds=(grid[max(i - 1, 0)], grid[min(i + 1, 4096)]),
+        method="bounded", options={"xatol": 1e-12},
+    )
+    best = max(value(grid[i]), -polish.fun)
+    return 1 - (4 + np.sum(np.abs(m) ** 2)) / 16 + best / 8
+
+
+def explicit_fidelity(m, target, res):
+    d = phase_diagonal(res.theta_a, res.theta_b, res.theta_global)
+    return 1 - np.linalg.norm(target.matrix - d @ m, "fro") ** 2 / 16
 
 
 class TestGateTime:
