@@ -16,7 +16,8 @@ and the keys its summary must carry.  ``MODES``, the config's axis count,
 ``execute`` and ``validate_summary`` all read it.
 
 Exit codes: 0 success, 1 config error (nothing is written), 2 numerical
-failure (nothing is written), 3 the output directory or an artifact could
+failure, or a run that needs more memory than it can get (error kind
+``memory``; nothing is written), 3 the output directory or an artifact could
 not be written.  The artifacts are written under temporary names and renamed
 only once all three are written, so a failed write leaves none of them.
 Errors are also emitted as single-line JSON on stderr.
@@ -604,6 +605,9 @@ def _run_cli(load, out_dir, dt, stem: str, default_out=None) -> int:
         summary = run_config(cfg, out, stem=stem)
     except (UnitarityError, DispersiveRegimeError, FloatingPointError, np.linalg.LinAlgError, ValueError, RuntimeError) as exc:
         _emit_error("numerical", exc)
+        return 2
+    except MemoryError as exc:
+        _emit_error("memory", exc)
         return 2
     except OSError as exc:
         _emit_error("io", exc)

@@ -705,7 +705,7 @@ def schedule_columns(h0: np.ndarray, d1: np.ndarray, schedules, blocks, columns,
             xs = seg_us if cut is None else [u[..., cols] for u, cols in zip(seg_us, cut)]
         else:
             xs = [np.matmul(seg_u, x) for seg_u, x in zip(seg_us, xs)]
-    return xs, np.max([_unitarity_defects(x) for x in xs], axis=0)
+    return xs, np.maximum.reduce([_unitarity_defects(x) for x in xs])
 
 
 def schedule_propagators(h0: np.ndarray, d1: np.ndarray, schedules, blocks, dt: float) -> tuple[np.ndarray, np.ndarray]:

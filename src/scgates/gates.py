@@ -132,6 +132,8 @@ class GateResult:
         }
 
 
+_TINY = np.finfo(float).tiny
+
 # Signs of theta_a and theta_b in the four diagonal entries of D.
 _SIGN_A = np.array([1.0, 1.0, -1.0, -1.0])
 _SIGN_B = np.array([1.0, -1.0, 1.0, -1.0])
@@ -206,10 +208,10 @@ def _pair_sums(w: np.ndarray, theta_a: np.ndarray) -> np.ndarray:
 
 
 def _polymul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise products of coefficient rows (lowest power first) x (n, a) and y (n, b)."""
-    out = np.zeros((len(x), x.shape[1] + y.shape[1] - 1), dtype=complex)
-    for k in range(y.shape[1]):
-        out[:, k : k + x.shape[1]] += x * y[:, k : k + 1]
+    """Row-wise products of coefficient rows (lowest power first) x (..., a) and y (..., b)."""
+    out = np.zeros(x.shape[:-1] + (x.shape[-1] + y.shape[-1] - 1,), dtype=complex)
+    for k in range(y.shape[-1]):
+        out[..., k : k + x.shape[-1]] += x * y[..., k : k + 1]
     return out
 
 
@@ -249,7 +251,7 @@ def _companion_roots(c: np.ndarray) -> np.ndarray:
     """
     k, d = c.shape[0], c.shape[1] - 1
     companion = np.zeros((k, d, d))
-    companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    companion.reshape(k, d * d)[:, d :: d + 1] = 1.0  # the subdiagonal
     companion[:, :, -1] -= c[:, :-1] / c[:, -1:]
     return np.sort(np.linalg.eigvals(companion), axis=1)
 
@@ -265,8 +267,10 @@ def _condition_roots(condition: np.ndarray) -> np.ndarray:
     first candidate and so can never win a tie against it.
     """
     r = _tan_polynomial(condition)
-    roots = np.zeros((len(r), 6), dtype=complex)
     full = r[:, 6] != 0
+    if full.all():
+        return _companion_roots(r)
+    roots = np.zeros((len(r), 6), dtype=complex)
     roots[full] = _companion_roots(r[full])
     for i in np.flatnonzero(~full):
         nonzero = np.flatnonzero(r[i])
@@ -299,27 +303,35 @@ def score_blocks(m: np.ndarray, target: GateTarget) -> tuple[np.ndarray, ...]:
     # The argmax does not depend on the scale of w, nor, to round-off, on
     # entries below 1e-50 of the largest; dropping those keeps the cubic
     # coefficients below from under- or overflowing in the root finder.
-    u = w / np.maximum(np.abs(w).max(axis=1, keepdims=True), np.finfo(float).tiny)
+    u = w / np.maximum(np.abs(w).max(axis=1, keepdims=True), _TINY)
     u[np.abs(u) < 1e-50] = 0.0
     p = 2 * u[:, :2] * u[:, 2:].conj()
-    a = np.abs(u[:, :2]) ** 2 + np.abs(u[:, 2:]) ** 2
-    zero = np.zeros_like(p)
-    # z^2 Im(p z)^2 and z |S|^2 as coefficient rows, lowest power first.
-    im2 = np.stack([-p.conj() ** 2 / 4, zero, np.abs(p) ** 2 / 2, zero, -(p**2) / 4], axis=2)
-    mod2 = np.stack([p.conj() / 2, a, p / 2], axis=2)
-    condition = _polymul(im2[:, 0], mod2[:, 1]) - _polymul(im2[:, 1], mod2[:, 0])
-    roots = _condition_roots(condition)
+    u2 = np.abs(u) ** 2
+    # z^2 Im(p_j z)^2 and z |S_(3-j)|^2 as coefficient rows, lowest power
+    # first, for j = 1, 2; the condition is the difference of their products.
+    im2 = np.zeros((n, 2, 5), dtype=complex)
+    im2[..., 0] = -p.conj() ** 2 / 4
+    im2[..., 2] = np.abs(p) ** 2 / 2
+    im2[..., 4] = -(p**2) / 4
+    mod2 = np.empty((n, 2, 3), dtype=complex)
+    mod2[..., 0] = p[:, ::-1].conj() / 2
+    mod2[..., 1] = u2[:, 1::-1] + u2[:, :1:-1]
+    mod2[..., 2] = p[:, ::-1] / 2
+    products = _polymul(im2, mod2)
+    roots = _condition_roots(products[:, 0] - products[:, 1])
     # theta_a = arg(z)/2 = (arg(1 + it) - arg(1 - it))/2 for each root t,
     # taken from t's parts so that t = inf gives pi/2.
     re, im = roots.real, roots.imag
-    halves = (np.arctan2(re, 1 - im) - np.arctan2(-re, 1 + im)) / 2
-    candidates = np.concatenate([np.zeros((n, 1)), halves, -np.angle(p) / 2], axis=1)
+    candidates = np.zeros((n, 9))
+    np.divide(np.arctan2(re, 1 - im) - np.arctan2(-re, 1 + im), 2, out=candidates[:, 1:7])
+    np.divide(-np.arctan2(p.imag, p.real), 2, out=candidates[:, 7:])
     values = np.abs(_pair_sums(w, candidates)).sum(axis=2)
     best = np.argmax(values, axis=1)
     rows = np.arange(n)
 
     theta_a = _principal(candidates[rows, best], np.pi)
-    alpha, beta = -np.angle(_pair_sums(w, theta_a[:, None])[:, 0]).T
+    sums = _pair_sums(w, theta_a[:, None])[:, 0]
+    alpha, beta = -np.arctan2(sums.imag, sums.real).T
     theta_b = _principal((alpha - beta) / 2, np.pi)
     theta = _principal(alpha - theta_b, 2 * np.pi)
     fidelity = 1.0 - (4.0 + norm2) / 16.0 + values[rows, best] / 8.0

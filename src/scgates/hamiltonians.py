@@ -148,7 +148,8 @@ class BasisIndex:
 def _level_energies(freq, anharm, n_levels: int, freq_scale: float = 1.0) -> np.ndarray:
     """Angular ladder energies; ``freq_scale`` multiplies only the n*freq term.
 
-    ``freq`` and ``anharm`` may be column arrays, one row of energies per entry.
+    ``freq``, ``anharm`` and ``freq_scale`` may be arrays with a last axis of
+    one, one row of energies per entry.
     """
     n = np.arange(n_levels, dtype=float)
     return TWOPI * (n * freq * freq_scale - anharm * n * (n - 1) / 2.0)
@@ -195,13 +196,13 @@ def _modes(
     if not 0 < freq_scale_b < math.inf:
         raise ValueError(f"freq_scale_b must be positive and finite, got {freq_scale_b}")
     first = specs[0]
-    qubits = ([s.qubit_a for s in specs], [s.qubit_b for s in specs])
-    levels = [
-        _level_energies(
-            _column(q.freq for q in qs), _column(q.anharm for q in qs), qs[0].n_levels, scale
-        )
-        for qs, scale in zip(qubits, (1.0, freq_scale_b))
-    ]
+    sizes = first.qubit_a.n_levels, first.qubit_b.n_levels
+    qubits = np.array([(s.qubit_a.freq, s.qubit_b.freq, s.qubit_a.anharm, s.qubit_b.anharm) for s in specs])
+    # both ladders at once, to the longer one's length: row [k, q] holds qubit q's energies
+    ladders = _level_energies(
+        qubits[:, :2, None], qubits[:, 2:, None], max(sizes), np.array([[1.0], [freq_scale_b]])
+    )
+    levels = [ladders[:, 0, : sizes[0]], ladders[:, 1, : sizes[1]]]
     if isinstance(first, IndirectSystemSpec):
         cavity = _column(s.cavity_freq for s in specs)
         levels.append(TWOPI * cavity * np.arange(first.n_photons, dtype=float))
@@ -251,7 +252,7 @@ def _assemble(levels: list[np.ndarray], couplings: list[tuple[int, int, np.ndarr
     diag = _outer_sum(levels)
     n, d = diag.shape
     h = np.zeros((n, d, d))
-    h[:, np.arange(d), np.arange(d)] = diag
+    h.reshape(n, d * d)[:, :: d + 1] = diag
     sizes = tuple(e.shape[1] for e in levels)
     for i, j, g in couplings:
         r, c = _coupling_support(sizes, i, j)
@@ -295,8 +296,8 @@ def hamiltonian_parts_stack(specs) -> tuple[np.ndarray, np.ndarray]:
     """
     h0 = _assemble(*_modes(specs))
     d1 = _outer_sum(_scaled_levels(specs))
-    i = np.arange(h0.shape[1])
-    h0[:, i, i] -= d1
+    n, d = d1.shape
+    h0.reshape(n, d * d)[:, :: d + 1] -= d1
     return h0, d1
 
 

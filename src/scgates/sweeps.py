@@ -5,23 +5,26 @@ a dense table of gate fidelities, gate times and leakage.  Axis values modify
 the base system point by point; everything not named by an axis is taken from
 the base.  Every point's system and gate time are derived first, with the
 base coupling of the ratio axes computed once per sweep.  The points are
-then evaluated as stacks, in chunks that hold at most ``_STACK_ENTRIES``
-float64 entries: one Hamiltonian stack, one stacked propagation of the
-computational columns (``gates.computational_blocks``, which ``run_gate``
-shares) and one phase solve per chunk.  Square and ramped points take the
-same path: each ramped segment is one stacked ramp propagation, shared by
-the points whose ramp plans agree.  A ramp or truncation study is one such
-run over all its grids (``_evaluate``): points of different grids share a
-stack where the gate, system kind and truncation, segment scales and dt
-agree, whatever their durations, so the ramped curves of a ramp study form
-one stack.
+then propagated as stacks, in chunks that hold at most ``_STACK_ENTRIES``
+float64 entries: one Hamiltonian stack and one stacked propagation of the
+computational columns per chunk (``gates.computational_blocks``, which
+``run_gate`` shares).  The blocks of all chunks are then scored together, in
+one phase solve.  Square and ramped points take the same path: each ramped
+segment is one stacked ramp propagation, shared by the points whose ramp
+plans agree.  A ramp or truncation study is one such run over all its grids
+(``_evaluate``): points of different grids share a stack where the gate,
+system kind and truncation, segment scales and dt agree, whatever their
+durations, so the ramped curves of a ramp study form one stack, and all its
+points one phase solve.
 Everything runs in the calling thread, rows come out in lexicographic axis
-order, and failed points are recorded in-row rather than aborting the sweep;
-a chunk whose stacked evaluation raises is run again point by point through
-``run_gate``, so that a failure stays in its own row, without a second
-resonance warning.  A single point
-(``evaluate_point``) is a chunk of one.  The ``jobs`` keywords of the sweep
-functions are kept for compatibility and change nothing.
+order, and failed points are recorded in-row rather than aborting the sweep:
+a chunk whose propagation raises is propagated again as one-point chunks,
+and a phase solve that raises is done again block by block, so that a
+failure stays in its own row.  A single point (``evaluate_point``) is a
+chunk of one.  ``threshold`` bisects with look-ahead: each of its rounds is
+one such run over the midpoints of the next few bisection steps, as many as
+pay for the run's fixed cost (``_look_ahead``).  The ``jobs`` keywords of
+the sweep functions are kept for compatibility and change nothing.
 
 Axis semantics (ratios are resolved in a fixed order so that combined axes
 are well defined):
@@ -65,9 +68,11 @@ from .gates import (
     gate_target,
     gate_time,
     resonance_violation,
-    run_gate,
     score_blocks,
 )
+
+# Not used here: bench/layers.py patches this name when tracing (--trace 1).
+from .gates import run_gate  # noqa: F401
 from .hamiltonians import (
     DirectSystemSpec,
     IndirectSystemSpec,
@@ -273,43 +278,43 @@ def _failed(values, error: type[Exception]) -> SweepPoint:
     return SweepPoint(tuple(values), *[_FAILED] * 6, f"error:{error.__name__}")
 
 
-def _single_row(dt: float, target, values, spec, t_g: float, schedule) -> SweepPoint:
-    try:
-        result = run_gate(spec, target, schedule, dt)
-    except _POINT_ERRORS as exc:
-        return _failed(values, type(exc))
-    return SweepPoint(
-        tuple(values), result.fidelity, t_g, result.leakage,
-        result.theta_a, result.theta_b, result.theta_global, "ok",
-    )
+def _blocks(chunk, dt: float) -> list[tuple]:
+    """Computational blocks of points ``(values, spec, t_g, schedule)`` sharing one truncation and one schedule shape, in parts.
 
-
-def _rows(chunk, target, dt: float) -> list[SweepPoint]:
-    """Rows of points ``(values, spec, t_g, schedule)`` sharing one truncation and one schedule shape.
-
-    The chunk's computational blocks are propagated as one stack
-    (``computational_blocks``), then scored as one stack.  A point whose
-    propagated columns fail the unitarity bound of ``run_gate`` is an
-    ``error:UnitarityError`` row; if the stacked evaluation raises, each
-    point is run on its own by ``run_gate``, with its resonance warnings
-    silenced, since the sweep has given its one already.
+    The chunk is propagated as one stack (``computational_blocks``) and is
+    one part, ``(m, defects)``.  If that raises, each point is propagated
+    again as a chunk of its own, so that the failure stays with its point:
+    a one-point chunk that raises is the part ``(None, error type)``.
     """
     try:
-        m, defects = computational_blocks([point[1] for point in chunk], [point[3] for point in chunk], dt)
-        scores = score_blocks(m, target)
-    except _POINT_ERRORS:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", r"\w+ resonance condition ")
-            return [_single_row(dt, target, *point) for point in chunk]
-    fidelity, theta_a, theta_b, theta, leakage = (x.tolist() for x in scores)
-    return [
-        _failed(values, UnitarityError)
-        if defect > SCHEDULE_UNITARITY_TOL
-        else SweepPoint(
-            tuple(values), fidelity[k], t_g, leakage[k], theta_a[k], theta_b[k], theta[k], "ok"
-        )
-        for k, ((values, _, t_g, _), defect) in enumerate(zip(chunk, defects))
-    ]
+        return [computational_blocks([point[1] for point in chunk], [point[3] for point in chunk], dt)]
+    except _POINT_ERRORS as exc:
+        if len(chunk) == 1:
+            return [(None, type(exc))]
+        return [part for point in chunk for part in _blocks([point], dt)]
+
+
+def _scores(m: np.ndarray, target) -> list:
+    """``(fidelity, theta_a, theta_b, theta, leakage)`` of each block of ``m`` against ``target``, or the type of the error it raised.
+
+    The blocks are scored as one stack (``score_blocks``), whose rows equal
+    those of each block alone.  If that raises, each block is scored alone.
+    """
+    try:
+        return list(zip(*(x.tolist() for x in score_blocks(m, target))))
+    except _POINT_ERRORS as exc:
+        if len(m) == 1:
+            return [type(exc)]
+        return [score for k in range(len(m)) for score in _scores(m[k : k + 1], target)]
+
+
+def _row(point, score) -> SweepPoint:
+    """The row of a propagated point ``(values, spec, t_g, schedule)`` from its score (``_scores``) or its error's type."""
+    values, _, t_g, _ = point
+    if isinstance(score, type):
+        return _failed(values, score)
+    fidelity, theta_a, theta_b, theta, leakage = score
+    return SweepPoint(tuple(values), fidelity, t_g, leakage, theta_a, theta_b, theta, "ok")
 
 
 def _derive(base: SweepBase, names, coupling, target, values):
@@ -346,7 +351,11 @@ def _evaluate(bases, axes: tuple[SweepAxis, ...], points) -> list[list[SweepPoin
     (``_stack_key``), their durations free, in grid order, and each stack
     goes in chunks of at most ``_STACK_ENTRIES``; the rows go back to their
     grids.  A single grid so keeps the chunks of a sweep of its own, and the
-    ramped curves of a ramp study share theirs.
+    ramped curves of a ramp study share theirs.  A chunk whose propagation
+    raises is propagated again point by point (``_blocks``).  Every point
+    that passes the unitarity bound is then scored in one ``score_blocks``
+    call per target, whose rows equal those of each block alone; if that
+    raises, each block is scored alone (``_scores``).
     """
     names = [ax.name for ax in axes]
     grids, keys, stacks = [], [], {}
@@ -366,11 +375,23 @@ def _evaluate(bases, axes: tuple[SweepAxis, ...], points) -> list[list[SweepPoin
         keys.append(_stack_key(base, target, good[0][3]) if good else None)
         if good:
             stacks.setdefault(keys[-1], []).extend(good)
-    rows = {}
+    errors, blocks = {}, {}
     for key, stack in stacks.items():
         size = max(1, _STACK_ENTRIES // _point_entries(stack[0][1].dim))
-        chunks = (stack[start : start + size] for start in range(0, len(stack), size))
-        rows[key] = iter([row for chunk in chunks for row in _rows(chunk, key[0], key[-1])])
+        errors[key] = []
+        for start in range(0, len(stack), size):
+            for m, defects in _blocks(stack[start : start + size], key[-1]):
+                if m is None:  # a point whose propagation raised; ``defects`` holds the error's type
+                    errors[key].append(defects)
+                    continue
+                spoiled = defects > SCHEDULE_UNITARITY_TOL
+                blocks.setdefault(key[0], []).append(m[~spoiled])
+                errors[key].extend(UnitarityError if bad else None for bad in spoiled.tolist())
+    scores = {target: iter(_scores(np.concatenate(ms), target)) for target, ms in blocks.items()}
+    rows = {
+        key: iter([_row(point, error or next(scores[key[0]])) for point, error in zip(stack, errors[key])])
+        for key, stack in stacks.items()
+    }
     return [
         [point if isinstance(point, SweepPoint) else next(rows[key]) for point in derived]
         for key, derived in zip(keys, grids)
@@ -409,6 +430,35 @@ def _study(bases, axes: tuple[SweepAxis, ...]) -> list[SweepGrid]:
     return [SweepGrid(base, axes, tuple(rows)) for base, rows in zip(bases, grids)]
 
 
+#: Cost of one point of a stack, in float64 entries (``_point_entries``),
+#: that is about one ``_evaluate`` call's fixed cost: its one-point
+#: Hamiltonian build, eigensolves, phase solve and Python work.
+_CALL_ENTRIES = 12_000
+
+
+def _look_ahead(dim: int) -> int:
+    """Bisection levels that ``threshold`` evaluates as one stack, for points of dimension ``dim``.
+
+    A round of j levels costs one call's fixed cost and 2^j - 1 points, for
+    j levels of bisection; j is the one of least cost per level, at a
+    point's cost read from its entries (``_CALL_ENTRIES``).  Plain
+    bisection, j = 1, is that of the 80- and 125-level cavity systems.
+    """
+    ratio = _point_entries(dim) / _CALL_ENTRIES
+    return min(range(1, 6), key=lambda j: (1 + (2**j - 1) * ratio) / j)
+
+
+def _midpoints(lo: float, hi: float, levels: int) -> list[float]:
+    """The midpoints that bisecting [lo, hi] can visit in its next ``levels`` steps, each formed as a step forms it.
+
+    An interval of 1e-4 or less is not split, as ``threshold`` splits none.
+    """
+    if not levels or not hi - lo > 1e-4:
+        return []
+    mid = 0.5 * (lo + hi)
+    return [mid, *_midpoints(lo, mid, levels - 1), *_midpoints(mid, hi, levels - 1)]
+
+
 def threshold(grid: SweepGrid, level: float) -> ThresholdResult:
     """First crossing of ``level`` scanning a 1D grid from the low end.
 
@@ -416,10 +466,16 @@ def threshold(grid: SweepGrid, level: float) -> ThresholdResult:
     crossing is bracketed by consecutive successful rows, and that pair is
     refined by bisection on fresh gate evaluations down to an axis
     resolution of 1e-4; oscillating curves may re-cross later, but the first
-    crossing is what bounds the safe operating regime.  The crossing's gate
-    time is the resonant one derived at its value, as its row would report
-    it, without propagating the gate there.  Returns an explicit
-    not-crossed result when the curve never drops below ``level``.
+    crossing is what bounds the safe operating regime.  The bisection looks
+    ahead: each round evaluates, as one stack (``_evaluate``), every
+    midpoint of the next ``_look_ahead`` steps, formed as those steps form
+    them, and then takes the steps.  Since a stacked row equals the row
+    alone, the result is that of one-point bisection bit for bit; a failed
+    point off the bisection's path is never looked at, and one on it raises
+    ``RuntimeError`` at its midpoint, as one-point bisection would.  The
+    crossing's gate time is the resonant one derived at its value, as its
+    row would report it, without propagating the gate there.  Returns an
+    explicit not-crossed result when the curve never drops below ``level``.
     """
     if not math.isfinite(level):
         raise ValueError(f"threshold level must be finite, got {level}")
@@ -441,9 +497,13 @@ def threshold(grid: SweepGrid, level: float) -> ThresholdResult:
         return ThresholdResult(level, False, None, None)
 
     lo, hi = bracket
+    depth, found = _look_ahead(grid.base.system.dim), {}
     while hi - lo > 1e-4:
         mid = 0.5 * (lo + hi)
-        row = evaluate_point(grid.base, grid.axes, (mid,))
+        if mid not in found:  # a new round
+            mids = _midpoints(lo, hi, depth)
+            found = dict(zip(mids, _evaluate([grid.base], grid.axes, [(x,) for x in mids])[0]))
+        row = found[mid]
         if row.status != "ok":
             raise RuntimeError(f"gate evaluation failed during bisection at {mid}")
         if row.fidelity >= level:

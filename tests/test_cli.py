@@ -1,10 +1,16 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scgates
 from scgates import presets
+from scgates import sweeps as sweeps_module
 from scgates.cli import (
     ConfigError,
     _grid_rows,
@@ -658,6 +664,56 @@ class TestCliEntry:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert json.loads(err)["kind"] == "io"
+
+    def test_a_memory_error_in_a_sweep_is_a_json_error(self, tmp_path, capsys, monkeypatch):
+        def exhausted(chunk, dt):
+            raise MemoryError("forced")
+
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(SWEEP_CONFIG))
+        monkeypatch.setattr(sweeps_module, "_blocks", exhausted)
+        assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"kind": "memory", "error": "forced"}
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "config, argv",
+        [
+            # the parity blocks of a 10^10-state system: np.indices asks for 149 GiB
+            (
+                {**GATE_CONFIG, "system": {
+                    **GATE_CONFIG["system"],
+                    "qubit_a": {"freq": 5.5, "anharm": 0.15, "n_levels": 100_000},
+                    "qubit_b": {"freq": 5.5, "anharm": 0.10, "n_levels": 100_000},
+                }},
+                [],
+            ),
+            # the 40 ns CZ trapezoid at dt = 1e-9: 4 * 10^10 CF4 steps, 298 GiB of step indices
+            ({**GATE_CONFIG, "system": RAMP_CONFIG["system"], "gate": "cz", "schedule": {"tau_d": 40.0}}, ["--dt", "1e-9"]),
+        ],
+        ids=["100000-levels", "cz-40ns-dt-1e-9"],
+    )
+    def test_a_run_that_cannot_fit_is_a_json_error(self, tmp_path, config, argv):
+        # the address-space limit is set in the child only, so nothing large is ever allocated
+        path, out = tmp_path / "cfg.json", tmp_path / "o"
+        path.write_text(json.dumps(config))
+        limit = 3 * 1024**3
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        src = str(Path(scgates.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        done = subprocess.run(
+            [sys.executable, "-m", "scgates", "--config", str(path), "--out", str(out), *argv],
+            env=env, capture_output=True, text=True, timeout=120, preexec_fn=limit_address_space,
+        )
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.count("\n") == 1
+        assert json.loads(done.stderr)["kind"] == "memory"
+        assert not out.exists()
 
     @staticmethod
     def fail_plot_writes(monkeypatch):

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scgates import sweeps as sweeps_module
 from scgates import evolution
@@ -195,13 +197,13 @@ class TestSweep:
         # points are evaluated in stacks: record the thread of each stacked
         # evaluation once per point it evaluates
         threads = []
-        rows = sweeps_module._rows
+        blocks = sweeps_module._blocks
 
-        def recording_rows(chunk, target, dt):
+        def recording_blocks(chunk, dt):
             threads.extend([threading.get_ident()] * len(chunk))
-            return rows(chunk, target, dt)
+            return blocks(chunk, dt)
 
-        monkeypatch.setattr(sweeps_module, "_rows", recording_rows)
+        monkeypatch.setattr(sweeps_module, "_blocks", recording_blocks)
         sweep(ISWAP_BASE, (SweepAxis("g_over_delta_b", 0.05, 0.3, 8),), jobs=4)
         assert threads == [threading.get_ident()] * 8
 
@@ -348,13 +350,13 @@ class TestBatching:
 
     def test_chunks_hold_at_most_the_stack_bound(self, monkeypatch):
         sizes = []
-        rows = sweeps_module._rows
+        blocks = sweeps_module._blocks
 
-        def recording_rows(chunk, target, dt):
+        def recording_blocks(chunk, dt):
             sizes.append(len(chunk))
-            return rows(chunk, target, dt)
+            return blocks(chunk, dt)
 
-        monkeypatch.setattr(sweeps_module, "_rows", recording_rows)
+        monkeypatch.setattr(sweeps_module, "_blocks", recording_blocks)
         sweep(*BATCH_CASES["direct-1d"])
         sweep(*BATCH_CASES["cavity"])
         sweep(*SQUARE_CASES["cavity-125"])
@@ -366,19 +368,19 @@ class TestBatching:
         base = cavity_base(levels)
         dim, peaks = base.system.dim, []
         size = sweeps_module._STACK_ENTRIES // sweeps_module._point_entries(dim)
-        rows = sweeps_module._rows
+        blocks = sweeps_module._blocks
 
-        def measured_rows(chunk, target, dt):
-            rows(chunk, target, dt)
+        def measured_blocks(chunk, dt):
+            blocks(chunk, dt)
             tracemalloc.start()
             try:
-                found = rows(chunk, target, dt)
+                found = blocks(chunk, dt)
                 peaks.append((len(chunk), tracemalloc.get_traced_memory()[1]))
             finally:
                 tracemalloc.stop()
             return found
 
-        monkeypatch.setattr(sweeps_module, "_rows", measured_rows)
+        monkeypatch.setattr(sweeps_module, "_blocks", measured_blocks)
         grid = sweep(base, (SweepAxis("geff_over_delta_b", 0.05, 0.5, size),))
         assert all(row.status == "ok" for row in grid.rows)
         ((n, peak),) = peaks
@@ -435,6 +437,51 @@ class TestBatching:
         assert rows[3].status == "error:UnitarityError"
         assert rows[:3] + rows[4:] == expected[:3] + expected[4:]
 
+    def test_a_failed_phase_solve_stays_in_its_row(self, monkeypatch):
+        # 40 points of the 45-level cavity system: chunks of 38 and 2, scored in one phase solve;
+        # one point's block is NaN, so that solve raises and each block is scored alone
+        base, axes = cavity_base(3), (SweepAxis("geff_over_delta_b", 0.05, 0.5, 40),)
+        expected = sweep(base, axes).rows
+        bad = derive_point_spec(base, axes, expected[20].values)
+        computational_blocks, score_blocks = sweeps_module.computational_blocks, sweeps_module.score_blocks
+        chunks, scored = [], []
+
+        def nan_blocks(specs, schedules, dt):
+            chunks.append(len(specs))
+            m, defects = computational_blocks(specs, schedules, dt)
+            m[[spec == bad for spec in specs]] = np.nan
+            return m, defects
+
+        def counted_scores(m, target):
+            scored.append(len(m))
+            return score_blocks(m, target)
+
+        monkeypatch.setattr(sweeps_module, "computational_blocks", nan_blocks)
+        monkeypatch.setattr(sweeps_module, "score_blocks", counted_scores)
+        with np.errstate(invalid="ignore"):
+            rows = sweep(base, axes).rows
+        assert chunks == [38, 2]
+        assert scored == [40] + [1] * 40
+        assert rows[20].status == "error:LinAlgError"
+        assert rows[:20] + rows[21:] == expected[:20] + expected[21:]
+        assert_rows_are_run_gate_rows(base, axes, rows[:20] + rows[21:])
+
+    @pytest.mark.parametrize("run, sizes", [
+        (lambda: sweep(*SQUARE_CASES["cavity-125"]), [7]),  # chunks of 5 and 2
+        (lambda: ramp_study(CZ_BASE, STUDY_TAUS, STUDY_AXIS), [20]),  # a square and a ramped stack
+        (lambda: truncation_study(INDIRECT_BASE, [3, 4], SweepAxis("geff_over_delta_b", 0.05, 0.5, 13)), [26]),
+    ], ids=["chunks", "ramp-study", "truncation-study"])
+    def test_a_run_takes_one_phase_solve(self, run, sizes, monkeypatch):
+        scored, score_blocks = [], sweeps_module.score_blocks
+
+        def counted_scores(m, target):
+            scored.append(len(m))
+            return score_blocks(m, target)
+
+        monkeypatch.setattr(sweeps_module, "score_blocks", counted_scores)
+        run()
+        assert scored == sizes
+
     @pytest.mark.parametrize("case", sorted(SQUARE_CASES))
     def test_square_rows_equal_run_gate_rows(self, case):
         base, axes = SQUARE_CASES[case]
@@ -451,9 +498,16 @@ class TestBatching:
             w, v = eigh(h)
             return w, v * (1 + 1e-6) if h.shape[-1] == size else v
 
+        sizes, blocks = [], sweeps_module._blocks
+
+        def recording_blocks(chunk, dt):
+            sizes.append(len(chunk))
+            return blocks(chunk, dt)
+
         monkeypatch.setattr(np.linalg, "eigh", spoiled_eigh)
-        monkeypatch.setattr(sweeps_module, "run_gate", None)  # the stack must not fall back to single points
+        monkeypatch.setattr(sweeps_module, "_blocks", recording_blocks)
         assert {row.status for row in sweep(base, axes).rows} == {"error:UnitarityError"}
+        assert sizes == [axes[0].n_points]  # the stack's own defects failed it, not a point-by-point rerun
         spec = derive_point_spec(base, axes, (0.2,))
         with pytest.raises(UnitarityError):
             run_gate(spec, CZ)
@@ -613,6 +667,27 @@ class TestParitySplit:
         assert shapes == [(1, len(ix), len(ix)) for ix in parity_blocks(CZ_BASE.system)]
 
 
+def plain_threshold(grid, level, row_at):
+    """``threshold`` by plain bisection, one point at a time, with ``row_at(x)`` the row at x."""
+    ok = [row for row in grid.rows if row.status == "ok"]
+    crossings = [(a.values[0], b.values[0]) for a, b in zip(ok, ok[1:]) if a.fidelity >= level > b.fidelity]
+    if not crossings:
+        return ThresholdResult(level, False, None, None)
+    lo, hi = crossings[0]
+    while hi - lo > 1e-4:
+        mid = 0.5 * (lo + hi)
+        row = row_at(mid)
+        if row.status != "ok":
+            raise RuntimeError(f"gate evaluation failed during bisection at {mid}")
+        if row.fidelity >= level:
+            lo = mid
+        else:
+            hi = mid
+    value = 0.5 * (lo + hi)
+    spec = derive_point_spec(grid.base, grid.axes, (value,))
+    return ThresholdResult(level, True, value, gate_time(spec, gate_target(grid.base.gate)))
+
+
 class TestThreshold:
     def test_crossing_location_and_gate_time(self):
         axes = (SweepAxis("g_over_delta_b", 0.10, 0.20, 11),)
@@ -623,21 +698,68 @@ class TestThreshold:
         assert result.t_g_ns == pytest.approx(1 / (4 * result.value * 0.10), rel=1e-6)
 
     def test_the_crossing_gate_time_is_derived_not_propagated(self, monkeypatch):
-        # the bisection evaluates 7 points; the crossing's gate time is that of its row
+        # 7 bisection steps, in rounds of _look_ahead(9) steps; the crossing's gate time is that
+        # of its row, and the crossing itself is never evaluated
         grid = sweep(ISWAP_BASE, (SweepAxis("g_over_delta_b", 0.10, 0.20, 11),))
         calls = []
-        evaluate = sweeps_module.evaluate_point
+        evaluate = sweeps_module._evaluate
 
-        def counted(base, axes, values):
-            calls.append(values)
-            return evaluate(base, axes, values)
+        def counted(bases, axes, points):
+            calls.append(points)
+            return evaluate(bases, axes, points)
 
-        monkeypatch.setattr(sweeps_module, "evaluate_point", counted)
+        monkeypatch.setattr(sweeps_module, "_evaluate", counted)
         result = threshold(grid, 0.99)
-        assert len(calls) == 7
-        row = evaluate(grid.base, grid.axes, (result.value,))
+        depth = sweeps_module._look_ahead(ISWAP_BASE.system.dim)
+        assert [len(points) for points in calls] == [2**depth - 1] * (7 // depth) + [2 ** (7 % depth) - 1] * (7 % depth > 0)
+        assert (result.value,) not in [point for points in calls for point in points]
+        row = evaluate_point(grid.base, grid.axes, (result.value,))
         assert row.status == "ok"
         assert result == ThresholdResult(0.99, True, result.value, row.t_g_ns)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        start=st.floats(0.01, 0.3),
+        width=st.floats(1e-3, 0.3),
+        n_points=st.integers(2, 12),
+        level=st.floats(0.5, 0.999),
+        amplitude=st.floats(1e-3, 0.4),
+        frequency=st.floats(1.0, 500.0),
+        phase=st.floats(-1.5, 1.5),
+        drop=st.floats(1e-3, 0.1),
+        every=st.sampled_from([0, 2, 7, 50]),
+        depth=st.integers(1, 5),
+    )
+    def test_look_ahead_equals_plain_bisection(
+        self, start, width, n_points, level, amplitude, frequency, phase, drop, every, depth
+    ):
+        # a synthetic curve that starts above the level, oscillates through it and ends below it,
+        # with failed points wherever floor(x 10^9) is a multiple of ``every``
+        def curve(x):
+            wave = amplitude * math.cos(frequency * (x - start) + phase)
+            fidelity = level + wave - (amplitude + drop) * (x - start) / width
+            return SweepPoint((x,), fidelity, *[0.0] * 5, "ok")
+
+        def row_at(x):
+            if every and math.floor(x * 1e9) % every == 0:
+                return SweepPoint((x,), *[math.nan] * 6, "error:ValueError")
+            return curve(x)
+
+        axis = SweepAxis("g_over_delta_b", start, start + width, n_points)
+        grid = SweepGrid(ISWAP_BASE, (axis,), tuple(curve(x) for x in axis.values()))
+        try:
+            expected = plain_threshold(grid, level, row_at)
+        except RuntimeError as exc:
+            expected = exc
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sweeps_module, "_look_ahead", lambda dim: depth)
+            patch.setattr(sweeps_module, "_evaluate", lambda bases, axes, points: [[row_at(x) for (x,) in points]])
+            if isinstance(expected, RuntimeError):
+                with pytest.raises(RuntimeError) as raised:
+                    threshold(grid, level)
+                assert str(raised.value) == str(expected)
+            else:
+                assert threshold(grid, level) == expected
 
     def test_a_failed_row_beside_the_crossing_does_not_hide_it(self):
         # the crossing is bracketed by the successful rows on either side of the failed one
@@ -778,14 +900,14 @@ class TestStudyStacks:
     def test_truncation_study_chunks_are_those_of_its_own_sweeps(self, monkeypatch):
         # 13 points of 45, 80 and 125 levels: chunks of 13; 12 and 1; 5, 5 and 3
         axis, sizes = SweepAxis("geff_over_delta_b", 0.05, 0.5, 13), []
-        rows = sweeps_module._rows
+        blocks = sweeps_module._blocks
 
-        def recording_rows(chunk, target, dt):
+        def recording_blocks(chunk, dt):
             sizes.append(len(chunk))
-            return rows(chunk, target, dt)
+            return blocks(chunk, dt)
 
         grids = truncation_study(INDIRECT_BASE, [3, 4, 5], axis)
-        monkeypatch.setattr(sweeps_module, "_rows", recording_rows)
+        monkeypatch.setattr(sweeps_module, "_blocks", recording_blocks)
         assert truncation_study(INDIRECT_BASE, [3, 4, 5], axis) == grids
         assert sizes == [13, 12, 1, 5, 5, 3]
         assert grids == [sweep(grid.base, (axis,)) for grid in grids]
