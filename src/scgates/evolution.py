@@ -18,8 +18,8 @@ segment is one stacked ramp propagation, in which the points of one ramp
 plan (``_ramp_plans``: the same chunks, degrees and group degrees) share
 every call and each point does exactly the arithmetic it would do alone.  A
 gate is scored on the columns of its four computational states alone
-(``gates.computational_blocks``); ``schedule_propagators`` is the
-every-column case, and ``propagate_schedule`` its one-point case.
+(``gates.computational_blocks``); ``propagate_schedule`` is the one-point
+case with every column, assembled into the full propagator.
 
 The exponentials are taken in one of two ways, chosen by the segment kind:
 
@@ -213,10 +213,6 @@ def _unitarity_defects(x: np.ndarray) -> np.ndarray:
     gram = np.matmul(x.conj().transpose(0, 2, 1), x)
     gram.reshape(len(x), -1)[:, :: x.shape[-1] + 1] -= 1.0  # the diagonal, in place
     return np.abs(gram).reshape(len(x), -1).max(axis=1)
-
-
-def _unitarity_defect(u: np.ndarray) -> float:
-    return float(_unitarity_defects(u[None])[0])
 
 
 def _product_in_order(us: np.ndarray, spare: np.ndarray | None = None) -> np.ndarray:
@@ -708,17 +704,6 @@ def schedule_columns(h0: np.ndarray, d1: np.ndarray, schedules, blocks, columns,
     return xs, np.maximum.reduce([_unitarity_defects(x) for x in xs])
 
 
-def schedule_propagators(h0: np.ndarray, d1: np.ndarray, schedules, blocks, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Full propagators (n, d, d) of a stack of points over their schedules, and the unitarity defect max |U^dag U - I| of each.
-
-    This is the every-column case of ``schedule_columns``, which says how
-    the segments are taken; the blocks' propagators are assembled into full
-    matrices, with exact zeros between blocks.
-    """
-    us, defects = schedule_columns(h0, d1, schedules, blocks, None, dt)
-    return _scatter(us, blocks), defects
-
-
 def propagate_constant(h: np.ndarray, t: float) -> PropagationResult:
     """Propagator exp(-i h t) for a constant Hermitian ``h`` (rad/ns, ns).
 
@@ -735,7 +720,7 @@ def propagate_constant(h: np.ndarray, t: float) -> PropagationResult:
     if scale > 0 and np.max(np.abs(h - h.conj().T)) > 1e-9 * scale:
         raise ValueError("matrix is not Hermitian within 1e-9 of its norm")
     ((u,),) = _exponentials([h[None]], t)
-    defect = _unitarity_defect(u)
+    defect = float(_unitarity_defects(u[None])[0])
     if defect > CONSTANT_UNITARITY_TOL:
         raise UnitarityError(f"unitarity defect {defect:.3e} exceeds {CONSTANT_UNITARITY_TOL:g}")
     return PropagationResult(u, float(t), defect, 1)
@@ -750,14 +735,17 @@ def propagate_schedule(
 
     Constant segments are evolved exactly; ramped segments are discretized as
     described in the module docstring.  This is the one-point case of
-    ``schedule_propagators``, which says how the segments are taken, and a
-    defect above ``SCHEDULE_UNITARITY_TOL`` raises ``UnitarityError``.
+    ``schedule_columns`` with every column, which says how the segments are
+    taken; the blocks' propagators are assembled into the full matrix, with
+    exact zeros between blocks, and a defect above ``SCHEDULE_UNITARITY_TOL``
+    raises ``UnitarityError``.
     ``steps_used`` counts one per constant segment plus the CF4 steps of each
     ramp.
     """
     h0, h1 = hamiltonian_parts(spec)
-    u, defects = schedule_propagators(h0[None], np.diagonal(h1)[None], [schedule], parity_blocks(spec), dt)
-    if defects[0] > SCHEDULE_UNITARITY_TOL:
-        raise UnitarityError(f"unitarity defect {defects[0]:.3e} exceeds {SCHEDULE_UNITARITY_TOL:g}")
+    blocks = parity_blocks(spec)
+    us, (defect,) = schedule_columns(h0[None], np.diagonal(h1)[None], [schedule], blocks, None, dt)
+    if defect > SCHEDULE_UNITARITY_TOL:
+        raise UnitarityError(f"unitarity defect {defect:.3e} exceeds {SCHEDULE_UNITARITY_TOL:g}")
     steps = sum(1 if seg.is_constant else math.ceil(seg.duration / dt) for seg in schedule.segments)
-    return PropagationResult(u[0], schedule.total_time, float(defects[0]), steps)
+    return PropagationResult(_scatter(us, blocks)[0], schedule.total_time, float(defect), steps)

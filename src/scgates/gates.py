@@ -28,7 +28,6 @@ polynomials; ``gate_fidelity`` is its one-block case.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -168,7 +167,7 @@ _COMPUTATIONAL_COLUMNS: dict[tuple, tuple] = {}
 
 def _computational_columns(spec: DirectSystemSpec | IndirectSystemSpec):
     """``(blocks, columns, places)`` of ``spec``'s truncation, built once per truncation, as ``parity_blocks`` is."""
-    key = spec.qubit_a.n_levels, spec.qubit_b.n_levels, getattr(spec, "n_photons", None)
+    key = spec.sizes
     if key not in _COMPUTATIONAL_COLUMNS:
         blocks, states = parity_blocks(spec), np.array(computational_indices(spec))
         places = [np.flatnonzero(np.isin(states, ix)) for ix in blocks]
@@ -208,39 +207,15 @@ def _pair_sums(w: np.ndarray, theta_a: np.ndarray) -> np.ndarray:
 
 
 def _polymul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise products of coefficient rows (lowest power first) x (..., a) and y (..., b)."""
-    out = np.zeros(x.shape[:-1] + (x.shape[-1] + y.shape[-1] - 1,), dtype=complex)
-    for k in range(y.shape[-1]):
-        out[..., k : k + x.shape[-1]] += x * y[..., k : k + 1]
-    return out
-
-
-def _tan_basis() -> np.ndarray:
-    """(14, 7) real rows taking a row [Re c, Im c] of C's coefficients to R's, lowest power first.
-
-    R(t) = sum_j c_j (1 + it)^j (1 - it)^(6-j); the coefficient of t^k in
-    (1 + it)^j (1 - it)^(6-j) is i^k times an integer, so the real part of
-    c_j times it involves Re c_j for even k and Im c_j for odd k only.
-    """
-    basis = np.zeros((7, 7), dtype=complex)
-    for j in range(7):
-        for a in range(j + 1):
-            for b in range(7 - j):
-                basis[j, a + b] += math.comb(j, a) * math.comb(6 - j, b) * 1j**a * (-1j) ** b
-    return np.concatenate([basis.real, -basis.imag])
-
-
-_TAN_BASIS = _tan_basis()
-
-
-def _tan_polynomial(condition: np.ndarray) -> np.ndarray:
-    """R's real coefficients (n, 7), lowest power first, of each row of C's (n, 7).
+    """Row-wise products of coefficient rows (lowest power first) x (..., a) and y (..., b).
 
     Formed element-wise per row, so that a row of a stack rounds as the row
     alone does.
     """
-    x = np.concatenate([condition.real, condition.imag], axis=1)
-    return (x[:, :, None] * _TAN_BASIS).sum(axis=1)
+    out = np.zeros(x.shape[:-1] + (x.shape[-1] + y.shape[-1] - 1,), dtype=np.result_type(x, y))
+    for k in range(y.shape[-1]):
+        out[..., k : k + x.shape[-1]] += x * y[..., k : k + 1]
+    return out
 
 
 def _companion_roots(c: np.ndarray) -> np.ndarray:
@@ -256,17 +231,17 @@ def _companion_roots(c: np.ndarray) -> np.ndarray:
     return np.sort(np.linalg.eigvals(companion), axis=1)
 
 
-def _condition_roots(condition: np.ndarray) -> np.ndarray:
-    """Roots t of R for each row of C's degree-6 coefficients (n, 7), sorted as ``polyroots`` sorts them.
+def _condition_roots(r: np.ndarray) -> np.ndarray:
+    """Roots t of each row of R's real coefficients (n, 7), lowest power first, sorted as ``polyroots`` sorts them.
 
     Rows of degree 6 are solved together, and no row's roots depend on the
-    rest of the stack.  R's degree drops by one for each root of C at
-    z = -1: a row of degree d < 6 is solved alone, and its last 6 - d slots
-    hold t = inf, whose candidate is theta_a = pi/2.  A row that vanishes
-    has no roots; its slots hold 0, whose candidate theta_a = 0 repeats the
-    first candidate and so can never win a tie against it.
+    rest of the stack.  R's degree drops by one for each root of the
+    condition at theta_a = pi/2, where t is infinite (``gate_fidelity``):
+    a row of degree d < 6 is solved alone, and its last 6 - d slots hold
+    t = inf, whose candidate is theta_a = pi/2.  A row that vanishes has no
+    roots; its slots hold 0, whose candidate theta_a = 0 repeats the first
+    candidate and so can never win a tie against it.
     """
-    r = _tan_polynomial(condition)
     full = r[:, 6] != 0
     if full.all():
         return _companion_roots(r)
@@ -307,17 +282,17 @@ def score_blocks(m: np.ndarray, target: GateTarget) -> tuple[np.ndarray, ...]:
     u[np.abs(u) < 1e-50] = 0.0
     p = 2 * u[:, :2] * u[:, 2:].conj()
     u2 = np.abs(u) ** 2
-    # z^2 Im(p_j z)^2 and z |S_(3-j)|^2 as coefficient rows, lowest power
-    # first, for j = 1, 2; the condition is the difference of their products.
-    im2 = np.zeros((n, 2, 5), dtype=complex)
-    im2[..., 0] = -p.conj() ** 2 / 4
-    im2[..., 2] = np.abs(p) ** 2 / 2
-    im2[..., 4] = -(p**2) / 4
-    mod2 = np.empty((n, 2, 3), dtype=complex)
-    mod2[..., 0] = p[:, ::-1].conj() / 2
-    mod2[..., 1] = u2[:, 1::-1] + u2[:, :1:-1]
-    mod2[..., 2] = p[:, ::-1] / 2
-    products = _polymul(im2, mod2)
+    a = u2[:, :2] + u2[:, 2:]
+    # q_j and m_(3-j) as coefficient rows in t, lowest power first, for
+    # j = 1, 2 (``gate_fidelity``); R is the difference of q_j^2 m_(3-j).
+    q, m = np.empty((2, n, 2, 3))
+    q[..., 0] = p.imag
+    q[..., 1] = 2 * p.real
+    q[..., 2] = -p.imag
+    m[..., 0] = (a + p.real)[:, ::-1]
+    m[..., 1] = -2 * p.imag[:, ::-1]
+    m[..., 2] = (a - p.real)[:, ::-1]
+    products = _polymul(_polymul(q, q), m)
     roots = _condition_roots(products[:, 0] - products[:, 1])
     # theta_a = arg(z)/2 = (arg(1 + it) - arg(1 - it))/2 for each root t,
     # taken from t's parts so that t = inf gives pi/2.
@@ -350,19 +325,22 @@ def gate_fidelity(m: np.ndarray, target: GateTarget) -> GateResult:
     p_2 = 2 w_1 conj(w_3), a_1 = |w_0|^2 + |w_2|^2 and
     a_2 = |w_1|^2 + |w_3|^2, |S_j|^2 = a_j + Re(p_j z).  Every maximum
     is a root of the squared stationarity condition
-    Im(p_1 z)^2 |S_2|^2 = Im(p_2 z)^2 |S_1|^2, a degree-6 polynomial C(z).
-    C is self-inversive: z^-3 C(z) is real on |z| = 1.  So with
-    z = (1 + it)/(1 - it), that is t = tan theta_a,
-    R(t) = (1 - it)^6 C(z) = sum_j c_j (1 + it)^j (1 - it)^(6-j) is a real
-    polynomial whose roots map one to one onto C's: the real ones onto
-    the unit circle, and each root z = -1 (theta_a = pi/2) onto a drop in
-    R's degree, counted as a root t = inf.  The candidates for theta_a are,
-    in this order: 0, (arg(1 + it) - arg(1 - it))/2 for each root t of R,
-    and the single-term maxima -arg(p_1)/2 and -arg(p_2)/2.  The last two
-    are needed where the condition vanishes identically, as when both terms
-    peak at the same angle (m a compensated multiple of the target).  Ties
-    go to the first candidate, so the exact target and the zero block give
-    phases (0, 0, 0).
+    Im(p_1 z)^2 |S_2|^2 = Im(p_2 z)^2 |S_1|^2.  With t = tan theta_a,
+    z = (1 + it)^2 / (1 + t^2), and with coefficient rows lowest power
+    first,
+    (1 + t^2)^2 Im(p_j z)^2 = q_j(t)^2, q_j = [Im p_j, 2 Re p_j, -Im p_j],
+    (1 + t^2) |S_j|^2 = m_j(t), m_j = [a_j + Re p_j, -2 Im p_j, a_j - Re p_j].
+    Multiplied by (1 + t^2)^3, the condition becomes the real polynomial
+    R = q_1^2 m_2 - q_2^2 m_1 of degree at most 6, formed in real
+    arithmetic.  Its real roots are the condition's roots other than
+    theta_a = pi/2, and each root at theta_a = pi/2, where t is infinite,
+    drops R's degree by one, counted as a root t = inf.  The candidates for
+    theta_a are, in this order: 0, (arg(1 + it) - arg(1 - it))/2 for each
+    root t of R, and the single-term maxima -arg(p_1)/2 and -arg(p_2)/2.
+    The last two are needed where the condition vanishes identically, as
+    when both terms peak at the same angle (m a compensated multiple of the
+    target).  Ties go to the first candidate, so the exact target and the
+    zero block give phases (0, 0, 0).
 
     Phases are reported in a canonical form: theta_a and theta_b in [0, pi),
     theta_global in [0, 2pi).  Nothing is lost, since shifting theta_a or

@@ -84,8 +84,13 @@ class DirectSystemSpec:
             raise ValueError(f"coupling g must be non-negative and finite, got {self.g}")
 
     @property
+    def sizes(self) -> tuple[int, ...]:
+        """Levels of each mode in product-basis order: qubit A, then qubit B."""
+        return self.qubit_a.n_levels, self.qubit_b.n_levels
+
+    @property
     def dim(self) -> int:
-        return self.qubit_a.n_levels * self.qubit_b.n_levels
+        return math.prod(self.sizes)
 
 
 @dataclass(frozen=True)
@@ -116,8 +121,16 @@ class IndirectSystemSpec:
             raise ValueError(f"cavity truncation must be at least 2, got {self.n_photons}")
 
     @property
+    def sizes(self) -> tuple[int, ...]:
+        """Levels of each mode in product-basis order: qubit A, qubit B, then the cavity."""
+        return self.qubit_a.n_levels, self.qubit_b.n_levels, self.n_photons
+
+    @property
     def dim(self) -> int:
-        return self.qubit_a.n_levels * self.qubit_b.n_levels * self.n_photons
+        return math.prod(self.sizes)
+
+
+_MODE_NAMES = ("qubit A ladder", "qubit B ladder", "cavity truncation")
 
 
 @dataclass(frozen=True)
@@ -129,30 +142,24 @@ class BasisIndex:
     n_c: int | None = None
 
     def flatten(self, spec: DirectSystemSpec | IndirectSystemSpec) -> int:
-        """Row/column index of this state in the matrices built from ``spec``."""
-        nb = spec.qubit_b.n_levels
-        if not 0 <= self.n_a < spec.qubit_a.n_levels:
-            raise ValueError(f"n_a={self.n_a} outside qubit A ladder")
-        if not 0 <= self.n_b < nb:
-            raise ValueError(f"n_b={self.n_b} outside qubit B ladder")
-        if isinstance(spec, IndirectSystemSpec):
-            n_c = 0 if self.n_c is None else self.n_c
-            if not 0 <= n_c < spec.n_photons:
-                raise ValueError(f"n_c={n_c} outside cavity truncation")
-            return (self.n_a * nb + self.n_b) * spec.n_photons + n_c
-        if self.n_c is not None:
+        """Row/column index of this state in the matrices built from ``spec``: its place in the mode grid ``spec.sizes``."""
+        if self.n_c is not None and isinstance(spec, DirectSystemSpec):
             raise ValueError("direct systems have no cavity index")
-        return self.n_a * nb + self.n_b
+        index = (self.n_a, self.n_b, self.n_c or 0)[: len(spec.sizes)]
+        for name, n, size, mode in zip(("n_a", "n_b", "n_c"), index, spec.sizes, _MODE_NAMES):
+            if not 0 <= n < size:
+                raise ValueError(f"{name}={n} outside {mode}")
+        return int(np.ravel_multi_index(index, spec.sizes))
 
 
-def _level_energies(freq, anharm, n_levels: int, freq_scale: float = 1.0) -> np.ndarray:
-    """Angular ladder energies; ``freq_scale`` multiplies only the n*freq term.
+def _level_energies(freq, anharm, n_levels: int) -> np.ndarray:
+    """Angular ladder energies.
 
-    ``freq``, ``anharm`` and ``freq_scale`` may be arrays with a last axis of
-    one, one row of energies per entry.
+    ``freq`` and ``anharm`` may be arrays with a last axis of one, one row of
+    energies per entry.
     """
     n = np.arange(n_levels, dtype=float)
-    return TWOPI * (n * freq * freq_scale - anharm * n * (n - 1) / 2.0)
+    return TWOPI * (n * freq - anharm * n * (n - 1) / 2.0)
 
 
 def ladder_diagonal(qubit: QubitSpec) -> np.ndarray:
@@ -183,29 +190,23 @@ def _column(values) -> np.ndarray:
     return np.fromiter(values, dtype=float)[:, None]
 
 
-def _modes(
-    specs, freq_scale_b: float = 1.0
-) -> tuple[list[np.ndarray], list[tuple[int, int, np.ndarray]]]:
-    """Angular level energies of each mode (A, B, then the cavity if present) and the couplings.
+def _modes(specs) -> tuple[list[np.ndarray], list[tuple[int, int, np.ndarray]]]:
+    """Angular level energies of each mode (``sizes`` order) and the couplings.
 
     ``specs`` share one kind and truncation; each mode's energies are an
     (n, levels) array with one row per spec.  A coupling ``(i, j, g)`` joins
     modes i and j through ``g`` Jx_i Jx_j, with ``g`` one strength per spec;
     a direct pair has one, a cavity pair one from each qubit to the cavity.
     """
-    if not 0 < freq_scale_b < math.inf:
-        raise ValueError(f"freq_scale_b must be positive and finite, got {freq_scale_b}")
     first = specs[0]
-    sizes = first.qubit_a.n_levels, first.qubit_b.n_levels
+    sizes = first.sizes
     qubits = np.array([(s.qubit_a.freq, s.qubit_b.freq, s.qubit_a.anharm, s.qubit_b.anharm) for s in specs])
     # both ladders at once, to the longer one's length: row [k, q] holds qubit q's energies
-    ladders = _level_energies(
-        qubits[:, :2, None], qubits[:, 2:, None], max(sizes), np.array([[1.0], [freq_scale_b]])
-    )
+    ladders = _level_energies(qubits[:, :2, None], qubits[:, 2:, None], max(sizes[:2]))
     levels = [ladders[:, 0, : sizes[0]], ladders[:, 1, : sizes[1]]]
     if isinstance(first, IndirectSystemSpec):
         cavity = _column(s.cavity_freq for s in specs)
-        levels.append(TWOPI * cavity * np.arange(first.n_photons, dtype=float))
+        levels.append(TWOPI * cavity * np.arange(sizes[2], dtype=float))
         g_qc = _column(s.g_qc for s in specs)[:, 0]
         return levels, [(0, 2, g_qc), (1, 2, g_qc)]
     return levels, [(0, 1, _column(s.g for s in specs)[:, 0])]
@@ -220,32 +221,32 @@ def _outer_sum(levels: list[np.ndarray]) -> np.ndarray:
 
 
 @lru_cache
-def _coupling_factor(sizes: tuple[int, ...], i: int, j: int) -> np.ndarray:
-    """Read-only Kronecker product of ``build_jx`` on modes i and j and identities elsewhere."""
-    ops = [build_jx(size) if k in (i, j) else np.eye(size) for k, size in enumerate(sizes)]
-    factor = reduce(np.kron, ops)
-    factor.flags.writeable = False
-    return factor
+def _coupling(sizes: tuple[int, ...], i: int, j: int) -> tuple[np.ndarray, ...]:
+    """The read-only coupling operator of modes i and j, and the rows, columns and values of its nonzero entries.
 
-
-@lru_cache
-def _coupling_support(sizes: tuple[int, ...], i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only row and column indices of the nonzero entries of ``_coupling_factor(sizes, i, j)``."""
-    support = np.nonzero(_coupling_factor(sizes, i, j))
-    for ix in support:
-        ix.flags.writeable = False
-    return support
+    The operator is the Kronecker product of ``build_jx`` on modes i and j
+    and identities elsewhere; it depends on the truncation only, so it is
+    built once per truncation and pair.  ``_assemble`` uses only the
+    entries, but the dense operator, d^2 doubles, is kept with them: with
+    it freed after the first build, glibc gave the heap top back to the
+    system after the chunks of every cavity sweep and faulted it in again,
+    about 4,900 minor page faults and 4-15 % of the wall time of a round
+    of the eight square presets (glibc 2.36, 2 vCPUs).
+    """
+    factor = reduce(np.kron, [build_jx(size) if k in (i, j) else np.eye(size) for k, size in enumerate(sizes)])
+    rows, cols = np.nonzero(factor)
+    entries = factor, rows, cols, factor[rows, cols]
+    for x in entries:
+        x.flags.writeable = False
+    return entries
 
 
 def _assemble(levels: list[np.ndarray], couplings: list[tuple[int, int, np.ndarray]]) -> np.ndarray:
     """Real Hamiltonians (n, d, d): the ladders' outer sum on the diagonal, plus the couplings.
 
-    Each coupling adds 2*pi*g times the Kronecker product of ``build_jx`` on
-    its two modes and identities elsewhere; for the cavity, a + a^dag has the
-    same sqrt(n) off-diagonal structure as Jx.  The Kronecker factors depend
-    on the truncation only, so each, and the indices of its nonzero entries,
-    is built once per truncation and pair.
-    A coupling is added at the nonzero entries of its factor only, so no
+    Each coupling adds 2*pi*g times its operator (``_coupling``); for the
+    cavity, a + a^dag has the same sqrt(n) off-diagonal structure as Jx.
+    A coupling is added at the nonzero entries of its operator only, so no
     (n, d, d) temporary is formed beside ``h``; each entry gets the sum the
     dense formula gives it.
     """
@@ -255,33 +256,27 @@ def _assemble(levels: list[np.ndarray], couplings: list[tuple[int, int, np.ndarr
     h.reshape(n, d * d)[:, :: d + 1] = diag
     sizes = tuple(e.shape[1] for e in levels)
     for i, j, g in couplings:
-        r, c = _coupling_support(sizes, i, j)
-        h[:, r, c] += (TWOPI * g)[:, None] * _coupling_factor(sizes, i, j)[r, c]
+        _, r, c, v = _coupling(sizes, i, j)
+        h[:, r, c] += (TWOPI * g)[:, None] * v
     return h
 
 
-def _scaled_levels(specs) -> list[np.ndarray]:
-    """The part of each mode's energies that ``freq_scale_b`` multiplies: qubit B's n*freq."""
-    first = specs[0]
-    n_b = first.qubit_b.n_levels
-    scaled = [np.zeros((len(specs), first.qubit_a.n_levels))]
-    scaled.append(TWOPI * _column(s.qubit_b.freq for s in specs) * np.arange(n_b, dtype=float))
-    if isinstance(first, IndirectSystemSpec):
-        scaled.append(np.zeros((len(specs), first.n_photons)))
-    return scaled
-
-
 def build_direct_hamiltonian(spec: DirectSystemSpec | IndirectSystemSpec, freq_scale_b: float = 1.0) -> np.ndarray:
-    """Full Hamiltonian of a directly or a cavity-coupled pair, rad/ns.
+    """Full Hamiltonian h0 + freq_scale_b * h1 of a directly or a cavity-coupled pair, rad/ns.
 
     ``freq_scale_b`` multiplies qubit B's bare frequency term ``n*freq`` only;
     the anharmonicity is a junction property and stays fixed while the qubit
     is flux-tuned.  Scale 1.0 is the nominal operating point.  A cavity pair's
     qubit-cavity coupling enters as (a + a^dag) Jx for each qubit, with both
-    rotating and counter-rotating terms kept.  ``build_indirect_hamiltonian``
-    is the same function.
+    rotating and counter-rotating terms kept.  The parts are those of
+    ``hamiltonian_parts``, so the result is ``h0 + freq_scale_b * h1`` bit
+    for bit.  ``build_indirect_hamiltonian`` is the same function.
     """
-    return _assemble(*_modes([spec], freq_scale_b))[0].astype(complex)
+    if not 0 < freq_scale_b < math.inf:
+        raise ValueError(f"freq_scale_b must be positive and finite, got {freq_scale_b}")
+    (h,), (d1,) = hamiltonian_parts_stack([spec])
+    h.reshape(-1)[:: spec.dim + 1] += freq_scale_b * d1
+    return h.astype(complex)
 
 
 build_indirect_hamiltonian = build_direct_hamiltonian
@@ -292,12 +287,17 @@ def hamiltonian_parts_stack(specs) -> tuple[np.ndarray, np.ndarray]:
 
     Entry k is ``hamiltonian_parts(specs[k])`` bit for bit, with h1 given by
     its diagonal, which is all of it.  The stack is assembled as one: one row
-    of level energies and one coupling strength per spec.
+    of level energies and one coupling strength per spec.  d1 is qubit B's
+    scaled ladder, 2*pi*n*freq_b, broadcast over the mode grid, and h0 is the
+    full Hamiltonian at scale 1 less it.
     """
+    first = specs[0]
     h0 = _assemble(*_modes(specs))
-    d1 = _outer_sum(_scaled_levels(specs))
-    n, d = d1.shape
-    h0.reshape(n, d * d)[:, :: d + 1] -= d1
+    n_a, n_b = first.sizes[:2]
+    d1 = np.empty((len(specs), n_a, n_b, first.dim // (n_a * n_b)))  # the modes after B folded into one axis
+    d1[:] = (TWOPI * _column(s.qubit_b.freq for s in specs) * np.arange(n_b, dtype=float))[:, None, :, None]
+    d1 = d1.reshape(len(specs), -1)
+    h0.reshape(len(specs), -1)[:, :: first.dim + 1] -= d1
     return h0, d1
 
 
@@ -305,11 +305,11 @@ def hamiltonian_parts(spec: DirectSystemSpec | IndirectSystemSpec) -> tuple[np.n
     """Split H(scale) = h0 + scale * h1, with h1 the scaled part of qubit B.
 
     Returns real float64 arrays (the Hamiltonians here are real symmetric),
-    which keeps the time stepper on real arithmetic.  The identity
-    ``h0 + s*h1 == build_*_hamiltonian(spec, s)`` holds to round-off.  h1 is
-    diagonal, since the scale multiplies only qubit B's level energies; the
-    ramp propagator relies on that, so along a ramp only the diagonal moves.
-    This is the one-spec case of ``hamiltonian_parts_stack``.
+    which keeps the time stepper on real arithmetic.  ``build_*_hamiltonian``
+    is ``h0 + s*h1`` formed from these parts, so the identity holds bit for
+    bit.  h1 is diagonal, since the scale multiplies only qubit B's level
+    energies; the ramp propagator relies on that, so along a ramp only the
+    diagonal moves.  This is the one-spec case of ``hamiltonian_parts_stack``.
     """
     h0, d1 = hamiltonian_parts_stack([spec])
     return h0[0], np.diag(d1[0])
@@ -333,10 +333,7 @@ def parity_blocks(spec: DirectSystemSpec | IndirectSystemSpec) -> tuple[np.ndarr
     when a coupling is zero.  Both are read-only and built once per
     truncation.
     """
-    sizes = (spec.qubit_a.n_levels, spec.qubit_b.n_levels)
-    if isinstance(spec, IndirectSystemSpec):
-        sizes += (spec.n_photons,)
-    return _parity_blocks(sizes)
+    return _parity_blocks(spec.sizes)
 
 
 def computational_indices(spec: DirectSystemSpec | IndirectSystemSpec) -> tuple[int, int, int, int]:

@@ -179,6 +179,8 @@ def _base_coupling(base: SweepBase, names) -> float | None:
 
 
 def _validate_axes(base: SweepBase, axes: tuple[SweepAxis, ...]) -> None:
+    if not 1 <= len(axes) <= 2:
+        raise ValueError(f"sweeps take one or two axes, got {len(axes)}")
     names = [ax.name for ax in axes]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate axis names in {names}")
@@ -196,11 +198,23 @@ def _validate_axes(base: SweepBase, axes: tuple[SweepAxis, ...]) -> None:
         raise ValueError(f"conflicting anharmonicity axes {delta_b}")
 
 
+def _point_values(base: SweepBase, axes: tuple[SweepAxis, ...], values: tuple[float, ...]) -> dict:
+    """One point's axis values by name, once ``axes`` are checked as ``sweep`` checks them and ``values`` hold one per axis."""
+    _validate_axes(base, axes)
+    if len(values) != len(axes):
+        raise ValueError(f"expected one value per axis, {len(axes)} in all, got {len(values)}")
+    return dict(zip([ax.name for ax in axes], values))
+
+
 def derive_point_spec(
     base: SweepBase, axes: tuple[SweepAxis, ...], values: tuple[float, ...]
 ) -> DirectSystemSpec | IndirectSystemSpec:
-    """Concrete system at one grid point, per the module-level axis semantics."""
-    by_name = dict(zip([ax.name for ax in axes], values))
+    """Concrete system at one grid point, per the module-level axis semantics.
+
+    ``axes`` are checked as ``sweep`` checks them, and ``values`` must hold
+    one value per axis; either fault raises ``ValueError``.
+    """
+    by_name = _point_values(base, axes, values)
     return _point_spec(base, by_name, _base_coupling(base, by_name))
 
 
@@ -334,10 +348,8 @@ def _derive(base: SweepBase, names, coupling, target, values):
 
 def _stack_key(base: SweepBase, target, schedule) -> tuple:
     """What the points of one stack share: the target, the system kind and truncation, the segment scales and dt."""
-    system = base.system
-    sizes = system.qubit_a.n_levels, system.qubit_b.n_levels, getattr(system, "n_photons", None)
     scales = tuple((seg.scale_start, seg.scale_end) for seg in schedule.segments)
-    return target, type(system), sizes, scales, base.dt
+    return target, type(base.system), base.system.sizes, scales, base.dt
 
 
 def _evaluate(bases, axes: tuple[SweepAxis, ...], points) -> list[list[SweepPoint]]:
@@ -400,8 +412,6 @@ def _evaluate(bases, axes: tuple[SweepAxis, ...], points) -> list[list[SweepPoin
 
 def _grid_points(bases, axes: tuple[SweepAxis, ...]) -> list[tuple[float, ...]]:
     """Every point of the grid over ``axes``, in lexicographic order, once the axes are checked against each base."""
-    if not 1 <= len(axes) <= 2:
-        raise ValueError(f"sweeps take one or two axes, got {len(axes)}")
     for base in bases:
         _validate_axes(base, axes)
     return list(product(*(ax.values() for ax in axes)))
@@ -410,7 +420,12 @@ def _grid_points(bases, axes: tuple[SweepAxis, ...]) -> list[tuple[float, ...]]:
 def evaluate_point(
     base: SweepBase, axes: tuple[SweepAxis, ...], values: tuple[float, ...]
 ) -> SweepPoint:
-    """Derive, run and score a single grid point; failures become a status tag."""
+    """Derive, run and score a single grid point; failures become a status tag.
+
+    ``axes`` and ``values`` are checked as ``derive_point_spec`` checks
+    them, and a fault raises ``ValueError`` rather than a failed row.
+    """
+    _point_values(base, axes, values)
     return _evaluate([base], axes, [tuple(values)])[0][0]
 
 

@@ -17,7 +17,8 @@ from scgates import (
     project_computational,
     run_gate,
 )
-from scgates.gates import _condition_roots, _polymul, _tan_polynomial
+from scgates import gates
+from scgates.gates import _condition_roots, _polymul, score_blocks
 
 ISWAP_SPEC = DirectSystemSpec(QubitSpec(5.5, 0.15, 3), QubitSpec(5.5, 0.10, 3), 0.011)
 
@@ -181,46 +182,66 @@ class TestGateFidelity:
     def test_stacked_roots_are_polyroots_in_its_order(self):
         # the tie rule between candidates depends on the order of the roots
         rng = np.random.default_rng(5)
-        rows = rng.normal(size=(12, 7)) + 1j * rng.normal(size=(12, 7))
-        # self-inversive rows with roots at z = -1, where R drops its degree
-        rows[3] = [0, 0, 1, 2, 1, 0, 0]  # z^2 (1 + z)^2: R = 4 (1 + t^2)^2
-        rows[5] = [-1j, -1j, 0, 0, 0, 1j, 1j]  # (1 + z)(i z^5 - i): R of degree 5
-        rows[7] = [1, 6, 15, 20, 15, 6, 1]  # (1 + z)^6: R = 64
+        rows = rng.normal(size=(12, 7))
+        rows[3, 6:] = 0.0  # degree 5: one root t = inf
+        rows[5, 5:] = 0.0  # degree 4: two
+        rows[7, 1:] = 0.0  # degree 0: six, and no finite root
         rows[9] = 0.0  # no roots
         stacked = _condition_roots(rows)
-        for got, r in zip(stacked, _tan_polynomial(rows)):
+        for got, r in zip(stacked, rows):
             roots = P.polyroots(r)
             assert np.array_equal(got[: len(roots)], roots)
             assert np.all(got[len(roots) :] == (np.inf if r.any() else 0.0))
-        assert [np.sum(np.isinf(got)) for got in stacked[[3, 5, 7, 9]]] == [2, 1, 6, 0]
+        assert [np.sum(np.isinf(got)) for got in stacked[[3, 5, 7, 9]]] == [1, 2, 6, 0]
 
-    def test_tan_polynomial_is_the_substituted_condition(self):
+    @staticmethod
+    def condition_rows(m, target, monkeypatch):
+        """The rows of R that ``score_blocks`` solves for the blocks ``m``, and the scaled overlaps u they come from."""
+        seen = []
+        solve = gates._condition_roots
+        monkeypatch.setattr(gates, "_condition_roots", lambda r: seen.append(r) or solve(r))
+        score_blocks(m, target)
+        w = (m * target.matrix.conj()).sum(axis=2)
+        return seen[0], w / np.abs(w).max(axis=1, keepdims=True)
+
+    @staticmethod
+    def stationarity_terms(u, theta_a):
+        """Im(p_j z) and |S_j| at each angle, for j = 1, 2 along the last axis."""
+        e = np.exp(1j * theta_a)[:, None]
+        p = 2 * u[:2] * u[2:].conj()
+        return (p * e**2).imag, np.abs(u[:2] * e + u[2:] / e)
+
+    @pytest.mark.parametrize("target", [ISWAP, CZ], ids=["iswap", "cz"])
+    def test_tan_polynomial_is_the_squared_condition(self, target, monkeypatch):
+        # R(t) = (1 + t^2)^3 (Im(p_1 z)^2 |S_2|^2 - Im(p_2 z)^2 |S_1|^2) at z = e^{2i theta_a}, t = tan theta_a
         rng = np.random.default_rng(8)
-        for row in rng.normal(size=(6, 7)) + 1j * rng.normal(size=(6, 7)):
-            row[4:] = row[2::-1].conj()  # self-inversive: z^-3 C(z) real on |z| = 1
-            row[3] = row[3].real
-            ref = sum(
-                c * P.polymul(P.polypow([1, 1j], j), P.polypow([1, -1j], 6 - j)) for j, c in enumerate(row)
-            )
-            assert np.max(np.abs(ref.imag)) <= 1e-13 * np.max(np.abs(ref))
-            assert np.allclose(_tan_polynomial(row[None])[0], ref.real, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+        m = np.array([random_contraction(rng) for _ in range(6)])
+        rows, u = self.condition_rows(m, target, monkeypatch)
+        t = np.linspace(-3.0, 3.0, 13)
+        for r, u_k in zip(rows, u):
+            im, mod = self.stationarity_terms(u_k, np.arctan(t))
+            ref = (1 + t**2) ** 3 * (im[:, 0] ** 2 * mod[:, 1] ** 2 - im[:, 1] ** 2 * mod[:, 0] ** 2)
+            assert np.max(np.abs(P.polyval(t, r) - ref)) <= 1e-13 * np.max((1 + t**2) ** 3)
 
-    def test_real_tan_roots_are_the_unit_circle_roots(self):
-        # z = (1 + it)/(1 - it) takes the real roots t of R onto the roots of C on |z| = 1
+    @pytest.mark.parametrize("target", [ISWAP, CZ], ids=["iswap", "cz"])
+    def test_real_tan_roots_are_stationary_points(self, target, monkeypatch):
+        # the squared condition holds where d/dtheta_a of |S_1| + |S_2| or of |S_1| - |S_2| vanishes,
+        # d|S_j|/dtheta_a being -Im(p_j z)/|S_j|; the maximum of |S_1| + |S_2| is at one of them
         rng = np.random.default_rng(11)
+        m = np.array([random_contraction(rng) for _ in range(40)])
+        rows, u = self.condition_rows(m, target, monkeypatch)
+        scan = np.linspace(0.0, np.pi, 4097)
         matched = 0
-        for row in rng.normal(size=(40, 7)) + 1j * rng.normal(size=(40, 7)):
-            row[4:] = row[2::-1].conj()
-            row[3] = row[3].real
-            t = _condition_roots(row[None])[0]
-            t = t[t.imag == 0].real
-            z = P.polyroots(row)
-            on_circle = np.sort_complex(z[np.abs(np.abs(z) - 1) < 1e-8])
-            mapped = np.sort_complex((1 + 1j * t) / (1 - 1j * t))
-            assert len(mapped) == len(on_circle)
-            assert np.max(np.abs(mapped - on_circle), initial=0.0) <= 1e-12
-            matched += len(mapped)
-        assert matched >= 40
+        for r, u_k in zip(rows, u):
+            t = P.polyroots(r)
+            theta_a = np.arctan(t[t.imag == 0].real)
+            im, mod = self.stationarity_terms(u_k, theta_a)
+            slope = im / mod
+            assert np.all(np.minimum(*np.abs([slope.sum(axis=1), slope[:, 0] - slope[:, 1]])) <= 1e-10)
+            peak = self.stationarity_terms(u_k, scan)[1].sum(axis=1).max()
+            assert mod.sum(axis=1).max() >= peak - 1e-12
+            matched += len(theta_a)
+        assert matched >= 80
 
     @pytest.mark.parametrize("target", [ISWAP, CZ], ids=["iswap", "cz"])
     def test_degenerate_overlaps_match_a_phase_scan(self, target):

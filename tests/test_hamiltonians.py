@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -30,6 +31,11 @@ QB = QubitSpec(freq=5.5, anharm=0.10, n_levels=3)
 
 def hermiticity_defect(h):
     return np.max(np.abs(h - h.conj().T))
+
+
+def dense_coupling(sizes, i, j):
+    """The coupling operator of modes i and j: ``build_jx`` on both, identities elsewhere, as a dense Kronecker product."""
+    return functools.reduce(np.kron, [build_jx(size) if k in (i, j) else np.eye(size) for k, size in enumerate(sizes)])
 
 
 NON_FINITE_FIELDS = {
@@ -138,6 +144,15 @@ class TestDirectHamiltonian:
         assert diff == pytest.approx(expected, rel=1e-12)
         # off-diagonal coupling untouched
         assert np.array_equal(h2 - np.diag(np.diag(h2)), h1 - np.diag(np.diag(h1)))
+
+    @pytest.mark.parametrize("scale", [0.8, 1.0, 1.1, 1.37])
+    @pytest.mark.parametrize("kind", ["direct", "cavity"])
+    def test_full_hamiltonian_is_h0_plus_scaled_h1_bit_for_bit(self, kind, scale):
+        spec = DirectSystemSpec(QA, replace(QB, freq=5.7), 0.02)
+        if kind == "cavity":
+            spec = IndirectSystemSpec(QA, replace(QB, freq=5.7, n_levels=4), 6.9, 0.1)
+        h0, h1 = hamiltonian_parts(spec)
+        assert np.array_equal(build_direct_hamiltonian(spec, scale), h0 + scale * h1)
 
     def test_rejects_nonpositive_scale(self):
         spec = DirectSystemSpec(QA, QB, g=0.01)
@@ -326,16 +341,19 @@ class TestHamiltonianPartsStack:
 
     @staticmethod
     def dense_parts_stack(specs):
-        """``hamiltonian_parts_stack`` with each coupling added as a dense (n, d, d) product."""
+        """``hamiltonian_parts_stack`` with each coupling added as a dense (n, d, d) product and d1 as an outer sum."""
         levels, couplings = hamiltonians._modes(specs)
         diag = hamiltonians._outer_sum(levels)
         n, d = diag.shape
         h0 = np.zeros((n, d, d))
         h0[:, np.arange(d), np.arange(d)] = diag
-        sizes = tuple(e.shape[1] for e in levels)
+        sizes = specs[0].sizes
         for i, j, g in couplings:
-            h0 += (TWOPI * g)[:, None, None] * hamiltonians._coupling_factor(sizes, i, j)
-        d1 = hamiltonians._outer_sum(hamiltonians._scaled_levels(specs))
+            h0 += (TWOPI * g)[:, None, None] * dense_coupling(sizes, i, j)
+        # qubit B's scaled ladder on the product basis, with zero ladders for the other modes
+        scaled = [np.zeros((n, size)) for size in sizes]
+        scaled[1] = TWOPI * np.array([[s.qubit_b.freq] for s in specs]) * np.arange(sizes[1], dtype=float)
+        d1 = hamiltonians._outer_sum(scaled)
         h0[:, np.arange(d), np.arange(d)] -= d1
         return h0, d1
 
@@ -426,13 +444,18 @@ class TestParityBlocks:
 class TestCouplingFactors:
     def test_built_once_per_truncation_and_pair_and_read_only(self):
         spec = TestAssemblyAgainstReference.SPECS["cavity"][0]
-        hamiltonians._coupling_factor.cache_clear()
+        hamiltonians._coupling.cache_clear()
         hamiltonian_parts(spec)
         other = replace(spec, g_qc=0.1, qubit_a=replace(spec.qubit_a, freq=8.0))
         hamiltonian_parts(other)
         hamiltonian_parts_stack([spec, other])
-        info = hamiltonians._coupling_factor.cache_info()
+        info = hamiltonians._coupling.cache_info()
         assert (info.misses, info.currsize) == (2, 2)
-        factor = hamiltonians._coupling_factor((3, 3, 4), 0, 2)
-        with pytest.raises(ValueError):
-            factor[0, 0] = 1.0
+        operator, rows, cols, values = hamiltonians._coupling((3, 3, 4), 0, 2)
+        dense = dense_coupling((3, 3, 4), 0, 2)
+        assert np.array_equal(operator, dense)
+        assert np.array_equal(np.argwhere(dense), np.column_stack([rows, cols]))
+        assert np.array_equal(values, dense[rows, cols])
+        for x in (operator, rows, cols, values):
+            with pytest.raises(ValueError):
+                x[0] = 1

@@ -1,4 +1,10 @@
+import importlib.util
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
 import scgates
+from scgates import sweeps
 
 EXPORTS = {
     "TWOPI", "DEFAULT_DT", "QubitSpec", "DirectSystemSpec", "IndirectSystemSpec", "BasisIndex",
@@ -20,3 +26,38 @@ def test_exports_are_the_public_names_and_each_resolves():
     assert set(scgates.__all__) == EXPORTS
     for name in scgates.__all__:
         assert getattr(scgates, name) is not None
+
+
+def test_names_the_benchmark_patches_resolve(monkeypatch):
+    # bench/layers.py wraps these module-level names when tracing; a renamed or
+    # removed one would only fail a traced benchmark run
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    # bench/layers.py imports bench/spans.py as ``spans``; the entry is restored, or dropped, after the test
+    monkeypatch.setitem(sys.modules, "spans", None)
+    del sys.modules["spans"]
+    spec = importlib.util.spec_from_file_location("bench_layers", bench / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    targets = layers.trace_targets(scgates)
+    assert targets
+    for module, attr, name, _ in targets:
+        layer, function = name.split(".")
+        defined = getattr(importlib.import_module(f"scgates.{layer}"), function)
+        assert getattr(module, attr, None) is defined, f"{module.__name__}.{attr} is not {name}"
+    assert sweeps.ThreadPoolExecutor is ThreadPoolExecutor
+
+
+def test_code_lines_leave_out_docstrings_comments_and_blank_lines(tmp_path):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "code_lines.py"
+    spec = importlib.util.spec_from_file_location("code_lines", path)
+    code_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(code_lines)
+    source = tmp_path / "module.py"
+    source.write_text(
+        '"""Module docstring,\nover two lines."""\n\nimport math  # a comment\n\n# a comment line\n\n\n'
+        'class A:\n    """Class docstring."""\n\n    def f(self, x):\n        """Docstring."""\n'
+        '        s = """a string,\nnot a docstring"""\n        return (x +\n                1)\n'
+    )
+    # import, class, def, the two lines of s and the two of the return
+    assert code_lines.code_lines(source) == 7

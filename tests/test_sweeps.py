@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scgates import sweeps as sweeps_module
-from scgates import evolution
+from scgates import evolution, presets
+from scgates.cli import parse_config
 from scgates.hamiltonians import hamiltonian_parts, parity_blocks
 from scgates import (
     CZ,
@@ -150,6 +151,43 @@ class TestDerive:
                 ISWAP_BASE,
                 (SweepAxis("g_abs", 0.01, 0.1, 2), SweepAxis("g_over_delta_b", 0.1, 0.5, 2)),
             )
+
+
+POINT_FUNCTIONS = pytest.mark.parametrize("point", [derive_point_spec, evaluate_point], ids=["derive", "evaluate"])
+
+
+class TestPointChecks:
+    """A single point is checked as a sweep checks its grid, on the fig3a base, rather than answered for another point."""
+
+    @staticmethod
+    def fig3a():
+        cfg = parse_config(presets.figure_config("fig3a"))
+        return cfg.base, cfg.axes
+
+    @POINT_FUNCTIONS
+    def test_rejects_more_values_than_axes(self, point):
+        base, axes = self.fig3a()
+        with pytest.raises(ValueError, match="one value per axis, 1 in all, got 2"):
+            point(base, axes, (0.2, 0.7))
+
+    @POINT_FUNCTIONS
+    def test_rejects_no_values(self, point):
+        base, axes = self.fig3a()
+        with pytest.raises(ValueError, match="one value per axis, 1 in all, got 0"):
+            point(base, axes, ())
+
+    @POINT_FUNCTIONS
+    def test_rejects_a_cavity_axis_on_a_direct_base(self, point):
+        base, _ = self.fig3a()
+        with pytest.raises(ValueError, match="cavity-coupled"):
+            point(base, (SweepAxis("geff_abs", 0.01, 0.05, 5),), (0.02,))
+
+    @POINT_FUNCTIONS
+    def test_rejects_conflicting_coupling_axes(self, point):
+        base, _ = self.fig3a()
+        axes = (SweepAxis("g_abs", 0.01, 0.05, 5), SweepAxis("g_over_delta_b", 0.1, 0.5, 5))
+        with pytest.raises(ValueError, match="conflicting coupling axes"):
+            point(base, axes, (0.02, 0.3))
 
 
 class TestSweep:
