@@ -34,23 +34,27 @@ The exponentials are taken in one of two ways, chosen by the segment kind:
   through X^16 and X^17 the remainder is at most 1/18! ~ 1.6e-16 where the
   1-norm is at most 1, and a longer argument is halved q times and squared
   back, round-off growing about as 2^q.  h1 is diagonal, so along a ramp only
-  the diagonal of X moves: over a chunk of consecutive steps
-  (``_ramp_chunks``), X_s = Xc + delta_s W with Xc at the chunk's mid scale,
-  W a small diagonal and delta_s in [-1, 1].  Each exponential is then an
-  entire function of delta, whose Taylor coefficients F_0 ... F_M are the
-  first block row of one block-matrix exponential of size (M + 1) k (Van
-  Loan, IEEE Trans. Autom. Control 23, 395 (1978)), with
-  ||F_m|| <= ||W||^m / m!.  A chunk keeps ||W||_max <= 1/16, and M is the
-  least degree whose remainder bound is 2^-53 or less (M <= 8; 4 to 6 for
-  the fig3b pair at the default dt).  The product of the Vandermonde matrix
-  of the delta_s with the F_m, each in its real (2k, 2k) image, then gives
-  every exponential of the chunk.  That block exponential costs about as
-  much as (M + 1)^3 exponentials of size k, so a chunk is such a polynomial
-  run only where it holds more; elsewhere (wide chunks, short ramps) each
-  exponential takes the series on its own, as one complex stack per chunk.
-  Only accuracy ends a polynomial run, so at the default dt a whole ramp of
-  the fig3b pair, or a 5 ns ramp of a 45-level cavity system, is one run per
-  block.
+  the diagonal of X moves: over a scale interval (``_ramp_chunks``),
+  X_s = Xc + delta_s W with Xc at the interval's mid scale, W a small
+  diagonal and delta_s in [-1, 1].  Each exponential is then an entire
+  function of delta, whose Taylor coefficients F_0 ... F_M are the first
+  block row of one block-matrix exponential of size (M + 1) k (Van Loan,
+  IEEE Trans. Autom. Control 23, 395 (1978)), with ||F_m|| <= ||W||^m / m!.
+  An interval keeps ||W||_max <= 1/16, and M is the least degree whose
+  remainder bound is 2^-53 or less over it (M <= 8; 6 for the fig3b pair at
+  the default dt).  The product of the Vandermonde matrix of the delta_s
+  with the F_m, each in its real (2k, 2k) image, then gives every
+  exponential of the interval.  That block exponential costs about as much
+  as (M + 1)^3 exponentials of size k, so an interval's exponentials are
+  such a polynomial run only where they are more; elsewhere (wide
+  intervals, short ramps) each exponential takes the series on its own, as
+  one complex stack per chunk.  Only accuracy ends an interval: the
+  intervals are measured from the segment's start, each as wide as the
+  bound allows, so they follow from the segment, the step and d1, not from
+  where the exponentials fall.  At the default dt a whole ramp of the fig3b
+  pair, or a 5 ns ramp of a 45-level cavity system, is one run per block,
+  and since every ramp duration of a study has the same step there, the
+  ramps of one point share the run's coefficients (``_ramp_propagator``).
 * A polynomial run is multiplied in groups of g = 2^L consecutive
   exponentials (``_run_product``).  The CF4 nodes repeat with period 2, so
   the offsets e_j of a group's deltas from its first are the same for every
@@ -71,14 +75,16 @@ Memory is bounded apart from accuracy, by _CHUNK_ENTRIES entries of real
 many, and a polynomial run is evaluated in slices of at most that many group
 products or exponentials, into one workspace of 1.5 slices.  A stack of
 points shares that bound: its points go through a ramp in sub-stacks whose
-slices and block matrices together fit it.  The
-exponentials of a chunk, or the images of a slice, are combined with a
-pairwise product tree, over their real images where they come from a
-polynomial, and only a chunk's product is taken back to complex.  A run's
-coefficients are not bounded by it: the block exponential holds about ten
-matrices of ((M + 1) k)^2 entries, and a doubling's Toeplitz matrix,
-(D + 1)(p + 1)(2k)^2 entries for degrees p before it and D after, is kept
-within ten of those.
+slices and block matrices together fit it, and the coefficient images it
+keeps for reuse, (M + 1)(2k)^2 entries per distinct point and interval, fit
+it too.  The exponentials of a chunk, or the images of a slice, are
+combined with a pairwise product tree, over their real images where they
+come from a polynomial, and only a chunk's product is taken back to
+complex.  A run's block exponential is not bounded by it: it holds about
+ten matrices of ((M + 1) k)^2 entries, its points taken in stacks of at
+most _CHUNK_ENTRIES such entries and at least one, and a doubling's
+Toeplitz matrix, (D + 1)(p + 1)(2k)^2 entries for degrees p before it and
+D after, is kept within ten of those.
 
 The exponentials and their products are formed block by block, one block per
 parity of the total excitation number (``hamiltonians.parity_blocks``).  The
@@ -240,19 +246,26 @@ def _exponentials(hs, step, columns=None) -> list[np.ndarray]:
     all or an (n, 1) column of them.  Each block takes one stacked ``eigh``,
     h = V diag(w) V^dag, and its exponential is (V e^{-i step w}) V^dag.
     ``columns`` holds, per block, the indices of the columns to form, or
-    None for all of them: the columns are (V e^{-i step w}) V[cols]^dag,
-    O(k^2) per matrix after the eigensolver instead of a k^3 product.
-    This is one of the two places a Hamiltonian is exponentiated, the one
-    for constant segments and sweep stacks: a whole segment has t ||H|| of
-    order 10^3 or more, and the eigendecomposition takes it exactly, to the
-    eigensolver's round-off, at any t.  Ramp steps go through
-    ``_ramp_exponentials`` instead (see the module docstring).
+    None for all of them: with B = V[cols]^dag, the columns are
+    V (cos(step w) B) - i V (sin(step w) B), O(k^2) per matrix after the
+    eigensolver instead of a k^3 product.  Both products are one matmul of
+    V with cos(step w) B and -sin(step w) B, their columns interleaved, so
+    that where h is real the real product is the complex columns' memory
+    and no complex copy of V is made.  This is one of the two places a Hamiltonian is
+    exponentiated, the one for constant segments and sweep stacks: a whole
+    segment has t ||H|| of order 10^3 or more, and the eigendecomposition
+    takes it exactly, to the eigensolver's round-off, at any t.  Ramp steps
+    go through ``_ramp_exponentials`` instead (see the module docstring).
     """
     us = []
     for h, cols in zip(hs, columns or itertools.repeat(None)):
         w, v = np.linalg.eigh(h)
-        vh = v.conj().transpose(0, 2, 1)
-        us.append(np.matmul(v * np.exp(-1j * w * step)[:, None, :], vh if cols is None else vh[..., cols]))
+        b = v.conj().transpose(0, 2, 1)
+        b = (b if cols is None else b[..., cols])[..., None]
+        phase = (w * -step)[..., None, None]
+        pairs = np.concatenate([np.cos(phase) * b, np.sin(phase) * b], axis=-1)
+        r = np.matmul(v, pairs.reshape(*pairs.shape[:-2], -1))
+        us.append(r.view(complex) if r.dtype == float else r[..., ::2] + 1j * r[..., 1::2])
     return us
 
 
@@ -309,10 +322,10 @@ def _series_exponentials(x: np.ndarray, symmetric: bool) -> np.ndarray:
     return u
 
 
-def _shifted(h0: np.ndarray, d1: np.ndarray, scales: np.ndarray, step: float):
-    """X_s = a + s diag(b) of one ramp chunk, as (a, b), and the shifts mu_s split off it (see ``_ramp_exponentials``).
+def _shifted(h0: np.ndarray, d1: np.ndarray, step: float):
+    """X_s = a + s diag(b) of a ramp block, as (a, b), and the means of h0's diagonal and of d1, (..., 1) each, whose shifts mu_s = shift + s mean are split off it (see ``_ramp_exponentials``).
 
-    ``h0`` (..., k, k) and ``d1`` (..., k) may lead with a points axis; mu is then (..., n).
+    ``h0`` (..., k, k) and ``d1`` (..., k) may lead with a points axis.
     """
     # the means as np.mean takes them, a sum and then a division by the count, each over
     # C-ordered data, so that a point's sums run in the order they would for it alone
@@ -321,21 +334,34 @@ def _shifted(h0: np.ndarray, d1: np.ndarray, scales: np.ndarray, step: float):
     mean = np.ascontiguousarray(d1).sum(axis=-1, keepdims=True) / k
     a.reshape(*a.shape[:-2], -1)[..., :: k + 1] -= shift
     a *= step
-    return a, step * (d1 - mean), shift + scales * mean
+    return a, step * (d1 - mean), shift, mean
 
 
-def _ramp_coefficients(h0: np.ndarray, d1: np.ndarray, scales: np.ndarray, step: float, degree: int):
-    """A polynomial ramp run's coefficients: the real images of F_0 ... F_M, its delta_s and its shifts mu.
+def _expansion(ends) -> tuple[float, float]:
+    """The mid scale and the half-span of a polynomial run's scale interval ``ends``."""
+    return (ends[0] + ends[1]) / 2, abs(ends[1] - ends[0]) / 2
+
+
+def _delta(scales: np.ndarray, ends) -> np.ndarray:
+    """The deltas (s - c) / w of ``scales`` in a polynomial run about the interval ``ends`` (mid scale c, half-span w)."""
+    mid, half = _expansion(ends)
+    return (scales - mid) / (half or 1.0)
+
+
+def _ramp_coefficients(h0: np.ndarray, d1: np.ndarray, ends, step: float, degree: int):
+    """The real images of F_0 ... F_M of a polynomial ramp run over the scale interval ``ends`` (lo, hi), and the means that give its shifts mu_s (``_shifted``).
 
     The images [[Re, -Im], [Im, Re]] of the F_m are the rows of an
     (M + 1, 4 k^2) matrix, so the images of the u_s are the rows of the
-    product of the run's Vandermonde matrix in delta with it (see
-    ``_ramp_exponentials``).  With a points axis leading ``h0`` and ``d1``,
-    the images and mu lead with it too; delta is the points' own.
+    product of the run's Vandermonde matrix in delta (``_delta``) with it
+    (see ``_ramp_exponentials``).  They depend on the interval, not on the
+    scales that fall in it, so every ramp of a point with one step and
+    interval shares them.  With a points axis leading ``h0`` and ``d1``, the
+    images and means lead with it too.
     """
     k, lead = d1.shape[-1], d1.shape[:-1]
-    a, b, mu = _shifted(h0, d1, scales, step)
-    mid, half = (scales[0] + scales[-1]) / 2, abs(scales[-1] - scales[0]) / 2
+    a, b, shift, mean = _shifted(h0, d1, step)
+    mid, half = _expansion(ends)
     n_mat, m, i = np.zeros(lead + (degree + 1, k, degree + 1, k)), np.arange(degree + 1), np.arange(k)
     a.reshape(*lead, -1)[..., :: k + 1] += mid * b  # Xc
     n_mat[..., m, :, m, :] = a
@@ -346,7 +372,7 @@ def _ramp_coefficients(h0: np.ndarray, d1: np.ndarray, scales: np.ndarray, step:
     images[..., :k, :k] = images[..., k:, k:] = f.real
     images[..., k:, :k] = f.imag
     np.negative(f.imag, out=images[..., :k, k:])
-    return images.reshape(*lead, degree + 1, -1), (scales - mid) / (half or 1.0), mu
+    return images.reshape(*lead, degree + 1, -1), shift, mean
 
 
 def _powers(delta: np.ndarray, degree: int) -> np.ndarray:
@@ -358,7 +384,7 @@ def _powers(delta: np.ndarray, degree: int) -> np.ndarray:
     return p.T
 
 
-def _ramp_exponentials(h0: np.ndarray, d1: np.ndarray, scales: np.ndarray, step: float, degree: int | None):
+def _ramp_exponentials(h0: np.ndarray, d1: np.ndarray, scales: np.ndarray, step: float, degree: int | None, ends=None):
     """exp(-i step (h0 + s diag(d1))) for the (n,) ``scales`` of one ramp chunk, without an eigensolver.
 
     ``h0`` is a real symmetric (k, k) block and ``d1`` the diagonal of its h1.
@@ -368,9 +394,10 @@ def _ramp_exponentials(h0: np.ndarray, d1: np.ndarray, scales: np.ndarray, step:
     None the u_s are a complex (n, k, k) stack, one
     ``_series_exponentials`` of each X_s.  Otherwise they are the
     real (2k, 2k) images [[Re, -Im], [Im, Re]] of a polynomial of that degree
-    M in the scale.  With c and w the chunk's mid scale and half-span,
-    X_s = Xc + delta W, Xc = X at c, W = step w diag(d1 - mean d1) and
-    delta = (s - c) / w in [-1, 1], so u_s = sum_{m <= M} delta^m F_m up to a
+    M in the scale, expanded about the scale interval ``ends`` (lo, hi),
+    by default the scales' own first and last.  With c and w its mid scale
+    and half-span, X_s = Xc + delta W, Xc = X at c, W = step w diag(d1 - mean d1)
+    and delta = (s - c) / w in [-1, 1], so u_s = sum_{m <= M} delta^m F_m up to a
     remainder of at most sum_{m > M} ||W||^m / m!.  F_0 ... F_M are the first
     block row of exp(-i N) (Van Loan, IEEE Trans. Autom. Control 23, 395
     (1978)), N the block upper bidiagonal matrix of M + 1 blocks Xc on the
@@ -382,12 +409,13 @@ def _ramp_exponentials(h0: np.ndarray, d1: np.ndarray, scales: np.ndarray, step:
     """
     k, lead = d1.shape[-1], d1.shape[:-1]
     if degree is None:
-        a, b, mu = _shifted(h0, d1, scales, step)
+        a, b, shift, mean = _shifted(h0, d1, step)
         x = np.repeat(a[..., None, :, :], len(scales), axis=-3)
         x.reshape(*lead, len(scales), -1)[..., :: k + 1] += scales[:, None] * b[..., None, :]
-        return _series_exponentials(x, symmetric=True), mu
-    images, delta, mu = _ramp_coefficients(h0, d1, scales, step, degree)
-    return (_powers(delta, degree) @ images).reshape(*lead, len(scales), 2 * k, -1), mu
+        return _series_exponentials(x, symmetric=True), shift + scales * mean
+    ends = (scales[0], scales[-1]) if ends is None else ends
+    images, shift, mean = _ramp_coefficients(h0, d1, ends, step, degree)
+    return (_powers(_delta(scales, ends), degree) @ images).reshape(*lead, len(scales), 2 * k, -1), shift + scales * mean
 
 
 def _scatter(us: list[np.ndarray], blocks) -> np.ndarray:
@@ -418,32 +446,45 @@ def _degree(width: float) -> int:
     return degree
 
 
-def _ramp_chunks(d1: np.ndarray, scales: np.ndarray, step: float):
-    """One block's monotone ``scales`` cut into ramp chunks, each with its degree M or None.
+def _ramp_chunks(d1: np.ndarray, scales: np.ndarray, step: float, ends):
+    """One block's ``scales`` of a ramped segment from scale ends[0] to ends[1], cut into chunks: (scales, degree, interval).
 
-    A chunk starts where the last one ended.  Its polynomial run is the
-    longest start of it with ||W||_max = step w max|d1 - mean d1| <= _THETA,
-    w the run's half-span of scales, and M the least degree whose remainder
-    bound is 2^-53 or less.  The run is found by one ``searchsorted`` on the
-    block's ||W||_max from its first scale, which costs O(log n) per run.
+    The segment is cut into scale intervals measured from its start: each
+    is the widest with ||W||_max = step w max|d1 - mean d1| <= _THETA, w its
+    half-span of scales, but the last, which ends at the segment's end.  The
+    intervals so follow from the segment, the step and d1, not from where
+    the samples fall, and the ramps of one point that share a step share
+    them.  Each takes the least degree M whose remainder bound is 2^-53 or
+    less over its whole width, and one ``searchsorted`` finds its samples.
     The block exponential of size (M + 1) k costs about as much as
-    (M + 1)^3 of the exponentials taken one at a time, so the run is a chunk
-    of degree M only where it holds more than (M + 1)^3 of them, however
-    many that is.  Otherwise the chunk takes the most exponentials whose
-    real (2k, 2k) images fit in _CHUNK_ENTRIES entries one at a time
-    (degree None).  The cuts do not depend on how a run is then multiplied
-    (``_run_product``, in groups), which only makes runs cheaper.
+    (M + 1)^3 of the exponentials taken one at a time, so an interval's
+    samples are a chunk of degree M, a polynomial run expanded about the
+    interval (lo, hi), only where they are more than (M + 1)^3, however
+    many that is.  The samples between such runs are taken one at a time,
+    in chunks of the most whose real (2k, 2k) images fit in _CHUNK_ENTRIES
+    entries (degree and interval None).  The cuts do not depend on how a run
+    is then multiplied (``_run_product``, in groups), which only makes runs
+    cheaper.
     """
-    # ||W||_max of the run from scales[i] to scales[j] is reach[j] - reach[i]
-    reach = step * np.abs(d1 - d1.mean()).max() / 2 * np.abs(scales - scales[0])
+    spread = float(step * np.abs(d1 - d1.mean()).max()) / 2
+    total = spread * abs(ends[1] - ends[0])
+    # ||W||_max from the segment's start to each interval's edge, and the samples' places among them
+    count = max(1, math.ceil(total / _THETA))
+    edges = [min(_THETA * j, total) for j in range(count + 1)]
+    cuts = np.searchsorted(spread * np.abs(scales - ends[0]), edges[1:-1], "right").tolist() if count > 1 else []
+    bounds, most = [0, *cuts, len(scales)], _most(len(d1))
+
+    def singles(lo, hi):
+        return ((scales[i : min(i + most, hi)], None, None) for i in range(lo, hi, most))
+
     start = 0
-    while start < len(scales):
-        end = int(np.searchsorted(reach, reach[start] + _THETA, "right"))
-        degree = _degree(float(reach[end - 1] - reach[start]))
-        if (degree + 1) ** 3 >= end - start:
-            end, degree = start + _most(len(d1)), None
-        yield scales[start:end], degree
-        start = end
+    for j in np.flatnonzero(np.diff(bounds) > 1) if count > 1 else [0]:
+        lo, hi, degree = bounds[j], bounds[j + 1], _degree(edges[j + 1] - edges[j])
+        if (degree + 1) ** 3 < hi - lo:
+            yield from singles(start, lo)
+            yield scales[lo:hi], degree, tuple(ends[0] + (ends[1] - ends[0]) * (edges[i] / total if total else i) for i in (j, j + 1))
+            start = hi
+    yield from singles(start, len(scales))
 
 
 @functools.cache
@@ -565,28 +606,28 @@ def _cf4_scales(seg: ScheduleSegment, dt: float) -> tuple[np.ndarray, float]:
     return seg.scale_start + (seg.scale_end - seg.scale_start) * frac, seg.duration / (2 * n)
 
 
-def _ramp_plans(d1: np.ndarray, segs: list[int], grids: list[tuple[np.ndarray, float]]):
-    """The points of one block grouped by ramp plan: (indices, step, [(chunk, degree, group degrees), ...]).
+def _ramp_plans(d1: np.ndarray, segs: list[int], grids):
+    """The points of one block grouped by ramp plan: (indices, step, [(chunk, degree, group degrees, interval), ...]).
 
     ``d1`` (P, k) holds each point's diagonal of h1, ``segs`` the index of
     each point's ramped segment in ``grids``, and ``grids`` the scales and
-    step of each segment (``_cf4_scales``).  A point's chunks and degrees
-    (``_ramp_chunks``) and each polynomial run's group degrees
-    (``_group_degrees``, () for a chunk of degree None) follow from its
-    segment and d1, so they are found once per distinct pair, and points
-    with one segment whose chunks, degrees and group degrees all agree share
-    a plan.
+    step of each segment (``_cf4_scales``) and its (start, end) scales.  A point's
+    chunks, degrees and intervals (``_ramp_chunks``) and each polynomial
+    run's group degrees (``_group_degrees``, () for a chunk of degree None)
+    follow from its segment and d1, so they are found once per distinct
+    pair, and points with one segment whose chunks, degrees, group degrees
+    and intervals all agree share a plan.
     """
     plans, found = {}, {}
     for point, (b, seg) in enumerate(zip(d1, segs)):
         if (key := (seg, b.tobytes())) not in found:
-            scales, step = grids[seg]
+            scales, step, ends = grids[seg]
             spread = step * np.abs(b - b.mean()).max() / 2
             chunks = [
-                (chunk, degree, () if degree is None else tuple(_group_degrees(len(chunk), spread * abs(chunk[-1] - chunk[0]), degree)))
-                for chunk, degree in _ramp_chunks(b, scales, step)
+                (chunk, degree, () if run is None else tuple(_group_degrees(len(chunk), spread * abs(run[1] - run[0]), degree)), run)
+                for chunk, degree, run in _ramp_chunks(b, scales, step, ends)
             ]
-            found[key] = (seg, *((len(chunk), degree, degrees) for chunk, degree, degrees in chunks)), (step, chunks)
+            found[key] = (seg, *((len(chunk), *rest) for chunk, *rest in chunks)), (step, chunks)
         plan, ramp = found[key]
         plans.setdefault(plan, (ramp, []))[1].append(point)
     return [(points, step, chunks) for (step, chunks), points in plans.values()]
@@ -598,41 +639,74 @@ def _ramp_propagator(parts: list[tuple[np.ndarray, np.ndarray]], segs, dt: float
     ``parts`` holds the (h0, d1) of each block, stacks (P, k, k) and (P, k)
     over the points, d1 the diagonal of h1, and ``segs`` each point's
     segment, discretized at ``dt`` (``_cf4_scales``).  Per block, the points
-    are grouped by ramp plan (``_ramp_plans``), and a plan's points go in
-    sub-stacks within _CHUNK_ENTRIES entries, each point counted at the
-    larger of its longest slice of images, min(_most(k), slice) (2k)^2, and
-    its block matrix, ((M + 1) k)^2, over its chunks.  A sub-stack's chunks
-    are multiplied in time order, all its points at once: a chunk of degree
-    None takes one ``_ramp_exponentials`` and a product tree; a polynomial
-    run takes one ``_ramp_coefficients`` and one ``_run_product``, which
-    multiplies it in groups of 2^L exponentials, each group one polynomial,
-    in memory-capped slices.  Every point so takes the arithmetic of a stack
-    of one, batched.  The scalar phases exp(-i step mu_s) of a chunk's
+    are grouped by ramp plan (``_ramp_plans``).  The coefficients of a
+    polynomial run depend on the point, the step, the scale interval and the
+    degree alone, so the points of one plan or of several, such as a ramp
+    study's durations at one coupling, share them: they are formed once per
+    distinct (h0, d1) by value and distinct (step, interval, degree), as one
+    ``_ramp_coefficients`` per such run, its points in sub-stacks whose block
+    matrices, ((M + 1) k)^2 entries each, fit _CHUNK_ENTRIES.  The distinct
+    points go in batches whose images, at most 9 (2k)^2 entries per point
+    and run, fit it too, and the runs are formed and held one batch at a
+    time.  A plan's points go in sub-stacks within _CHUNK_ENTRIES entries,
+    each point counted at the larger of its longest slice of images,
+    min(_most(k), slice) (2k)^2, and its block matrix over its chunks.  A
+    sub-stack's chunks are multiplied in time order, all its points at
+    once: a chunk of degree None takes one ``_ramp_exponentials`` and a
+    product tree; a polynomial run takes its points' images and one
+    ``_run_product``, which multiplies it in groups of 2^L exponentials,
+    each group one polynomial, in memory-capped slices.  Every point so takes the arithmetic of a stack of
+    one, batched.  The scalar phases exp(-i step mu_s) of a chunk's
     exponentials commute with everything, so they are applied once per
     chunk, as exp(-i step sum(mu_s)), to the chunk's complex product.
     """
     index = {}  # each distinct segment, numbered in order of first use
     which = [index.setdefault(seg, len(index)) for seg in segs]
-    grids, us = [_cf4_scales(seg, dt) for seg in index], []
+    grids, us = [(*_cf4_scales(seg, dt), (seg.scale_start, seg.scale_end)) for seg in index], []
     for h0, d1 in parts:
         k = d1.shape[-1]
         u = np.empty(h0.shape, dtype=complex)
-        for points, step, chunks in _ramp_plans(d1, which, grids):
-            # the longest slice of anchors or leftovers (every exponential, for degree None)
-            slices = [min(_most(k), max(divmod(len(chunk), 1 << len(degrees)))) for chunk, _, degrees in chunks]
-            entries = max(max(n * (2 * k) ** 2, (((d or 0) + 1) * k) ** 2) for n, (_, d, _) in zip(slices, chunks))
-            size = max(1, _CHUNK_ENTRIES // entries)
-            for lo in range(0, len(points), size):
-                at, v = points[lo : lo + size], np.eye(k)
-                for chunk, degree, degrees in chunks:
-                    if degree is None:
-                        x, mu = _ramp_exponentials(h0[at], d1[at], chunk, step, None)
-                        p = _product_in_order(x)
-                    else:
-                        images, delta, mu = _ramp_coefficients(h0[at], d1[at], chunk, step, degree)
-                        p = _run_product(images, delta, k, degrees)
-                    v = np.exp(-1j * step * mu.sum(axis=-1))[:, None, None] * p @ v
-                u[at] = v
+        plans = _ramp_plans(d1, which, grids)
+        # each point takes the coefficients of the first point equal to it
+        same, runs = {}, {}
+        first = [same.setdefault((a.tobytes(), b.tobytes()), point) for point, (a, b) in enumerate(zip(h0, d1))]
+        for points, step, chunks in plans:
+            keys = dict.fromkeys((step, run, degree) for _, degree, _, run in chunks if run is not None)
+            for point in points:
+                runs.setdefault(first[point], {}).update(keys)
+        # the distinct points in batches whose images, (M + 1)(2k)^2 <= 9 (2k)^2 entries a run, fit _CHUNK_ENTRIES
+        distinct = list(runs)
+        per_batch = max(1, _CHUNK_ENTRIES // (9 * (2 * k) ** 2 * max([1, *map(len, runs.values())])))
+        for start in range(0, len(distinct), per_batch):
+            # (step, interval, degree): the rows of the batch's points that run it, then their images and means
+            batch, coeffs = set(distinct[start : start + per_batch]), {}
+            for point in batch:
+                for key in runs[point]:
+                    rows = coeffs.setdefault(key, {})
+                    rows[point] = len(rows)
+            for (step, run, degree), rows in coeffs.items():
+                size, reps = max(1, _CHUNK_ENTRIES // ((degree + 1) * k) ** 2), list(rows)
+                stacks = [_ramp_coefficients(h0[reps[i : i + size]], d1[reps[i : i + size]], run, step, degree) for i in range(0, len(reps), size)]
+                coeffs[step, run, degree] = rows, *(np.concatenate(x) if len(x) > 1 else x[0] for x in zip(*stacks))
+            for points, step, chunks in plans:
+                points = [point for point in points if first[point] in batch]
+                # the longest slice of anchors or leftovers (every exponential, for degree None)
+                slices = [min(_most(k), max(divmod(len(chunk), 1 << len(degrees)))) for chunk, _, degrees, _ in chunks]
+                entries = max(max(n * (2 * k) ** 2, (((d or 0) + 1) * k) ** 2) for n, (_, d, _, _) in zip(slices, chunks))
+                size = max(1, _CHUNK_ENTRIES // entries)
+                for lo in range(0, len(points), size):
+                    at, v = points[lo : lo + size], np.eye(k)
+                    for chunk, degree, degrees, run in chunks:
+                        if run is None:
+                            x, mu = _ramp_exponentials(h0[at], d1[at], chunk, step, None)
+                            p = _product_in_order(x)
+                        else:
+                            rows, images, shift, mean = coeffs[step, run, degree]
+                            at_rows = np.array([rows[first[point]] for point in at])
+                            p = _run_product(images[at_rows], _delta(chunk, run), k, degrees)
+                            mu = shift[at_rows] + chunk * mean[at_rows]
+                        v = np.exp(-1j * step * mu.sum(axis=-1))[:, None, None] * p @ v
+                    u[at] = v
         us.append(u)
     return us
 

@@ -257,6 +257,28 @@ def _condition_roots(r: np.ndarray) -> np.ndarray:
     return roots
 
 
+def _newton_step(w: np.ndarray, theta_a: np.ndarray, moduli: np.ndarray, value: np.ndarray):
+    """Each theta_a (n,) after one guarded Newton step on d(|S_1| + |S_2|)/d theta_a = 0, and |S_1| + |S_2| there.
+
+    ``moduli`` (n, 2) are |S_1| and |S_2| at theta_a and ``value`` their
+    sum.  With z = e^{2i theta_a} and p_1, p_2 as in ``gate_fidelity``, the
+    slope is f' = -sum_j Im(p_j z) / |S_j| and the curvature
+    f'' = -sum_j (2 Re(p_j z) / |S_j| + Im(p_j z)^2 / |S_j|^3).  The step
+    -f'/f'' is kept only where |step| <= 1e-6 (so it is finite), f'' < 0 and
+    the sum does not drop.  It takes theta_a from a root of R, which is good
+    to about 1e-13 only where R's two products nearly cancel, to round-off.
+    """
+    pz = 2 * w[:, :2] * w[:, 2:].conj() * np.exp(2j * theta_a)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slopes = pz.imag / moduli
+        curvature = -((2 * pz.real + slopes**2) / moduli).sum(axis=1)
+        step = slopes.sum(axis=1) / curvature
+        moved = theta_a + step
+        at_moved = np.abs(_pair_sums(w, moved[:, None])[:, 0]).sum(axis=1)
+        taken = (np.abs(step) <= 1e-6) & (curvature < 0) & (at_moved >= value)
+    return np.where(taken, moved, theta_a), np.where(taken, at_moved, value)
+
+
 def score_blocks(m: np.ndarray, target: GateTarget) -> tuple[np.ndarray, ...]:
     """Phase-optimized fidelity of each 4x4 block of ``m`` (n, 4, 4) against ``target``.
 
@@ -300,16 +322,18 @@ def score_blocks(m: np.ndarray, target: GateTarget) -> tuple[np.ndarray, ...]:
     candidates = np.zeros((n, 9))
     np.divide(np.arctan2(re, 1 - im) - np.arctan2(-re, 1 + im), 2, out=candidates[:, 1:7])
     np.divide(-np.arctan2(p.imag, p.real), 2, out=candidates[:, 7:])
-    values = np.abs(_pair_sums(w, candidates)).sum(axis=2)
+    moduli = np.abs(_pair_sums(w, candidates))
+    values = moduli.sum(axis=2)
     best = np.argmax(values, axis=1)
     rows = np.arange(n)
+    theta_a, value = _newton_step(w, candidates[rows, best], moduli[rows, best], values[rows, best])
 
-    theta_a = _principal(candidates[rows, best], np.pi)
+    theta_a = _principal(theta_a, np.pi)
     sums = _pair_sums(w, theta_a[:, None])[:, 0]
     alpha, beta = -np.arctan2(sums.imag, sums.real).T
     theta_b = _principal((alpha - beta) / 2, np.pi)
     theta = _principal(alpha - theta_b, 2 * np.pi)
-    fidelity = 1.0 - (4.0 + norm2) / 16.0 + values[rows, best] / 8.0
+    fidelity = 1.0 - (4.0 + norm2) / 16.0 + value / 8.0
     leakage = np.fmin(1.0, np.fmax(0.0, 1.0 - norm2 / 4.0))  # guard float round-off
     return fidelity, theta_a, theta_b, theta, leakage
 
@@ -340,7 +364,10 @@ def gate_fidelity(m: np.ndarray, target: GateTarget) -> GateResult:
     The last two are needed where the condition vanishes identically, as
     when both terms peak at the same angle (m a compensated multiple of the
     target).  Ties go to the first candidate, so the exact target and the
-    zero block give phases (0, 0, 0).
+    zero block give phases (0, 0, 0).  Where R's two products nearly cancel,
+    its roots give theta_a to about 1e-13 only, so the winner takes one
+    guarded Newton step on the unsquared condition (``_newton_step``), which
+    brings it to round-off.
 
     Phases are reported in a canonical form: theta_a and theta_b in [0, pi),
     theta_global in [0, 2pi).  Nothing is lost, since shifting theta_a or

@@ -271,12 +271,13 @@ _FAILED = float("nan")
 #: Most float64 entries a chunk of points holds at once, 1.875 MiB, with each
 #: point counted at ``_point_entries``.  A point holds its h0 and, while it is
 #: assembled or one of its parity blocks is exponentiated, about as much again
-#: in temporaries: 2.1 to 2.6 d^2 entries in all for d = 45 to 125.  Of its
-#: propagator only the columns of the computational states are kept, and its
-#: phase solve holds a few hundred entries.  So a chunk holds 5 points of the
-#: 125-level cavity system, 12 of the 80-level one, 38 of the 45-level one and
-#: 492 of a 9-level pair.  A ramped point holds about as much, beside the ramp
-#: kernel's own workspace, which ``evolution._CHUNK_ENTRIES`` bounds.
+#: in temporaries: 1.9 to 2.0 d^2 entries in all for d = 45 to 125, a full
+#: chunk's peak under ``tracemalloc``.  Of its propagator only the columns of
+#: the computational states are kept, and its phase solve holds a few hundred
+#: entries.  So a chunk holds 5 points of the 125-level cavity system, 12 of
+#: the 80-level one, 38 of the 45-level one and 492 of a 9-level pair.  A
+#: ramped point holds about as much, beside the ramp kernel's own workspace,
+#: which ``evolution._CHUNK_ENTRIES`` bounds.
 _STACK_ENTRIES = 240 * 1024
 
 

@@ -307,18 +307,21 @@ def spoil_ramp_block(spec, duration: float, spoiled: int, polynomial: bool, monk
     size = len(parity_blocks(spec)[spoiled])
     calls = []
 
-    def spoil(name):
-        kernel = getattr(evolution, name)
+    ramp_exponentials, ramp_coefficients = evolution._ramp_exponentials, evolution._ramp_coefficients
+    factor = {size: 1 + 1e-6}
 
-        def spoiled_kernel(h0, d1, scales, step, degree):
-            first, *rest = kernel(h0, d1, scales, step, degree)
-            calls.append((h0.shape[-1], degree is not None))
-            return (first * (1 + 1e-6) if h0.shape[-1] == size else first), *rest
+    def spoiled_exponentials(h0, d1, scales, step, degree):
+        u, mu = ramp_exponentials(h0, d1, scales, step, degree)
+        calls.append((h0.shape[-1], False))
+        return u * factor.get(h0.shape[-1], 1.0), mu
 
-        monkeypatch.setattr(evolution, name, spoiled_kernel)
+    def spoiled_coefficients(h0, d1, ends, step, degree):
+        images, *means = ramp_coefficients(h0, d1, ends, step, degree)
+        calls.append((h0.shape[-1], True))
+        return images * factor.get(h0.shape[-1], 1.0), *means
 
-    spoil("_ramp_exponentials")
-    spoil("_ramp_coefficients")
+    monkeypatch.setattr(evolution, "_ramp_exponentials", spoiled_exponentials)
+    monkeypatch.setattr(evolution, "_ramp_coefficients", spoiled_coefficients)
     grouped = evolution._grouped
     groups = []
 
@@ -348,10 +351,10 @@ def chunk_sizes(monkeypatch):
     sizes = []
     ramp_chunks = evolution._ramp_chunks
 
-    def recording_ramp_chunks(d1, scales, step):
-        for chunk, degree in ramp_chunks(d1, scales, step):
+    def recording_ramp_chunks(d1, scales, step, ends):
+        for chunk, degree, run in ramp_chunks(d1, scales, step, ends):
             sizes.append((len(d1), len(chunk), degree))
-            yield chunk, degree
+            yield chunk, degree, run
 
     monkeypatch.setattr(evolution, "_ramp_chunks", recording_ramp_chunks)
     return sizes
@@ -384,8 +387,8 @@ class TestRampExponentials:
     def exponentials(h0, d1, chunks, step):
         # each (scales, degree) chunk through the kernel, back to complex with its phases
         k, us = len(d1), []
-        for scales, degree in chunks:
-            u, mu = evolution._ramp_exponentials(h0, d1, scales, step, degree)
+        for scales, degree, ends in chunks:
+            u, mu = evolution._ramp_exponentials(h0, d1, scales, step, degree, ends)
             if degree is not None:
                 u = u[:, :k, :k] + 1j * u[:, k:, :k]
             us.append(u * np.exp(-1j * step * mu)[:, None, None])
@@ -393,11 +396,11 @@ class TestRampExponentials:
 
     @classmethod
     def cuts(cls, h0, d1, scales, step):
-        # the chunks the propagator cuts, every exponential on its own, and, where
-        # ||W||_max <= theta, the whole stack as one polynomial of the least degree
+        # the chunks the propagator cuts from a segment over the scales' span, every exponential
+        # on its own, and, where ||W||_max <= theta, the whole stack as one polynomial of the least degree
         w = step * np.ptp(scales) / 2 * np.abs(d1 - d1.mean()).max()
-        cuts = [list(evolution._ramp_chunks(d1, scales, step)), [(scales, None)]]
-        return cuts + ([[(scales, _least_degree(w))]] if w <= evolution._THETA else [])
+        cuts = [list(evolution._ramp_chunks(d1, scales, step, (scales[0], scales[-1]))), [(scales, None, None)]]
+        return cuts + ([[(scales, _least_degree(w), None)]] if w <= evolution._THETA else [])
 
     @classmethod
     def assert_matches_eigh(cls, h0, d1, scales, step):
@@ -440,8 +443,8 @@ class TestRampExponentials:
         a = rng.normal(size=(30, 30))
         h0, d1 = a + a.T, 50 * rng.normal(size=30)
         scales = np.linspace(0.1, 10.0, 6)
-        ((chunk, degree),) = evolution._ramp_chunks(d1, scales, 1.0)
-        assert degree is None and np.array_equal(chunk, scales)
+        ((chunk, degree, run),) = evolution._ramp_chunks(d1, scales, 1.0, (0.1, 10.0))
+        assert degree is None and run is None and np.array_equal(chunk, scales)
         self.assert_matches_eigh(h0, d1, scales, 40.0 / _shifted_norm((h0 + 10.0 * np.diag(d1))[None]))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 11])
@@ -477,13 +480,13 @@ class TestRampExponentials:
         half = evolution._THETA / (step * (np.abs(d1 - d1.mean()).max() or 1.0)) * (1 - 1e-12)
         n = evolution._CHUNK_ENTRIES // (2 * k) ** 2
         scales = np.linspace(1.0 - half, 1.0 + half, n)
-        ((chunk, degree),) = evolution._ramp_chunks(d1, scales, step)
-        assert np.array_equal(chunk, scales) and degree == (0 if k == 1 else 8)
+        ((chunk, degree, run),) = evolution._ramp_chunks(d1, scales, step, (scales[0], scales[-1]))
+        assert np.array_equal(chunk, scales) and degree == (0 if k == 1 else 8) and run == (scales[0], scales[-1])
         self.assert_matches_eigh(h0, d1, scales, step)
-        # 1 % wider: the longest run within theta, then the rest on its own
+        # 1 % wider: the widest interval within theta, then the rest on its own
         wider = np.linspace(1.0 - 1.01 * half, 1.0 + 1.01 * half, n)
-        chunks = list(evolution._ramp_chunks(d1, wider, step))
-        assert [degree for _, degree in chunks] == ([0] if k == 1 else [8, None])
+        chunks = list(evolution._ramp_chunks(d1, wider, step, (wider[0], wider[-1])))
+        assert [degree for _, degree, _ in chunks] == ([0] if k == 1 else [8, None])
         self.assert_matches_eigh(h0, d1, wider, step)
 
     @pytest.mark.parametrize("w, degree", [(1e-4, 3), (1e-3, None)])
@@ -496,7 +499,7 @@ class TestRampExponentials:
         step = 0.05
         half = w / (step * np.abs(d1 - d1.mean()).max())
         scales = np.linspace(1.0 + half, 1.0 - half, 100)
-        ((chunk, got),) = evolution._ramp_chunks(d1, scales, step)
+        ((chunk, got, _),) = evolution._ramp_chunks(d1, scales, step, (scales[0], scales[-1]))
         assert len(chunk) == 100 and got == degree
         self.assert_matches_eigh(h0, d1, scales, step)
 
@@ -547,7 +550,8 @@ class TestRampExponentials:
         # five fig3b points, each with its own coupling and one with its own qubit-B frequency,
         # through one 5 ns ramp: one polynomial run per block of 125 anchors of 8 exponentials.
         # Under a cap of 25,000 entries a point counts 125 (2k)^2, so sub-stacks hold 2 points
-        # of the 5-level block and 3 of the 4-level one; each tree input stays within the cap
+        # of the 5-level block and 3 of the 4-level one; each tree input stays within the cap.
+        # The block exponentials, ((6 + 1) k)^2 entries each, take all five points in one stack
         system = parse_config(presets.figure_config("fig3b")).base.system
         specs = [replace(system, g=g) for g in (0.02, 0.03, 0.04, 0.05)]
         specs.append(replace(system, qubit_b=replace(system.qubit_b, freq=system.qubit_b.freq + 0.05)))
@@ -563,17 +567,58 @@ class TestRampExponentials:
             tree.append(us.shape)
             return product_in_order(us, spare)
 
-        def recording_coefficients(h0, d1, scales, step, degree):
+        def recording_coefficients(h0, d1, ends, step, degree):
             stacks.append(h0.shape[:2])
-            return coefficients(h0, d1, scales, step, degree)
+            return coefficients(h0, d1, ends, step, degree)
 
         monkeypatch.setattr(evolution, "_product_in_order", recording_product_in_order)
         monkeypatch.setattr(evolution, "_ramp_coefficients", recording_coefficients)
         monkeypatch.setattr(evolution, "_CHUNK_ENTRIES", 25_000)
         stacked = evolution._ramp_propagator(parts, [seg] * 5, DEFAULT_DT)
-        assert stacks == [(2, 5), (2, 5), (1, 5), (3, 4), (2, 4)]
+        assert stacks == [(5, 5), (5, 4)]
         assert {shape[:2] for shape in tree} == {(2, n // 4), (1, n // 4), (3, n // 4)}
         assert max(math.prod(shape) for shape in tree) <= 25_000
+        for p, blocks in enumerate(alone):
+            for u, (v,) in zip(stacked, blocks):
+                assert np.array_equal(u[p], v)
+
+    @pytest.mark.parametrize(
+        "cap, ramps, stacks",
+        [
+            (None, [5.0, 10.0, 20.0], [(2, 5), (2, 4)]),
+            (1000, [5.0, 10.0, 20.0], [(1, 5), (1, 5), (1, 4), (1, 4)]),
+            (2500, [5.0, 5.003], [(1, 5)] * 4 + [(2, 4)] * 2),
+        ],
+        ids=["shared", "capped", "batched"],
+    )
+    def test_ramps_of_one_point_share_its_coefficients_and_equal_each_ramp_alone(self, cap, ramps, stacks, monkeypatch):
+        # two fig3b couplings, each ramped over the given durations, and the first again over the
+        # first: every ramp is one run of degree 6 over the whole segment, so each distinct point and
+        # step takes one block exponential, and each propagator is that of its ramp alone, bit for bit.
+        # 5, 10 and 20 ns ramps have the step 0.005: one stack per block of the two distinct points.
+        # Under a cap of 1,000 entries each block exponential, (7 k)^2 entries, is a stack of its own.
+        # A 5.003 ns ramp has its own step, so a point holds two runs' images, counted at 9 (2k)^2
+        # entries each: under a cap of 2,500 the 5-level block's points (1,800 entries) go in batches
+        # of one, though a stack of block exponentials would hold two, and the 4-level block's
+        # (1,152) in one batch
+        system = parse_config(presets.figure_config("fig3b")).base.system
+        specs = [replace(system, g=g) for g in (0.02, 0.03)]
+        points = [(i, tau) for tau in ramps for i in (0, 1)] + [(0, ramps[0])]
+        h0, d1 = hamiltonian_parts_stack([specs[i] for i, _ in points])
+        parts = [(h0[np.ix_(range(len(points)), ix, ix)], d1[:, ix]) for ix in parity_blocks(system)]
+        segs = [ScheduleSegment(tau, 1.1, 1.0) for _, tau in points]
+        if cap is not None:
+            monkeypatch.setattr(evolution, "_CHUNK_ENTRIES", cap)
+        alone = [evolution._ramp_propagator([(h[[p]], b[[p]]) for h, b in parts], [segs[p]], DEFAULT_DT) for p in range(len(points))]
+        calls, coefficients = [], evolution._ramp_coefficients
+
+        def recording_coefficients(h0, d1, ends, step, degree):
+            calls.append(h0.shape[:-1])
+            return coefficients(h0, d1, ends, step, degree)
+
+        monkeypatch.setattr(evolution, "_ramp_coefficients", recording_coefficients)
+        stacked = evolution._ramp_propagator(parts, segs, DEFAULT_DT)
+        assert calls == stacks
         for p, blocks in enumerate(alone):
             for u, (v,) in zip(stacked, blocks):
                 assert np.array_equal(u[p], v)
@@ -585,10 +630,10 @@ class TestRampExponentials:
 
     def test_a_ramp_cut_into_both_kinds_of_chunk_matches_a_cf4_product_of_expm(self, chunk_sizes):
         assert_matches_cf4_expm("fig3b", 30.0, 0.06)
-        # 1,000 exponentials per block whose scales span ||W||_max = 1.1 theta:
-        # theta ends a run of degree 8 after 912 of them, and the 88 left do not
-        # pay for a block exponential, so they are taken one at a time
-        assert chunk_sizes == [(5, 912, 8), (5, 88, None), (4, 912, 8), (4, 88, None)]
+        # 1,000 exponentials per block on a segment of ||W||_max = 1.097 theta: the first
+        # interval, theta wide from the segment's start, holds 911 of them, a run of degree 8,
+        # and the 89 of the second do not pay for a block exponential, so they are taken one at a time
+        assert chunk_sizes == [(5, 911, 8), (5, 89, None), (4, 911, 8), (4, 89, None)]
 
     def test_a_long_ramp_matches_a_cf4_product_of_expm(self, chunk_sizes):
         # one polynomial reused for 8,000 exponentials per block: round-off may add
@@ -615,11 +660,11 @@ def _ramp_down(duration: float):
 
 
 def _run(h0, d1, scales, step):
-    """A polynomial run over all of ``scales``: its images, delta, degree and ||W||_max."""
+    """A polynomial run over all of ``scales``, expanded about their span: its images, delta, degree and ||W||_max."""
     width = step * np.abs(d1 - d1.mean()).max() * abs(scales[-1] - scales[0]) / 2
-    degree = evolution._degree(width)
-    images, delta, _ = evolution._ramp_coefficients(h0, d1, scales, step, degree)
-    return images, delta, degree, width
+    degree, ends = evolution._degree(width), (scales[0], scales[-1])
+    images, _, _ = evolution._ramp_coefficients(h0, d1, ends, step, degree)
+    return images, evolution._delta(scales, ends), degree, width
 
 
 class TestGroupedRuns:
@@ -628,27 +673,31 @@ class TestGroupedRuns:
 
     @pytest.mark.parametrize("system", ["fig3b", "cavity-3"])
     def test_run_coefficients_equal_the_eye_diag_and_block_formulas(self, system):
-        # the images are written in place; they must be bitwise those of the formulas they replace
+        # the images are written in place; they must be bitwise those of the formulas they replace.
+        # They are expanded about the segment's interval, here all of it, from scale 1.1 to 1
         spec = _system(system)
         scales, step = _ramp_down(5.0)
+        ends = (1.1, 1.0)
         for h0, d1 in _ramp_blocks(spec):
             k, degree = len(d1), 6
             shift = np.mean(np.diagonal(h0))
             a, b = step * (h0 - shift * np.eye(k)), step * np.diag(d1 - d1.mean())
-            mid, half = (scales[0] + scales[-1]) / 2, abs(scales[-1] - scales[0]) / 2
+            mid, half = (1.1 + 1.0) / 2, (1.1 - 1.0) / 2
             n_mat, m = np.zeros((degree + 1, k, degree + 1, k)), np.arange(degree + 1)
             n_mat[m, :, m], n_mat[m[:-1], :, m[1:]] = a + mid * b, half * b
             n_mat = n_mat.reshape((degree + 1) * k, -1)
             f = evolution._series_exponentials(n_mat[None], symmetric=False)[0, :k]
             f = f.reshape(k, degree + 1, k).swapaxes(0, 1)
-            images, delta, mu = evolution._ramp_coefficients(h0, d1, scales, step, degree)
+            images, shift_, mean = evolution._ramp_coefficients(h0, d1, ends, step, degree)
+            assert shift_ == shift and mean == d1.mean()
+            assert evolution._expansion(ends) == (mid, half)
             assert np.array_equal(images, np.block([[f.real, -f.imag], [f.imag, f.real]]).reshape(degree + 1, -1))
-            assert np.array_equal(delta, (scales - mid) / half)
-            assert np.array_equal(mu, shift + scales * d1.mean())
-            # and the exponentials taken one at a time
-            u, _ = evolution._ramp_exponentials(h0, d1, scales[:7], step, None)
+            assert np.array_equal(evolution._delta(scales, ends), (scales - mid) / half)
+            # and the exponentials taken one at a time, with their shifts
+            u, mu = evolution._ramp_exponentials(h0, d1, scales[:7], step, None)
             x = a + scales[:7, None, None] * b
             assert np.array_equal(u, evolution._series_exponentials(x, symmetric=True))
+            assert np.array_equal(mu, shift + scales[:7] * d1.mean())
 
     @pytest.mark.parametrize(
         "system, duration, groups",

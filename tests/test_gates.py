@@ -333,3 +333,49 @@ class TestRunGate:
         spec = DirectSystemSpec(QubitSpec(7.16, 0.087, 3), QubitSpec(7.3, 0.114, 3), 0.0091)
         with pytest.warns(UserWarning, match="resonance condition"):
             run_gate(spec, CZ)
+
+
+def _optimal_theta_a(m: np.ndarray, target, start: float) -> float:
+    """The stationary point of |S_1| + |S_2| nearest ``start``, found to 40 digits from the block's exact entries."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        w = [mpmath.fsum(mpmath.mpc(x) * mpmath.conj(mpmath.mpc(y)) for x, y in zip(row, conj_row)) for row, conj_row in zip(m, target.matrix)]
+        p = [2 * w[0] * mpmath.conj(w[2]), 2 * w[1] * mpmath.conj(w[3])]
+
+        def slope(theta):
+            # d(|S_1| + |S_2|)/d theta_a = -sum_j Im(p_j z) / |S_j|, z = e^{2 i theta_a}
+            z = mpmath.expj(2 * theta)
+            sums = [abs(w[0] * mpmath.expj(theta) + w[2] * mpmath.expj(-theta)), abs(w[1] * mpmath.expj(theta) + w[3] * mpmath.expj(-theta))]
+            return -sum(mpmath.im(pj * z) / s for pj, s in zip(p, sums))
+
+        return float(mpmath.findroot(slope, mpmath.mpf(start)))
+
+
+class TestPhaseToRoundOff:
+    def test_theta_a_of_a_nearly_cancelling_condition_is_the_optimum_to_a_few_ulp(self):
+        # the plans_sweep CI config's delta_b = 0.3 row: a nearly compensated CZ block whose two
+        # terms peak at close angles, where R's two products nearly cancel and its roots give
+        # theta_a to about 1e-13 only
+        from scgates.evolution import trapezoid_schedule
+        from scgates.sweeps import SweepAxis, SweepBase, derive_point_spec
+
+        base = SweepBase(DirectSystemSpec(QubitSpec(5.5, 0.15, 3), QubitSpec(5.6, 0.10, 3), 0.01), "cz", tau_d=5.0)
+        spec = derive_point_spec(base, (SweepAxis("delta_b_abs", 0.05, 0.3, 6),), (0.3,))
+        (m,), _ = gates.computational_blocks([spec], [trapezoid_schedule(5.0, gate_time(spec, CZ))], base.dt)
+        _, (theta_a,), _, _, _ = score_blocks(m[None], CZ)
+        optimum = _optimal_theta_a(m, CZ, theta_a)
+        assert abs(theta_a - optimum) <= 4 * np.spacing(optimum)
+
+    @pytest.mark.parametrize("target", [ISWAP, CZ], ids=["iswap", "cz"])
+    def test_the_newton_step_never_lowers_the_fidelity(self, target, monkeypatch):
+        # against theta_a taken from R's roots alone: the step moves theta_a by round-off, and
+        # where it would lower |S_1| + |S_2| by an ulp it is not taken
+        rng = np.random.default_rng(3)
+        m = np.array([random_contraction(rng) for _ in range(2000)])
+        polished = score_blocks(m, target)
+        monkeypatch.setattr(gates, "_newton_step", lambda w, theta_a, moduli, value: (theta_a, value))
+        roots = score_blocks(m, target)
+        assert (polished[0] >= roots[0]).all()
+        moved = np.abs(polished[1] - roots[1])
+        moved = np.minimum(moved, np.pi - moved)
+        assert 0 < moved.max() <= 1e-10

@@ -557,9 +557,9 @@ class TestBatching:
         chunks = evolution._ramp_chunks
 
         def recording_chunks(*args):
-            for chunk, degree in chunks(*args):
+            for chunk, degree, run in chunks(*args):
                 degrees.append(degree)
-                yield chunk, degree
+                yield chunk, degree, run
 
         monkeypatch.setattr(evolution, "_ramp_chunks", recording_chunks)
         rows = sweep(base, axes).rows
@@ -594,7 +594,7 @@ class TestBatching:
 
         def recording_plans(d1, segs, grids):
             found = ramp_plans(d1, segs, grids)
-            plans.append([(points, [degrees for _, _, degrees in chunks]) for points, _, chunks in found])
+            plans.append([(points, [degrees for _, _, degrees, _ in chunks]) for points, _, chunks in found])
             return found
 
         monkeypatch.setattr(evolution, "_ramp_plans", recording_plans)
@@ -858,9 +858,9 @@ class TestStudyStacks:
         chunks = evolution._ramp_chunks
 
         def recording_chunks(*args):
-            for chunk, degree in chunks(*args):
+            for chunk, degree, run in chunks(*args):
                 degrees.add(degree)
-                yield chunk, degree
+                yield chunk, degree, run
 
         monkeypatch.setattr(evolution, "_ramp_chunks", recording_chunks)
         grids = ramp_study(CZ_BASE, STUDY_TAUS, STUDY_AXIS)
@@ -887,6 +887,52 @@ class TestStudyStacks:
         ramp_study(CZ_BASE, STUDY_TAUS, STUDY_AXIS)
         assert calls == [[16, 16]]
         assert plans == [[4, 4, 4, 4]] * 2
+
+    @staticmethod
+    def record_runs(monkeypatch):
+        """(points, block size) of each block-exponential stack, and (degree, interval) of each chunk cut."""
+        stacks, chunks = [], []
+        ramp_coefficients, ramp_chunks = evolution._ramp_coefficients, evolution._ramp_chunks
+
+        def recording_coefficients(h0, d1, ends, step, degree):
+            stacks.append(h0.shape[:-1])
+            return ramp_coefficients(h0, d1, ends, step, degree)
+
+        def recording_chunks(*args):
+            for chunk, degree, run in ramp_chunks(*args):
+                chunks.append((len(chunk), degree, run))
+                yield chunk, degree, run
+
+        monkeypatch.setattr(evolution, "_ramp_coefficients", recording_coefficients)
+        monkeypatch.setattr(evolution, "_ramp_chunks", recording_chunks)
+        return stacks, chunks
+
+    def test_a_ramp_cz_study_forms_one_block_exponential_stack_per_block(self, monkeypatch):
+        # five couplings at four ramp durations: every ramp is one run of degree 6 over the
+        # segment's whole interval, with the step 0.005 at every duration, so each block's
+        # five couplings take one block exponential for all twenty ramps
+        stacks, chunks = self.record_runs(monkeypatch)
+        axis = SweepAxis("g_over_delta_b", 0.12, 0.43, 5)
+        grids = ramp_study(CZ_BASE, [0.0, 5.0, 10.0, 20.0, 40.0], axis)
+        assert all(row.status == "ok" for grid in grids for row in grid.rows)
+        assert stacks == [(5, 5), (5, 4)]
+        assert {(degree, run) for _, degree, run in chunks} == {(6, (1.1, 1.0))}
+        assert sorted(n for n, _, _ in chunks) == sorted([1000, 2000, 4000, 8000] * 2)
+
+    def test_ramps_cut_into_two_intervals_share_their_polynomial_run(self, monkeypatch):
+        # at dt 0.06, 30 and 60 ns ramps both have the step 0.03, and their segment spans
+        # ||W||_max = 1.097 theta: a first interval of theta, taken as a run of degree 8 by
+        # both, and a second whose exponentials are taken one at a time. One stack per block
+        # and polynomial interval, and each grid is still that of its own sweep
+        stacks, chunks = self.record_runs(monkeypatch)
+        base, axis, taus = replace(CZ_BASE, dt=0.06), SweepAxis("g_over_delta_b", 0.12, 0.43, 5), [0.0, 30.0, 60.0]
+        grids = ramp_study(base, taus, axis)
+        assert stacks == [(5, 5), (5, 4)]
+        runs = {run for _, degree, run in chunks if degree is not None}
+        assert len(runs) == 1 and {degree for _, degree, _ in chunks} == {8, None}
+        assert sorted((n, degree) for n, degree, _ in chunks if degree is not None) == [(911, 8)] * 2 + [(1823, 8)] * 2
+        assert all(row.status == "ok" for grid in grids for row in grid.rows)
+        assert grids == [sweep(replace(base, tau_d=tau), (axis,)) for tau in taus]
 
     @pytest.mark.parametrize("failure", ["ramp", "unitarity"])
     def test_a_failure_in_a_shared_stack_stays_in_its_grid_and_row(self, failure, monkeypatch):
