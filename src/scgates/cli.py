@@ -258,6 +258,9 @@ def parse_config(obj: dict) -> RunConfig:
             mode_values[key] = parse(obj.get(key))
         elif obj.get(key) is not None:
             raise ConfigError(f"key {key!r} only applies to mode {owner!r}")
+    # ramp studies take directly coupled CZ systems, and the cubic detrend of each curve 5 points
+    if mode == "ramp" and (gate != "cz" or isinstance(system, IndirectSystemSpec) or axes[0].n_points < 5):
+        raise ConfigError("mode 'ramp' needs a direct system, gate 'cz' and an axis of at least 5 points")
 
     return RunConfig(
         mode=mode,

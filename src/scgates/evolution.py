@@ -27,34 +27,33 @@ The exponentials are taken in one of two ways, chosen by the segment kind:
   eigendecomposition, one stacked LAPACK ``eigh`` per block.  It is exact to
   the eigensolver's round-off however long the segment, and a whole segment
   has t ||H|| of order 10^3 or more.
-* Ramp steps (``_ramp_exponentials``) take no eigensolver.  The mean of the
-  diagonal is split off as a scalar phase, leaving X_s = step (H(s) - mu_s I),
-  and the exponentials are real Taylor series for cos and sin with scaling
-  and squaring (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)):
-  through X^16 and X^17 the remainder is at most 1/18! ~ 1.6e-16 where the
-  1-norm is at most 1, and a longer argument is halved q times and squared
-  back, round-off growing about as 2^q.  h1 is diagonal, so along a ramp only
-  the diagonal of X moves: over a scale interval (``_ramp_chunks``),
-  X_s = Xc + delta_s W with Xc at the interval's mid scale, W a small
-  diagonal and delta_s in [-1, 1].  Each exponential is then an entire
-  function of delta, whose Taylor coefficients F_0 ... F_M are the first
-  block row of one block-matrix exponential of size (M + 1) k (Van Loan,
-  IEEE Trans. Autom. Control 23, 395 (1978)), with ||F_m|| <= ||W||^m / m!.
-  An interval keeps ||W||_max <= 1/16, and M is the least degree whose
-  remainder bound is 2^-53 or less over it (M <= 8; 6 for the fig3b pair at
-  the default dt).  The product of the Vandermonde matrix of the delta_s
-  with the F_m, each in its real (2k, 2k) image, then gives every
-  exponential of the interval.  That block exponential costs about as much
-  as (M + 1)^3 exponentials of size k, so an interval's exponentials are
-  such a polynomial run only where they are more; elsewhere (wide
-  intervals, short ramps) each exponential takes the series on its own, as
-  one complex stack per chunk.  Only accuracy ends an interval: the
-  intervals are measured from the segment's start, each as wide as the
+* Ramp steps take no eigensolver.  The mean of the diagonal is split off as
+  a scalar phase, leaving X_s = step (H(s) - mu_s I).  h1 is diagonal, so
+  along a ramp only the diagonal of X moves: over a scale interval
+  (``_ramp_chunks``), X_s = Xc + delta_s W with Xc at the interval's mid
+  scale, W a small diagonal and delta_s in [-1, 1].  Each exponential is then
+  an entire function of delta, whose Taylor coefficients F_0 ... F_M are the
+  first block row of the exponential of a block matrix of size (M + 1) k
+  (Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)), with
+  ||F_m|| <= ||W||^m / m!.  An interval keeps ||W||_max <= 1/16, and M is the
+  least degree whose remainder bound is 2^-53 or less over it (M <= 8; 6 for
+  the fig3b pair at the default dt).  Every interval that holds an
+  exponential is such a polynomial run, and the product of the Vandermonde
+  matrix of its delta_s with the F_m, each in its real (2k, 2k) image, gives
+  its exponentials (``_ramp_exponentials``).  The F_m are a Taylor series
+  with scaling and squaring done on the coefficients themselves
+  (``_ramp_coefficients``; Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 30,
+  1639 (2009)): the argument is halved q times until its 1-norm bound is below
+  1, the series of its powers, each a polynomial in delta cut at M,
+  runs until its remainder is at most 2^-53, and q Cauchy products square
+  it back, round-off growing about as 2^q.  Only accuracy ends an interval:
+  the intervals are measured from the segment's start, each as wide as the
   bound allows, so they follow from the segment, the step and d1, not from
   where the exponentials fall.  At the default dt a whole ramp of the fig3b
-  pair, or a 5 ns ramp of a 45-level cavity system, is one run per block,
-  and since every ramp duration of a study has the same step there, the
-  ramps of one point share the run's coefficients (``_ramp_propagator``).
+  pair, or a 1 or 5 ns ramp of a 45- to 125-level cavity system, is one run
+  per block, and since every ramp duration of a study has the same step
+  there, the ramps of one point share the run's coefficients
+  (``_ramp_propagator``).
 * A polynomial run is multiplied in groups of g = 2^L consecutive
   exponentials (``_run_product``).  The CF4 nodes repeat with period 2, so
   the offsets e_j of a group's deltas from its first are the same for every
@@ -65,26 +64,25 @@ The exponentials are taken in one of two ways, chosen by the segment kind:
   (``_grouped``).  The Vandermonde product then gives the n / g group
   products at the groups' first deltas, and the tree multiplies those; the
   n mod g exponentials left over are taken as before.  L grows while a
-  doubling saves more tree products than it costs and holds no more memory
-  than the block exponential (``_group_degrees``): at
+  doubling saves more tree products than it costs and its Toeplitz matrix
+  holds at most ten times ((M + 1) k)^2 entries (``_group_degrees``): at
   the default dt g is 8 for a 5 ns ramp of the fig3b pair and 16 for a
   40 ns one.
 
 Memory is bounded apart from accuracy, by _CHUNK_ENTRIES entries of real
-(2k, 2k) images: a chunk taken one exponential at a time holds at most that
-many, and a polynomial run is evaluated in slices of at most that many group
-products or exponentials, into one workspace of 1.5 slices.  A stack of
-points shares that bound: its points go through a ramp in sub-stacks whose
-slices and block matrices together fit it, and the coefficient images it
-keeps for reuse, (M + 1)(2k)^2 entries per distinct point and interval, fit
-it too.  The exponentials of a chunk, or the images of a slice, are
-combined with a pairwise product tree, over their real images where they
-come from a polynomial, and only a chunk's product is taken back to
-complex.  A run's block exponential is not bounded by it: it holds about
-ten matrices of ((M + 1) k)^2 entries, its points taken in stacks of at
-most _CHUNK_ENTRIES such entries and at least one, and a doubling's
-Toeplitz matrix, (D + 1)(p + 1)(2k)^2 entries for degrees p before it and
-D after, is kept within ten of those.
+(2k, 2k) images: a polynomial run is evaluated in slices of at most that
+many group products or exponentials, into one workspace of 1.5 slices.  A
+stack of points shares that bound: its points go through a ramp in
+sub-stacks whose slices, and ((M + 1) k)^2 entries per point, together fit
+it, and the coefficient images it keeps for reuse, (M + 1)(2k)^2 entries per
+distinct point and interval, fit it too.  The images of a slice are combined
+with a pairwise product tree, and only a run's product is taken back to
+complex.  A run's coefficient series is not bounded by it: per point it
+holds its at most 19 powers, (M + 1) k^2 entries each, and a squaring's
+Toeplitz matrix of ((M + 1) k)^2 complex entries, its points taken in stacks
+of at most _CHUNK_ENTRIES / ((M + 1) k)^2 and at least one; a doubling's
+Toeplitz matrix, (D + 1)(p + 1)(2k)^2 entries for degrees p before it and D
+after, is kept within ten times ((M + 1) k)^2.
 
 The exponentials and their products are formed block by block, one block per
 parity of the total excitation number (``hamiltonians.parity_blocks``).  The
@@ -123,24 +121,21 @@ DEFAULT_DT = 0.01
 CONSTANT_UNITARITY_TOL = 1e-10
 SCHEDULE_UNITARITY_TOL = 1e-8
 
-#: Largest ||W||_max of a ramp chunk taken as a polynomial (see
-#: ``_ramp_exponentials``).  At 1/16 the degree M that bounds the remainder by
-#: 2^-53 is at most 8.
+#: Largest ||W||_max of a scale interval of a ramp (see ``_ramp_chunks``).  At
+#: 1/16 the degree M that bounds the remainder by 2^-53 is at most 8.
 _THETA = 1.0 / 16.0
 
-#: Most entries, n (2k)^2, in the real (2k, 2k) images of the exponentials of
-#: one ramp chunk taken one at a time, or of one slice of a polynomial run
-#: (see ``_run_product``), and at least one image: 800 KB of doubles, 1,024
-#: exponentials of a 5-level block, 48 of a 23-level one and 6 of a 63-level
-#: one.  It bounds memory only; accuracy alone ends a polynomial run.
+#: Most entries, n (2k)^2, in the real (2k, 2k) images of one slice of a
+#: polynomial run (see ``_run_product``), and at least one image: 800 KB of
+#: doubles, 1,024 images of a 5-level block, 48 of a 23-level one and 6 of a
+#: 63-level one.  It bounds memory only; accuracy alone ends a polynomial run.
 _CHUNK_ENTRIES = 100 * 1024
 
 #: Fractions of a CF4 step at which its two half-step exponentials freeze H.
 _CF4_NODES = np.array([1.0 / 6.0, 5.0 / 6.0])
 
-#: cos X and sin(X) / X as series in Y = X^2, through Y^8.
-_COS_SERIES = [(-1) ** k / math.factorial(2 * k) for k in range(9)]
-_SINC_SERIES = [(-1) ** k / math.factorial(2 * k + 1) for k in range(9)]
+#: Real and imaginary parts of (-i)^j / j!, the Taylor coefficients of exp(-i x), for j <= 18.
+_EXP_SERIES = np.array([(z.real, z.imag) for z in ((-1j) ** j / math.factorial(j) for j in range(19))]).T
 
 
 class UnitarityError(RuntimeError):
@@ -255,7 +250,8 @@ def _exponentials(hs, step, columns=None) -> list[np.ndarray]:
     exponentiated, the one for constant segments and sweep stacks: a whole
     segment has t ||H|| of order 10^3 or more, and the eigendecomposition
     takes it exactly, to the eigensolver's round-off, at any t.  Ramp steps
-    go through ``_ramp_exponentials`` instead (see the module docstring).
+    go through polynomial runs instead (``_ramp_coefficients``; see the
+    module docstring).
     """
     us = []
     for h, cols in zip(hs, columns or itertools.repeat(None)):
@@ -267,59 +263,6 @@ def _exponentials(hs, step, columns=None) -> list[np.ndarray]:
         r = np.matmul(v, pairs.reshape(*pairs.shape[:-2], -1))
         us.append(r.view(complex) if r.dtype == float else r[..., ::2] + 1j * r[..., 1::2])
     return us
-
-
-def _even_series(coeffs, y: np.ndarray, y2: np.ndarray, y3: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[k] y^k (k <= 8) for a stack y, by Paterson–Stockmeyer in y^3: two matmuls."""
-
-    def group(c0, c1, c2):
-        g = c2 * y2
-        g += c1 * y
-        g.reshape(-1, g.shape[-1] ** 2)[:, :: g.shape[-1] + 1] += c0  # c0 I, on the diagonal in place
-        return g
-
-    p = np.matmul(y3, group(*coeffs[6:9]))
-    p += group(*coeffs[3:6])
-    p = np.matmul(y3, p)
-    p += group(*coeffs[0:3])
-    return p
-
-
-def _series_exponentials(x: np.ndarray, symmetric: bool) -> np.ndarray:
-    """exp(-i X) = cos X - i sin X for each real square matrix of a stack, from real matrix products only.
-
-    The stack (..., n, K, K) holds one family per leading index, each one
-    matrix or an affine family X_0 + s (X_1 - X_0) in the order of monotone
-    s, such as a ramp chunk's X_s.  ||X||_1 is convex along a family, so it
-    is largest at one end, and the family is halved q times, q the least
-    with ||X||_1 / 2^q <= 1 at both ends.  cos and sin are then summed as
-    series in Y = X^2 through Y^8 (remainder at most 1/18! ~ 1.6e-16) and
-    squared back q times by (C, S) -> (C^2 - S^2, CS + SC), which takes
-    three products where X is ``symmetric``, since SC = (CS)^T there.
-    Families of different q are taken apart, so each family gets the
-    arithmetic it would get on its own.
-    """
-    ends = x[..., :: max(1, x.shape[-3] - 1), :, :]  # the first and the last matrix of each family
-    norm = np.abs(ends).sum(axis=-2).max(axis=(-2, -1))
-    qs = [math.ceil(math.log2(v)) if v > 1 else 0 for v in norm.flat]
-    if len(set(qs)) > 1:
-        qs, u = np.reshape(qs, norm.shape), np.empty(x.shape, dtype=complex)
-        for q in set(qs.flat):
-            u[qs == q] = _series_exponentials(x[qs == q], symmetric)
-        return u
-    q = qs[0]
-    x = x * 0.5**q if q else x
-    y = np.matmul(x, x)
-    y2 = np.matmul(y, y)
-    y3 = np.matmul(y2, y)
-    c = _even_series(_COS_SERIES, y, y2, y3)
-    s = np.matmul(x, _even_series(_SINC_SERIES, y, y2, y3))
-    for _ in range(q):
-        cs = np.matmul(c, s)
-        c, s = np.matmul(c, c) - np.matmul(s, s), cs + (cs.swapaxes(-1, -2) if symmetric else np.matmul(s, c))
-    u = np.empty(c.shape, dtype=complex)
-    u.real, u.imag = c, -s
-    return u
 
 
 def _shifted(h0: np.ndarray, d1: np.ndarray, step: float):
@@ -348,31 +291,70 @@ def _delta(scales: np.ndarray, ends) -> np.ndarray:
     return (scales - mid) / (half or 1.0)
 
 
+def _taylor(xc: np.ndarray, w: np.ndarray, q: int, terms: int, degree: int) -> np.ndarray:
+    """exp(-i (Xc + delta W)) as a complex polynomial in delta cut at ``degree``, for a stack of points that share q and ``terms``.
+
+    ``xc`` (P, k, k) and ``w`` (P, k), the diagonal of W, are scaled by 2^-q.
+    The powers R_j = (Xc + delta W)^j are real polynomials in delta of degree
+    at most j, with R_j[m] = R_(j-1)[m] Xc + R_(j-1)[m - 1] W, each one GEMM
+    over the degrees and one column scaling, cut at ``degree``.  Their sum
+    sum_(j <= terms) (-i)^j R_j / j! is squared back q times by ``_cauchy``,
+    each square cut at ``degree`` too.
+    """
+    p, k = w.shape
+    xc, w = xc * 0.5**q, w[:, None, None, :] * 0.5**q
+    powers = np.zeros((p, terms + 1, degree + 1, k, k))
+    powers[:, 0, 0].reshape(p, -1)[:, :: k + 1] = 1.0
+    rows = powers.reshape(p, terms + 1, -1, k)  # each power's coefficients stacked in a column
+    for j in range(1, terms + 1):
+        low, top = min(j, degree + 1) * k, min(j, degree)
+        np.matmul(rows[:, j - 1, :low], xc, out=rows[:, j, :low])
+        powers[:, j, 1 : top + 1] += powers[:, j - 1, :top] * w
+    parts = np.matmul(_EXP_SERIES[:, : terms + 1], powers.reshape(p, terms + 1, -1))
+    u = (parts[:, 0] + 1j * parts[:, 1]).reshape(p, degree + 1, k, k)
+    for _ in range(q):
+        u = _cauchy(u, u, degree)
+    return u
+
+
 def _ramp_coefficients(h0: np.ndarray, d1: np.ndarray, ends, step: float, degree: int):
     """The real images of F_0 ... F_M of a polynomial ramp run over the scale interval ``ends`` (lo, hi), and the means that give its shifts mu_s (``_shifted``).
 
-    The images [[Re, -Im], [Im, Re]] of the F_m are the rows of an
-    (M + 1, 4 k^2) matrix, so the images of the u_s are the rows of the
-    product of the run's Vandermonde matrix in delta (``_delta``) with it
-    (see ``_ramp_exponentials``).  They depend on the interval, not on the
-    scales that fall in it, so every ramp of a point with one step and
-    interval shares them.  With a points axis leading ``h0`` and ``d1``, the
-    images and means lead with it too.
+    The F_m are the coefficients of exp(-i (Xc + delta W)) in delta (see
+    ``_ramp_exponentials``), the first block row of exp(-i N), N the block
+    upper bidiagonal matrix of M + 1 blocks Xc on the diagonal and W above
+    it (Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)).  They are
+    formed by scaling and squaring on the coefficients themselves, the
+    degree-M form of Al-Mohy & Higham's Frechet-derivative recurrence (SIAM
+    J. Matrix Anal. Appl. 30, 1639 (2009)): with ||N||_1 <= ||Xc||_1 + ||W||_max
+    = v, q is the least with v / 2^q < 1 and the series takes
+    _degree(v / 2^q) + 1 terms, a remainder of at most 2^-53 (``_taylor``).
+    Points of one q and term count are taken as one stack, so each point
+    gets the arithmetic it would get alone.  The images
+    [[Re, -Im], [Im, Re]] of the F_m are the rows of an (M + 1, 4 k^2)
+    matrix, so the images of the u_s are the rows of the product of the
+    run's Vandermonde matrix in delta (``_delta``) with it.  They depend on
+    the interval, not on the scales that fall in it, so every ramp of a
+    point with one step and interval shares them.  With a points axis
+    leading ``h0`` and ``d1``, the images and means lead with it too.
     """
     k, lead = d1.shape[-1], d1.shape[:-1]
-    a, b, shift, mean = _shifted(h0, d1, step)
+    a, b, shift, mean = _shifted(h0.reshape(-1, k, k), d1.reshape(-1, k), step)
     mid, half = _expansion(ends)
-    n_mat, m, i = np.zeros(lead + (degree + 1, k, degree + 1, k)), np.arange(degree + 1), np.arange(k)
-    a.reshape(*lead, -1)[..., :: k + 1] += mid * b  # Xc
-    n_mat[..., m, :, m, :] = a
-    n_mat[..., m[:-1, None], i, m[1:, None], i] = half * b[..., None, :]
-    n_mat = n_mat.reshape(*lead, 1, (degree + 1) * k, -1)
-    f = _series_exponentials(n_mat, symmetric=False)[..., 0, :k, :].reshape(*lead, k, degree + 1, k).swapaxes(-3, -2)
-    images = np.empty(lead + (degree + 1, 2 * k, 2 * k))
+    a.reshape(len(a), -1)[:, :: k + 1] += mid * b  # Xc
+    w, keys = half * b, []
+    for v in (np.abs(a).sum(axis=-2).max(axis=-1) + np.abs(w).max(axis=-1)).tolist():
+        q = max(0, math.frexp(v)[1])
+        keys.append((q, _degree(v * 0.5**q)))
+    f = np.empty((len(a), degree + 1, k, k), dtype=complex)
+    for key in set(keys):
+        at = [point for point, other in enumerate(keys) if other == key]
+        f[at] = _taylor(a[at], w[at], *key, degree)
+    images = np.empty((len(a), degree + 1, 2 * k, 2 * k))
     images[..., :k, :k] = images[..., k:, k:] = f.real
     images[..., k:, :k] = f.imag
     np.negative(f.imag, out=images[..., :k, k:])
-    return images.reshape(*lead, degree + 1, -1), shift, mean
+    return images.reshape(*lead, degree + 1, -1), shift.reshape(*lead, 1), mean.reshape(*lead, 1)
 
 
 def _powers(delta: np.ndarray, degree: int) -> np.ndarray:
@@ -384,35 +366,26 @@ def _powers(delta: np.ndarray, degree: int) -> np.ndarray:
     return p.T
 
 
-def _ramp_exponentials(h0: np.ndarray, d1: np.ndarray, scales: np.ndarray, step: float, degree: int | None, ends=None):
-    """exp(-i step (h0 + s diag(d1))) for the (n,) ``scales`` of one ramp chunk, without an eigensolver.
+def _ramp_exponentials(h0: np.ndarray, d1: np.ndarray, scales: np.ndarray, step: float, degree: int, ends=None):
+    """exp(-i step (h0 + s diag(d1))) for the (n,) ``scales`` of one polynomial ramp run, without an eigensolver.
 
     ``h0`` is a real symmetric (k, k) block and ``d1`` the diagonal of its h1.
     Returns u_s = exp(-i X_s), with X_s = step (h0 + s diag(d1) - mu_s I) and
     mu_s the mean of that diagonal, and the shifts mu (n,): each exponential
-    is exp(-i step mu_s) u_s.  ``scales`` are monotone.  With ``degree``
-    None the u_s are a complex (n, k, k) stack, one
-    ``_series_exponentials`` of each X_s.  Otherwise they are the
-    real (2k, 2k) images [[Re, -Im], [Im, Re]] of a polynomial of that degree
-    M in the scale, expanded about the scale interval ``ends`` (lo, hi),
-    by default the scales' own first and last.  With c and w its mid scale
-    and half-span, X_s = Xc + delta W, Xc = X at c, W = step w diag(d1 - mean d1)
-    and delta = (s - c) / w in [-1, 1], so u_s = sum_{m <= M} delta^m F_m up to a
-    remainder of at most sum_{m > M} ||W||^m / m!.  F_0 ... F_M are the first
-    block row of exp(-i N) (Van Loan, IEEE Trans. Autom. Control 23, 395
-    (1978)), N the block upper bidiagonal matrix of M + 1 blocks Xc on the
-    diagonal and W above it (``_ramp_coefficients``), and one product of the
-    Vandermonde matrix of the delta with the images of the F_m gives every
-    u_s.  The propagator forms that product in memory-capped slices instead
-    (``_run_product``); this form gives all of a chunk's u_s at once.  A
-    points axis may lead ``h0`` and ``d1``, and then leads the u_s and mu.
+    is exp(-i step mu_s) u_s.  The u_s are the real (2k, 2k) images
+    [[Re, -Im], [Im, Re]] of a polynomial of degree M in the scale, expanded
+    about the scale interval ``ends`` (lo, hi), by default the scales' own
+    first and last.  With c and w its mid scale and half-span,
+    X_s = Xc + delta W, Xc = X at c, W = step w diag(d1 - mean d1) and
+    delta = (s - c) / w in [-1, 1], so u_s = sum_{m <= M} delta^m F_m up to a
+    remainder of at most sum_{m > M} ||W||^m / m!, and one product of the
+    Vandermonde matrix of the delta with the images of the F_m
+    (``_ramp_coefficients``) gives every u_s.  The propagator forms that
+    product in memory-capped slices instead (``_run_product``); this form
+    gives all of a run's u_s at once.  A points axis may lead ``h0`` and
+    ``d1``, and then leads the u_s and mu.
     """
     k, lead = d1.shape[-1], d1.shape[:-1]
-    if degree is None:
-        a, b, shift, mean = _shifted(h0, d1, step)
-        x = np.repeat(a[..., None, :, :], len(scales), axis=-3)
-        x.reshape(*lead, len(scales), -1)[..., :: k + 1] += scales[:, None] * b[..., None, :]
-        return _series_exponentials(x, symmetric=True), shift + scales * mean
     ends = (scales[0], scales[-1]) if ends is None else ends
     images, shift, mean = _ramp_coefficients(h0, d1, ends, step, degree)
     return (_powers(_delta(scales, ends), degree) @ images).reshape(*lead, len(scales), 2 * k, -1), shift + scales * mean
@@ -447,44 +420,28 @@ def _degree(width: float) -> int:
 
 
 def _ramp_chunks(d1: np.ndarray, scales: np.ndarray, step: float, ends):
-    """One block's ``scales`` of a ramped segment from scale ends[0] to ends[1], cut into chunks: (scales, degree, interval).
+    """One block's ``scales`` of a ramped segment from scale ends[0] to ends[1], cut into polynomial runs: (scales, degree, interval).
 
     The segment is cut into scale intervals measured from its start: each
     is the widest with ||W||_max = step w max|d1 - mean d1| <= _THETA, w its
     half-span of scales, but the last, which ends at the segment's end.  The
     intervals so follow from the segment, the step and d1, not from where
     the samples fall, and the ramps of one point that share a step share
-    them.  Each takes the least degree M whose remainder bound is 2^-53 or
-    less over its whole width, and one ``searchsorted`` finds its samples.
-    The block exponential of size (M + 1) k costs about as much as
-    (M + 1)^3 of the exponentials taken one at a time, so an interval's
-    samples are a chunk of degree M, a polynomial run expanded about the
-    interval (lo, hi), only where they are more than (M + 1)^3, however
-    many that is.  The samples between such runs are taken one at a time,
-    in chunks of the most whose real (2k, 2k) images fit in _CHUNK_ENTRIES
-    entries (degree and interval None).  The cuts do not depend on how a run
-    is then multiplied (``_run_product``, in groups), which only makes runs
-    cheaper.
+    them.  Each interval that holds a sample is a run expanded about it
+    (lo, hi), of the least degree M whose remainder bound is 2^-53 or less
+    over its whole width, however few samples it holds; one
+    ``searchsorted`` finds its samples.  The cuts do not depend on how a
+    run is then multiplied (``_run_product``, in groups).
     """
     spread = float(step * np.abs(d1 - d1.mean()).max()) / 2
     total = spread * abs(ends[1] - ends[0])
     # ||W||_max from the segment's start to each interval's edge, and the samples' places among them
     count = max(1, math.ceil(total / _THETA))
     edges = [min(_THETA * j, total) for j in range(count + 1)]
-    cuts = np.searchsorted(spread * np.abs(scales - ends[0]), edges[1:-1], "right").tolist() if count > 1 else []
-    bounds, most = [0, *cuts, len(scales)], _most(len(d1))
-
-    def singles(lo, hi):
-        return ((scales[i : min(i + most, hi)], None, None) for i in range(lo, hi, most))
-
-    start = 0
-    for j in np.flatnonzero(np.diff(bounds) > 1) if count > 1 else [0]:
-        lo, hi, degree = bounds[j], bounds[j + 1], _degree(edges[j + 1] - edges[j])
-        if (degree + 1) ** 3 < hi - lo:
-            yield from singles(start, lo)
-            yield scales[lo:hi], degree, tuple(ends[0] + (ends[1] - ends[0]) * (edges[i] / total if total else i) for i in (j, j + 1))
-            start = hi
-    yield from singles(start, len(scales))
+    bounds = [0, *np.searchsorted(spread * np.abs(scales - ends[0]), edges[1:-1], "right").tolist(), len(scales)]
+    for j in np.flatnonzero(np.diff(bounds)).tolist():
+        run = tuple(ends[0] + (ends[1] - ends[0]) * (edges[i] / total if total else i) for i in (j, j + 1))
+        yield scales[bounds[j] : bounds[j + 1]], _degree(edges[j + 1] - edges[j]), run
 
 
 @functools.cache
@@ -495,7 +452,7 @@ def _binomials(size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cauchy(a: np.ndarray, b: np.ndarray, degree: int) -> np.ndarray:
-    """Coefficients 0 ... ``degree`` of A(c) B(c), from (..., p + 1, r, r) stacks of A's and B's, p <= degree, in one GEMM each.
+    """Coefficients 0 ... ``degree`` of A(c) B(c), from (..., p + 1, r, r) stacks of A's and B's, real or complex, p <= degree, in one GEMM each.
 
     Block (n, j) of the block-Toeplitz matrix is A_{n - j}, zero outside 0 ... p,
     so its product with B's coefficients stacked in a column is the column
@@ -504,10 +461,10 @@ def _cauchy(a: np.ndarray, b: np.ndarray, degree: int) -> np.ndarray:
     blocks before and degree - p after.
     """
     lead, p, r = a.shape[:-3], a.shape[-3] - 1, a.shape[-1]
-    padded = np.zeros(lead + (degree + p + 1, r, r))
+    padded = np.zeros(lead + (degree + p + 1, r, r), dtype=a.dtype)
     padded[..., p : 2 * p + 1, :, :] = a
     *outer, block, row, col = padded.strides
-    toeplitz = np.ndarray((*lead, degree + 1, r, p + 1, r), float, padded, p * block, (*outer, block, row, -block, col))
+    toeplitz = np.ndarray((*lead, degree + 1, r, p + 1, r), a.dtype, padded, p * block, (*outer, block, row, -block, col))
     toeplitz = toeplitz.reshape(*lead, (degree + 1) * r, -1)
     return np.matmul(toeplitz, b.reshape(*lead, -1, r)).reshape(*lead, degree + 1, r, r)
 
@@ -523,9 +480,8 @@ def _group_degrees(n: int, width: float, degree: int) -> list[int]:
     doubling is taken while
     * it saves more products than it costs;
     * its Toeplitz matrix, (D_l + 1)(D_(l - 1) + 1)(2k)^2 entries, is at most
-      ten of the block exponential's ((M + 1) k)^2, about what the
-      exponential itself holds, so the doublings take no more memory than
-      the coefficients did;
+      ten times ((M + 1) k)^2, so the doublings hold a few times what the
+      coefficient series does (``_ramp_coefficients``);
     * 2^l width <= 1, where a group's coefficients sum to at most e in norm
       and D_l is at most 18.
     At the default dt that gives g = 8 for a 5 ns ramp of the fig3b pair or
@@ -607,16 +563,15 @@ def _cf4_scales(seg: ScheduleSegment, dt: float) -> tuple[np.ndarray, float]:
 
 
 def _ramp_plans(d1: np.ndarray, segs: list[int], grids):
-    """The points of one block grouped by ramp plan: (indices, step, [(chunk, degree, group degrees, interval), ...]).
+    """The points of one block grouped by ramp plan: (indices, step, [(scales, degree, group degrees, interval), ...]), one entry per polynomial run.
 
     ``d1`` (P, k) holds each point's diagonal of h1, ``segs`` the index of
     each point's ramped segment in ``grids``, and ``grids`` the scales and
     step of each segment (``_cf4_scales``) and its (start, end) scales.  A point's
-    chunks, degrees and intervals (``_ramp_chunks``) and each polynomial
-    run's group degrees (``_group_degrees``, () for a chunk of degree None)
-    follow from its segment and d1, so they are found once per distinct
-    pair, and points with one segment whose chunks, degrees, group degrees
-    and intervals all agree share a plan.
+    runs, degrees and intervals (``_ramp_chunks``) and each run's group
+    degrees (``_group_degrees``) follow from its segment and d1, so they are
+    found once per distinct pair, and points with one segment whose runs,
+    degrees, group degrees and intervals all agree share a plan.
     """
     plans, found = {}, {}
     for point, (b, seg) in enumerate(zip(d1, segs)):
@@ -624,7 +579,7 @@ def _ramp_plans(d1: np.ndarray, segs: list[int], grids):
             scales, step, ends = grids[seg]
             spread = step * np.abs(b - b.mean()).max() / 2
             chunks = [
-                (chunk, degree, () if run is None else tuple(_group_degrees(len(chunk), spread * abs(run[1] - run[0]), degree)), run)
+                (chunk, degree, tuple(_group_degrees(len(chunk), spread * abs(run[1] - run[0]), degree)), run)
                 for chunk, degree, run in _ramp_chunks(b, scales, step, ends)
             ]
             found[key] = (seg, *((len(chunk), *rest) for chunk, *rest in chunks)), (step, chunks)
@@ -644,21 +599,21 @@ def _ramp_propagator(parts: list[tuple[np.ndarray, np.ndarray]], segs, dt: float
     degree alone, so the points of one plan or of several, such as a ramp
     study's durations at one coupling, share them: they are formed once per
     distinct (h0, d1) by value and distinct (step, interval, degree), as one
-    ``_ramp_coefficients`` per such run, its points in sub-stacks whose block
-    matrices, ((M + 1) k)^2 entries each, fit _CHUNK_ENTRIES.  The distinct
-    points go in batches whose images, at most 9 (2k)^2 entries per point
-    and run, fit it too, and the runs are formed and held one batch at a
-    time.  A plan's points go in sub-stacks within _CHUNK_ENTRIES entries,
-    each point counted at the larger of its longest slice of images,
-    min(_most(k), slice) (2k)^2, and its block matrix over its chunks.  A
-    sub-stack's chunks are multiplied in time order, all its points at
-    once: a chunk of degree None takes one ``_ramp_exponentials`` and a
-    product tree; a polynomial run takes its points' images and one
-    ``_run_product``, which multiplies it in groups of 2^L exponentials,
-    each group one polynomial, in memory-capped slices.  Every point so takes the arithmetic of a stack of
-    one, batched.  The scalar phases exp(-i step mu_s) of a chunk's
-    exponentials commute with everything, so they are applied once per
-    chunk, as exp(-i step sum(mu_s)), to the chunk's complex product.
+    ``_ramp_coefficients`` per such run, its points in sub-stacks whose
+    squaring Toeplitz matrices, ((M + 1) k)^2 complex entries each, fit
+    _CHUNK_ENTRIES.  The distinct points go in batches whose images, at most
+    9 (2k)^2 entries per point and run, fit it too, and the runs are formed
+    and held one batch at a time.  A plan's points go in sub-stacks within
+    _CHUNK_ENTRIES entries, each point counted at the larger of its longest
+    slice of images, min(_most(k), slice) (2k)^2, and ((M + 1) k)^2 over its
+    runs.  A sub-stack's runs are multiplied in time order, all its points
+    at once, each run from its points' images by one ``_run_product``, which
+    multiplies it in groups of 2^L exponentials, each group one polynomial,
+    in memory-capped slices.  Every point so takes the arithmetic of a stack
+    of one, batched.  The scalar phases exp(-i step mu_s) of a run's
+    exponentials commute with everything, so they are applied once per run
+    to its complex product, as exp(-i step sum(mu_s)) with
+    sum(mu_s) = n shift + mean sum(s) over its n scales s.
     """
     index = {}  # each distinct segment, numbered in order of first use
     which = [index.setdefault(seg, len(index)) for seg in segs]
@@ -671,7 +626,7 @@ def _ramp_propagator(parts: list[tuple[np.ndarray, np.ndarray]], segs, dt: float
         same, runs = {}, {}
         first = [same.setdefault((a.tobytes(), b.tobytes()), point) for point, (a, b) in enumerate(zip(h0, d1))]
         for points, step, chunks in plans:
-            keys = dict.fromkeys((step, run, degree) for _, degree, _, run in chunks if run is not None)
+            keys = dict.fromkeys((step, run, degree) for _, degree, _, run in chunks)
             for point in points:
                 runs.setdefault(first[point], {}).update(keys)
         # the distinct points in batches whose images, (M + 1)(2k)^2 <= 9 (2k)^2 entries a run, fit _CHUNK_ENTRIES
@@ -690,22 +645,18 @@ def _ramp_propagator(parts: list[tuple[np.ndarray, np.ndarray]], segs, dt: float
                 coeffs[step, run, degree] = rows, *(np.concatenate(x) if len(x) > 1 else x[0] for x in zip(*stacks))
             for points, step, chunks in plans:
                 points = [point for point in points if first[point] in batch]
-                # the longest slice of anchors or leftovers (every exponential, for degree None)
+                # the longest slice of anchors or leftovers
                 slices = [min(_most(k), max(divmod(len(chunk), 1 << len(degrees)))) for chunk, _, degrees, _ in chunks]
-                entries = max(max(n * (2 * k) ** 2, (((d or 0) + 1) * k) ** 2) for n, (_, d, _, _) in zip(slices, chunks))
-                size = max(1, _CHUNK_ENTRIES // entries)
+                size = max(1, _CHUNK_ENTRIES // max(max(n * (2 * k) ** 2, ((d + 1) * k) ** 2) for n, (_, d, _, _) in zip(slices, chunks)))
+                # each run's deltas, and its count and sum of scales, which give the sum of its shifts
+                sums = [(_delta(chunk, run), len(chunk), chunk.sum()) for chunk, _, _, run in chunks]
                 for lo in range(0, len(points), size):
                     at, v = points[lo : lo + size], np.eye(k)
-                    for chunk, degree, degrees, run in chunks:
-                        if run is None:
-                            x, mu = _ramp_exponentials(h0[at], d1[at], chunk, step, None)
-                            p = _product_in_order(x)
-                        else:
-                            rows, images, shift, mean = coeffs[step, run, degree]
-                            at_rows = np.array([rows[first[point]] for point in at])
-                            p = _run_product(images[at_rows], _delta(chunk, run), k, degrees)
-                            mu = shift[at_rows] + chunk * mean[at_rows]
-                        v = np.exp(-1j * step * mu.sum(axis=-1))[:, None, None] * p @ v
+                    for (_, degree, degrees, run), (delta, n, total) in zip(chunks, sums):
+                        rows, images, shift, mean = coeffs[step, run, degree]
+                        at_rows = np.array([rows[first[point]] for point in at])
+                        phase = np.exp(-1j * step * (n * shift[at_rows] + total * mean[at_rows]))
+                        v = phase[:, :, None] * _run_product(images[at_rows], delta, k, degrees) @ v
                     u[at] = v
         us.append(u)
     return us

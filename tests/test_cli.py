@@ -655,6 +655,29 @@ class TestCliEntry:
         assert json.loads(capsys.readouterr().err) == {"kind": "config", "error": message}
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {**RAMP_CONFIG, "system": EFFECTIVE_CONFIG["system"]},
+            {**RAMP_CONFIG, "gate": "iswap"},
+            {**RAMP_CONFIG, "axes": [{**RAMP_CONFIG["axes"][0], "n_points": 4}]},
+        ],
+        ids=["indirect-system", "iswap", "four-points"],
+    )
+    def test_a_ramp_config_that_cannot_run_is_a_config_error(self, tmp_path, capsys, config):
+        # ramp studies take directly coupled CZ systems, and each curve's cubic detrend 5 points:
+        # the run is refused before it starts, and writes nothing
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "kind": "config",
+            "error": "mode 'ramp' needs a direct system, gate 'cz' and an axis of at least 5 points",
+        }
+        assert not (tmp_path / "o").exists()
+
     def test_unwritable_output_is_io_error(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(GATE_CONFIG))

@@ -279,12 +279,14 @@ class TestParitySplit:
 
     @pytest.mark.parametrize("spoiled", [0, 1], ids=["even", "odd"])
     def test_unitarity_check_covers_every_ramp_block(self, spoiled, monkeypatch):
-        # ramp exponentials 1e-6 too long in one block only: the defect must see it
-        spoil_ramp_block(SPLIT_SPECS["cavity-3"], 0.5, spoiled, False, monkeypatch)
+        # ramp exponentials 1e-6 too long in one block only: the defect must see it.  A 0.5 ns ramp
+        # of the 45-level system is one run of 100 exponentials per block, multiplied one at a time
+        assert spoil_ramp_block(SPLIT_SPECS["cavity-3"], 0.5, spoiled, monkeypatch) == {0}
 
     @pytest.mark.parametrize("spoiled", [0, 1], ids=["even", "odd"])
     def test_unitarity_check_covers_every_polynomial_ramp_block(self, spoiled, monkeypatch):
-        spoil_ramp_block(SPLIT_SPECS["direct-3"], 5.0, spoiled, True, monkeypatch)
+        # a 5 ns ramp of a 9-level pair: one run of 1,000 exponentials per block, multiplied in groups
+        assert 0 not in spoil_ramp_block(SPLIT_SPECS["direct-3"], 5.0, spoiled, monkeypatch)
 
     def test_an_arbitrary_hermitian_matrix_is_one_block(self):
         # a complex matrix that couples every state to every other
@@ -295,32 +297,24 @@ class TestParitySplit:
         assert np.max(np.abs(res.unitary - scipy.linalg.expm(-0.4j * h))) < 1e-12
 
 
-def spoil_ramp_block(spec, duration: float, spoiled: int, polynomial: bool, monkeypatch):
+def spoil_ramp_block(spec, duration: float, spoiled: int, monkeypatch) -> set[int]:
     """Spoil one block's ramp exponentials by 1 + 1e-6 and expect ``UnitarityError``.
 
-    Exponentials taken one at a time are spoiled where ``_ramp_exponentials``
-    returns them, and a polynomial run's in its coefficients, where
-    ``_ramp_coefficients`` returns them, before its groups are built from
-    them.  ``polynomial`` says whether every chunk of the ramp-only segment
-    from scale 1.1 to 1 is a polynomial run or none is.
+    Every ramp chunk is a polynomial run, so the exponentials are spoiled in
+    the run's coefficients, where ``_ramp_coefficients`` returns them,
+    before its groups are built from them.  The segment is ramp-only, from
+    scale 1.1 to 1.  Returns the doublings L of the runs' groups of 2^L.
     """
     size = len(parity_blocks(spec)[spoiled])
     calls = []
-
-    ramp_exponentials, ramp_coefficients = evolution._ramp_exponentials, evolution._ramp_coefficients
+    ramp_coefficients = evolution._ramp_coefficients
     factor = {size: 1 + 1e-6}
-
-    def spoiled_exponentials(h0, d1, scales, step, degree):
-        u, mu = ramp_exponentials(h0, d1, scales, step, degree)
-        calls.append((h0.shape[-1], False))
-        return u * factor.get(h0.shape[-1], 1.0), mu
 
     def spoiled_coefficients(h0, d1, ends, step, degree):
         images, *means = ramp_coefficients(h0, d1, ends, step, degree)
-        calls.append((h0.shape[-1], True))
+        calls.append(h0.shape[-1])
         return images * factor.get(h0.shape[-1], 1.0), *means
 
-    monkeypatch.setattr(evolution, "_ramp_exponentials", spoiled_exponentials)
     monkeypatch.setattr(evolution, "_ramp_coefficients", spoiled_coefficients)
     grouped = evolution._grouped
     groups = []
@@ -332,11 +326,10 @@ def spoil_ramp_block(spec, duration: float, spoiled: int, polynomial: bool, monk
     monkeypatch.setattr(evolution, "_grouped", recording_grouped)
     with pytest.raises(UnitarityError):
         propagate_schedule(spec, PulseSchedule((ScheduleSegment(duration, 1.1, 1.0),)))
-    assert {k for k, _ in calls} == {len(ix) for ix in parity_blocks(spec)}
-    assert {kind for _, kind in calls} == {polynomial}
-    # every polynomial run is multiplied in groups of at least two, built from the spoiled coefficients
-    assert {k for k, _ in groups} == ({len(ix) for ix in parity_blocks(spec)} if polynomial else set())
-    assert all(levels > 0 for _, levels in groups)
+    assert set(calls) == {len(ix) for ix in parity_blocks(spec)}
+    # every run is multiplied from the spoiled coefficients
+    assert {k for k, _ in groups} == set(calls)
+    return {levels for _, levels in groups}
 
 
 def _shifted_norm(h: np.ndarray) -> float:
@@ -347,7 +340,7 @@ def _shifted_norm(h: np.ndarray) -> float:
 
 @pytest.fixture
 def chunk_sizes(monkeypatch):
-    """(block size, exponentials, degree or None) of each ramp chunk cut during the test."""
+    """(block size, exponentials, degree) of each ramp run cut during the test."""
     sizes = []
     ramp_chunks = evolution._ramp_chunks
 
@@ -380,27 +373,36 @@ def _least_degree(w: float) -> int:
 
 
 class TestRampExponentials:
-    """Ramp chunks are exponentiated by a real Taylor series, each exponential
-    on its own or as a polynomial in the scale; both must agree with the eigensolver."""
+    """Ramp chunks are polynomial runs in the scale, whose coefficients are a Taylor series
+    on the coefficients; their exponentials must agree with the eigensolver."""
 
     @staticmethod
     def exponentials(h0, d1, chunks, step):
-        # each (scales, degree) chunk through the kernel, back to complex with its phases
+        # each (scales, degree, interval) run through the kernel, back to complex with its phases
         k, us = len(d1), []
         for scales, degree, ends in chunks:
             u, mu = evolution._ramp_exponentials(h0, d1, scales, step, degree, ends)
-            if degree is not None:
-                u = u[:, :k, :k] + 1j * u[:, k:, :k]
-            us.append(u * np.exp(-1j * step * mu)[:, None, None])
+            us.append((u[:, :k, :k] + 1j * u[:, k:, :k]) * np.exp(-1j * step * mu)[:, None, None])
         return np.concatenate(us)
+
+    @staticmethod
+    def one_at_a_time(h0, d1, scales, step):
+        # each exponential as a run of degree 0 about its own scale, the scales a points axis:
+        # h0 + s diag(d1) over the interval (0, 0), each point at its own scaling power
+        k, h = len(d1), h0 + scales[:, None, None] * np.diag(d1)
+        images, shift, _ = evolution._ramp_coefficients(h, np.broadcast_to(d1, (len(scales), k)), (0.0, 0.0), step, 0)
+        u = images.reshape(-1, 2 * k, 2 * k)
+        return (u[:, :k, :k] + 1j * u[:, k:, :k]) * np.exp(-1j * step * shift)[:, :, None]
 
     @classmethod
     def cuts(cls, h0, d1, scales, step):
-        # the chunks the propagator cuts from a segment over the scales' span, every exponential
-        # on its own, and, where ||W||_max <= theta, the whole stack as one polynomial of the least degree
+        # the exponentials of the runs the propagator cuts from a segment over the scales' span, of
+        # each exponential on its own, and, where ||W||_max <= theta, of the whole stack as one
+        # polynomial of the least degree
         w = step * np.ptp(scales) / 2 * np.abs(d1 - d1.mean()).max()
-        cuts = [list(evolution._ramp_chunks(d1, scales, step, (scales[0], scales[-1]))), [(scales, None, None)]]
-        return cuts + ([[(scales, _least_degree(w), None)]] if w <= evolution._THETA else [])
+        runs = [list(evolution._ramp_chunks(d1, scales, step, (scales[0], scales[-1])))]
+        runs += [[(scales, _least_degree(w), None)]] if w <= evolution._THETA else []
+        return [cls.exponentials(h0, d1, chunks, step) for chunks in runs] + [cls.one_at_a_time(h0, d1, scales, step)]
 
     @classmethod
     def assert_matches_eigh(cls, h0, d1, scales, step):
@@ -408,8 +410,8 @@ class TestRampExponentials:
         h = h0 + scales[:, None, None] * np.diag(d1)
         (ref,) = evolution._exponentials([h], step)
         bound = 1e-13 * max(1.0, step * _shifted_norm(h))
-        for chunks in cls.cuts(h0, d1, scales, step):
-            assert np.max(np.abs(cls.exponentials(h0, d1, chunks, step) - ref)) <= bound
+        for u in cls.cuts(h0, d1, scales, step):
+            assert np.max(np.abs(u - ref)) <= bound
 
     @pytest.mark.parametrize("norm", [1e-3, 0.5, 1.0, 3.0, 40.0, 300.0])
     def test_random_symmetric_stacks_match_eigh(self, norm):
@@ -432,19 +434,19 @@ class TestRampExponentials:
         cuts = self.cuts(h0, d1, scales, step)
         # at norm 300 the five scales span ||W||_max > theta: no one-polynomial cut
         assert len(cuts) == (2 if norm > 1 else 3)
-        for chunks in cuts:
-            u = self.exponentials(h0, d1, chunks, step)
+        for u in cuts:
             assert not (u * (1 - np.eye(6))).any()
         self.assert_matches_eigh(h0, d1, scales, step)
 
-    def test_one_scaling_power_covers_a_stack(self):
-        # a 30-level block takes its exponentials one at a time; the last has 100 times the norm of the first
+    def test_runs_a_hundred_times_apart_in_norm_match_eigh(self):
+        # a 30-level block whose six scales, at step 1, lie thousands of theta apart: each is a run
+        # of its own; the last exponential has 100 times the norm of the first
         rng = np.random.default_rng(3)
         a = rng.normal(size=(30, 30))
         h0, d1 = a + a.T, 50 * rng.normal(size=30)
         scales = np.linspace(0.1, 10.0, 6)
-        ((chunk, degree, run),) = evolution._ramp_chunks(d1, scales, 1.0, (0.1, 10.0))
-        assert degree is None and run is None and np.array_equal(chunk, scales)
+        chunks = list(evolution._ramp_chunks(d1, scales, 1.0, (0.1, 10.0)))
+        assert [chunk.tolist() for chunk, _, _ in chunks] == [[s] for s in scales.tolist()]
         self.assert_matches_eigh(h0, d1, scales, 40.0 / _shifted_norm((h0 + 10.0 * np.diag(d1))[None]))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 11])
@@ -462,9 +464,6 @@ class TestRampExponentials:
         assert np.shares_memory(p, work)
 
     def test_zero_stack_gives_identity(self):
-        u, mu = evolution._ramp_exponentials(np.zeros((4, 4)), np.zeros(4), np.ones(3), 0.7, None)
-        assert np.array_equal(u, np.broadcast_to(np.eye(4), (3, 4, 4)))
-        assert not mu.any()
         u, mu = evolution._ramp_exponentials(np.zeros((4, 4)), np.zeros(4), np.ones(3), 0.7, 0)
         assert np.array_equal(u, np.broadcast_to(np.eye(8), (3, 8, 8)))
         assert not mu.any()
@@ -483,29 +482,29 @@ class TestRampExponentials:
         ((chunk, degree, run),) = evolution._ramp_chunks(d1, scales, step, (scales[0], scales[-1]))
         assert np.array_equal(chunk, scales) and degree == (0 if k == 1 else 8) and run == (scales[0], scales[-1])
         self.assert_matches_eigh(h0, d1, scales, step)
-        # 1 % wider: the widest interval within theta, then the rest on its own
+        # 1 % wider: the widest interval within theta, then the 2 % left over, a run of degree 4
         wider = np.linspace(1.0 - 1.01 * half, 1.0 + 1.01 * half, n)
         chunks = list(evolution._ramp_chunks(d1, wider, step, (wider[0], wider[-1])))
-        assert [degree for _, degree, _ in chunks] == ([0] if k == 1 else [8, None])
+        assert [degree for _, degree, _ in chunks] == ([0] if k == 1 else [8, 4])
+        assert _least_degree(0.02 * evolution._THETA) == 4
         self.assert_matches_eigh(h0, d1, wider, step)
 
-    @pytest.mark.parametrize("w, degree", [(1e-4, 3), (1e-3, None)])
-    def test_a_chunk_is_a_polynomial_where_it_holds_more_than_degree_plus_one_cubed(self, w, degree):
-        # 100 exponentials: degree 3 (64 < 100) pays for its block exponential, degree 4 (125) does not
+    @pytest.mark.parametrize("w, n, degree", [(1e-4, 100, 3), (1e-3, 100, 4), (1e-3, 2, 4)])
+    def test_an_interval_is_one_run_of_its_least_degree_however_few_exponentials_it_holds(self, w, n, degree):
         assert _least_degree(1e-4) == 3 and _least_degree(1e-3) == 4
         rng = np.random.default_rng(9)
         a = rng.normal(size=(5, 5))
         h0, d1 = a + a.T, rng.normal(size=5)
         step = 0.05
         half = w / (step * np.abs(d1 - d1.mean()).max())
-        scales = np.linspace(1.0 + half, 1.0 - half, 100)
+        scales = np.linspace(1.0 + half, 1.0 - half, n)
         ((chunk, got, _),) = evolution._ramp_chunks(d1, scales, step, (scales[0], scales[-1]))
-        assert len(chunk) == 100 and got == degree
+        assert len(chunk) == n and got == degree
         self.assert_matches_eigh(h0, d1, scales, step)
 
     @pytest.mark.parametrize("levels", [3, 5], ids=["45-level", "125-level"])
     def test_cavity_chunks_stay_within_the_entry_cap(self, levels, chunk_sizes, tree_inputs):
-        # the cap binds the chunks taken one exponential at a time and the slices of a polynomial run
+        # the cap binds the slices of each polynomial run
         spec = IndirectSystemSpec(QubitSpec(8.2, 0.2, levels), QubitSpec(8.45, 0.25, levels), 6.9, 0.199)
         seg = ScheduleSegment(0.5 if levels == 5 else 2.0, 1.1, 1.0)
         assert propagate_schedule(spec, PulseSchedule((seg,))).unitarity_defect < 1e-12
@@ -519,13 +518,10 @@ class TestRampExponentials:
             # every stack the product tree takes is full but the last of its block
             sizes = [n for n, size, _ in tree_inputs if size in (k, 2 * k)]
             assert sizes[:-1] == [cap] * (len(sizes) - 1) and 0 < sizes[-1] <= cap
-            if levels == 3:
-                # 400 exponentials within theta pay for a block exponential of degree 6:
-                # one polynomial run per block, taken in real slices
-                assert chunks == [(400, 6)] and {(size, real) for _, size, real in tree_inputs} >= {(2 * k, True)}
-            else:
-                # 100 exponentials do not pay for one: each is taken on its own, in capped chunks
-                assert [n for n, _ in chunks] == sizes and {degree for _, degree in chunks} == {None}
+            # the segment is within theta: one polynomial run per block, of degree 6 for the 2 ns ramp
+            # and 7 for the 0.5 ns one, whose step is larger, taken in real slices
+            assert chunks == ([(400, 6)] if levels == 3 else [(100, 7)])
+            assert {(size, real) for _, size, real in tree_inputs if size in (k, 2 * k)} == {(2 * k, True)}
 
     def test_polynomial_slices_stay_within_the_entry_cap(self, monkeypatch, tree_inputs):
         # a 5 ns fig3b ramp is one polynomial run per block, multiplied as 125 groups of
@@ -551,7 +547,7 @@ class TestRampExponentials:
         # through one 5 ns ramp: one polynomial run per block of 125 anchors of 8 exponentials.
         # Under a cap of 25,000 entries a point counts 125 (2k)^2, so sub-stacks hold 2 points
         # of the 5-level block and 3 of the 4-level one; each tree input stays within the cap.
-        # The block exponentials, ((6 + 1) k)^2 entries each, take all five points in one stack
+        # The coefficients, counted at ((6 + 1) k)^2 entries each, take all five points in one stack
         system = parse_config(presets.figure_config("fig3b")).base.system
         specs = [replace(system, g=g) for g in (0.02, 0.03, 0.04, 0.05)]
         specs.append(replace(system, qubit_b=replace(system.qubit_b, freq=system.qubit_b.freq + 0.05)))
@@ -594,13 +590,13 @@ class TestRampExponentials:
     def test_ramps_of_one_point_share_its_coefficients_and_equal_each_ramp_alone(self, cap, ramps, stacks, monkeypatch):
         # two fig3b couplings, each ramped over the given durations, and the first again over the
         # first: every ramp is one run of degree 6 over the whole segment, so each distinct point and
-        # step takes one block exponential, and each propagator is that of its ramp alone, bit for bit.
+        # step takes one coefficient series, and each propagator is that of its ramp alone, bit for bit.
         # 5, 10 and 20 ns ramps have the step 0.005: one stack per block of the two distinct points.
-        # Under a cap of 1,000 entries each block exponential, (7 k)^2 entries, is a stack of its own.
-        # A 5.003 ns ramp has its own step, so a point holds two runs' images, counted at 9 (2k)^2
-        # entries each: under a cap of 2,500 the 5-level block's points (1,800 entries) go in batches
-        # of one, though a stack of block exponentials would hold two, and the 4-level block's
-        # (1,152) in one batch
+        # Under a cap of 1,000 entries each point's coefficients, counted at (7 k)^2 entries, are a
+        # stack of their own.  A 5.003 ns ramp has its own step, so a point holds two runs' images,
+        # counted at 9 (2k)^2 entries each: under a cap of 2,500 the 5-level block's points (1,800
+        # entries) go in batches of one, though a coefficient stack would hold two, and the 4-level
+        # block's (1,152) in one batch
         system = parse_config(presets.figure_config("fig3b")).base.system
         specs = [replace(system, g=g) for g in (0.02, 0.03)]
         points = [(i, tau) for tau in ramps for i in (0, 1)] + [(0, ramps[0])]
@@ -628,12 +624,19 @@ class TestRampExponentials:
     def test_short_ramps_match_a_cf4_product_of_expm(self, figure, dt):
         assert_matches_cf4_expm(figure, 1.0, dt)
 
-    def test_a_ramp_cut_into_both_kinds_of_chunk_matches_a_cf4_product_of_expm(self, chunk_sizes):
+    @pytest.mark.parametrize("levels", [3, 4], ids=["45-level", "80-level"])
+    def test_short_cavity_ramps_match_a_cf4_product_of_expm(self, levels, chunk_sizes):
+        # 1 ns at the default dt: 200 exponentials per block, one run of degree 6 or 7 each
+        spec = IndirectSystemSpec(QubitSpec(8.2, 0.2, levels), QubitSpec(8.45, 0.25, levels), 6.9, 0.199)
+        assert_matches_cf4_expm(spec, 1.0, DEFAULT_DT)
+        assert [n for _, n, _ in chunk_sizes] == [200, 200]
+
+    def test_a_ramp_cut_into_two_runs_matches_a_cf4_product_of_expm(self, chunk_sizes):
         assert_matches_cf4_expm("fig3b", 30.0, 0.06)
         # 1,000 exponentials per block on a segment of ||W||_max = 1.097 theta: the first
         # interval, theta wide from the segment's start, holds 911 of them, a run of degree 8,
-        # and the 89 of the second do not pay for a block exponential, so they are taken one at a time
-        assert chunk_sizes == [(5, 911, 8), (5, 89, None), (4, 911, 8), (4, 89, None)]
+        # and the second, 0.097 theta wide, the other 89, a run of degree 6
+        assert chunk_sizes == [(5, 911, 8), (5, 89, 6), (4, 911, 8), (4, 89, 6)]
 
     def test_a_long_ramp_matches_a_cf4_product_of_expm(self, chunk_sizes):
         # one polynomial reused for 8,000 exponentials per block: round-off may add
@@ -673,31 +676,76 @@ class TestGroupedRuns:
 
     @pytest.mark.parametrize("system", ["fig3b", "cavity-3"])
     def test_run_coefficients_equal_the_eye_diag_and_block_formulas(self, system):
-        # the images are written in place; they must be bitwise those of the formulas they replace.
-        # They are expanded about the segment's interval, here all of it, from scale 1.1 to 1
+        # the images are written in place; they must be bitwise those of the formulas they replace:
+        # the series of Xc + delta W scaled by 2^-q, with q the least that takes
+        # ||Xc||_1 + ||W||_max below 1 and the term count from what is left, laid out as
+        # [[Re, -Im], [Im, Re]].  They are expanded about the
+        # segment's interval, here all of it, from scale 1.1 to 1
         spec = _system(system)
         scales, step = _ramp_down(5.0)
         ends = (1.1, 1.0)
         for h0, d1 in _ramp_blocks(spec):
             k, degree = len(d1), 6
             shift = np.mean(np.diagonal(h0))
-            a, b = step * (h0 - shift * np.eye(k)), step * np.diag(d1 - d1.mean())
+            a, b = step * (h0 - shift * np.eye(k)), step * (d1 - d1.mean())
             mid, half = (1.1 + 1.0) / 2, (1.1 - 1.0) / 2
-            n_mat, m = np.zeros((degree + 1, k, degree + 1, k)), np.arange(degree + 1)
-            n_mat[m, :, m], n_mat[m[:-1], :, m[1:]] = a + mid * b, half * b
-            n_mat = n_mat.reshape((degree + 1) * k, -1)
-            f = evolution._series_exponentials(n_mat[None], symmetric=False)[0, :k]
-            f = f.reshape(k, degree + 1, k).swapaxes(0, 1)
+            xc = a + mid * np.diag(b)
+            norm = np.abs(xc).sum(axis=0).max() + np.abs(half * b).max()
+            q = max(0, math.frexp(norm)[1])
+            (f,) = evolution._taylor(xc[None], half * b[None], q, evolution._degree(norm / 2**q), degree)
             images, shift_, mean = evolution._ramp_coefficients(h0, d1, ends, step, degree)
             assert shift_ == shift and mean == d1.mean()
             assert evolution._expansion(ends) == (mid, half)
             assert np.array_equal(images, np.block([[f.real, -f.imag], [f.imag, f.real]]).reshape(degree + 1, -1))
             assert np.array_equal(evolution._delta(scales, ends), (scales - mid) / half)
-            # and the exponentials taken one at a time, with their shifts
-            u, mu = evolution._ramp_exponentials(h0, d1, scales[:7], step, None)
-            x = a + scales[:7, None, None] * b
-            assert np.array_equal(u, evolution._series_exponentials(x, symmetric=True))
+            # and the exponentials' shifts
+            _, mu = evolution._ramp_exponentials(h0, d1, scales[:7], step, degree, ends)
             assert np.array_equal(mu, shift + scales[:7] * d1.mean())
+
+    @pytest.mark.parametrize("step", [0.005, 0.02])
+    @pytest.mark.parametrize("system", ["fig3b", "cavity-3", "cavity-5"])
+    def test_run_coefficients_are_the_first_block_row_of_the_block_exponential(self, system, step):
+        # F_0 ... F_M are the first block row of exp(-i N), N the block upper bidiagonal matrix of
+        # M + 1 blocks Xc on the diagonal and W above it (Van Loan), at k = 5 and 4, 23 and 22,
+        # 63 and 62; the larger step takes ||N||_1 to 1-6, so up to q = 3 squarings.  Within 8 unit
+        # round-offs of 2^-52 times max(1, ||N||_1)
+        for h0, d1 in _ramp_blocks(_system(system)):
+            k = len(d1)
+            degree = evolution._degree(step * np.abs(d1 - d1.mean()).max() * 0.05)
+            shift = np.mean(np.diagonal(h0))
+            a, b = step * (h0 - shift * np.eye(k)), step * np.diag(d1 - d1.mean())
+            n_mat, m = np.zeros((degree + 1, k, degree + 1, k)), np.arange(degree + 1)
+            n_mat[m, :, m], n_mat[m[:-1], :, m[1:]] = a + 1.05 * b, 0.05 * b
+            n_mat = n_mat.reshape((degree + 1) * k, -1)
+            f = scipy.linalg.expm(-1j * n_mat)[:k].reshape(k, degree + 1, k).swapaxes(0, 1)
+            ref = np.block([[f.real, -f.imag], [f.imag, f.real]]).reshape(degree + 1, -1)
+            images, _, _ = evolution._ramp_coefficients(h0, d1, (1.1, 1.0), step, degree)
+            norm = np.abs(n_mat).sum(axis=0).max()
+            assert np.max(np.abs(images - ref)) <= 8 * 2.0**-52 * max(1.0, norm)
+
+    def test_stacked_coefficients_of_different_scaling_powers_equal_each_point_alone(self, monkeypatch):
+        # six 6-level points whose ||N||_1 spans two orders of magnitude take four scaling powers
+        # and five (q, term count) pairs, the first two points sharing one; the stack groups them by
+        # both, so each point's images are bit for bit those of the point alone
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(6, 6, 6))
+        a[1] = a[0]
+        h0 = (a + a.transpose(0, 2, 1)) * np.array([0.1, 0.1001, 0.3, 1.0, 3.0, 10.0])[:, None, None]
+        d1 = rng.normal(size=(6, 6))
+        ends, step, degree = (1.1, 1.0), 0.1, 4
+        alone = [evolution._ramp_coefficients(h0[[p]], d1[[p]], ends, step, degree) for p in range(6)]
+        calls, taylor = [], evolution._taylor
+
+        def recording_taylor(xc, w, q, terms, degree):
+            calls.append((len(xc), q, terms))
+            return taylor(xc, w, q, terms, degree)
+
+        monkeypatch.setattr(evolution, "_taylor", recording_taylor)
+        stacked = evolution._ramp_coefficients(h0, d1, ends, step, degree)
+        assert sorted(calls) == [(1, 0, 13), (1, 1, 15), (1, 2, 16), (1, 4, 17), (2, 0, 11)]
+        for p, point in enumerate(alone):
+            for x, y in zip(stacked, point):
+                assert np.array_equal(x[p], y[0])
 
     @pytest.mark.parametrize(
         "system, duration, groups",
@@ -763,10 +811,10 @@ class TestGroupedRuns:
             assert np.max(np.abs(values[0] - values[1])) <= g * 2.0**-53
 
 
-def assert_matches_cf4_expm(figure: str, duration: float, dt: float, bound: float = 1e-12):
-    """A ramp-only segment from scale 1.1 to 1 against a CF4 product of ``scipy.linalg.expm``."""
+def assert_matches_cf4_expm(system, duration: float, dt: float, bound: float = 1e-12):
+    """A ramp-only segment from scale 1.1 to 1 of ``system``, or of a figure preset's, against a CF4 product of ``scipy.linalg.expm``."""
     # two half-step exponentials per step, H frozen at 1/6 and 5/6 of it
-    system = parse_config(presets.figure_config(figure)).base.system
+    system = _system(system) if isinstance(system, str) else system
     direct = isinstance(system, DirectSystemSpec)
     build = build_direct_hamiltonian if direct else build_indirect_hamiltonian
     seg = ScheduleSegment(duration, 1.1, 1.0)

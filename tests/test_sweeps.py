@@ -564,8 +564,8 @@ class TestBatching:
         monkeypatch.setattr(evolution, "_ramp_chunks", recording_chunks)
         rows = sweep(base, axes).rows
         if case == "cavity-1ns":
-            # 200 exponentials per block do not pay for a block exponential
-            assert degrees and set(degrees) == {None}
+            # 200 exponentials per block within theta: one polynomial run of degree 6 each
+            assert degrees and set(degrees) == {6}
         assert_rows_are_run_gate_rows(base, axes, rows)
 
     def test_a_ramped_stack_takes_one_ramp_kernel_call_per_block(self, monkeypatch):
@@ -582,7 +582,6 @@ class TestBatching:
 
             monkeypatch.setattr(evolution, name, recording_kernel)
 
-        record("_ramp_exponentials")
         record("_ramp_coefficients")
         assert all(row.status == "ok" for row in sweep(base, axes).rows)
         assert sorted(stacks) == sorted((6, len(ix)) for ix in parity_blocks(base.system))
@@ -846,25 +845,15 @@ class TestThreshold:
             threshold(sweep(base, axes), 0.99)
 
 
-#: One ramp study whose ramped curves form one stack: 0.5 and 1 ns ramps take their exponentials
-#: one at a time, 5 and 40 ns ramps polynomial runs; the square curve is a stack of its own.
+#: One ramp study whose ramped curves form one stack of polynomial runs, 100 to 8,000 exponentials
+#: long; the square curve is a stack of its own.
 STUDY_TAUS = [0.0, 0.5, 1.0, 5.0, 40.0]
 STUDY_AXIS = SweepAxis("g_over_delta_b", 0.1, 0.3, 4)
 
 
 class TestStudyStacks:
-    def test_ramp_study_grids_equal_their_own_sweeps_bit_for_bit(self, monkeypatch):
-        degrees = set()
-        chunks = evolution._ramp_chunks
-
-        def recording_chunks(*args):
-            for chunk, degree, run in chunks(*args):
-                degrees.add(degree)
-                yield chunk, degree, run
-
-        monkeypatch.setattr(evolution, "_ramp_chunks", recording_chunks)
+    def test_ramp_study_grids_equal_their_own_sweeps_bit_for_bit(self):
         grids = ramp_study(CZ_BASE, STUDY_TAUS, STUDY_AXIS)
-        assert None in degrees and len(degrees) > 1
         assert all(row.status == "ok" for grid in grids for row in grid.rows)
         assert grids == [sweep(replace(CZ_BASE, tau_d=tau), (STUDY_AXIS,)) for tau in STUDY_TAUS]
 
@@ -890,7 +879,7 @@ class TestStudyStacks:
 
     @staticmethod
     def record_runs(monkeypatch):
-        """(points, block size) of each block-exponential stack, and (degree, interval) of each chunk cut."""
+        """(points, block size) of each coefficient stack, and (exponentials, degree, interval) of each run cut."""
         stacks, chunks = [], []
         ramp_coefficients, ramp_chunks = evolution._ramp_coefficients, evolution._ramp_chunks
 
@@ -907,10 +896,10 @@ class TestStudyStacks:
         monkeypatch.setattr(evolution, "_ramp_chunks", recording_chunks)
         return stacks, chunks
 
-    def test_a_ramp_cz_study_forms_one_block_exponential_stack_per_block(self, monkeypatch):
+    def test_a_ramp_cz_study_forms_one_coefficient_stack_per_block(self, monkeypatch):
         # five couplings at four ramp durations: every ramp is one run of degree 6 over the
         # segment's whole interval, with the step 0.005 at every duration, so each block's
-        # five couplings take one block exponential for all twenty ramps
+        # five couplings take one coefficient stack for all twenty ramps
         stacks, chunks = self.record_runs(monkeypatch)
         axis = SweepAxis("g_over_delta_b", 0.12, 0.43, 5)
         grids = ramp_study(CZ_BASE, [0.0, 5.0, 10.0, 20.0, 40.0], axis)
@@ -921,16 +910,15 @@ class TestStudyStacks:
 
     def test_ramps_cut_into_two_intervals_share_their_polynomial_run(self, monkeypatch):
         # at dt 0.06, 30 and 60 ns ramps both have the step 0.03, and their segment spans
-        # ||W||_max = 1.097 theta: a first interval of theta, taken as a run of degree 8 by
-        # both, and a second whose exponentials are taken one at a time. One stack per block
-        # and polynomial interval, and each grid is still that of its own sweep
+        # ||W||_max = 1.097 theta: a first interval of theta, a run of degree 8, and a second of
+        # 0.097 theta, a run of degree 6, each taken by both durations. One stack per block and
+        # interval, and each grid is still that of its own sweep
         stacks, chunks = self.record_runs(monkeypatch)
         base, axis, taus = replace(CZ_BASE, dt=0.06), SweepAxis("g_over_delta_b", 0.12, 0.43, 5), [0.0, 30.0, 60.0]
         grids = ramp_study(base, taus, axis)
-        assert stacks == [(5, 5), (5, 4)]
-        runs = {run for _, degree, run in chunks if degree is not None}
-        assert len(runs) == 1 and {degree for _, degree, _ in chunks} == {8, None}
-        assert sorted((n, degree) for n, degree, _ in chunks if degree is not None) == [(911, 8)] * 2 + [(1823, 8)] * 2
+        assert stacks == [(5, 5), (5, 5), (5, 4), (5, 4)]
+        assert len({run for _, _, run in chunks}) == 2
+        assert sorted((n, degree) for n, degree, _ in chunks) == [(89, 6)] * 2 + [(177, 6)] * 2 + [(911, 8)] * 2 + [(1823, 8)] * 2
         assert all(row.status == "ok" for grid in grids for row in grid.rows)
         assert grids == [sweep(replace(base, tau_d=tau), (axis,)) for tau in taus]
 
