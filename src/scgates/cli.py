@@ -235,7 +235,7 @@ def parse_config(obj: dict) -> RunConfig:
     try:
         base = SweepBase(
             system,
-            gate,
+            gate.lower(),  # gate names are read case-blind (``gates.gate_target``); results carry the lowered one
             *schedule,
             tie_anharm=_get(obj, "tie_anharm", bool, "config", default=False),
         )
@@ -259,7 +259,7 @@ def parse_config(obj: dict) -> RunConfig:
         elif obj.get(key) is not None:
             raise ConfigError(f"key {key!r} only applies to mode {owner!r}")
     # ramp studies take directly coupled CZ systems, and the cubic detrend of each curve 5 points
-    if mode == "ramp" and (gate != "cz" or isinstance(system, IndirectSystemSpec) or axes[0].n_points < 5):
+    if mode == "ramp" and (base.gate != "cz" or isinstance(system, IndirectSystemSpec) or axes[0].n_points < 5):
         raise ConfigError("mode 'ramp' needs a direct system, gate 'cz' and an axis of at least 5 points")
 
     return RunConfig(
@@ -624,7 +624,9 @@ def _emit_error(kind: str, exc: Exception) -> None:
     print(json.dumps({"kind": kind, "error": str(exc)}), file=sys.stderr)
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on first use; parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="scgates",
         description="Two-qubit gate fidelity sweeps for weakly anharmonic superconducting qubits.",
@@ -640,7 +642,11 @@ def main(argv=None) -> int:
     parser.add_argument("--out", metavar="DIR", help="output directory")
     parser.add_argument("--dt", type=float, help="ramp discretization override, ns")
     parser.add_argument("--jobs", type=int, default=1, help="ignored, kept for compatibility")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     if args.jobs < 1:
         _emit_error("config", ValueError(f"--jobs must be at least 1, got {args.jobs}"))
         return 1

@@ -57,33 +57,53 @@ class EffectiveCouplings:
         return dataclasses.asdict(self)
 
 
+def denominators(freq_a, freq_b, anharm_a, anharm_b, cavity_freq) -> dict:
+    """The four detuning denominators of the reduction by name, in the order ``effective_couplings`` checks them.
+
+    Each parameter is a float or an array of one entry per system, and so is
+    each denominator.
+    """
+    delta_a = freq_a - cavity_freq
+    delta_b = freq_b - cavity_freq
+    return {
+        "detuning of qubit A": delta_a,
+        "detuning of qubit B": delta_b,
+        "detuning minus anharmonicity of qubit A": delta_a - anharm_a,
+        "detuning minus anharmonicity of qubit B": delta_b - anharm_b,
+    }
+
+
+def exchange_couplings(g2, delta_a, delta_b, anharm_a, anharm_b) -> tuple:
+    """``(g_eff_1, g_eff_2, g_eff_3, g_eff_4)`` from g_qc**2 and the qubits' detunings and anharmonicities, floats or arrays alike."""
+    return (
+        g2 / 2 * (1 / (delta_b - anharm_b) + 1 / delta_a),
+        g2 / 2 * (1 / (delta_a - anharm_a) + 1 / delta_b),
+        g2 / 2 * (1 / delta_a + 1 / delta_b),
+        g2 / 2 * (1 / (delta_a - anharm_a) + 1 / (delta_b - anharm_b)),
+    )
+
+
 def effective_couplings(spec: IndirectSystemSpec) -> EffectiveCouplings:
     """Evaluate the dispersive couplings and dressed frequencies of ``spec``.
 
     Raises DispersiveRegimeError when any of the four denominators
     ``detuning_j`` or ``detuning_j - anharm_j`` is smaller than
-    MIN_DENOMINATOR in magnitude.
+    MIN_DENOMINATOR in magnitude.  ``g_qc**2`` is Python's float power, C
+    ``pow``, which raises OverflowError where it overflows; an array taking
+    its place squares with ``np.float_power``, which rounds as it does.
     """
     qa, qb = spec.qubit_a, spec.qubit_b
-    delta_a = qa.freq - spec.cavity_freq
-    delta_b = qb.freq - spec.cavity_freq
-    for label, denom in (
-        ("detuning of qubit A", delta_a),
-        ("detuning of qubit B", delta_b),
-        ("detuning minus anharmonicity of qubit A", delta_a - qa.anharm),
-        ("detuning minus anharmonicity of qubit B", delta_b - qb.anharm),
-    ):
+    found = denominators(qa.freq, qb.freq, qa.anharm, qb.anharm, spec.cavity_freq)
+    for label, denom in found.items():
         if abs(denom) < MIN_DENOMINATOR:
             raise DispersiveRegimeError(
                 f"{label} is {denom:.3e} GHz; dispersive reduction needs "
                 f"|denominator| >= {MIN_DENOMINATOR:g} GHz"
             )
+    delta_a, delta_b, *_ = found.values()
     g2 = spec.g_qc**2
     return EffectiveCouplings(
-        g_eff_1=g2 / 2 * (1 / (delta_b - qb.anharm) + 1 / delta_a),
-        g_eff_2=g2 / 2 * (1 / (delta_a - qa.anharm) + 1 / delta_b),
-        g_eff_3=g2 / 2 * (1 / delta_a + 1 / delta_b),
-        g_eff_4=g2 / 2 * (1 / (delta_a - qa.anharm) + 1 / (delta_b - qb.anharm)),
+        *exchange_couplings(g2, delta_a, delta_b, qa.anharm, qb.anharm),
         dressed_freq_a1=qa.freq + g2 / delta_a,
         dressed_freq_b1=qb.freq + g2 / delta_b,
         dressed_freq_a2=2 * qa.freq + 2 * g2 / (delta_a - qa.anharm),

@@ -185,18 +185,31 @@ def trapezoid_schedule(tau_d: float, hold: float, park_scale: float = 1.1) -> Pu
     """Ramp qubit B from ``park_scale`` down to 1, hold, and ramp back up.
 
     ``tau_d`` is the duration of each ramp; zero gives a plain square pulse.
+    The segments are those of ``trapezoid_segments``.
     """
     if not 0 <= tau_d < math.inf:
         raise ValueError(f"ramp duration tau_d must be non-negative and finite, got {tau_d}")
+    scales, (durations,) = trapezoid_segments(tau_d, np.array([hold]), park_scale)
+    return PulseSchedule(tuple(ScheduleSegment(d, *ends) for d, ends in zip(durations.tolist(), scales)))
+
+
+def trapezoid_segments(tau_d: float, holds: np.ndarray, park_scale: float = 1.1):
+    """The segments of ``trapezoid_schedule(tau_d, hold)`` for each of ``holds`` as arrays, unchecked.
+
+    Returns each segment's (start, end) scales, shared by every hold, and
+    the durations (n, segments), one row per hold: the form
+    ``segment_columns`` takes.
+    """
     if tau_d == 0:
-        return square_schedule(hold)
-    return PulseSchedule(
-        (
-            ScheduleSegment(tau_d, park_scale, 1.0),
-            ScheduleSegment(hold, 1.0, 1.0),
-            ScheduleSegment(tau_d, 1.0, park_scale),
-        )
-    )
+        return ((1.0, 1.0),), holds[:, None]
+    ramps = np.full(len(holds), tau_d)
+    return ((park_scale, 1.0), (1.0, 1.0), (1.0, park_scale)), np.stack([ramps, holds, ramps], axis=1)
+
+
+def schedule_segments(schedules):
+    """Schedules of one shape as ``segment_columns`` takes them: the first schedule's (start, end) scales, and each one's segment durations (n, segments)."""
+    scales = tuple((seg.scale_start, seg.scale_end) for seg in schedules[0].segments)
+    return scales, np.array([[seg.duration for seg in schedule.segments] for schedule in schedules], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -669,26 +682,32 @@ def _with_diagonal(h: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
 
 
 def schedule_columns(h0: np.ndarray, d1: np.ndarray, schedules, blocks, columns, dt: float):
-    """Given columns of the propagators of a stack of points over their schedules, and the unitarity defect of each point.
+    """``segment_columns`` over ``schedules``, one per point, which have the same segments but for their durations (``schedule_segments``)."""
+    return segment_columns(h0, d1, *schedule_segments(schedules), blocks, columns, dt)
+
+
+def segment_columns(h0: np.ndarray, d1: np.ndarray, scales, durations: np.ndarray, blocks, columns, dt: float):
+    """Given columns of the propagators of a stack of points over their segments, and the unitarity defect of each point.
 
     ``h0`` (n, d, d) and ``d1`` (n, d) are each point's real symmetric h0
-    and the diagonal of its h1 (``hamiltonians.hamiltonian_parts_stack``),
+    and the diagonal of its h1 (``hamiltonians.hamiltonian_parts_rows``),
     and ``blocks`` are index sets that partition range(d) with no entries of
     any h0 between two sets, such as ``hamiltonians.parity_blocks``; each
     block is propagated on its own.  ``columns`` holds, per block, the
     block-local indices of the columns to propagate, or is None for every
-    column of every block.  Returns one (n, k, c) stack per block, the
-    columns of its propagators, and the defect max |X^dag X - I| of each
-    point over the columns of all its blocks.  The ``schedules``, one per
-    point, have the same segments but for their durations: the first
-    schedule's scales are taken for all.  Segment by segment, in time order:
+    column of every block.  The points share their segments' (start, end)
+    ``scales``, and ``durations`` (n, segments) holds each point's segment
+    durations, positive and finite.  Returns one (n, k, c) stack per block,
+    the columns of its propagators, and the defect max |X^dag X - I| of each
+    point over the columns of all its blocks.  Segment by segment, in time
+    order:
     * a constant segment is one stacked ``_exponentials`` per block, each
       point at its own duration.  A first segment forms only the given
       columns, O(k^2) per point after the eigensolver;
     * a ramped segment is one ``_ramp_propagator`` for all points, each at
       its own duration, discretized as the module docstring describes, its
-      points grouped by ramp plan.  As a first segment it is cut to the
-      given columns;
+      points grouped by ramp plan.  It takes one ``ScheduleSegment`` per
+      distinct duration.  As a first segment it is cut to the given columns;
     * a segment that retraces an earlier one (the same durations, start and
       end scales swapped, as the ramp back up of a trapezoid) reuses the
       transposes of the earlier propagators.  This is exact: h0 and h1 are
@@ -705,23 +724,26 @@ def schedule_columns(h0: np.ndarray, d1: np.ndarray, schedules, blocks, columns,
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     xs, done = None, {}
-    for segs in zip(*(schedule.segments for schedule in schedules)):
-        seg, durations = segs[0], tuple(s.duration for s in segs)
-        earlier = done.get((durations, seg.scale_end, seg.scale_start))
+    for (start, end), lengths in zip(scales, durations.T):
+        key = lengths.tobytes()
+        earlier = done.get((key, end, start))
         cut = columns if xs is None else None  # only a first segment starts from the given columns
         if earlier is not None:
             seg_us = [u.transpose(0, 2, 1) for u in earlier]
-        elif seg.is_constant:
+        elif start == end:
             # each block of h0 + s h1 is taken when its eigensolver needs it, so one is held at a time
-            diagonal = seg.scale_start * d1
+            diagonal = start * d1
             hs = (_with_diagonal(h0[:, ix[:, None], ix], diagonal[:, ix]) for ix in blocks)
-            seg_us = _exponentials(hs, np.array(durations)[:, None], cut)
+            seg_us = _exponentials(hs, lengths[:, None], cut)
             if cut is not None:
                 xs = seg_us
                 continue
         else:
+            lengths = lengths.tolist()
+            distinct = {length: ScheduleSegment(length, start, end) for length in lengths}
+            segs = [distinct[length] for length in lengths]
             seg_us = _ramp_propagator([(h0[:, ix[:, None], ix], d1[:, ix]) for ix in blocks], segs, dt)
-        done[durations, seg.scale_start, seg.scale_end] = seg_us
+        done[key, start, end] = seg_us
         if xs is None:
             xs = seg_us if cut is None else [u[..., cols] for u, cols in zip(seg_us, cut)]
         else:

@@ -39,7 +39,8 @@ from .evolution import (
     SCHEDULE_UNITARITY_TOL,
     PulseSchedule,
     UnitarityError,
-    schedule_columns,
+    schedule_segments,
+    segment_columns,
     square_schedule,
 )
 
@@ -48,9 +49,11 @@ from .evolution import propagate_schedule  # noqa: F401
 from .hamiltonians import (
     DirectSystemSpec,
     IndirectSystemSpec,
+    _computational_indices,
+    _parity_blocks,
     computational_indices,
-    hamiltonian_parts_stack,
-    parity_blocks,
+    hamiltonian_parts_rows,
+    parameter_rows,
 )
 
 __all__ = [
@@ -165,30 +168,36 @@ def project_computational(
 _COMPUTATIONAL_COLUMNS: dict[tuple, tuple] = {}
 
 
-def _computational_columns(spec: DirectSystemSpec | IndirectSystemSpec):
-    """``(blocks, columns, places)`` of ``spec``'s truncation, built once per truncation, as ``parity_blocks`` is."""
-    key = spec.sizes
-    if key not in _COMPUTATIONAL_COLUMNS:
-        blocks, states = parity_blocks(spec), np.array(computational_indices(spec))
+def _computational_columns(sizes: tuple[int, ...]):
+    """``(blocks, columns, places)`` of truncation ``sizes``, built once per truncation, as ``parity_blocks`` is."""
+    if sizes not in _COMPUTATIONAL_COLUMNS:
+        blocks, states = _parity_blocks(sizes), np.array(_computational_indices(sizes))
         places = [np.flatnonzero(np.isin(states, ix)) for ix in blocks]
         columns = [np.searchsorted(ix, states[at]) for ix, at in zip(blocks, places)]
-        _COMPUTATIONAL_COLUMNS[key] = blocks, columns, [(at[:, None], at) for at in places]
-    return _COMPUTATIONAL_COLUMNS[key]
+        _COMPUTATIONAL_COLUMNS[sizes] = blocks, columns, [(at[:, None], at) for at in places]
+    return _COMPUTATIONAL_COLUMNS[sizes]
 
 
 def computational_blocks(specs, schedules, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """4x4 computational blocks M (n, 4, 4) of a stack of points over their schedules, and each point's unitarity defect.
+    """``stack_blocks`` of specs sharing one kind and truncation over schedules of one shape."""
+    return stack_blocks(specs[0].sizes, parameter_rows(specs), *schedule_segments(schedules), dt)
 
-    The ``specs`` share one kind and truncation, and the ``schedules`` one
-    shape (``evolution.schedule_columns``).  Only the columns of the
-    computational states are propagated, each in its parity block, and the
-    defect is taken over them; M is read off those columns, with exact zeros
-    between the parities.  Point k's block and defect are those of the stack
-    of its point alone, bit for bit.
+
+def stack_blocks(sizes: tuple[int, ...], rows: np.ndarray, scales, durations: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """4x4 computational blocks M (n, 4, 4) of a stack of points, and each point's unitarity defect.
+
+    The points are systems of truncation ``sizes`` and parameter ``rows``
+    (``hamiltonians.parameter_rows``), each over segments of the shared
+    (start, end) ``scales`` and its own row of ``durations``
+    (``evolution.segment_columns``).  Only the columns of the computational
+    states are propagated, each in its parity block, and the defect is
+    taken over them; M is read off those columns, with exact zeros between
+    the parities.  Point k's block and defect are those of the stack of its
+    point alone, bit for bit.
     """
-    blocks, columns, places = _computational_columns(specs[0])
-    xs, defects = schedule_columns(*hamiltonian_parts_stack(specs), schedules, blocks, columns, dt)
-    m = np.zeros((len(specs), 4, 4), dtype=complex)
+    blocks, columns, places = _computational_columns(sizes)
+    xs, defects = segment_columns(*hamiltonian_parts_rows(sizes, rows), scales, durations, blocks, columns, dt)
+    m = np.zeros((len(rows), 4, 4), dtype=complex)
     for x, cols, at in zip(xs, columns, places):
         m[:, at[0], at[1]] = x[:, cols, :]
     return m, defects
@@ -388,31 +397,42 @@ def gate_time(spec: DirectSystemSpec | IndirectSystemSpec, target: GateTarget) -
     An iSWAP completes half an exchange cycle on |01><10|, so t = 1/(4 g);
     a CZ completes a full circulation through the second excited state, so
     t = 1/(2 sqrt(2) g).  For cavity-coupled systems the relevant coupling is
-    the effective one (g_eff_3 for iSWAP, g_eff_1 for CZ).
+    the effective one (``gate_coupling``).
     """
     if isinstance(spec, IndirectSystemSpec):
         c = effective_couplings(spec)
-        coupling = c.g_eff_3 if target.kind == "iswap" else c.g_eff_1
+        coupling = gate_coupling(target, c.g_eff_1, c.g_eff_3)
     else:
         coupling = spec.g
     if coupling <= 0:
         raise ValueError(f"gate time is undefined for coupling {coupling!r}")
+    return resonant_time(coupling, target)
+
+
+def gate_coupling(target: GateTarget, g_eff_1, g_eff_3):
+    """The effective coupling that sets ``target``'s gate time on a cavity pair: g_eff_3 (|01><10|) for iSWAP, g_eff_1 (|02><11|) for CZ."""
+    return g_eff_3 if target.kind == "iswap" else g_eff_1
+
+
+def resonant_time(coupling, target: GateTarget):
+    """``gate_time`` at gate coupling ``coupling``, a float or an array, unchecked."""
     if target.kind == "iswap":
         return 1.0 / (4.0 * coupling)
     return 1.0 / (2.0 * np.sqrt(2.0) * coupling)
 
 
-def resonance_violation(spec, target: GateTarget) -> str | None:
-    """The warning a run of ``target`` on ``spec`` gives for a missed resonance, or None."""
-    wa, wb = spec.qubit_a.freq, spec.qubit_b.freq
+def resonance_violation(rows: np.ndarray, target: GateTarget) -> str | None:
+    """The warning that a run of ``target`` gives for the first of parameter ``rows`` (``hamiltonians.parameter_rows``) that misses its resonance, or None."""
+    freq_a, freq_b, _, anharm_b = rows[:, :4].T
     if target.kind == "iswap":
-        miss = abs(wa - wb)
+        misses = np.abs(freq_a - freq_b)
         condition = "freq_a = freq_b"
     else:
-        miss = abs(wb - (wa + spec.qubit_b.anharm))
+        misses = np.abs(freq_b - (freq_a + anharm_b))
         condition = "freq_b = freq_a + anharm_b"
-    if miss > 1e-9:
-        return f"{target.kind} resonance condition {condition} is violated by {miss:.3e} GHz"
+    missed = misses[misses > 1e-9]
+    if missed.size:
+        return f"{target.kind} resonance condition {condition} is violated by {missed[0]:.3e} GHz"
     return None
 
 
@@ -431,7 +451,7 @@ def run_gate(
     ``propagate_schedule`` does.  A violated resonance condition only
     warns: deliberately detuned runs are legitimate sensitivity studies.
     """
-    message = resonance_violation(spec, target)
+    message = resonance_violation(parameter_rows([spec]), target)
     if message:
         warnings.warn(message, stacklevel=2)
     if schedule is None:

@@ -185,31 +185,64 @@ def build_jx(n_levels: int) -> np.ndarray:
     return jx
 
 
-def _column(values) -> np.ndarray:
-    """An iterable of numbers as an (n, 1) float column, one row per spec."""
-    return np.fromiter(values, dtype=float)[:, None]
+def parameter_rows(specs) -> np.ndarray:
+    """The parameters of specs of one kind as float rows, the form the stacked functions take: (n, 5) for direct pairs, (n, 6) for cavity pairs.
 
-
-def _modes(specs) -> tuple[list[np.ndarray], list[tuple[int, int, np.ndarray]]]:
-    """Angular level energies of each mode (``sizes`` order) and the couplings.
-
-    ``specs`` share one kind and truncation; each mode's energies are an
-    (n, levels) array with one row per spec.  A coupling ``(i, j, g)`` joins
-    modes i and j through ``g`` Jx_i Jx_j, with ``g`` one strength per spec;
-    a direct pair has one, a cavity pair one from each qubit to the cavity.
+    A row holds freq_a, freq_b, anharm_a, anharm_b and the coupling (``g``,
+    or a cavity pair's ``g_qc``), then a cavity pair's ``cavity_freq``
+    (``stack_rows``).  The truncation is not part of a row: the stacked
+    functions take it as ``sizes``, whose length also tells the kind.
     """
-    first = specs[0]
-    sizes = first.sizes
-    qubits = np.array([(s.qubit_a.freq, s.qubit_b.freq, s.qubit_a.anharm, s.qubit_b.anharm) for s in specs])
+    indirect = isinstance(specs[0], IndirectSystemSpec)
+    return np.array(
+        [
+            (s.qubit_a.freq, s.qubit_b.freq, s.qubit_a.anharm, s.qubit_b.anharm, *((s.g_qc, s.cavity_freq) if indirect else (s.g,)))
+            for s in specs
+        ],
+        dtype=float,
+    )
+
+
+def stack_rows(freq_a, freq_b, anharm_a, anharm_b, coupling, cavity_freq=None) -> np.ndarray:
+    """Parameter rows (``parameter_rows``) from each parameter, an array of one entry per system or one value for all.
+
+    ``coupling`` is g, or a cavity pair's g_qc, and ``cavity_freq`` is given
+    for cavity pairs only.
+    """
+    columns = (freq_a, freq_b, anharm_a, anharm_b, coupling) + (() if cavity_freq is None else (cavity_freq,))
+    return np.column_stack(np.broadcast_arrays(*columns)).astype(float, copy=False)
+
+
+def spec_of_row(system: DirectSystemSpec | IndirectSystemSpec, row: np.ndarray):
+    """The spec of ``system``'s kind and truncation with the parameters of ``row`` (``parameter_rows``), checked by its constructors."""
+    freq_a, freq_b, anharm_a, anharm_b, coupling, *cavity = row.tolist()
+    qubit_a = QubitSpec(freq_a, anharm_a, system.qubit_a.n_levels)
+    qubit_b = QubitSpec(freq_b, anharm_b, system.qubit_b.n_levels)
+    if isinstance(system, IndirectSystemSpec):
+        return IndirectSystemSpec(qubit_a, qubit_b, *cavity, coupling, system.n_photons)
+    return DirectSystemSpec(qubit_a, qubit_b, coupling)
+
+
+def _row_modes(sizes: tuple[int, ...], rows: np.ndarray) -> tuple[list[np.ndarray], list[tuple[int, int, np.ndarray]]]:
+    """Angular level energies of each mode (``sizes`` order) and the couplings of the systems of parameter ``rows``.
+
+    Each mode's energies are an (n, levels) array with one row per system.
+    A coupling ``(i, j, g)`` joins modes i and j through ``g`` Jx_i Jx_j,
+    with ``g`` one strength per system; a direct pair has one, a cavity pair
+    one from each qubit to the cavity.
+    """
     # both ladders at once, to the longer one's length: row [k, q] holds qubit q's energies
-    ladders = _level_energies(qubits[:, :2, None], qubits[:, 2:, None], max(sizes[:2]))
+    ladders = _level_energies(rows[:, :2, None], rows[:, 2:4, None], max(sizes[:2]))
     levels = [ladders[:, 0, : sizes[0]], ladders[:, 1, : sizes[1]]]
-    if isinstance(first, IndirectSystemSpec):
-        cavity = _column(s.cavity_freq for s in specs)
-        levels.append(TWOPI * cavity * np.arange(sizes[2], dtype=float))
-        g_qc = _column(s.g_qc for s in specs)[:, 0]
-        return levels, [(0, 2, g_qc), (1, 2, g_qc)]
-    return levels, [(0, 1, _column(s.g for s in specs)[:, 0])]
+    if len(sizes) == 3:
+        levels.append(TWOPI * rows[:, 5:6] * np.arange(sizes[2], dtype=float))
+        return levels, [(0, 2, rows[:, 4]), (1, 2, rows[:, 4])]
+    return levels, [(0, 1, rows[:, 4])]
+
+
+def _modes(specs):
+    """``_row_modes`` of specs sharing one kind and truncation; the tests build their dense reference Hamiltonians from it."""
+    return _row_modes(specs[0].sizes, parameter_rows(specs))
 
 
 def _outer_sum(levels: list[np.ndarray]) -> np.ndarray:
@@ -283,21 +316,26 @@ build_indirect_hamiltonian = build_direct_hamiltonian
 
 
 def hamiltonian_parts_stack(specs) -> tuple[np.ndarray, np.ndarray]:
-    """The parts h0 (n, d, d) and the diagonals d1 (n, d) of h1 of specs sharing one kind and truncation.
+    """``hamiltonian_parts_rows`` of specs sharing one kind and truncation."""
+    return hamiltonian_parts_rows(specs[0].sizes, parameter_rows(specs))
 
-    Entry k is ``hamiltonian_parts(specs[k])`` bit for bit, with h1 given by
-    its diagonal, which is all of it.  The stack is assembled as one: one row
-    of level energies and one coupling strength per spec.  d1 is qubit B's
-    scaled ladder, 2*pi*n*freq_b, broadcast over the mode grid, and h0 is the
-    full Hamiltonian at scale 1 less it.
+
+def hamiltonian_parts_rows(sizes: tuple[int, ...], rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The parts h0 (n, d, d) and the diagonals d1 (n, d) of h1 of the systems of truncation ``sizes`` and parameter ``rows``.
+
+    Entry k is ``hamiltonian_parts`` of row k's spec bit for bit, with h1
+    given by its diagonal, which is all of it.  The stack is assembled as
+    one: one row of level energies and one coupling strength per system.  d1
+    is qubit B's scaled ladder, 2*pi*n*freq_b, broadcast over the mode grid,
+    and h0 is the full Hamiltonian at scale 1 less it.
     """
-    first = specs[0]
-    h0 = _assemble(*_modes(specs))
-    n_a, n_b = first.sizes[:2]
-    d1 = np.empty((len(specs), n_a, n_b, first.dim // (n_a * n_b)))  # the modes after B folded into one axis
-    d1[:] = (TWOPI * _column(s.qubit_b.freq for s in specs) * np.arange(n_b, dtype=float))[:, None, :, None]
-    d1 = d1.reshape(len(specs), -1)
-    h0.reshape(len(specs), -1)[:, :: first.dim + 1] -= d1
+    n, dim = len(rows), math.prod(sizes)
+    h0 = _assemble(*_row_modes(sizes, rows))
+    n_a, n_b = sizes[:2]
+    d1 = np.empty((n, n_a, n_b, dim // (n_a * n_b)))  # the modes after B folded into one axis
+    d1[:] = (TWOPI * rows[:, 1:2] * np.arange(n_b, dtype=float))[:, None, :, None]
+    d1 = d1.reshape(n, -1)
+    h0.reshape(n, -1)[:, :: dim + 1] -= d1
     return h0, d1
 
 
@@ -338,7 +376,10 @@ def parity_blocks(spec: DirectSystemSpec | IndirectSystemSpec) -> tuple[np.ndarr
 
 def computational_indices(spec: DirectSystemSpec | IndirectSystemSpec) -> tuple[int, int, int, int]:
     """Flattened indices of |00>, |01>, |10>, |11> (cavity in vacuum if present)."""
-    n_c = 0 if isinstance(spec, IndirectSystemSpec) else None
-    states = ((0, 0), (0, 1), (1, 0), (1, 1))
-    i00, i01, i10, i11 = (BasisIndex(a, b, n_c).flatten(spec) for a, b in states)
-    return i00, i01, i10, i11
+    return _computational_indices(spec.sizes)
+
+
+def _computational_indices(sizes: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """``computational_indices`` of the systems of truncation ``sizes``."""
+    vacuum = (0,) * (len(sizes) - 2)
+    return tuple(int(np.ravel_multi_index((a, b, *vacuum), sizes)) for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)))

@@ -56,27 +56,35 @@ from itertools import product
 
 import numpy as np
 
-from .dispersive import effective_couplings
+from .dispersive import (
+    MIN_DENOMINATOR,
+    DispersiveRegimeError,
+    denominators,
+    effective_couplings,
+    exchange_couplings,
+)
 from .evolution import (
     DEFAULT_DT,
     SCHEDULE_UNITARITY_TOL,
     UnitarityError,
-    trapezoid_schedule,
+    trapezoid_segments,
 )
 from .gates import (
-    computational_blocks,
+    gate_coupling,
     gate_target,
-    gate_time,
     resonance_violation,
+    resonant_time,
     score_blocks,
+    stack_blocks,
 )
 
-# Not used here: bench/layers.py patches this name when tracing (--trace 1).
-from .gates import run_gate  # noqa: F401
+# Not used here: bench/layers.py patches these names when tracing (--trace 1).
+from .gates import gate_time, run_gate  # noqa: F401
 from .hamiltonians import (
     DirectSystemSpec,
     IndirectSystemSpec,
-    QubitSpec,
+    spec_of_row,
+    stack_rows,
 )
 
 DIRECT_COUPLING_AXES = frozenset({"g_over_delta_b", "g_abs"})
@@ -198,12 +206,12 @@ def _validate_axes(base: SweepBase, axes: tuple[SweepAxis, ...]) -> None:
         raise ValueError(f"conflicting anharmonicity axes {delta_b}")
 
 
-def _point_values(base: SweepBase, axes: tuple[SweepAxis, ...], values: tuple[float, ...]) -> dict:
-    """One point's axis values by name, once ``axes`` are checked as ``sweep`` checks them and ``values`` hold one per axis."""
+def _point_grid(base: SweepBase, axes: tuple[SweepAxis, ...], values: tuple[float, ...]) -> np.ndarray:
+    """One point's axis values as a grid of one point, (1, axes), once ``axes`` are checked as ``sweep`` checks them and ``values`` hold one per axis."""
     _validate_axes(base, axes)
     if len(values) != len(axes):
         raise ValueError(f"expected one value per axis, {len(axes)} in all, got {len(values)}")
-    return dict(zip([ax.name for ax in axes], values))
+    return np.array([values], dtype=float)
 
 
 def derive_point_spec(
@@ -211,59 +219,80 @@ def derive_point_spec(
 ) -> DirectSystemSpec | IndirectSystemSpec:
     """Concrete system at one grid point, per the module-level axis semantics.
 
+    This is the one-point case of a sweep's derivation (``_derive``).
     ``axes`` are checked as ``sweep`` checks them, and ``values`` must hold
-    one value per axis; either fault raises ``ValueError``.
+    one value per axis; either fault raises ``ValueError``, and so does a
+    system that cannot be built at the point.
     """
-    by_name = _point_values(base, axes, values)
-    return _point_spec(base, by_name, _base_coupling(base, by_name))
+    grid = _point_grid(base, axes, values)
+    names = [ax.name for ax in axes]
+    rows, _, _ = _derive(base, names, _base_coupling(base, names), gate_target(base.gate), grid)
+    return spec_of_row(base.system, rows[0])
 
 
-def _point_spec(base: SweepBase, by_name: dict, coupling: float | None):
-    """``derive_point_spec`` of the axis values ``by_name``, given the base coupling of its ratio axes."""
-    system = base.system
-    qa, qb = system.qubit_a, system.qubit_b
+def _derive(base: SweepBase, names, coupling, target, values: np.ndarray):
+    """``(rows, t_g, errors)`` of the grid points ``values`` (n, axes), per the module-level axis semantics.
 
-    anharm_a, anharm_b = qa.anharm, qb.anharm
-    anharm_b_changed = False
+    ``names`` are the axis names and ``coupling`` the base coupling of the
+    sweep's ratio axes.  ``rows`` are the points' parameter rows
+    (``hamiltonians.stack_rows``), g_qc NaN where an effective coupling
+    cannot be inverted, and ``t_g`` their gate times, NaN at a failed point.
+    ``errors`` holds the class of the error a point's derivation raises, or
+    None: the first of the checks that building its spec, ``gate_time`` and
+    the schedule's segments make, taken on the arrays in that order.  Each
+    formula keeps the operation order of its one-point form, so every entry
+    is what that form gives bit for bit; g_qc is squared as
+    ``effective_couplings`` squares it (C ``pow``), through
+    ``np.float_power``.
+    """
+    system, qa, qb = base.system, base.system.qubit_a, base.system.qubit_b
+    by_name, n = dict(zip(names, values.T)), len(values)
+    freq_a = np.full(n, qa.freq, dtype=float)
+    anharm_a, anharm_b = np.full(n, qa.anharm, dtype=float), np.full(n, qb.anharm, dtype=float)
     if "delta_b_abs" in by_name:
         anharm_b = by_name["delta_b_abs"]
-        anharm_b_changed = True
     if "delta_b_over_g" in by_name:
         anharm_b = by_name["delta_b_over_g"] * coupling
-        anharm_b_changed = True
     if "delta_a_over_g" in by_name:
         anharm_a = by_name["delta_a_over_g"] * coupling
-    if base.tie_anharm and anharm_b_changed:
+    retuned = not {"delta_b_abs", "delta_b_over_g"}.isdisjoint(by_name)
+    if base.tie_anharm and retuned:
         anharm_a = anharm_b
-
-    freq_b = qb.freq
-    if anharm_b_changed and base.gate == "cz":
-        freq_b = qa.freq + anharm_b
-
-    new_qa = QubitSpec(qa.freq, anharm_a, qa.n_levels)
-    new_qb = QubitSpec(freq_b, anharm_b, qb.n_levels)
-
-    if isinstance(system, IndirectSystemSpec):
-        g_qc = system.g_qc
-        geff = by_name.get("geff_abs")
-        if "geff_over_delta_b" in by_name:
-            geff = by_name["geff_over_delta_b"] * anharm_b
-        if geff is not None:
-            product_ = geff * (qa.freq - system.cavity_freq)
-            if product_ <= 0:
-                raise ValueError(
-                    f"cannot invert effective coupling {geff!r} with detuning "
-                    f"{qa.freq - system.cavity_freq!r}: opposite signs"
-                )
-            g_qc = float(np.sqrt(product_))
-        return IndirectSystemSpec(new_qa, new_qb, system.cavity_freq, g_qc, system.n_photons)
-
-    g = system.g
-    if "g_over_delta_b" in by_name:
-        g = by_name["g_over_delta_b"] * anharm_b
-    elif "g_abs" in by_name:
-        g = by_name["g_abs"]
-    return DirectSystemSpec(new_qa, new_qb, g)
+    freq_b = freq_a + anharm_b if retuned and target.kind == "cz" else np.full(n, qb.freq, dtype=float)
+    bad_spec = ~((anharm_a >= 0) & (anharm_a < math.inf) & (freq_b > 0) & (freq_b < math.inf))
+    bad_spec |= ~((anharm_b >= 0) & (anharm_b < math.inf))
+    with np.errstate(all="ignore"):
+        if isinstance(system, IndirectSystemSpec):
+            g_qc, geff = np.full(n, system.g_qc, dtype=float), by_name.get("geff_abs")
+            if "geff_over_delta_b" in by_name:
+                geff = by_name["geff_over_delta_b"] * anharm_b
+            if geff is not None:
+                product = geff * (qa.freq - system.cavity_freq)
+                g_qc = np.where(product > 0, np.sqrt(product), np.nan)
+            rows = stack_rows(freq_a, freq_b, anharm_a, anharm_b, g_qc, system.cavity_freq)
+            bad_spec |= ~((g_qc >= 0) & (g_qc < math.inf))
+            found = denominators(freq_a, freq_b, anharm_a, anharm_b, system.cavity_freq)
+            delta_a, delta_b, *_ = found.values()
+            g2 = np.float_power(g_qc, 2.0)
+            g_eff_1, _, g_eff_3, _ = exchange_couplings(g2, delta_a, delta_b, anharm_a, anharm_b)
+            coupling = gate_coupling(target, g_eff_1, g_eff_3)
+            regime = np.logical_or.reduce([np.abs(denom) < MIN_DENOMINATOR for denom in found.values()])
+            checks = [(ValueError, bad_spec), (DispersiveRegimeError, regime), (OverflowError, np.isinf(g2))]
+        else:
+            g = np.full(n, system.g, dtype=float)
+            if "g_over_delta_b" in by_name:
+                g = by_name["g_over_delta_b"] * anharm_b
+            elif "g_abs" in by_name:
+                g = by_name["g_abs"]
+            rows = stack_rows(freq_a, freq_b, anharm_a, anharm_b, g)
+            coupling, checks = g, [(ValueError, bad_spec | ~((g >= 0) & (g < math.inf)))]
+        t_g = resonant_time(coupling, target)
+    checks.append((ValueError, (coupling <= 0) | ~((t_g > 0) & (t_g < math.inf))))
+    errors = np.full(n, None, dtype=object)
+    for error, bad in reversed(checks):  # the first check a point fails names its error
+        errors[bad] = error
+    failed = np.logical_or.reduce([bad for _, bad in checks])
+    return rows, np.where(failed, np.nan, t_g), errors
 
 
 _FAILED = float("nan")
@@ -293,20 +322,40 @@ def _failed(values, error: type[Exception]) -> SweepPoint:
     return SweepPoint(tuple(values), *[_FAILED] * 6, f"error:{error.__name__}")
 
 
-def _blocks(chunk, dt: float) -> list[tuple]:
-    """Computational blocks of points ``(values, spec, t_g, schedule)`` sharing one truncation and one schedule shape, in parts.
+@dataclass(frozen=True)
+class _Stack:
+    """Points propagated together: their truncation ``sizes`` and segment ``scales``, and each one's parameter row and segment durations.
 
-    The chunk is propagated as one stack (``computational_blocks``) and is
-    one part, ``(m, defects)``.  If that raises, each point is propagated
-    again as a chunk of its own, so that the failure stays with its point:
-    a one-point chunk that raises is the part ``(None, error type)``.
+    These are the arguments of ``gates.stack_blocks``.  Its length is its
+    number of points, and a slice holds some of them.
+    """
+
+    sizes: tuple[int, ...]
+    scales: tuple[tuple[float, float], ...]
+    rows: np.ndarray
+    durations: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, at: slice) -> _Stack:
+        return _Stack(self.sizes, self.scales, self.rows[at], self.durations[at])
+
+
+def _blocks(chunk: _Stack, dt: float) -> list[tuple]:
+    """Computational blocks of the points of ``chunk``, in parts.
+
+    The chunk is propagated as one stack (``stack_blocks``) and is one part,
+    ``(m, defects)``.  If that raises, each point is propagated again as a
+    chunk of its own, so that the failure stays with its point: a one-point
+    chunk that raises is the part ``(None, error type)``.
     """
     try:
-        return [computational_blocks([point[1] for point in chunk], [point[3] for point in chunk], dt)]
+        return [stack_blocks(chunk.sizes, chunk.rows, chunk.scales, chunk.durations, dt)]
     except _POINT_ERRORS as exc:
         if len(chunk) == 1:
             return [(None, type(exc))]
-        return [part for point in chunk for part in _blocks([point], dt)]
+        return [part for k in range(len(chunk)) for part in _blocks(chunk[k : k + 1], dt)]
 
 
 def _scores(m: np.ndarray, target) -> list:
@@ -323,99 +372,82 @@ def _scores(m: np.ndarray, target) -> list:
         return [score for k in range(len(m)) for score in _scores(m[k : k + 1], target)]
 
 
-def _row(point, score) -> SweepPoint:
-    """The row of a propagated point ``(values, spec, t_g, schedule)`` from its score (``_scores``) or its error's type."""
-    values, _, t_g, _ = point
-    if isinstance(score, type):
-        return _failed(values, score)
-    fidelity, theta_a, theta_b, theta, leakage = score
-    return SweepPoint(tuple(values), fidelity, t_g, leakage, theta_a, theta_b, theta, "ok")
+def _rows(values: np.ndarray, t_g: np.ndarray, errors: np.ndarray, outcomes) -> list[SweepPoint]:
+    """A grid's rows: each point's derivation error, else the next of ``outcomes``, its score (``_scores``) or its error's type."""
+    rows = []
+    for point, time, error in zip(values.tolist(), t_g.tolist(), errors.tolist()):
+        outcome = error or next(outcomes)
+        if isinstance(outcome, type):
+            rows.append(_failed(point, outcome))
+        else:
+            fidelity, theta_a, theta_b, theta, leakage = outcome
+            rows.append(SweepPoint(tuple(point), fidelity, time, leakage, theta_a, theta_b, theta, "ok"))
+    return rows
 
 
-def _derive(base: SweepBase, names, coupling, target, values):
-    """``(values, spec, t_g, schedule)`` of one grid point, or its failed row.
+def _evaluate(bases, axes: tuple[SweepAxis, ...], values: np.ndarray) -> list[list[SweepPoint]]:
+    """Rows of the grid points ``values`` (n, axes) under each base, one list per base, in order; failures become status tags.
 
-    ``names`` are the axis names and ``coupling`` the base coupling of the
-    sweep's ratio axes.  The schedule also checks the gate time, as a
-    segment duration.
+    Every point of every grid is derived before any is run, as arrays
+    (``_derive``), with the base coupling of the ratio axes computed once
+    per base; if that fails, every point of its grid fails with it, as each
+    would alone.  A detuned grid warns once, for its first detuned point, as
+    ``run_gate`` would.  The good points of all grids are then stacked by
+    what a stack must share (the target, the truncation, whose length tells
+    the system kind, the segment scales and dt), their durations free, in
+    grid order, and each stack goes in chunks of at most ``_STACK_ENTRIES``;
+    the rows go back to their grids.  A single grid so keeps the chunks of a
+    sweep of its own, and the ramped curves of a ramp study share theirs.  A
+    chunk whose propagation raises is propagated again point by point
+    (``_blocks``).  Every point that passes the unitarity bound is then
+    scored in one ``score_blocks`` call per target, whose rows equal those
+    of each block alone; if that raises, each block is scored alone
+    (``_scores``).
     """
-    try:
-        spec = _point_spec(base, dict(zip(names, values)), coupling)
-        t_g = gate_time(spec, target)
-        return values, spec, t_g, trapezoid_schedule(base.tau_d, t_g)
-    except _POINT_ERRORS as exc:
-        return _failed(values, type(exc))
-
-
-def _stack_key(base: SweepBase, target, schedule) -> tuple:
-    """What the points of one stack share: the target, the system kind and truncation, the segment scales and dt."""
-    scales = tuple((seg.scale_start, seg.scale_end) for seg in schedule.segments)
-    return target, type(base.system), base.system.sizes, scales, base.dt
-
-
-def _evaluate(bases, axes: tuple[SweepAxis, ...], points) -> list[list[SweepPoint]]:
-    """Rows of the given grid points under each base, one list per base, in order; failures become status tags.
-
-    Every point of every grid is derived before any is run, with the base
-    coupling of the ratio axes computed once per base; if that fails, every
-    point of its grid fails with it, as each would alone.  A detuned grid
-    warns once, for its first detuned point, as ``run_gate`` would.  The good
-    points of all grids are then stacked by what a stack must share
-    (``_stack_key``), their durations free, in grid order, and each stack
-    goes in chunks of at most ``_STACK_ENTRIES``; the rows go back to their
-    grids.  A single grid so keeps the chunks of a sweep of its own, and the
-    ramped curves of a ramp study share theirs.  A chunk whose propagation
-    raises is propagated again point by point (``_blocks``).  Every point
-    that passes the unitarity bound is then scored in one ``score_blocks``
-    call per target, whose rows equal those of each block alone; if that
-    raises, each block is scored alone (``_scores``).
-    """
-    names = [ax.name for ax in axes]
-    grids, keys, stacks = [], [], {}
+    names, n = [ax.name for ax in axes], len(values)
+    grids, stacks = [], {}
     for base in bases:
         target = gate_target(base.gate)
         try:
             coupling = _base_coupling(base, names)
-            derived = [_derive(base, names, coupling, target, values) for values in points]
         except _POINT_ERRORS as exc:
-            derived = [_failed(values, type(exc)) for values in points]
-        good = [point for point in derived if not isinstance(point, SweepPoint)]
-        detuned = (resonance_violation(point[1], target) for point in good)
-        message = next((m for m in detuned if m), None)
+            grids.append((None, np.full(n, np.nan), np.full(n, type(exc), dtype=object)))
+            continue
+        rows, t_g, errors = _derive(base, names, coupling, target, values)
+        good = ~np.isnan(t_g)
+        message = resonance_violation(rows[good], target)
         if message:
             warnings.warn(message, stacklevel=3)
-        grids.append(derived)
-        keys.append(_stack_key(base, target, good[0][3]) if good else None)
-        if good:
-            stacks.setdefault(keys[-1], []).extend(good)
-    errors, blocks = {}, {}
-    for key, stack in stacks.items():
-        size = max(1, _STACK_ENTRIES // _point_entries(stack[0][1].dim))
-        errors[key] = []
+        scales, durations = trapezoid_segments(base.tau_d, t_g[good])
+        key = target, base.system.sizes, scales, base.dt
+        grids.append((key, t_g, errors))
+        if good.any():
+            stacks.setdefault(key, []).append((rows[good], durations))
+    outcomes, blocks = {}, {}
+    for key, parts in stacks.items():
+        target, sizes, scales, dt = key
+        stack = _Stack(sizes, scales, *(np.concatenate(x) for x in zip(*parts)))
+        size = max(1, _STACK_ENTRIES // _point_entries(math.prod(sizes)))
+        outcomes[key] = []
         for start in range(0, len(stack), size):
-            for m, defects in _blocks(stack[start : start + size], key[-1]):
+            for m, defects in _blocks(stack[start : start + size], dt):
                 if m is None:  # a point whose propagation raised; ``defects`` holds the error's type
-                    errors[key].append(defects)
+                    outcomes[key].append(defects)
                     continue
                 spoiled = defects > SCHEDULE_UNITARITY_TOL
-                blocks.setdefault(key[0], []).append(m[~spoiled])
-                errors[key].extend(UnitarityError if bad else None for bad in spoiled.tolist())
+                blocks.setdefault(target, []).append(m[~spoiled])
+                outcomes[key].extend(UnitarityError if bad else None for bad in spoiled.tolist())
     scores = {target: iter(_scores(np.concatenate(ms), target)) for target, ms in blocks.items()}
-    rows = {
-        key: iter([_row(point, error or next(scores[key[0]])) for point, error in zip(stack, errors[key])])
-        for key, stack in stacks.items()
-    }
-    return [
-        [point if isinstance(point, SweepPoint) else next(rows[key]) for point in derived]
-        for key, derived in zip(keys, grids)
-    ]
+    # a stack's points take their scores in stack order, the order their blocks were stacked in
+    outcomes = {key: iter([error or next(scores[key[0]]) for error in found]) for key, found in outcomes.items()}
+    return [_rows(values, t_g, errors, outcomes.get(key)) for key, t_g, errors in grids]
 
 
-def _grid_points(bases, axes: tuple[SweepAxis, ...]) -> list[tuple[float, ...]]:
-    """Every point of the grid over ``axes``, in lexicographic order, once the axes are checked against each base."""
+def _grid_points(bases, axes: tuple[SweepAxis, ...]) -> np.ndarray:
+    """Every point of the grid over ``axes``, (n, axes) in lexicographic order, once the axes are checked against each base."""
     for base in bases:
         _validate_axes(base, axes)
-    return list(product(*(ax.values() for ax in axes)))
+    return np.stack(np.meshgrid(*(ax.values() for ax in axes), indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
 def evaluate_point(
@@ -426,8 +458,7 @@ def evaluate_point(
     ``axes`` and ``values`` are checked as ``derive_point_spec`` checks
     them, and a fault raises ``ValueError`` rather than a failed row.
     """
-    _point_values(base, axes, values)
-    return _evaluate([base], axes, [tuple(values)])[0][0]
+    return _evaluate([base], axes, _point_grid(base, axes, values))[0][0]
 
 
 def sweep(base: SweepBase, axes, jobs: int = 1) -> SweepGrid:
@@ -518,7 +549,7 @@ def threshold(grid: SweepGrid, level: float) -> ThresholdResult:
         mid = 0.5 * (lo + hi)
         if mid not in found:  # a new round
             mids = _midpoints(lo, hi, depth)
-            found = dict(zip(mids, _evaluate([grid.base], grid.axes, [(x,) for x in mids])[0]))
+            found = dict(zip(mids, _evaluate([grid.base], grid.axes, np.array(mids)[:, None])[0]))
         row = found[mid]
         if row.status != "ok":
             raise RuntimeError(f"gate evaluation failed during bisection at {mid}")
@@ -529,8 +560,8 @@ def threshold(grid: SweepGrid, level: float) -> ThresholdResult:
     value = 0.5 * (lo + hi)
     names = [ax.name for ax in grid.axes]
     coupling = _base_coupling(grid.base, names)
-    point = _derive(grid.base, names, coupling, gate_target(grid.base.gate), (value,))
-    return ThresholdResult(level, True, value, point.t_g_ns if isinstance(point, SweepPoint) else point[2])
+    _, (t_g,), _ = _derive(grid.base, names, coupling, gate_target(grid.base.gate), np.array([[value]]))
+    return ThresholdResult(level, True, value, float(t_g))
 
 
 def truncation_study(base: SweepBase, n_levels_list, axis: SweepAxis, jobs: int = 1) -> list[SweepGrid]:
@@ -564,7 +595,7 @@ def ramp_study(base: SweepBase, tau_d_list, axis: SweepAxis, jobs: int = 1) -> l
     the square one is a stack of its own.  Every row equals that of a
     sweep of its own curve.
     """
-    if base.gate != "cz" or isinstance(base.system, IndirectSystemSpec):
+    if gate_target(base.gate).kind != "cz" or isinstance(base.system, IndirectSystemSpec):
         raise ValueError("ramp studies are defined for directly coupled CZ configurations")
     if any(tau < 0 for tau in tau_d_list):
         raise ValueError("ramp durations must be non-negative")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import scgates
+from scgates import cli as cli_module
 from scgates import presets
 from scgates import sweeps as sweeps_module
 from scgates.cli import (
@@ -604,6 +605,47 @@ class TestCliEntry:
         assert main(["--reproduce", "fig7a", "--jobs", "0"]) == 1
         err = capsys.readouterr().err
         assert json.loads(err.strip())["kind"] == "config"
+
+    def test_the_parser_is_built_once_and_parses_as_a_fresh_one(self, tmp_path, capsys):
+        # a bad --jobs, a run and a usage error in one process give what each gives with a parser of its own
+        argvs = [
+            ["--reproduce", "fig7a", "--jobs", "0"],
+            ["--reproduce", "fig7a", "--out", str(tmp_path / "run")],
+            ["--reproduce", "fig7a", "--config", "c.json"],
+        ]
+
+        def outcome(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exit:
+                code = ("exit", exit.code)
+            files = sorted((path.name, path.read_bytes()) for path in (tmp_path / "run").glob("*"))
+            for path in (tmp_path / "run").glob("*"):
+                path.unlink()
+            return code, capsys.readouterr(), files
+
+        fresh = []
+        for argv in argvs:
+            cli_module._parser.cache_clear()
+            fresh.append(outcome(argv))
+        cli_module._parser.cache_clear()
+        assert [outcome(argv) for argv in argvs] == fresh
+        assert [code for code, _, _ in fresh] == [1, 0, ("exit", 2)]
+        assert cli_module._parser.cache_info().misses == 1
+
+    @pytest.mark.parametrize("config", [
+        # the fig4b preset on a 2 x 2 grid: qubit B is retuned along its anharmonicity
+        {**presets.figure_config("fig4b"), "axes": [{**axis, "n_points": 2} for axis in presets.figure_config("fig4b")["axes"]]},
+        RAMP_CONFIG,
+    ], ids=["sweep2d", "ramp"])
+    def test_an_uppercase_gate_runs_the_lowercase_one(self, tmp_path, config):
+        for gate in ("cz", "CZ"):
+            path = tmp_path / f"{gate}.json"
+            path.write_text(json.dumps({**config, "gate": gate}))
+            assert main(["--config", str(path), "--out", str(tmp_path / gate)]) == 0
+        for name in ("results.csv", "summary.json", "plot.gp"):
+            assert (tmp_path / "CZ" / name).read_bytes() == (tmp_path / "cz" / name).read_bytes()
+        assert json.loads((tmp_path / "CZ" / "summary.json").read_text())["gate"] == "cz"
 
     def test_dt_must_be_positive(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -1,3 +1,4 @@
+import itertools
 import math
 import threading
 import tracemalloc
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from scgates import sweeps as sweeps_module
 from scgates import evolution, presets
 from scgates.cli import parse_config
-from scgates.hamiltonians import hamiltonian_parts, parity_blocks
+from scgates.hamiltonians import hamiltonian_parts, parameter_rows, parity_blocks
 from scgates import (
     CZ,
     ISWAP,
@@ -151,6 +152,160 @@ class TestDerive:
                 ISWAP_BASE,
                 (SweepAxis("g_abs", 0.01, 0.1, 2), SweepAxis("g_over_delta_b", 0.1, 0.5, 2)),
             )
+
+
+def oracle_point(base, names, values):
+    """``(spec, t_g, error)`` at one grid point, built one point at a time as the module docstring's axis semantics say.
+
+    ``spec`` is None if building it raised and ``t_g`` None if it or the
+    gate's schedule raised; ``error`` is the class of what raised, or None.
+    """
+    system, qa, qb = base.system, base.system.qubit_a, base.system.qubit_b
+    by_name, target, spec = dict(zip(names, values)), gate_target(base.gate), None
+    try:
+        indirect = isinstance(system, IndirectSystemSpec)
+        if "delta_a_over_g" in by_name or "delta_b_over_g" in by_name:
+            coupling = effective_couplings(system).g_eff_1 if indirect else system.g
+        anharm_a, anharm_b = qa.anharm, qb.anharm
+        if "delta_b_abs" in by_name:
+            anharm_b = by_name["delta_b_abs"]
+        if "delta_b_over_g" in by_name:
+            anharm_b = by_name["delta_b_over_g"] * coupling
+        if "delta_a_over_g" in by_name:
+            anharm_a = by_name["delta_a_over_g"] * coupling
+        changed = "delta_b_abs" in by_name or "delta_b_over_g" in by_name
+        if base.tie_anharm and changed:
+            anharm_a = anharm_b
+        freq_b = qa.freq + anharm_b if changed and target.kind == "cz" else qb.freq
+        new_qa, new_qb = QubitSpec(qa.freq, anharm_a, qa.n_levels), QubitSpec(freq_b, anharm_b, qb.n_levels)
+        if indirect:
+            g_qc = system.g_qc
+            geff = by_name.get("geff_abs", by_name.get("geff_over_delta_b", 0.0) * anharm_b)
+            if "geff_abs" in by_name or "geff_over_delta_b" in by_name:
+                product = geff * (qa.freq - system.cavity_freq)
+                if product <= 0:
+                    raise ValueError("opposite signs")
+                g_qc = math.sqrt(product)
+            spec = IndirectSystemSpec(new_qa, new_qb, system.cavity_freq, g_qc, system.n_photons)
+        else:
+            g = system.g
+            if "g_over_delta_b" in by_name:
+                g = by_name["g_over_delta_b"] * anharm_b
+            elif "g_abs" in by_name:
+                g = by_name["g_abs"]
+            spec = DirectSystemSpec(new_qa, new_qb, g)
+        t_g = gate_time(spec, target)
+        trapezoid_schedule(base.tau_d, t_g)
+    except (ValueError, ArithmeticError) as exc:
+        return spec, None, type(exc)
+    return spec, t_g, None
+
+
+def _bases():
+    # frequencies on the cavity, or an anharmonicity away from it, leave a dispersive denominator
+    # near zero, and g_qc = 1e200 overflows its square
+    freq, anharm = st.one_of(st.floats(4.0, 9.0), st.sampled_from([6.9, 8.0, 8.2])), st.one_of(st.floats(0.0, 0.3), st.just(0.2))
+    qubit = st.builds(QubitSpec, freq, anharm, st.integers(2, 4))
+    direct = st.builds(DirectSystemSpec, qubit, qubit, st.sampled_from([0.0, 5e-324, 0.01, 0.04]))
+    # a cavity between, below or above the qubits, so that detunings take either sign or nearly vanish
+    g_qc = st.one_of(st.floats(0.0, 0.3), st.sampled_from([0.0, 1e200]))
+    cavity = st.builds(IndirectSystemSpec, qubit, qubit, st.sampled_from([4.0, 6.9, 8.2, 10.0]), g_qc, st.just(3))
+    return st.builds(
+        SweepBase,
+        st.one_of(direct, cavity),
+        st.sampled_from(["iswap", "cz", "ISWAP", "CZ"]),
+        st.sampled_from([0.0, 2.0]),
+        tie_anharm=st.booleans(),
+    )
+
+
+#: Axis values that fail as well as ones that work: negative and subnormal values, zero, and a
+#: g_eff whose sign is opposite to qubit A's detuning from the cavity; 0.2 retunes qubit B of
+#: frequency 8.0 onto a cavity at 8.2.
+AXIS_STARTS = st.sampled_from([-0.3, -1e-3, 0.0, 5e-324, 1e-3, 0.02, 0.1, 0.2, 0.5, 2.0])
+
+
+class TestDerivationArrays:
+    """A grid's points are derived as arrays (``_derive``); each entry is what one point's derivation gives."""
+
+    @staticmethod
+    def axis_names(base, count: int):
+        """Every tuple of ``count`` axis names that a sweep of ``base`` takes, in either order."""
+        allowed = []
+        for names in itertools.permutations(sorted(sweeps_module.AXIS_NAMES), count):
+            try:
+                sweeps_module._validate_axes(base, tuple(SweepAxis(name, 0.0, 1.0, 2) for name in names))
+            except ValueError:
+                continue
+            allowed.append(names)
+        return allowed
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(base=_bases(), data=st.data())
+    def test_each_point_is_its_one_point_derivation_bit_for_bit(self, base, data):
+        names = data.draw(st.sampled_from(self.axis_names(base, data.draw(st.integers(1, 2)))))
+        axes = tuple(
+            SweepAxis(name, start, start + data.draw(st.sampled_from([1e-3, 0.05, 1.0])), data.draw(st.integers(2, 3)))
+            for name, start in zip(names, [data.draw(AXIS_STARTS) for _ in names])
+        )
+        values = sweeps_module._grid_points([base], axes)
+        with np.errstate(over="ignore"):  # gate_time divides by a subnormal coupling in numpy
+            expected = [oracle_point(base, names, point) for point in values.tolist()]
+        try:
+            coupling = sweeps_module._base_coupling(base, names)
+        except (ValueError, ArithmeticError) as exc:
+            # the base coupling of the ratio axes fails, and every point with it
+            assert {error for _, _, error in expected} == {type(exc)}
+        else:
+            rows, t_g, errors = sweeps_module._derive(base, names, coupling, gate_target(base.gate), values)
+            for (spec, time, error), row, got_time, got_error in zip(expected, rows, t_g.tolist(), errors.tolist()):
+                assert got_error is error
+                if spec is not None:
+                    assert row.tobytes() == parameter_rows([spec]).tobytes()
+                if time is not None:
+                    assert got_time == time
+                else:
+                    assert math.isnan(got_time)
+        spec, _, error = expected[0]
+        if spec is None:
+            with pytest.raises(error):
+                derive_point_spec(base, axes, values[0])
+        else:
+            assert derive_point_spec(base, axes, values[0]) == spec
+        if data.draw(st.integers(0, 9)) == 0:  # a few draws run the grid too
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                rows = sweep(base, axes).rows
+                assert rows == tuple(evaluate_point(base, axes, row.values) for row in rows)
+            assert [row.status for row in rows] == ["ok" if e is None else f"error:{e.__name__}" for _, _, e in expected]
+
+
+    def test_a_squared_g_qc_that_overflows_fails_its_point_as_gate_time_does(self):
+        # Python's float power raises OverflowError; the arrays square with np.float_power
+        system = replace(INDIRECT_BASE.system, g_qc=1e200)
+        axes = (SweepAxis("delta_b_abs", 0.1, 0.2, 3),)
+        rows = sweep(SweepBase(system, "cz"), axes).rows
+        assert [row.status for row in rows] == ["error:OverflowError"] * 3
+        with pytest.raises(OverflowError):
+            gate_time(derive_point_spec(SweepBase(system, "cz"), axes, (0.1,)), CZ)
+
+
+class TestGateNames:
+    """Gate names are read case-blind, as ``gate_target`` reads them: an uppercase name runs the lowercase gate."""
+
+    def test_an_uppercase_cz_sweep_retunes_qubit_b(self):
+        # a missed retune leaves qubit B detuned, which only warns
+        base = SweepBase(CZ_BASE.system, "cz")
+        axes = (SweepAxis("delta_a_over_g", 0.5, 8.0, 2), SweepAxis("delta_b_over_g", 0.5, 8.0, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            upper = sweep(replace(base, gate="CZ"), axes)
+        assert upper.rows == sweep(base, axes).rows
+
+    def test_an_uppercase_ramp_study_runs(self):
+        axis = SweepAxis("g_over_delta_b", 0.1, 0.3, 5)
+        grids = ramp_study(replace(CZ_BASE, gate="CZ"), [0.0, 2.0], axis)
+        assert [grid.rows for grid in grids] == [grid.rows for grid in ramp_study(CZ_BASE, [0.0, 2.0], axis)]
 
 
 POINT_FUNCTIONS = pytest.mark.parametrize("point", [derive_point_spec, evaluate_point], ids=["derive", "evaluate"])
@@ -462,15 +617,15 @@ class TestBatching:
     def test_unitarity_failure_stays_in_its_row(self, monkeypatch):
         base, axes = BATCH_CASES["cavity"]
         expected = sweep(base, axes).rows
-        bad = derive_point_spec(base, axes, expected[3].values)
-        computational_blocks = sweeps_module.computational_blocks
+        (bad,) = parameter_rows([derive_point_spec(base, axes, expected[3].values)])
+        stack_blocks = sweeps_module.stack_blocks
 
-        def leaky_blocks(specs, *args):
-            m, defects = computational_blocks(specs, *args)
-            hit = np.array([spec == bad for spec in specs])
+        def leaky_blocks(sizes, rows, *args):
+            m, defects = stack_blocks(sizes, rows, *args)
+            hit = (rows == bad).all(axis=1)
             return m, np.where(hit, 1e-6, defects)
 
-        monkeypatch.setattr(sweeps_module, "computational_blocks", leaky_blocks)
+        monkeypatch.setattr(sweeps_module, "stack_blocks", leaky_blocks)
         rows = sweep(base, axes).rows
         assert rows[3].status == "error:UnitarityError"
         assert rows[:3] + rows[4:] == expected[:3] + expected[4:]
@@ -480,21 +635,21 @@ class TestBatching:
         # one point's block is NaN, so that solve raises and each block is scored alone
         base, axes = cavity_base(3), (SweepAxis("geff_over_delta_b", 0.05, 0.5, 40),)
         expected = sweep(base, axes).rows
-        bad = derive_point_spec(base, axes, expected[20].values)
-        computational_blocks, score_blocks = sweeps_module.computational_blocks, sweeps_module.score_blocks
+        (bad,) = parameter_rows([derive_point_spec(base, axes, expected[20].values)])
+        stack_blocks, score_blocks = sweeps_module.stack_blocks, sweeps_module.score_blocks
         chunks, scored = [], []
 
-        def nan_blocks(specs, schedules, dt):
-            chunks.append(len(specs))
-            m, defects = computational_blocks(specs, schedules, dt)
-            m[[spec == bad for spec in specs]] = np.nan
+        def nan_blocks(sizes, rows, scales, durations, dt):
+            chunks.append(len(rows))
+            m, defects = stack_blocks(sizes, rows, scales, durations, dt)
+            m[(rows == bad).all(axis=1)] = np.nan
             return m, defects
 
         def counted_scores(m, target):
             scored.append(len(m))
             return score_blocks(m, target)
 
-        monkeypatch.setattr(sweeps_module, "computational_blocks", nan_blocks)
+        monkeypatch.setattr(sweeps_module, "stack_blocks", nan_blocks)
         monkeypatch.setattr(sweeps_module, "score_blocks", counted_scores)
         with np.errstate(invalid="ignore"):
             rows = sweep(base, axes).rows
@@ -941,14 +1096,14 @@ class TestStudyStacks:
 
             monkeypatch.setattr(evolution, "_ramp_propagator", failing_ramp_propagator)
         else:
-            computational_blocks = sweeps_module.computational_blocks
+            stack_blocks, (bad_row,) = sweeps_module.stack_blocks, parameter_rows([bad_spec])
 
-            def leaky_blocks(specs, schedules, dt):
-                m, defects = computational_blocks(specs, schedules, dt)
-                hit = [spec == bad_spec and s.segments[0].duration == 5.0 for spec, s in zip(specs, schedules)]
+            def leaky_blocks(sizes, rows, scales, durations, dt):
+                m, defects = stack_blocks(sizes, rows, scales, durations, dt)
+                hit = (rows == bad_row).all(axis=1) & (durations[:, 0] == 5.0)
                 return m, np.where(hit, 1e-6, defects)
 
-            monkeypatch.setattr(sweeps_module, "computational_blocks", leaky_blocks)
+            monkeypatch.setattr(sweeps_module, "stack_blocks", leaky_blocks)
         grids = ramp_study(CZ_BASE, STUDY_TAUS, STUDY_AXIS)
         status = "error:LinAlgError" if failure == "ramp" else "error:UnitarityError"
         assert grids[3].rows[2].status == status
