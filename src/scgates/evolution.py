@@ -10,16 +10,18 @@ Math. 56, 1519 (2006); Alvermann & Fehske, J. Comput. Phys. 230, 5930
 (2011)).  Because H is affine in the scale and the ramp is linear in time, a
 CF4 step is exactly two half-step exponentials with H frozen at 1/6 and 5/6
 of the step, so the error falls as ``dt**4``.
-One propagator, ``schedule_columns``, takes a stack of points that share
-a truncation and a schedule shape, such as a sweep's grid points, and
-propagates given columns of each parity block: each constant segment, at
-each point's own duration, is one stacked exponential, and each ramped
-segment is one stacked ramp propagation, in which the points of one ramp
-plan (``_ramp_plans``: the same chunks, degrees and group degrees) share
-every call and each point does exactly the arithmetic it would do alone.  A
+One propagator, ``segment_columns``, takes a stack of points that share a
+truncation and a schedule shape, such as a sweep's grid points, as arrays:
+the segments' scales and each point's durations.  It propagates given
+columns of each parity block: each constant segment, at each point's own
+duration, is one stacked exponential, and each ramped segment is one
+stacked ramp propagation, in which the points of one ramp plan
+(``_ramp_plans``: the same chunks, degrees and group degrees) share every
+call and each point does exactly the arithmetic it would do alone.  A
 gate is scored on the columns of its four computational states alone
-(``gates.computational_blocks``); ``propagate_schedule`` is the one-point
-case with every column, assembled into the full propagator.
+(``gates.stack_blocks``); ``propagate_schedule`` is the one-point case with
+every column, assembled into the full propagator, and ``schedule_columns``
+reads a list of schedules into the arrays.
 
 The exponentials are taken in one of two ways, chosen by the segment kind:
 

@@ -193,14 +193,12 @@ def parameter_rows(specs) -> np.ndarray:
     (``stack_rows``).  The truncation is not part of a row: the stacked
     functions take it as ``sizes``, whose length also tells the kind.
     """
-    indirect = isinstance(specs[0], IndirectSystemSpec)
-    return np.array(
-        [
-            (s.qubit_a.freq, s.qubit_b.freq, s.qubit_a.anharm, s.qubit_b.anharm, *((s.g_qc, s.cavity_freq) if indirect else (s.g,)))
-            for s in specs
-        ],
-        dtype=float,
-    )
+
+    def row(s):
+        coupling = (s.g_qc, s.cavity_freq) if isinstance(s, IndirectSystemSpec) else (s.g,)
+        return (s.qubit_a.freq, s.qubit_b.freq, s.qubit_a.anharm, s.qubit_b.anharm, *coupling)
+
+    return np.array([row(s) for s in specs], dtype=float)
 
 
 def stack_rows(freq_a, freq_b, anharm_a, anharm_b, coupling, cavity_freq=None) -> np.ndarray:

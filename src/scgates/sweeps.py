@@ -3,13 +3,18 @@
 A sweep takes a fully specified base system plus one or two axes and produces
 a dense table of gate fidelities, gate times and leakage.  Axis values modify
 the base system point by point; everything not named by an axis is taken from
-the base.  Every point's system and gate time are derived first, with the
-base coupling of the ratio axes computed once per sweep.  The points are
-then propagated as stacks, in chunks that hold at most ``_STACK_ENTRIES``
-float64 entries: one Hamiltonian stack and one stacked propagation of the
-computational columns per chunk (``gates.computational_blocks``, which
-``run_gate`` shares).  The blocks of all chunks are then scored together, in
-one phase solve.  Square and ramped points take the same path: each ramped
+the base.  Every point's system and gate time are derived first, as arrays
+over the whole grid (``_derive``): each point's parameter row
+(``hamiltonians.parameter_rows``), its gate time and the class of the first
+error its derivation would raise, with the base coupling of the ratio axes
+computed once per sweep.  No spec or schedule object is made per point.
+``derive_point_spec`` is the one-point case, and so is the gate time that
+``threshold`` reports.  The points are then propagated as stacks, in chunks
+that hold at most ``_STACK_ENTRIES`` float64 entries: one Hamiltonian stack
+and one stacked propagation of the computational columns per chunk, read
+from the arrays (``gates.stack_blocks``, whose spec form ``run_gate``
+shares).  The blocks of all chunks are then scored together, in one phase
+solve.  Square and ramped points take the same path: each ramped
 segment is one stacked ramp propagation, shared by the points whose ramp
 plans agree.  A ramp or truncation study is one such run over all its grids
 (``_evaluate``): points of different grids share a stack where the gate,
@@ -230,6 +235,11 @@ def derive_point_spec(
     return spec_of_row(base.system, rows[0])
 
 
+def _outside(x: np.ndarray, strict: bool = False) -> np.ndarray:
+    """Where ``x`` fails a constructor's range check, ``0 <= x < inf``, or ``0 < x < inf`` if ``strict``."""
+    return ~(((x > 0) if strict else (x >= 0)) & (x < math.inf))
+
+
 def _derive(base: SweepBase, names, coupling, target, values: np.ndarray):
     """``(rows, t_g, errors)`` of the grid points ``values`` (n, axes), per the module-level axis semantics.
 
@@ -259,8 +269,7 @@ def _derive(base: SweepBase, names, coupling, target, values: np.ndarray):
     if base.tie_anharm and retuned:
         anharm_a = anharm_b
     freq_b = freq_a + anharm_b if retuned and target.kind == "cz" else np.full(n, qb.freq, dtype=float)
-    bad_spec = ~((anharm_a >= 0) & (anharm_a < math.inf) & (freq_b > 0) & (freq_b < math.inf))
-    bad_spec |= ~((anharm_b >= 0) & (anharm_b < math.inf))
+    bad_spec = _outside(anharm_a) | _outside(freq_b, strict=True) | _outside(anharm_b)
     with np.errstate(all="ignore"):
         if isinstance(system, IndirectSystemSpec):
             g_qc, geff = np.full(n, system.g_qc, dtype=float), by_name.get("geff_abs")
@@ -270,7 +279,7 @@ def _derive(base: SweepBase, names, coupling, target, values: np.ndarray):
                 product = geff * (qa.freq - system.cavity_freq)
                 g_qc = np.where(product > 0, np.sqrt(product), np.nan)
             rows = stack_rows(freq_a, freq_b, anharm_a, anharm_b, g_qc, system.cavity_freq)
-            bad_spec |= ~((g_qc >= 0) & (g_qc < math.inf))
+            bad_spec |= _outside(g_qc)
             found = denominators(freq_a, freq_b, anharm_a, anharm_b, system.cavity_freq)
             delta_a, delta_b, *_ = found.values()
             g2 = np.float_power(g_qc, 2.0)
@@ -285,14 +294,12 @@ def _derive(base: SweepBase, names, coupling, target, values: np.ndarray):
             elif "g_abs" in by_name:
                 g = by_name["g_abs"]
             rows = stack_rows(freq_a, freq_b, anharm_a, anharm_b, g)
-            coupling, checks = g, [(ValueError, bad_spec | ~((g >= 0) & (g < math.inf)))]
+            coupling, checks = g, [(ValueError, bad_spec | _outside(g))]
         t_g = resonant_time(coupling, target)
-    checks.append((ValueError, (coupling <= 0) | ~((t_g > 0) & (t_g < math.inf))))
-    errors = np.full(n, None, dtype=object)
-    for error, bad in reversed(checks):  # the first check a point fails names its error
-        errors[bad] = error
-    failed = np.logical_or.reduce([bad for _, bad in checks])
-    return rows, np.where(failed, np.nan, t_g), errors
+    checks.append((ValueError, (coupling <= 0) | _outside(t_g, strict=True)))
+    # the first check a point fails names its error
+    errors = np.select([bad for _, bad in checks], [error for error, _ in checks], None)
+    return rows, np.where(np.equal(errors, None), t_g, np.nan), errors
 
 
 _FAILED = float("nan")
