@@ -204,8 +204,9 @@ def trapezoid_segments(tau_d: float, holds: np.ndarray, park_scale: float = 1.1)
     """
     if tau_d == 0:
         return ((1.0, 1.0),), holds[:, None]
-    ramps = np.full(len(holds), tau_d)
-    return ((park_scale, 1.0), (1.0, 1.0), (1.0, park_scale)), np.stack([ramps, holds, ramps], axis=1)
+    durations = np.full((len(holds), 3), tau_d)
+    durations[:, 1] = holds
+    return ((park_scale, 1.0), (1.0, 1.0), (1.0, park_scale)), durations
 
 
 def schedule_segments(schedules):

@@ -202,13 +202,16 @@ def parameter_rows(specs) -> np.ndarray:
 
 
 def stack_rows(freq_a, freq_b, anharm_a, anharm_b, coupling, cavity_freq=None) -> np.ndarray:
-    """Parameter rows (``parameter_rows``) from each parameter, an array of one entry per system or one value for all.
+    """Parameter rows (``parameter_rows``) from each parameter: ``freq_a`` an array of one entry per system, the rest such arrays or one value for all.
 
     ``coupling`` is g, or a cavity pair's g_qc, and ``cavity_freq`` is given
     for cavity pairs only.
     """
     columns = (freq_a, freq_b, anharm_a, anharm_b, coupling) + (() if cavity_freq is None else (cavity_freq,))
-    return np.column_stack(np.broadcast_arrays(*columns)).astype(float, copy=False)
+    rows = np.empty((len(freq_a), len(columns)))
+    for k, column in enumerate(columns):
+        rows[:, k] = column
+    return rows
 
 
 def spec_of_row(system: DirectSystemSpec | IndirectSystemSpec, row: np.ndarray):

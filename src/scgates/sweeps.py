@@ -235,11 +235,6 @@ def derive_point_spec(
     return spec_of_row(base.system, rows[0])
 
 
-def _outside(x: np.ndarray, strict: bool = False) -> np.ndarray:
-    """Where ``x`` fails a constructor's range check, ``0 <= x < inf``, or ``0 < x < inf`` if ``strict``."""
-    return ~(((x > 0) if strict else (x >= 0)) & (x < math.inf))
-
-
 def _derive(base: SweepBase, names, coupling, target, values: np.ndarray):
     """``(rows, t_g, errors)`` of the grid points ``values`` (n, axes), per the module-level axis semantics.
 
@@ -249,9 +244,10 @@ def _derive(base: SweepBase, names, coupling, target, values: np.ndarray):
     cannot be inverted, and ``t_g`` their gate times, NaN at a failed point.
     ``errors`` holds the class of the error a point's derivation raises, or
     None: the first of the checks that building its spec, ``gate_time`` and
-    the schedule's segments make, taken on the arrays in that order.  Each
-    formula keeps the operation order of its one-point form, so every entry
-    is what that form gives bit for bit; g_qc is squared as
+    the schedule's segments make, taken on the arrays in that order.  A spec
+    takes finite, non-negative parameters and a positive qubit frequency.
+    Each formula keeps the operation order of its one-point form, so every
+    entry is what that form gives bit for bit; g_qc is squared as
     ``effective_couplings`` squares it (C ``pow``), through
     ``np.float_power``.
     """
@@ -269,7 +265,6 @@ def _derive(base: SweepBase, names, coupling, target, values: np.ndarray):
     if base.tie_anharm and retuned:
         anharm_a = anharm_b
     freq_b = freq_a + anharm_b if retuned and target.kind == "cz" else np.full(n, qb.freq, dtype=float)
-    bad_spec = _outside(anharm_a) | _outside(freq_b, strict=True) | _outside(anharm_b)
     with np.errstate(all="ignore"):
         if isinstance(system, IndirectSystemSpec):
             g_qc, geff = np.full(n, system.g_qc, dtype=float), by_name.get("geff_abs")
@@ -279,27 +274,28 @@ def _derive(base: SweepBase, names, coupling, target, values: np.ndarray):
                 product = geff * (qa.freq - system.cavity_freq)
                 g_qc = np.where(product > 0, np.sqrt(product), np.nan)
             rows = stack_rows(freq_a, freq_b, anharm_a, anharm_b, g_qc, system.cavity_freq)
-            bad_spec |= _outside(g_qc)
             found = denominators(freq_a, freq_b, anharm_a, anharm_b, system.cavity_freq)
             delta_a, delta_b, *_ = found.values()
             g2 = np.float_power(g_qc, 2.0)
             g_eff_1, _, g_eff_3, _ = exchange_couplings(g2, delta_a, delta_b, anharm_a, anharm_b)
-            coupling = gate_coupling(target, g_eff_1, g_eff_3)
+            gate_g = gate_coupling(target, g_eff_1, g_eff_3)
             regime = np.logical_or.reduce([np.abs(denom) < MIN_DENOMINATOR for denom in found.values()])
-            checks = [(ValueError, bad_spec), (DispersiveRegimeError, regime), (OverflowError, np.isinf(g2))]
+            checks = [(DispersiveRegimeError, regime), (OverflowError, np.isinf(g2))]
         else:
             g = np.full(n, system.g, dtype=float)
             if "g_over_delta_b" in by_name:
                 g = by_name["g_over_delta_b"] * anharm_b
             elif "g_abs" in by_name:
                 g = by_name["g_abs"]
-            rows = stack_rows(freq_a, freq_b, anharm_a, anharm_b, g)
-            coupling, checks = g, [(ValueError, bad_spec | _outside(g))]
-        t_g = resonant_time(coupling, target)
-    checks.append((ValueError, (coupling <= 0) | _outside(t_g, strict=True)))
-    # the first check a point fails names its error
-    errors = np.select([bad for _, bad in checks], [error for error, _ in checks], None)
-    return rows, np.where(np.equal(errors, None), t_g, np.nan), errors
+            rows, gate_g, checks = stack_rows(freq_a, freq_b, anharm_a, anharm_b, g), g, []
+        t_g = resonant_time(gate_g, target)
+    bad_spec = ~(np.isfinite(rows) & (rows >= 0)).all(axis=1) | (freq_b == 0)
+    checks = [(ValueError, bad_spec), *checks, (ValueError, (gate_g <= 0) | ~((t_g > 0) & (t_g < math.inf)))]
+    errors, failed = np.full(n, None, dtype=object), np.zeros(n, dtype=bool)
+    for error, bad in reversed(checks):  # the first check a point fails names its error
+        errors[bad] = error
+        failed |= bad
+    return rows, np.where(failed, np.nan, t_g), errors
 
 
 _FAILED = float("nan")
@@ -398,7 +394,8 @@ def _evaluate(bases, axes: tuple[SweepAxis, ...], values: np.ndarray) -> list[li
     Every point of every grid is derived before any is run, as arrays
     (``_derive``), with the base coupling of the ratio axes computed once
     per base; if that fails, every point of its grid fails with it, as each
-    would alone.  A detuned grid warns once, for its first detuned point, as
+    would alone.  Bases that differ only in their pulse share one
+    derivation.  A detuned grid warns once, for its first detuned point, as
     ``run_gate`` would.  The good points of all grids are then stacked by
     what a stack must share (the target, the truncation, whose length tells
     the system kind, the segment scales and dt), their durations free, in
@@ -412,15 +409,19 @@ def _evaluate(bases, axes: tuple[SweepAxis, ...], values: np.ndarray) -> list[li
     (``_scores``).
     """
     names, n = [ax.name for ax in axes], len(values)
-    grids, stacks = [], {}
+    grids, stacks, derived = [], {}, {}
     for base in bases:
         target = gate_target(base.gate)
-        try:
-            coupling = _base_coupling(base, names)
-        except _POINT_ERRORS as exc:
-            grids.append((None, np.full(n, np.nan), np.full(n, type(exc), dtype=object)))
-            continue
-        rows, t_g, errors = _derive(base, names, coupling, target, values)
+        # bases that differ only in their pulse, as the curves of a ramp study do, share one derivation
+        shared = base.system, target, base.tie_anharm
+        if shared not in derived:
+            try:
+                coupling = _base_coupling(base, names)
+            except _POINT_ERRORS as exc:
+                derived[shared] = np.full((n, 6), np.nan), np.full(n, np.nan), np.full(n, type(exc), dtype=object)
+            else:
+                derived[shared] = _derive(base, names, coupling, target, values)
+        rows, t_g, errors = derived[shared]
         good = ~np.isnan(t_g)
         message = resonance_violation(rows[good], target)
         if message:
