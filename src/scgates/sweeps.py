@@ -57,7 +57,6 @@ import warnings
 # Not used here: bench/layers.py patches this name when tracing (--trace 1).
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, replace
-from itertools import product
 
 import numpy as np
 
