@@ -43,11 +43,12 @@ from typing import get_type_hints
 import numpy as np
 
 from . import presets
-from .dispersive import DispersiveRegimeError, EffectiveCouplings, effective_couplings
-from .evolution import UnitarityError, trapezoid_schedule
+from .dispersive import EffectiveCouplings, effective_couplings
+from .evolution import trapezoid_schedule
 from .gates import GateResult, gate_target, gate_time, run_gate
 from .hamiltonians import DirectSystemSpec, IndirectSystemSpec
 from .sweeps import (
+    _NUMERICAL_ERRORS,
     SweepAxis,
     SweepBase,
     SweepGrid,
@@ -96,7 +97,8 @@ def _get(obj: dict, key: str, types, where: str, default=None, required: bool = 
     value = obj[key]
     if type(value) is not types:  # a value of exactly the field's type needs neither step
         if types is float and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
+            # an int beyond the float range is an infinity of its sign, refused below as not finite
+            value = float(value) if abs(value) <= sys.float_info.max else (math.inf if value > 0 else -math.inf)
         if not isinstance(value, types) or isinstance(value, bool) and types is not bool:
             raise ConfigError(f"key {key!r} in {where} has wrong type {type(value).__name__}")
     if types is float and not math.isfinite(value):
@@ -193,7 +195,7 @@ def _n_levels_list(value) -> tuple[int, ...]:
 
 def _tau_d_list(value) -> tuple[float, ...]:
     if not isinstance(value, list) or not value or not all(
-        isinstance(t, (int, float)) and not isinstance(t, bool) and 0 <= t < math.inf
+        isinstance(t, (int, float)) and not isinstance(t, bool) and 0 <= t <= sys.float_info.max
         for t in value
     ):
         raise ConfigError("mode 'ramp' needs tau_d_list of non-negative finite durations")
@@ -606,7 +608,7 @@ def _run_cli(load, out_dir, dt, stem: str, default_out=None) -> int:
         return 1
     try:
         summary = run_config(cfg, out, stem=stem)
-    except (UnitarityError, DispersiveRegimeError, FloatingPointError, np.linalg.LinAlgError, ValueError, RuntimeError) as exc:
+    except _NUMERICAL_ERRORS as exc:
         _emit_error("numerical", exc)
         return 2
     except MemoryError as exc:

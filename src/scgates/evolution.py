@@ -20,8 +20,8 @@ stacked ramp propagation, in which the points of one ramp plan
 call and each point does exactly the arithmetic it would do alone.  A
 gate is scored on the columns of its four computational states alone
 (``gates.stack_blocks``); ``propagate_schedule`` is the one-point case with
-every column, assembled into the full propagator, and ``schedule_columns``
-reads a list of schedules into the arrays.
+every column, assembled into the full propagator, its schedule read into the
+arrays by ``schedule_segments``.
 
 The exponentials are taken in one of two ways, chosen by the segment kind:
 
@@ -684,11 +684,6 @@ def _with_diagonal(h: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
     return h
 
 
-def schedule_columns(h0: np.ndarray, d1: np.ndarray, schedules, blocks, columns, dt: float):
-    """``segment_columns`` over ``schedules``, one per point, which have the same segments but for their durations (``schedule_segments``)."""
-    return segment_columns(h0, d1, *schedule_segments(schedules), blocks, columns, dt)
-
-
 def segment_columns(h0: np.ndarray, d1: np.ndarray, scales, durations: np.ndarray, blocks, columns, dt: float):
     """Given columns of the propagators of a stack of points over their segments, and the unitarity defect of each point.
 
@@ -785,7 +780,7 @@ def propagate_schedule(
 
     Constant segments are evolved exactly; ramped segments are discretized as
     described in the module docstring.  This is the one-point case of
-    ``schedule_columns`` with every column, which says how the segments are
+    ``segment_columns`` with every column, which says how the segments are
     taken; the blocks' propagators are assembled into the full matrix, with
     exact zeros between blocks, and a defect above ``SCHEDULE_UNITARITY_TOL``
     raises ``UnitarityError``.
@@ -794,7 +789,7 @@ def propagate_schedule(
     """
     h0, h1 = hamiltonian_parts(spec)
     blocks = parity_blocks(spec)
-    us, (defect,) = schedule_columns(h0[None], np.diagonal(h1)[None], [schedule], blocks, None, dt)
+    us, (defect,) = segment_columns(h0[None], np.diagonal(h1)[None], *schedule_segments([schedule]), blocks, None, dt)
     if defect > SCHEDULE_UNITARITY_TOL:
         raise UnitarityError(f"unitarity defect {defect:.3e} exceeds {SCHEDULE_UNITARITY_TOL:g}")
     steps = sum(1 if seg.is_constant else math.ceil(seg.duration / dt) for seg in schedule.segments)

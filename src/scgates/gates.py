@@ -28,6 +28,7 @@ polynomials; ``gate_fidelity`` is its one-block case.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -162,25 +163,18 @@ def project_computational(
     return np.ascontiguousarray(u[..., ix[:, None], ix], dtype=complex)
 
 
-#: Per truncation: the parity blocks, and per block the block-local indices of
-#: the computational states it holds and their places among |00> ... |11>, as
-#: a (row, column) index pair into M.
-_COMPUTATIONAL_COLUMNS: dict[tuple, tuple] = {}
-
-
+@functools.cache
 def _computational_columns(sizes: tuple[int, ...]):
-    """``(blocks, columns, places)`` of truncation ``sizes``, built once per truncation, as ``parity_blocks`` is."""
-    if sizes not in _COMPUTATIONAL_COLUMNS:
-        blocks, states = _parity_blocks(sizes), np.array(_computational_indices(sizes))
-        places = [np.flatnonzero(np.isin(states, ix)) for ix in blocks]
-        columns = [np.searchsorted(ix, states[at]) for ix, at in zip(blocks, places)]
-        _COMPUTATIONAL_COLUMNS[sizes] = blocks, columns, [(at[:, None], at) for at in places]
-    return _COMPUTATIONAL_COLUMNS[sizes]
+    """``(blocks, columns, places)`` of truncation ``sizes``, built once per truncation, as ``parity_blocks`` is.
 
-
-def computational_blocks(specs, schedules, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """``stack_blocks`` of specs sharing one kind and truncation over schedules of one shape."""
-    return stack_blocks(specs[0].sizes, parameter_rows(specs), *schedule_segments(schedules), dt)
+    ``blocks`` are the parity blocks, and per block ``columns`` holds the
+    block-local indices of the computational states it holds and ``places``
+    their places among |00> ... |11>, as a (row, column) index pair into M.
+    """
+    blocks, states = _parity_blocks(sizes), np.array(_computational_indices(sizes))
+    places = [np.flatnonzero(np.isin(states, ix)) for ix in blocks]
+    columns = [np.searchsorted(ix, states[at]) for ix, at in zip(blocks, places)]
+    return blocks, columns, [(at[:, None], at) for at in places]
 
 
 def stack_blocks(sizes: tuple[int, ...], rows: np.ndarray, scales, durations: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -445,18 +439,19 @@ def run_gate(
     """Propagate and score one gate.
 
     With ``schedule=None`` a square pulse of the resonant gate duration is
-    used.  The computational block is propagated as a sweep propagates it
-    (``computational_blocks``), and a unitarity defect above
+    used.  The computational block is propagated as a sweep propagates it,
+    as a stack of one point (``stack_blocks``), and a unitarity defect above
     ``SCHEDULE_UNITARITY_TOL`` raises ``UnitarityError``, as
     ``propagate_schedule`` does.  A violated resonance condition only
     warns: deliberately detuned runs are legitimate sensitivity studies.
     """
-    message = resonance_violation(parameter_rows([spec]), target)
+    rows = parameter_rows([spec])
+    message = resonance_violation(rows, target)
     if message:
         warnings.warn(message, stacklevel=2)
     if schedule is None:
         schedule = square_schedule(gate_time(spec, target))
-    (block,), (defect,) = computational_blocks([spec], [schedule], dt)
+    (block,), (defect,) = stack_blocks(spec.sizes, rows, *schedule_segments([schedule]), dt)
     if defect > SCHEDULE_UNITARITY_TOL:
         raise UnitarityError(f"unitarity defect {defect:.3e} exceeds {SCHEDULE_UNITARITY_TOL:g}")
     return gate_fidelity(block, target)

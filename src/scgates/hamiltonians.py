@@ -241,11 +241,6 @@ def _row_modes(sizes: tuple[int, ...], rows: np.ndarray) -> tuple[list[np.ndarra
     return levels, [(0, 1, rows[:, 4])]
 
 
-def _modes(specs):
-    """``_row_modes`` of specs sharing one kind and truncation; the tests build their dense reference Hamiltonians from it."""
-    return _row_modes(specs[0].sizes, parameter_rows(specs))
-
-
 def _outer_sum(levels: list[np.ndarray]) -> np.ndarray:
     """Product-basis energies (n, d): the outer sum of each row of the mode ladders."""
     diag = levels[0]
@@ -308,17 +303,12 @@ def build_direct_hamiltonian(spec: DirectSystemSpec | IndirectSystemSpec, freq_s
     """
     if not 0 < freq_scale_b < math.inf:
         raise ValueError(f"freq_scale_b must be positive and finite, got {freq_scale_b}")
-    (h,), (d1,) = hamiltonian_parts_stack([spec])
+    (h,), (d1,) = hamiltonian_parts_rows(spec.sizes, parameter_rows([spec]))
     h.reshape(-1)[:: spec.dim + 1] += freq_scale_b * d1
     return h.astype(complex)
 
 
 build_indirect_hamiltonian = build_direct_hamiltonian
-
-
-def hamiltonian_parts_stack(specs) -> tuple[np.ndarray, np.ndarray]:
-    """``hamiltonian_parts_rows`` of specs sharing one kind and truncation."""
-    return hamiltonian_parts_rows(specs[0].sizes, parameter_rows(specs))
 
 
 def hamiltonian_parts_rows(sizes: tuple[int, ...], rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -348,9 +338,9 @@ def hamiltonian_parts(spec: DirectSystemSpec | IndirectSystemSpec) -> tuple[np.n
     is ``h0 + s*h1`` formed from these parts, so the identity holds bit for
     bit.  h1 is diagonal, since the scale multiplies only qubit B's level
     energies; the ramp propagator relies on that, so along a ramp only the
-    diagonal moves.  This is the one-spec case of ``hamiltonian_parts_stack``.
+    diagonal moves.  This is the one-spec case of ``hamiltonian_parts_rows``.
     """
-    h0, d1 = hamiltonian_parts_stack([spec])
+    h0, d1 = hamiltonian_parts_rows(spec.sizes, parameter_rows([spec]))
     return h0[0], np.diag(d1[0])
 
 

@@ -12,9 +12,9 @@ computed once per sweep.  No spec or schedule object is made per point.
 ``threshold`` reports.  The points are then propagated as stacks, in chunks
 that hold at most ``_STACK_ENTRIES`` float64 entries: one Hamiltonian stack
 and one stacked propagation of the computational columns per chunk, read
-from the arrays (``gates.stack_blocks``, whose spec form ``run_gate``
-shares).  The blocks of all chunks are then scored together, in one phase
-solve.  Square and ramped points take the same path: each ramped
+from the arrays (``gates.stack_blocks``, which ``run_gate`` calls with a
+stack of one).  The blocks of all chunks are then scored together, in one
+phase solve.  Square and ramped points take the same path: each ramped
 segment is one stacked ramp propagation, shared by the points whose ramp
 plans agree.  A ramp or truncation study is one such run over all its grids
 (``_evaluate``): points of different grids share a stack where the gate,
@@ -317,35 +317,16 @@ def _point_entries(dim: int) -> int:
     return 3 * dim * dim + 256
 
 
-_POINT_ERRORS = (ValueError, ArithmeticError, np.linalg.LinAlgError, RuntimeError)
+#: The errors of a numerical failure: a failed point in a sweep, and exit 2 in the CLI.
+_NUMERICAL_ERRORS = (ValueError, ArithmeticError, np.linalg.LinAlgError, RuntimeError)
 
 
 def _failed(values, error: type[Exception]) -> SweepPoint:
     return SweepPoint(tuple(values), *[_FAILED] * 6, f"error:{error.__name__}")
 
 
-@dataclass(frozen=True)
-class _Stack:
-    """Points propagated together: their truncation ``sizes`` and segment ``scales``, and each one's parameter row and segment durations.
-
-    These are the arguments of ``gates.stack_blocks``.  Its length is its
-    number of points, and a slice holds some of them.
-    """
-
-    sizes: tuple[int, ...]
-    scales: tuple[tuple[float, float], ...]
-    rows: np.ndarray
-    durations: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, at: slice) -> _Stack:
-        return _Stack(self.sizes, self.scales, self.rows[at], self.durations[at])
-
-
-def _blocks(chunk: _Stack, dt: float) -> list[tuple]:
-    """Computational blocks of the points of ``chunk``, in parts.
+def _blocks(sizes: tuple[int, ...], rows: np.ndarray, scales, durations: np.ndarray, dt: float) -> list[tuple]:
+    """Computational blocks of a chunk of points, in parts; the arguments are those of ``stack_blocks``, one point per entry of ``rows`` and ``durations``.
 
     The chunk is propagated as one stack (``stack_blocks``) and is one part,
     ``(m, defects)``.  If that raises, each point is propagated again as a
@@ -353,11 +334,11 @@ def _blocks(chunk: _Stack, dt: float) -> list[tuple]:
     chunk that raises is the part ``(None, error type)``.
     """
     try:
-        return [stack_blocks(chunk.sizes, chunk.rows, chunk.scales, chunk.durations, dt)]
-    except _POINT_ERRORS as exc:
-        if len(chunk) == 1:
+        return [stack_blocks(sizes, rows, scales, durations, dt)]
+    except _NUMERICAL_ERRORS as exc:
+        if len(rows) == 1:
             return [(None, type(exc))]
-        return [part for k in range(len(chunk)) for part in _blocks(chunk[k : k + 1], dt)]
+        return [part for k in range(len(rows)) for part in _blocks(sizes, rows[k : k + 1], scales, durations[k : k + 1], dt)]
 
 
 def _scores(m: np.ndarray, target) -> list:
@@ -368,7 +349,7 @@ def _scores(m: np.ndarray, target) -> list:
     """
     try:
         return list(zip(*(x.tolist() for x in score_blocks(m, target))))
-    except _POINT_ERRORS as exc:
+    except _NUMERICAL_ERRORS as exc:
         if len(m) == 1:
             return [type(exc)]
         return [score for k in range(len(m)) for score in _scores(m[k : k + 1], target)]
@@ -416,7 +397,7 @@ def _evaluate(bases, axes: tuple[SweepAxis, ...], values: np.ndarray) -> list[li
         if shared not in derived:
             try:
                 coupling = _base_coupling(base, names)
-            except _POINT_ERRORS as exc:
+            except _NUMERICAL_ERRORS as exc:
                 derived[shared] = np.full((n, 6), np.nan), np.full(n, np.nan), np.full(n, type(exc), dtype=object)
             else:
                 derived[shared] = _derive(base, names, coupling, target, values)
@@ -433,11 +414,11 @@ def _evaluate(bases, axes: tuple[SweepAxis, ...], values: np.ndarray) -> list[li
     outcomes, blocks = {}, {}
     for key, parts in stacks.items():
         target, sizes, scales, dt = key
-        stack = _Stack(sizes, scales, *(np.concatenate(x) for x in zip(*parts)))
+        rows, durations = (np.concatenate(x) for x in zip(*parts))
         size = max(1, _STACK_ENTRIES // _point_entries(math.prod(sizes)))
         outcomes[key] = []
-        for start in range(0, len(stack), size):
-            for m, defects in _blocks(stack[start : start + size], dt):
+        for start in range(0, len(rows), size):
+            for m, defects in _blocks(sizes, rows[start : start + size], scales, durations[start : start + size], dt):
                 if m is None:  # a point whose propagation raised; ``defects`` holds the error's type
                     outcomes[key].append(defects)
                     continue

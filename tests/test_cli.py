@@ -720,6 +720,46 @@ class TestCliEntry:
         }
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("mode", ["gate", "effective"])
+    def test_an_overflow_is_a_numerical_error(self, tmp_path, capsys, mode):
+        # g_qc**2 overflows in the effective couplings, which the gate time takes too
+        config = {"mode": mode, "system": {**EFFECTIVE_CONFIG["system"], "g_qc": 1e200}, "gate": "cz"}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["kind"] == "numerical"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            (
+                {**GATE_CONFIG, "system": {**GATE_CONFIG["system"], "qubit_a": {"freq": 10**400, "anharm": 0.15}}},
+                "key 'freq' in system.qubit_a must be finite, got inf",
+            ),
+            (
+                {**SWEEP_CONFIG, "axes": [{**SWEEP_CONFIG["axes"][0], "start": -(10**400)}]},
+                "key 'start' in axes[0] must be finite, got -inf",
+            ),
+            (
+                {**RAMP_CONFIG, "tau_d_list": [0.0, 10**400]},
+                "mode 'ramp' needs tau_d_list of non-negative finite durations",
+            ),
+        ],
+        ids=["qubit-freq", "axis-start", "tau_d_list"],
+    )
+    def test_an_integer_too_large_for_a_float_is_a_config_error(self, tmp_path, capsys, config, message):
+        # JSON integers are unbounded, and no float holds one above about 1.8e308
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"kind": "config", "error": message}
+        assert not (tmp_path / "o").exists()
+
     def test_unwritable_output_is_io_error(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(GATE_CONFIG))
@@ -731,7 +771,7 @@ class TestCliEntry:
         assert json.loads(err)["kind"] == "io"
 
     def test_a_memory_error_in_a_sweep_is_a_json_error(self, tmp_path, capsys, monkeypatch):
-        def exhausted(chunk, dt):
+        def exhausted(sizes, rows, scales, durations, dt):
             raise MemoryError("forced")
 
         path = tmp_path / "cfg.json"

@@ -26,8 +26,8 @@ from scgates import (
 )
 from scgates import evolution, presets
 from scgates.cli import parse_config
-from scgates.evolution import SCHEDULE_UNITARITY_TOL, UnitarityError, _scatter, schedule_columns
-from scgates.hamiltonians import hamiltonian_parts, hamiltonian_parts_stack, parity_blocks
+from scgates.evolution import SCHEDULE_UNITARITY_TOL, UnitarityError, _scatter, schedule_segments, segment_columns
+from scgates.hamiltonians import hamiltonian_parts, hamiltonian_parts_rows, parameter_rows, parity_blocks
 
 CZ_SPEC = DirectSystemSpec(QubitSpec(7.16, 0.087, 3), QubitSpec(7.274, 0.114, 3), 0.0274)
 
@@ -204,9 +204,9 @@ class TestParitySplit:
         # times of at most 2 ns keep expm's own round-off, which grows with t ||H||, below 1e-12
         spec = SPLIT_SPECS[name]
         t = np.array([0.05, 0.7, 2.0])
-        h0, d1 = hamiltonian_parts_stack([spec] * len(t))
+        h0, d1 = hamiltonian_parts_rows(spec.sizes, parameter_rows([spec] * len(t)))
         schedules = [square_schedule(t_k) for t_k in t]
-        us, defects = schedule_columns(h0, d1, schedules, parity_blocks(spec), None, DEFAULT_DT)
+        us, defects = segment_columns(h0, d1, *schedule_segments(schedules), parity_blocks(spec), None, DEFAULT_DT)
         u = _scatter(us, parity_blocks(spec))
         h = h0[0] + np.diag(d1[0])  # what a square segment exponentiates
         for u_k, t_k in zip(u, t):
@@ -223,7 +223,8 @@ class TestParitySplit:
         other = replace(spec, qubit_b=replace(spec.qubit_b, freq=spec.qubit_b.freq + 0.01))
         schedules = [trapezoid_schedule(tau_d, 7.3), trapezoid_schedule(tau_d, 3.1)]
         blocks = parity_blocks(spec)
-        us, defects = schedule_columns(*hamiltonian_parts_stack([spec, other]), schedules, blocks, None, 0.05)
+        parts = hamiltonian_parts_rows(spec.sizes, parameter_rows([spec, other]))
+        us, defects = segment_columns(*parts, *schedule_segments(schedules), blocks, None, 0.05)
         u = _scatter(us, blocks)
         for u_k, defect, s_k, sched in zip(u, defects, [spec, other], schedules):
             res = propagate_schedule(s_k, sched, 0.05)
@@ -236,11 +237,11 @@ class TestParitySplit:
         # two columns per block, as a gate's computational states take; every column gives the full matrix
         spec = SPLIT_SPECS[name]
         other = replace(spec, qubit_b=replace(spec.qubit_b, freq=spec.qubit_b.freq + 0.01))
-        parts, blocks = hamiltonian_parts_stack([spec, other]), parity_blocks(spec)
+        parts, blocks = hamiltonian_parts_rows(spec.sizes, parameter_rows([spec, other])), parity_blocks(spec)
         schedules = [trapezoid_schedule(tau_d, 7.3), trapezoid_schedule(tau_d, 3.1)]
         columns = [np.array([0, len(ix) - 1]) for ix in blocks]
-        xs, defects = schedule_columns(*parts, schedules, blocks, columns, 0.05)
-        us, full_defects = schedule_columns(*parts, schedules, blocks, None, 0.05)
+        xs, defects = segment_columns(*parts, *schedule_segments(schedules), blocks, columns, 0.05)
+        us, full_defects = segment_columns(*parts, *schedule_segments(schedules), blocks, None, 0.05)
         u = _scatter(us, blocks)
         for x, ix, cols in zip(xs, blocks, columns):
             assert x.shape == (2, len(ix), 2)
@@ -270,9 +271,8 @@ class TestParitySplit:
             return w, v * (1 + 1e-6) if h.shape[-1] == size else v
 
         monkeypatch.setattr(np.linalg, "eigh", spoiled_eigh)
-        _, defects = schedule_columns(
-            *hamiltonian_parts_stack([spec]), [square_schedule(3.0)], parity_blocks(spec), None, DEFAULT_DT
-        )
+        parts = hamiltonian_parts_rows(spec.sizes, parameter_rows([spec]))
+        _, defects = segment_columns(*parts, *schedule_segments([square_schedule(3.0)]), parity_blocks(spec), None, DEFAULT_DT)
         assert defects[0] > SCHEDULE_UNITARITY_TOL
         with pytest.raises(UnitarityError):
             propagate_schedule(spec, trapezoid_schedule(0.5, 3.0))
@@ -551,7 +551,7 @@ class TestRampExponentials:
         system = parse_config(presets.figure_config("fig3b")).base.system
         specs = [replace(system, g=g) for g in (0.02, 0.03, 0.04, 0.05)]
         specs.append(replace(system, qubit_b=replace(system.qubit_b, freq=system.qubit_b.freq + 0.05)))
-        h0, d1 = hamiltonian_parts_stack(specs)
+        h0, d1 = hamiltonian_parts_rows(system.sizes, parameter_rows(specs))
         parts = [(h0[np.ix_(range(5), ix, ix)], d1[:, ix]) for ix in parity_blocks(system)]
         seg = ScheduleSegment(5.0, 1.1, 1.0)
         n = math.ceil(seg.duration / DEFAULT_DT)
@@ -600,7 +600,7 @@ class TestRampExponentials:
         system = parse_config(presets.figure_config("fig3b")).base.system
         specs = [replace(system, g=g) for g in (0.02, 0.03)]
         points = [(i, tau) for tau in ramps for i in (0, 1)] + [(0, ramps[0])]
-        h0, d1 = hamiltonian_parts_stack([specs[i] for i, _ in points])
+        h0, d1 = hamiltonian_parts_rows(system.sizes, parameter_rows([specs[i] for i, _ in points]))
         parts = [(h0[np.ix_(range(len(points)), ix, ix)], d1[:, ix]) for ix in parity_blocks(system)]
         segs = [ScheduleSegment(tau, 1.1, 1.0) for _, tau in points]
         if cap is not None:
@@ -852,3 +852,73 @@ def test_ramped_schedules_are_unitary_and_count_steps(qubit_a, qubit_b, g, tau_d
     res = propagate_schedule(spec, trapezoid_schedule(tau_d, hold, park_scale), dt=dt)
     assert res.unitarity_defect < SCHEDULE_UNITARITY_TOL
     assert res.steps_used == 2 * math.ceil(tau_d / dt) + 1
+
+
+@st.composite
+def trapezoid_stacks(draw):
+    """A stack of 1-4 points of one truncation, each over a trapezoid of the shared park scale and dt: ``(specs, taus, holds, park, dt)``.
+
+    The system is direct, with 2-4 levels per qubit, or cavity-coupled, with
+    2-5 cavity levels.  Each point has its own coupling, ramp and hold; a
+    ramp takes at most 150 CF4 steps, 300 exponentials, and may repeat an
+    earlier point's, so that points share ramp plans too.
+    """
+    levels = st.integers(2, 4)
+    qubit_a, qubit_b = (QubitSpec(draw(st.floats(4.0, 8.0)), draw(st.floats(0.05, 0.3)), draw(levels)) for _ in range(2))
+    dt, park, n = draw(st.floats(0.005, 0.2)), draw(st.floats(1.01, 1.3)), draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        system = IndirectSystemSpec(qubit_a, qubit_b, draw(st.floats(4.0, 9.0)), 0.1, draw(st.integers(2, 5)))
+        specs = [replace(system, g_qc=draw(st.floats(0.01, 0.2))) for _ in range(n)]
+    else:
+        specs = [DirectSystemSpec(qubit_a, qubit_b, draw(st.floats(0.001, 0.1))) for _ in range(n)]
+    # drawn by their CF4 steps, so that long ramps are as likely as short ones
+    ramps, taus = st.integers(math.ceil(0.05 / dt), min(150, math.floor(3.0 / dt))).map(lambda k: min(3.0, k * dt)), []
+    for _ in range(n):
+        taus.append(draw(st.one_of(st.sampled_from(taus), ramps) if taus else ramps))
+    holds = [draw(st.floats(0.05, 2.0)) for _ in range(n)]
+    return specs, taus, holds, park, dt
+
+
+def cf4_trapezoid(spec, tau_d: float, hold: float, park: float, dt: float) -> np.ndarray:
+    """The propagator of ``trapezoid_schedule(tau_d, hold, park)``: a CF4 product of ``scipy.linalg.expm`` over each ramp, the ramp up built anew, and one ``expm`` over the hold.
+
+    Every H is checked to vanish exactly between states of opposite
+    excitation parity, so each parity block is exponentiated on its own,
+    which is the exponential of the whole matrix at a fraction of its cost.
+    """
+    n = math.ceil(tau_d / dt)
+    frac = (np.arange(n)[:, None] + np.array([1 / 6, 5 / 6])).ravel() / n
+    # (duration, scale) of each exponential in time order: two half steps per CF4 step
+    pieces = [(tau_d / (2 * n), park + (1.0 - park) * f) for f in frac] + [(hold, 1.0)]
+    pieces += [(tau_d / (2 * n), 1.0 + (park - 1.0) * f) for f in frac]
+    times = np.array([t for t, _ in pieces])[:, None, None]
+    hs = np.array([build_direct_hamiltonian(spec, s) for _, s in pieces])
+    parity = np.indices(spec.sizes).sum(axis=0).ravel() % 2
+    assert not hs[:, parity[:, None] != parity].any()
+    u = np.zeros((spec.dim, spec.dim), dtype=complex)
+    for ix in (np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)):
+        block = np.eye(len(ix))
+        for step in scipy.linalg.expm(-1j * times * hs[:, ix[:, None], ix]):
+            block = step @ block
+        u[ix[:, None], ix] = block
+    return u
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(stack=trapezoid_stacks())
+def test_stacked_trapezoids_match_a_cf4_product_of_expm_and_each_point_alone(stack):
+    # every column of every point through one segment_columns call, whose ramp up reuses the
+    # transposes of the ramp down: each point is bit for bit the stack of that point alone, and
+    # within 1e-12 of its own CF4 product of expm
+    specs, taus, holds, park, dt = stack
+    rows, blocks = parameter_rows(specs), parity_blocks(specs[0])
+    scales, durations = schedule_segments([trapezoid_schedule(tau, hold, park) for tau, hold in zip(taus, holds)])
+    stacked, defects = segment_columns(*hamiltonian_parts_rows(specs[0].sizes, rows), scales, durations, blocks, None, dt)
+    assert np.all(defects < SCHEDULE_UNITARITY_TOL)
+    for p, (spec, tau, hold) in enumerate(zip(specs, taus, holds)):
+        alone, (defect,) = segment_columns(
+            *hamiltonian_parts_rows(spec.sizes, rows[[p]]), scales, durations[[p]], blocks, None, dt
+        )
+        assert all(np.array_equal(x[p], y[0]) for x, y in zip(stacked, alone)) and defect == defects[p]
+        u = _scatter([x[p] for x in stacked], blocks)
+        assert np.max(np.abs(u - cf4_trapezoid(spec, tau, hold, park, dt))) < 1e-12

@@ -356,12 +356,14 @@ class TestPhaseToRoundOff:
         # the plans_sweep CI config's delta_b = 0.3 row: a nearly compensated CZ block whose two
         # terms peak at close angles, where R's two products nearly cancel and its roots give
         # theta_a to about 1e-13 only
-        from scgates.evolution import trapezoid_schedule
+        from scgates.evolution import schedule_segments, trapezoid_schedule
+        from scgates.hamiltonians import parameter_rows
         from scgates.sweeps import SweepAxis, SweepBase, derive_point_spec
 
         base = SweepBase(DirectSystemSpec(QubitSpec(5.5, 0.15, 3), QubitSpec(5.6, 0.10, 3), 0.01), "cz", tau_d=5.0)
         spec = derive_point_spec(base, (SweepAxis("delta_b_abs", 0.05, 0.3, 6),), (0.3,))
-        (m,), _ = gates.computational_blocks([spec], [trapezoid_schedule(5.0, gate_time(spec, CZ))], base.dt)
+        schedule = trapezoid_schedule(5.0, gate_time(spec, CZ))
+        (m,), _ = gates.stack_blocks(spec.sizes, parameter_rows([spec]), *schedule_segments([schedule]), base.dt)
         _, (theta_a,), _, _, _ = score_blocks(m[None], CZ)
         optimum = _optimal_theta_a(m, CZ, theta_a)
         assert abs(theta_a - optimum) <= 4 * np.spacing(optimum)

@@ -23,7 +23,7 @@ from scgates import (
     ladder_diagonal,
 )
 from scgates import hamiltonians
-from scgates.hamiltonians import hamiltonian_parts_stack, parity_blocks
+from scgates.hamiltonians import hamiltonian_parts_rows, parameter_rows, parity_blocks
 
 QA = QubitSpec(freq=5.5, anharm=0.15, n_levels=3)
 QB = QubitSpec(freq=5.5, anharm=0.10, n_levels=3)
@@ -322,7 +322,7 @@ class TestHamiltonianPartsStack:
             replace(spec, qubit_b=QubitSpec(spec.qubit_b.freq + 0.01 * k, 0.05 * k, spec.qubit_b.n_levels))
             for k in range(4)
         ]
-        h0s, d1s = hamiltonian_parts_stack(specs)
+        h0s, d1s = hamiltonian_parts_rows(spec.sizes, parameter_rows(specs))
         assert h0s.shape == (4, spec.dim, spec.dim) and d1s.shape == (4, spec.dim)
         assert h0s.dtype == d1s.dtype == np.float64
         for h0_k, d1_k, s in zip(h0s, d1s, specs):
@@ -341,8 +341,8 @@ class TestHamiltonianPartsStack:
 
     @staticmethod
     def dense_parts_stack(specs):
-        """``hamiltonian_parts_stack`` with each coupling added as a dense (n, d, d) product and d1 as an outer sum."""
-        levels, couplings = hamiltonians._modes(specs)
+        """``hamiltonian_parts_rows`` with each coupling added as a dense (n, d, d) product and d1 as an outer sum."""
+        levels, couplings = hamiltonians._row_modes(specs[0].sizes, parameter_rows(specs))
         diag = hamiltonians._outer_sum(levels)
         n, d = diag.shape
         h0 = np.zeros((n, d, d))
@@ -363,7 +363,7 @@ class TestHamiltonianPartsStack:
         cavity_specs(5, 3),
     ], ids=["direct", "cavity-45", "cavity-125"])
     def test_sparse_couplings_equal_the_dense_sum_bit_for_bit(self, specs):
-        h0, d1 = hamiltonian_parts_stack(specs)
+        h0, d1 = hamiltonian_parts_rows(specs[0].sizes, parameter_rows(specs))
         dense_h0, dense_d1 = self.dense_parts_stack(specs)
         assert np.array_equal(h0, dense_h0) and np.array_equal(d1, dense_d1)
 
@@ -372,10 +372,10 @@ class TestHamiltonianPartsStack:
         # numpy reports its allocations to tracemalloc; the first call builds the cached coupling factors
         specs = self.cavity_specs(levels, 20)
         d = specs[0].dim
-        hamiltonian_parts_stack(specs)
+        hamiltonian_parts_rows(specs[0].sizes, parameter_rows(specs))
         tracemalloc.start()
         try:
-            hamiltonian_parts_stack(specs)
+            hamiltonian_parts_rows(specs[0].sizes, parameter_rows(specs))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -423,7 +423,7 @@ class TestParityBlocks:
         assert np.array_equal(odd, np.flatnonzero(parity == 1))
         cross = np.ix_(even, odd)
         h0, h1 = hamiltonian_parts(spec)
-        for h in (h0, h1, h0 + scale * h1, hamiltonian_parts_stack([spec, spec])[0][1]):
+        for h in (h0, h1, h0 + scale * h1, hamiltonian_parts_rows(spec.sizes, parameter_rows([spec, spec]))[0][1]):
             assert not h[cross].any() and not h.T[cross].any()
 
     def test_blocks_follow_the_mode_sizes_not_the_couplings(self):
@@ -448,7 +448,7 @@ class TestCouplingFactors:
         hamiltonian_parts(spec)
         other = replace(spec, g_qc=0.1, qubit_a=replace(spec.qubit_a, freq=8.0))
         hamiltonian_parts(other)
-        hamiltonian_parts_stack([spec, other])
+        hamiltonian_parts_rows(spec.sizes, parameter_rows([spec, other]))
         info = hamiltonians._coupling.cache_info()
         assert (info.misses, info.currsize) == (2, 2)
         operator, rows, cols, values = hamiltonians._coupling((3, 3, 4), 0, 2)

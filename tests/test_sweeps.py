@@ -392,9 +392,9 @@ class TestSweep:
         threads = []
         blocks = sweeps_module._blocks
 
-        def recording_blocks(chunk, dt):
-            threads.extend([threading.get_ident()] * len(chunk))
-            return blocks(chunk, dt)
+        def recording_blocks(sizes, rows, scales, durations, dt):
+            threads.extend([threading.get_ident()] * len(rows))
+            return blocks(sizes, rows, scales, durations, dt)
 
         monkeypatch.setattr(sweeps_module, "_blocks", recording_blocks)
         sweep(ISWAP_BASE, (SweepAxis("g_over_delta_b", 0.05, 0.3, 8),), jobs=4)
@@ -545,9 +545,9 @@ class TestBatching:
         sizes = []
         blocks = sweeps_module._blocks
 
-        def recording_blocks(chunk, dt):
-            sizes.append(len(chunk))
-            return blocks(chunk, dt)
+        def recording_blocks(stack_sizes, rows, scales, durations, dt):
+            sizes.append(len(rows))
+            return blocks(stack_sizes, rows, scales, durations, dt)
 
         monkeypatch.setattr(sweeps_module, "_blocks", recording_blocks)
         sweep(*BATCH_CASES["direct-1d"])
@@ -563,12 +563,12 @@ class TestBatching:
         size = sweeps_module._STACK_ENTRIES // sweeps_module._point_entries(dim)
         blocks = sweeps_module._blocks
 
-        def measured_blocks(chunk, dt):
-            blocks(chunk, dt)
+        def measured_blocks(sizes, rows, scales, durations, dt):
+            blocks(sizes, rows, scales, durations, dt)
             tracemalloc.start()
             try:
-                found = blocks(chunk, dt)
-                peaks.append((len(chunk), tracemalloc.get_traced_memory()[1]))
+                found = blocks(sizes, rows, scales, durations, dt)
+                peaks.append((len(rows), tracemalloc.get_traced_memory()[1]))
             finally:
                 tracemalloc.stop()
             return found
@@ -693,9 +693,9 @@ class TestBatching:
 
         sizes, blocks = [], sweeps_module._blocks
 
-        def recording_blocks(chunk, dt):
-            sizes.append(len(chunk))
-            return blocks(chunk, dt)
+        def recording_blocks(stack_sizes, rows, scales, durations, dt):
+            sizes.append(len(rows))
+            return blocks(stack_sizes, rows, scales, durations, dt)
 
         monkeypatch.setattr(np.linalg, "eigh", spoiled_eigh)
         monkeypatch.setattr(sweeps_module, "_blocks", recording_blocks)
@@ -1129,9 +1129,9 @@ class TestStudyStacks:
         axis, sizes = SweepAxis("geff_over_delta_b", 0.05, 0.5, 13), []
         blocks = sweeps_module._blocks
 
-        def recording_blocks(chunk, dt):
-            sizes.append(len(chunk))
-            return blocks(chunk, dt)
+        def recording_blocks(stack_sizes, rows, scales, durations, dt):
+            sizes.append(len(rows))
+            return blocks(stack_sizes, rows, scales, durations, dt)
 
         grids = truncation_study(INDIRECT_BASE, [3, 4, 5], axis)
         monkeypatch.setattr(sweeps_module, "_blocks", recording_blocks)
