@@ -89,8 +89,9 @@ def effective_couplings(spec: IndirectSystemSpec) -> EffectiveCouplings:
     Raises DispersiveRegimeError when any of the four denominators
     ``detuning_j`` or ``detuning_j - anharm_j`` is smaller than
     MIN_DENOMINATOR in magnitude.  ``g_qc**2`` is Python's float power, C
-    ``pow``, which raises OverflowError where it overflows; an array taking
-    its place squares with ``np.float_power``, which rounds as it does.
+    ``pow``; where it overflows, OverflowError names g_qc and its value.  An
+    array taking its place squares with ``np.float_power``, which rounds as
+    it does.
     """
     qa, qb = spec.qubit_a, spec.qubit_b
     found = denominators(qa.freq, qb.freq, qa.anharm, qb.anharm, spec.cavity_freq)
@@ -101,7 +102,10 @@ def effective_couplings(spec: IndirectSystemSpec) -> EffectiveCouplings:
                 f"|denominator| >= {MIN_DENOMINATOR:g} GHz"
             )
     delta_a, delta_b, *_ = found.values()
-    g2 = spec.g_qc**2
+    try:
+        g2 = spec.g_qc**2
+    except OverflowError:
+        raise OverflowError(f"g_qc**2 overflows a float at g_qc = {spec.g_qc!r} GHz") from None
     return EffectiveCouplings(
         *exchange_couplings(g2, delta_a, delta_b, qa.anharm, qb.anharm),
         dressed_freq_a1=qa.freq + g2 / delta_a,

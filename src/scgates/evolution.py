@@ -436,7 +436,7 @@ def _degree(width: float) -> int:
 
 
 def _ramp_chunks(d1: np.ndarray, scales: np.ndarray, step: float, ends):
-    """One block's ``scales`` of a ramped segment from scale ends[0] to ends[1], cut into polynomial runs: (scales, degree, interval).
+    """One block's ``scales`` of a ramped segment from scale ends[0] to ends[1], cut into polynomial runs: (scales, degree, group degrees, interval).
 
     The segment is cut into scale intervals measured from its start: each
     is the widest with ||W||_max = step w max|d1 - mean d1| <= _THETA, w its
@@ -447,7 +447,9 @@ def _ramp_chunks(d1: np.ndarray, scales: np.ndarray, step: float, ends):
     (lo, hi), of the least degree M whose remainder bound is 2^-53 or less
     over its whole width, however few samples it holds; one
     ``searchsorted`` finds its samples.  The cuts do not depend on how a
-    run is then multiplied (``_run_product``, in groups).
+    run is then multiplied: its group degrees (``_group_degrees``), read
+    from its sample count, its degree and its interval's ||W||_max, decide
+    only how ``_run_product`` groups it.
     """
     spread = float(step * np.abs(d1 - d1.mean()).max()) / 2
     total = spread * abs(ends[1] - ends[0])
@@ -457,7 +459,9 @@ def _ramp_chunks(d1: np.ndarray, scales: np.ndarray, step: float, ends):
     bounds = [0, *np.searchsorted(spread * np.abs(scales - ends[0]), edges[1:-1], "right").tolist(), len(scales)]
     for j in np.flatnonzero(np.diff(bounds)).tolist():
         run = tuple(ends[0] + (ends[1] - ends[0]) * (edges[i] / total if total else i) for i in (j, j + 1))
-        yield scales[bounds[j] : bounds[j + 1]], _degree(edges[j + 1] - edges[j]), run
+        chunk, degree = scales[bounds[j] : bounds[j + 1]], _degree(edges[j + 1] - edges[j])
+        # the group degrees take ||W||_max as spread |hi - lo|, which can round otherwise than the edges' difference
+        yield chunk, degree, tuple(_group_degrees(len(chunk), spread * abs(run[1] - run[0]), degree)), run
 
 
 @functools.cache
@@ -571,55 +575,52 @@ def _run_product(images: np.ndarray, delta: np.ndarray, k: int, degrees: list[in
     return p[..., :k, :k] + 1j * p[..., k:, :k]
 
 
-def _cf4_scales(seg: ScheduleSegment, dt: float) -> tuple[np.ndarray, float]:
-    """The scales of a ramped segment's exponentials and their step: n = ceil(duration / dt) CF4 steps, two half steps each, at the CF4 nodes."""
-    n = math.ceil(seg.duration / dt)
+def _cf4_scales(duration: float, ends, dt: float) -> tuple[np.ndarray, float]:
+    """The scales of the exponentials of a ramped segment of ``duration`` from scale ends[0] to ends[1], and their step: n = ceil(duration / dt) CF4 steps, two half steps each, at the CF4 nodes."""
+    n = math.ceil(duration / dt)
     frac = (np.arange(n)[:, None] + _CF4_NODES).ravel() / n
-    return seg.scale_start + (seg.scale_end - seg.scale_start) * frac, seg.duration / (2 * n)
+    return ends[0] + (ends[1] - ends[0]) * frac, duration / (2 * n)
 
 
-def _ramp_plans(d1: np.ndarray, segs: list[int], grids):
+def _ramp_plans(d1: np.ndarray, lengths: list[float], grids: dict, ends):
     """The points of one block grouped by ramp plan: (indices, step, [(scales, degree, group degrees, interval), ...]), one entry per polynomial run.
 
-    ``d1`` (P, k) holds each point's diagonal of h1, ``segs`` the index of
-    each point's ramped segment in ``grids``, and ``grids`` the scales and
-    step of each segment (``_cf4_scales``) and its (start, end) scales.  A point's
-    runs, degrees and intervals (``_ramp_chunks``) and each run's group
-    degrees (``_group_degrees``) follow from its segment and d1, so they are
-    found once per distinct pair, and points with one segment whose runs,
-    degrees, group degrees and intervals all agree share a plan.
+    ``d1`` (P, k) holds each point's diagonal of h1, ``lengths`` each
+    point's duration of the ramped segment from scale ends[0] to ends[1],
+    and ``grids`` the scales and step of each duration (``_cf4_scales``).
+    A point's runs (``_ramp_chunks``) follow from its duration and d1, so
+    they are cut once per distinct pair, and points of one duration whose
+    runs' lengths, degrees, group degrees and intervals all agree share a
+    plan.
     """
     plans, found = {}, {}
-    for point, (b, seg) in enumerate(zip(d1, segs)):
-        if (key := (seg, b.tobytes())) not in found:
-            scales, step, ends = grids[seg]
-            spread = step * np.abs(b - b.mean()).max() / 2
-            chunks = [
-                (chunk, degree, tuple(_group_degrees(len(chunk), spread * abs(run[1] - run[0]), degree)), run)
-                for chunk, degree, run in _ramp_chunks(b, scales, step, ends)
-            ]
-            found[key] = (seg, *((len(chunk), *rest) for chunk, *rest in chunks)), (step, chunks)
+    for point, (b, length) in enumerate(zip(d1, lengths)):
+        if (key := (length, b.tobytes())) not in found:
+            scales, step = grids[length]
+            chunks = list(_ramp_chunks(b, scales, step, ends))
+            found[key] = (length, *((len(chunk), *rest) for chunk, *rest in chunks)), (step, chunks)
         plan, ramp = found[key]
         plans.setdefault(plan, (ramp, []))[1].append(point)
     return [(points, step, chunks) for (step, chunks), points in plans.values()]
 
 
-def _ramp_propagator(parts: list[tuple[np.ndarray, np.ndarray]], segs, dt: float):
+def _ramp_propagator(parts: list[tuple[np.ndarray, np.ndarray]], lengths: list[float], ends, dt: float):
     """Blocks of the CF4 propagators of a ramped segment, one per point of a stack.
 
     ``parts`` holds the (h0, d1) of each block, stacks (P, k, k) and (P, k)
-    over the points, d1 the diagonal of h1, and ``segs`` each point's
-    segment, discretized at ``dt`` (``_cf4_scales``).  Per block, the points
-    are grouped by ramp plan (``_ramp_plans``).  The coefficients of a
-    polynomial run depend on the point, the step, the scale interval and the
-    degree alone, so the points of one plan or of several, such as a ramp
-    study's durations at one coupling, share them: they are formed once per
-    distinct (h0, d1) by value and distinct (step, interval, degree), as one
-    ``_ramp_coefficients`` per such run, its points in sub-stacks whose
-    squaring Toeplitz matrices, ((M + 1) k)^2 complex entries each, fit
-    _CHUNK_ENTRIES.  The distinct points go in batches whose images, at most
-    9 (2k)^2 entries per point and run, fit it too, and the runs are formed
-    and held one batch at a time.  A plan's points go in sub-stacks within
+    over the points, d1 the diagonal of h1, ``lengths`` each point's
+    duration of the segment and ``ends`` its (start, end) scales, shared by
+    every point; the segment is discretized at ``dt`` (``_cf4_scales``).
+    Per block, the points are grouped by ramp plan (``_ramp_plans``).  The
+    coefficients of a polynomial run depend on the point, the step, the
+    scale interval and the degree alone, so the points of one plan or of
+    several, such as a ramp study's durations at one coupling, share them:
+    they are formed once per distinct (h0, d1) by value and distinct (step,
+    interval, degree), as one ``_ramp_coefficients`` per such run, its
+    points in sub-stacks whose squaring Toeplitz matrices, ((M + 1) k)^2
+    complex entries each, fit _CHUNK_ENTRIES.  The distinct points go in
+    batches whose images, at most 9 (2k)^2 entries per point and run, fit it
+    too, and the runs are formed and held one batch at a time.  A plan's points go in sub-stacks within
     _CHUNK_ENTRIES entries, each point counted at the larger of its longest
     slice of images, min(_most(k), slice) (2k)^2, and ((M + 1) k)^2 over its
     runs.  A sub-stack's runs are multiplied in time order, all its points
@@ -631,13 +632,12 @@ def _ramp_propagator(parts: list[tuple[np.ndarray, np.ndarray]], segs, dt: float
     to its complex product, as exp(-i step sum(mu_s)) with
     sum(mu_s) = n shift + mean sum(s) over its n scales s.
     """
-    index = {}  # each distinct segment, numbered in order of first use
-    which = [index.setdefault(seg, len(index)) for seg in segs]
-    grids, us = [(*_cf4_scales(seg, dt), (seg.scale_start, seg.scale_end)) for seg in index], []
+    # each distinct duration's scales and step, shared by every block
+    grids, us = {length: _cf4_scales(length, ends, dt) for length in dict.fromkeys(lengths)}, []
     for h0, d1 in parts:
         k = d1.shape[-1]
         u = np.empty(h0.shape, dtype=complex)
-        plans = _ramp_plans(d1, which, grids)
+        plans = _ramp_plans(d1, lengths, grids, ends)
         # each point takes the coefficients of the first point equal to it
         same, runs = {}, {}
         first = [same.setdefault((a.tobytes(), b.tobytes()), point) for point, (a, b) in enumerate(zip(h0, d1))]
@@ -704,8 +704,9 @@ def segment_columns(h0: np.ndarray, d1: np.ndarray, scales, durations: np.ndarra
       columns, O(k^2) per point after the eigensolver;
     * a ramped segment is one ``_ramp_propagator`` for all points, each at
       its own duration, discretized as the module docstring describes, its
-      points grouped by ramp plan.  It takes one ``ScheduleSegment`` per
-      distinct duration.  As a first segment it is cut to the given columns;
+      points grouped by ramp plan.  Its durations and scales are taken as
+      given, positive and finite.  As a first segment it is cut to the given
+      columns;
     * a segment that retraces an earlier one (the same durations, start and
       end scales swapped, as the ramp back up of a trapezoid) reuses the
       transposes of the earlier propagators.  This is exact: h0 and h1 are
@@ -737,10 +738,7 @@ def segment_columns(h0: np.ndarray, d1: np.ndarray, scales, durations: np.ndarra
                 xs = seg_us
                 continue
         else:
-            lengths = lengths.tolist()
-            distinct = {length: ScheduleSegment(length, start, end) for length in lengths}
-            segs = [distinct[length] for length in lengths]
-            seg_us = _ramp_propagator([(h0[:, ix[:, None], ix], d1[:, ix]) for ix in blocks], segs, dt)
+            seg_us = _ramp_propagator([(h0[:, ix[:, None], ix], d1[:, ix]) for ix in blocks], lengths.tolist(), (start, end), dt)
         done[key, start, end] = seg_us
         if xs is None:
             xs = seg_us if cut is None else [u[..., cols] for u, cols in zip(seg_us, cut)]

@@ -228,17 +228,17 @@ def derive_point_spec(
     one value per axis; either fault raises ``ValueError``, and so does a
     system that cannot be built at the point.
     """
-    grid = _point_grid(base, axes, values)
-    names = [ax.name for ax in axes]
-    rows, _, _ = _derive(base, names, _base_coupling(base, names), gate_target(base.gate), grid)
+    rows, _, _ = _derive(base, [ax.name for ax in axes], _point_grid(base, axes, values))
     return spec_of_row(base.system, rows[0])
 
 
-def _derive(base: SweepBase, names, coupling, target, values: np.ndarray):
+def _derive(base: SweepBase, names, values: np.ndarray):
     """``(rows, t_g, errors)`` of the grid points ``values`` (n, axes), per the module-level axis semantics.
 
-    ``names`` are the axis names and ``coupling`` the base coupling of the
-    sweep's ratio axes.  ``rows`` are the points' parameter rows
+    ``names`` are the axis names.  The gate target and the base coupling of
+    the ratio axes (``_base_coupling``) are found once for all points; where
+    the coupling cannot be found, its error is raised, and nothing else is
+    raised.  ``rows`` are the points' parameter rows
     (``hamiltonians.stack_rows``), g_qc NaN where an effective coupling
     cannot be inverted, and ``t_g`` their gate times, NaN at a failed point.
     ``errors`` holds the class of the error a point's derivation raises, or
@@ -251,6 +251,7 @@ def _derive(base: SweepBase, names, coupling, target, values: np.ndarray):
     ``np.float_power``.
     """
     system, qa, qb = base.system, base.system.qubit_a, base.system.qubit_b
+    target, coupling = gate_target(base.gate), _base_coupling(base, names)
     by_name, n = dict(zip(names, values.T)), len(values)
     freq_a = np.full(n, qa.freq, dtype=float)
     anharm_a, anharm_b = np.full(n, qa.anharm, dtype=float), np.full(n, qb.anharm, dtype=float)
@@ -396,11 +397,9 @@ def _evaluate(bases, axes: tuple[SweepAxis, ...], values: np.ndarray) -> list[li
         shared = base.system, target, base.tie_anharm
         if shared not in derived:
             try:
-                coupling = _base_coupling(base, names)
-            except _NUMERICAL_ERRORS as exc:
+                derived[shared] = _derive(base, names, values)
+            except _NUMERICAL_ERRORS as exc:  # the base coupling of the ratio axes
                 derived[shared] = np.full((n, 6), np.nan), np.full(n, np.nan), np.full(n, type(exc), dtype=object)
-            else:
-                derived[shared] = _derive(base, names, coupling, target, values)
         rows, t_g, errors = derived[shared]
         good = ~np.isnan(t_g)
         message = resonance_violation(rows[good], target)
@@ -546,9 +545,7 @@ def threshold(grid: SweepGrid, level: float) -> ThresholdResult:
         else:
             hi = mid
     value = 0.5 * (lo + hi)
-    names = [ax.name for ax in grid.axes]
-    coupling = _base_coupling(grid.base, names)
-    _, (t_g,), _ = _derive(grid.base, names, coupling, gate_target(grid.base.gate), np.array([[value]]))
+    _, (t_g,), _ = _derive(grid.base, [ax.name for ax in grid.axes], np.array([[value]]))
     return ThresholdResult(level, True, value, float(t_g))
 
 

@@ -729,7 +729,10 @@ class TestCliEntry:
         assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert json.loads(err)["kind"] == "numerical"
+        line = json.loads(err)
+        assert line["kind"] == "numerical"
+        # the message names the coupling that overflowed and its value
+        assert "g_qc" in line["error"] and "1e+200" in line["error"]
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(

@@ -345,9 +345,9 @@ def chunk_sizes(monkeypatch):
     ramp_chunks = evolution._ramp_chunks
 
     def recording_ramp_chunks(d1, scales, step, ends):
-        for chunk, degree, run in ramp_chunks(d1, scales, step, ends):
+        for chunk, degree, degrees, run in ramp_chunks(d1, scales, step, ends):
             sizes.append((len(d1), len(chunk), degree))
-            yield chunk, degree, run
+            yield chunk, degree, degrees, run
 
     monkeypatch.setattr(evolution, "_ramp_chunks", recording_ramp_chunks)
     return sizes
@@ -378,9 +378,10 @@ class TestRampExponentials:
 
     @staticmethod
     def exponentials(h0, d1, chunks, step):
-        # each (scales, degree, interval) run through the kernel, back to complex with its phases
+        # each (scales, degree, group degrees, interval) run through the kernel, back to complex
+        # with its phases; the group degrees are the propagator's, not the kernel's
         k, us = len(d1), []
-        for scales, degree, ends in chunks:
+        for scales, degree, _, ends in chunks:
             u, mu = evolution._ramp_exponentials(h0, d1, scales, step, degree, ends)
             us.append((u[:, :k, :k] + 1j * u[:, k:, :k]) * np.exp(-1j * step * mu)[:, None, None])
         return np.concatenate(us)
@@ -401,7 +402,7 @@ class TestRampExponentials:
         # polynomial of the least degree
         w = step * np.ptp(scales) / 2 * np.abs(d1 - d1.mean()).max()
         runs = [list(evolution._ramp_chunks(d1, scales, step, (scales[0], scales[-1])))]
-        runs += [[(scales, _least_degree(w), None)]] if w <= evolution._THETA else []
+        runs += [[(scales, _least_degree(w), None, None)]] if w <= evolution._THETA else []
         return [cls.exponentials(h0, d1, chunks, step) for chunks in runs] + [cls.one_at_a_time(h0, d1, scales, step)]
 
     @classmethod
@@ -446,7 +447,7 @@ class TestRampExponentials:
         h0, d1 = a + a.T, 50 * rng.normal(size=30)
         scales = np.linspace(0.1, 10.0, 6)
         chunks = list(evolution._ramp_chunks(d1, scales, 1.0, (0.1, 10.0)))
-        assert [chunk.tolist() for chunk, _, _ in chunks] == [[s] for s in scales.tolist()]
+        assert [chunk.tolist() for chunk, *_ in chunks] == [[s] for s in scales.tolist()]
         self.assert_matches_eigh(h0, d1, scales, 40.0 / _shifted_norm((h0 + 10.0 * np.diag(d1))[None]))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 11])
@@ -479,13 +480,13 @@ class TestRampExponentials:
         half = evolution._THETA / (step * (np.abs(d1 - d1.mean()).max() or 1.0)) * (1 - 1e-12)
         n = evolution._CHUNK_ENTRIES // (2 * k) ** 2
         scales = np.linspace(1.0 - half, 1.0 + half, n)
-        ((chunk, degree, run),) = evolution._ramp_chunks(d1, scales, step, (scales[0], scales[-1]))
+        ((chunk, degree, _, run),) = evolution._ramp_chunks(d1, scales, step, (scales[0], scales[-1]))
         assert np.array_equal(chunk, scales) and degree == (0 if k == 1 else 8) and run == (scales[0], scales[-1])
         self.assert_matches_eigh(h0, d1, scales, step)
         # 1 % wider: the widest interval within theta, then the 2 % left over, a run of degree 4
         wider = np.linspace(1.0 - 1.01 * half, 1.0 + 1.01 * half, n)
         chunks = list(evolution._ramp_chunks(d1, wider, step, (wider[0], wider[-1])))
-        assert [degree for _, degree, _ in chunks] == ([0] if k == 1 else [8, 4])
+        assert [degree for _, degree, _, _ in chunks] == ([0] if k == 1 else [8, 4])
         assert _least_degree(0.02 * evolution._THETA) == 4
         self.assert_matches_eigh(h0, d1, wider, step)
 
@@ -498,7 +499,7 @@ class TestRampExponentials:
         step = 0.05
         half = w / (step * np.abs(d1 - d1.mean()).max())
         scales = np.linspace(1.0 + half, 1.0 - half, n)
-        ((chunk, got, _),) = evolution._ramp_chunks(d1, scales, step, (scales[0], scales[-1]))
+        ((chunk, got, _, _),) = evolution._ramp_chunks(d1, scales, step, (scales[0], scales[-1]))
         assert len(chunk) == n and got == degree
         self.assert_matches_eigh(h0, d1, scales, step)
 
@@ -529,13 +530,12 @@ class TestRampExponentials:
         # slices of 6 (5 levels) and 9 (4 levels)
         # (a stack of one point)
         parts = [(h0[None], d1[None]) for h0, d1 in _ramp_blocks(parse_config(presets.figure_config("fig3b")).base.system)]
-        seg = ScheduleSegment(5.0, 1.1, 1.0)
-        n = math.ceil(seg.duration / DEFAULT_DT)
-        full = evolution._ramp_propagator(parts, [seg], DEFAULT_DT)
+        n = math.ceil(5.0 / DEFAULT_DT)
+        full = evolution._ramp_propagator(parts, [5.0], (1.1, 1.0), DEFAULT_DT)
         assert {real for _, _, real in tree_inputs} == {True}
         tree_inputs.clear()
         monkeypatch.setattr(evolution, "_CHUNK_ENTRIES", 6 * 10**2)
-        sliced = evolution._ramp_propagator(parts, [seg], DEFAULT_DT)
+        sliced = evolution._ramp_propagator(parts, [5.0], (1.1, 1.0), DEFAULT_DT)
         for u, v in zip(full, sliced):
             assert np.max(np.abs(u - v)) < 1e-13
         assert {(size, real) for _, size, real in tree_inputs} == {(10, True), (8, True)}
@@ -553,9 +553,8 @@ class TestRampExponentials:
         specs.append(replace(system, qubit_b=replace(system.qubit_b, freq=system.qubit_b.freq + 0.05)))
         h0, d1 = hamiltonian_parts_rows(system.sizes, parameter_rows(specs))
         parts = [(h0[np.ix_(range(5), ix, ix)], d1[:, ix]) for ix in parity_blocks(system)]
-        seg = ScheduleSegment(5.0, 1.1, 1.0)
-        n = math.ceil(seg.duration / DEFAULT_DT)
-        alone = [evolution._ramp_propagator([(h[[p]], b[[p]]) for h, b in parts], [seg], DEFAULT_DT) for p in range(5)]
+        n = math.ceil(5.0 / DEFAULT_DT)
+        alone = [evolution._ramp_propagator([(h[[p]], b[[p]]) for h, b in parts], [5.0], (1.1, 1.0), DEFAULT_DT) for p in range(5)]
         tree, stacks = [], []
         product_in_order, coefficients = evolution._product_in_order, evolution._ramp_coefficients
 
@@ -570,7 +569,7 @@ class TestRampExponentials:
         monkeypatch.setattr(evolution, "_product_in_order", recording_product_in_order)
         monkeypatch.setattr(evolution, "_ramp_coefficients", recording_coefficients)
         monkeypatch.setattr(evolution, "_CHUNK_ENTRIES", 25_000)
-        stacked = evolution._ramp_propagator(parts, [seg] * 5, DEFAULT_DT)
+        stacked = evolution._ramp_propagator(parts, [5.0] * 5, (1.1, 1.0), DEFAULT_DT)
         assert stacks == [(5, 5), (5, 4)]
         assert {shape[:2] for shape in tree} == {(2, n // 4), (1, n // 4), (3, n // 4)}
         assert max(math.prod(shape) for shape in tree) <= 25_000
@@ -602,10 +601,13 @@ class TestRampExponentials:
         points = [(i, tau) for tau in ramps for i in (0, 1)] + [(0, ramps[0])]
         h0, d1 = hamiltonian_parts_rows(system.sizes, parameter_rows([specs[i] for i, _ in points]))
         parts = [(h0[np.ix_(range(len(points)), ix, ix)], d1[:, ix]) for ix in parity_blocks(system)]
-        segs = [ScheduleSegment(tau, 1.1, 1.0) for _, tau in points]
+        lengths = [tau for _, tau in points]
         if cap is not None:
             monkeypatch.setattr(evolution, "_CHUNK_ENTRIES", cap)
-        alone = [evolution._ramp_propagator([(h[[p]], b[[p]]) for h, b in parts], [segs[p]], DEFAULT_DT) for p in range(len(points))]
+        alone = [
+            evolution._ramp_propagator([(h[[p]], b[[p]]) for h, b in parts], [lengths[p]], (1.1, 1.0), DEFAULT_DT)
+            for p in range(len(points))
+        ]
         calls, coefficients = [], evolution._ramp_coefficients
 
         def recording_coefficients(h0, d1, ends, step, degree):
@@ -613,7 +615,7 @@ class TestRampExponentials:
             return coefficients(h0, d1, ends, step, degree)
 
         monkeypatch.setattr(evolution, "_ramp_coefficients", recording_coefficients)
-        stacked = evolution._ramp_propagator(parts, segs, DEFAULT_DT)
+        stacked = evolution._ramp_propagator(parts, lengths, (1.1, 1.0), DEFAULT_DT)
         assert calls == stacks
         for p, blocks in enumerate(alone):
             for u, (v,) in zip(stacked, blocks):

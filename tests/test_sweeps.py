@@ -252,12 +252,13 @@ class TestDerivationArrays:
         with np.errstate(over="ignore"):  # gate_time divides by a subnormal coupling in numpy
             expected = [oracle_point(base, names, point) for point in values.tolist()]
         try:
-            coupling = sweeps_module._base_coupling(base, names)
+            rows, t_g, errors = sweeps_module._derive(base, names, values)
         except (ValueError, ArithmeticError) as exc:
-            # the base coupling of the ratio axes fails, and every point with it
+            # only the base coupling of the ratio axes raises, and every point fails with it
+            with pytest.raises(type(exc)):
+                sweeps_module._base_coupling(base, names)
             assert {error for _, _, error in expected} == {type(exc)}
         else:
-            rows, t_g, errors = sweeps_module._derive(base, names, coupling, gate_target(base.gate), values)
             for (spec, time, error), row, got_time, got_error in zip(expected, rows, t_g.tolist(), errors.tolist()):
                 assert got_error is error
                 if spec is not None:
@@ -712,9 +713,9 @@ class TestBatching:
         chunks = evolution._ramp_chunks
 
         def recording_chunks(*args):
-            for chunk, degree, run in chunks(*args):
+            for chunk, degree, group_degrees, run in chunks(*args):
                 degrees.append(degree)
-                yield chunk, degree, run
+                yield chunk, degree, group_degrees, run
 
         monkeypatch.setattr(evolution, "_ramp_chunks", recording_chunks)
         rows = sweep(base, axes).rows
@@ -746,8 +747,8 @@ class TestBatching:
         plans = []
         ramp_plans = evolution._ramp_plans
 
-        def recording_plans(d1, segs, grids):
-            found = ramp_plans(d1, segs, grids)
+        def recording_plans(*args):
+            found = ramp_plans(*args)
             plans.append([(points, [degrees for _, _, degrees, _ in chunks]) for points, _, chunks in found])
             return found
 
@@ -763,11 +764,11 @@ class TestBatching:
         bad = h0[np.ix_(even, even)]
         ramp_propagator = evolution._ramp_propagator
 
-        def failing_ramp_propagator(parts, segs, dt):
+        def failing_ramp_propagator(parts, lengths, ends, dt):
             # a stack that holds the point fails as a whole, and is then run point by point
             if any(np.array_equal(h0, bad) for h0 in parts[0][0]):
                 raise np.linalg.LinAlgError("forced")
-            return ramp_propagator(parts, segs, dt)
+            return ramp_propagator(parts, lengths, ends, dt)
 
         monkeypatch.setattr(evolution, "_ramp_propagator", failing_ramp_propagator)
         rows = sweep(base, axes).rows
@@ -795,11 +796,11 @@ class TestBatching:
             expected = sweep(base, axes).rows
         ramp_propagator, calls = evolution._ramp_propagator, []
 
-        def failing_once(parts, segs, dt):
+        def failing_once(parts, lengths, ends, dt):
             calls.append(len(parts[0][0]))
             if len(calls) == 1:
                 raise np.linalg.LinAlgError("forced")
-            return ramp_propagator(parts, segs, dt)
+            return ramp_propagator(parts, lengths, ends, dt)
 
         monkeypatch.setattr(evolution, "_ramp_propagator", failing_once)
         with warnings.catch_warnings(record=True) as caught:
@@ -1017,12 +1018,12 @@ class TestStudyStacks:
         calls, plans = [], []
         ramp_propagator, ramp_plans = evolution._ramp_propagator, evolution._ramp_plans
 
-        def recording_propagator(parts, segs, dt):
+        def recording_propagator(parts, lengths, ends, dt):
             calls.append([len(h0) for h0, _ in parts])
-            return ramp_propagator(parts, segs, dt)
+            return ramp_propagator(parts, lengths, ends, dt)
 
-        def recording_plans(d1, segs, grids):
-            found = ramp_plans(d1, segs, grids)
+        def recording_plans(*args):
+            found = ramp_plans(*args)
             plans.append(sorted(len(points) for points, _, _ in found))
             return found
 
@@ -1043,9 +1044,9 @@ class TestStudyStacks:
             return ramp_coefficients(h0, d1, ends, step, degree)
 
         def recording_chunks(*args):
-            for chunk, degree, run in ramp_chunks(*args):
+            for chunk, degree, group_degrees, run in ramp_chunks(*args):
                 chunks.append((len(chunk), degree, run))
-                yield chunk, degree, run
+                yield chunk, degree, group_degrees, run
 
         monkeypatch.setattr(evolution, "_ramp_coefficients", recording_coefficients)
         monkeypatch.setattr(evolution, "_ramp_chunks", recording_chunks)
@@ -1089,10 +1090,10 @@ class TestStudyStacks:
             bad = h0[np.ix_(even, even)]
             ramp_propagator = evolution._ramp_propagator
 
-            def failing_ramp_propagator(parts, segs, dt):
-                if any(np.array_equal(h0, bad) and seg.duration == 5.0 for h0, seg in zip(parts[0][0], segs)):
+            def failing_ramp_propagator(parts, lengths, ends, dt):
+                if any(np.array_equal(h0, bad) and length == 5.0 for h0, length in zip(parts[0][0], lengths)):
                     raise np.linalg.LinAlgError("forced")
-                return ramp_propagator(parts, segs, dt)
+                return ramp_propagator(parts, lengths, ends, dt)
 
             monkeypatch.setattr(evolution, "_ramp_propagator", failing_ramp_propagator)
         else:
