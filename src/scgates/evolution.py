@@ -42,7 +42,7 @@ The exponentials are taken in one of two ways, chosen by the segment kind:
   the fig3b pair at the default dt).  Every interval that holds an
   exponential is such a polynomial run, and the product of the Vandermonde
   matrix of its delta_s with the F_m, each in its real (2k, 2k) image, gives
-  its exponentials (``_ramp_exponentials``).  The F_m are a Taylor series
+  its exponentials (``_run_product``).  The F_m are a Taylor series
   with scaling and squaring done on the coefficients themselves
   (``_ramp_coefficients``; Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 30,
   1639 (2009)): the argument is halved q times until its 1-norm bound is below
@@ -232,21 +232,21 @@ def _unitarity_defects(x: np.ndarray) -> np.ndarray:
     return np.abs(gram).reshape(len(x), -1).max(axis=1)
 
 
-def _product_in_order(us: np.ndarray, spare: np.ndarray | None = None) -> np.ndarray:
+def _product_in_order(us: np.ndarray, spare: np.ndarray) -> np.ndarray:
     """Product us[-1] @ ... @ us[0] by pairwise tree reduction, of each stack (..., n, r, r) on the leading axes.
 
     Where a level has an odd matrix out, it is multiplied onto the level's
-    last product.  With ``spare``, a stack of at least half as many matrices
-    as ``us``, the levels are written into ``spare`` and ``us`` in turn, so
+    last product.  ``spare`` is a stack of at least half as many matrices
+    as ``us``; the levels are written into ``spare`` and ``us`` in turn, so
     the tree overwrites ``us`` and allocates no stack.
     """
     while (n := us.shape[-3]) > 1:
         pairs = n // 2
-        out = None if spare is None else spare[..., :pairs, :, :]
-        out = np.matmul(us[..., 1 : 2 * pairs : 2, :, :], us[..., 0 : 2 * pairs : 2, :, :], out=out)
+        out = spare[..., :pairs, :, :]
+        np.matmul(us[..., 1 : 2 * pairs : 2, :, :], us[..., 0 : 2 * pairs : 2, :, :], out=out)
         if n % 2:
             out[..., -1, :, :] = us[..., -1, :, :] @ out[..., -1, :, :]
-        us, spare = out, None if spare is None else us
+        us, spare = out, us
     return us[..., 0, :, :]
 
 
@@ -282,7 +282,7 @@ def _exponentials(hs, step, columns=None) -> list[np.ndarray]:
 
 
 def _shifted(h0: np.ndarray, d1: np.ndarray, step: float):
-    """X_s = a + s diag(b) of a ramp block, as (a, b), and the means of h0's diagonal and of d1, (..., 1) each, whose shifts mu_s = shift + s mean are split off it (see ``_ramp_exponentials``).
+    """X_s = a + s diag(b) of a ramp block, as (a, b), and the means of h0's diagonal and of d1, (..., 1) each, whose shifts mu_s = shift + s mean are split off it (see ``_ramp_coefficients``).
 
     ``h0`` (..., k, k) and ``d1`` (..., k) may lead with a points axis.
     """
@@ -336,17 +336,22 @@ def _taylor(xc: np.ndarray, w: np.ndarray, q: int, terms: int, degree: int) -> n
 def _ramp_coefficients(h0: np.ndarray, d1: np.ndarray, ends, step: float, degree: int):
     """The real images of F_0 ... F_M of a polynomial ramp run over the scale interval ``ends`` (lo, hi), and the means that give its shifts mu_s (``_shifted``).
 
-    The F_m are the coefficients of exp(-i (Xc + delta W)) in delta (see
-    ``_ramp_exponentials``), the first block row of exp(-i N), N the block
-    upper bidiagonal matrix of M + 1 blocks Xc on the diagonal and W above
-    it (Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)).  They are
-    formed by scaling and squaring on the coefficients themselves, the
-    degree-M form of Al-Mohy & Higham's Frechet-derivative recurrence (SIAM
-    J. Matrix Anal. Appl. 30, 1639 (2009)): with ||N||_1 <= ||Xc||_1 + ||W||_max
-    = v, q is the least with v / 2^q < 1 and the series takes
-    _degree(v / 2^q) + 1 terms, a remainder of at most 2^-53 (``_taylor``).
-    Points of one q and term count are taken as one stack, so each point
-    gets the arithmetic it would get alone.  The images
+    Each exponential of the run is exp(-i step mu_s) u_s, u_s = exp(-i X_s),
+    with X_s = step (h0 + s diag(d1) - mu_s I) and mu_s the mean of that
+    diagonal.  With c and w the interval's mid scale and half-span,
+    X_s = Xc + delta W, Xc = X at c, W = step w diag(d1 - mean d1) and
+    delta = (s - c) / w in [-1, 1], so u_s = sum_{m <= M} delta^m F_m up to
+    a remainder of at most sum_{m > M} ||W||^m / m!.  The F_m are the first
+    block row of exp(-i N), N the block upper bidiagonal matrix of M + 1
+    blocks Xc on the diagonal and W above it (Van Loan, IEEE Trans. Autom.
+    Control 23, 395 (1978)).  They are formed by scaling and squaring on the
+    coefficients themselves, the degree-M form of Al-Mohy & Higham's
+    Frechet-derivative recurrence (SIAM J. Matrix Anal. Appl. 30, 1639
+    (2009)): with ||N||_1 <= ||Xc||_1 + ||W||_max = v, q is the least with
+    v / 2^q < 1 and the series takes _degree(v / 2^q) + 1 terms, a remainder
+    of at most 2^-53 (``_taylor``).  Points of one q and term count are
+    taken as one stack, so each point gets the arithmetic it would get
+    alone.  The images
     [[Re, -Im], [Im, Re]] of the F_m are the rows of an (M + 1, 4 k^2)
     matrix, so the images of the u_s are the rows of the product of the
     run's Vandermonde matrix in delta (``_delta``) with it.  They depend on
@@ -380,31 +385,6 @@ def _powers(delta: np.ndarray, degree: int) -> np.ndarray:
     for m in range(degree):
         np.multiply(p[m], delta, out=p[m + 1])
     return p.T
-
-
-def _ramp_exponentials(h0: np.ndarray, d1: np.ndarray, scales: np.ndarray, step: float, degree: int, ends=None):
-    """exp(-i step (h0 + s diag(d1))) for the (n,) ``scales`` of one polynomial ramp run, without an eigensolver.
-
-    ``h0`` is a real symmetric (k, k) block and ``d1`` the diagonal of its h1.
-    Returns u_s = exp(-i X_s), with X_s = step (h0 + s diag(d1) - mu_s I) and
-    mu_s the mean of that diagonal, and the shifts mu (n,): each exponential
-    is exp(-i step mu_s) u_s.  The u_s are the real (2k, 2k) images
-    [[Re, -Im], [Im, Re]] of a polynomial of degree M in the scale, expanded
-    about the scale interval ``ends`` (lo, hi), by default the scales' own
-    first and last.  With c and w its mid scale and half-span,
-    X_s = Xc + delta W, Xc = X at c, W = step w diag(d1 - mean d1) and
-    delta = (s - c) / w in [-1, 1], so u_s = sum_{m <= M} delta^m F_m up to a
-    remainder of at most sum_{m > M} ||W||^m / m!, and one product of the
-    Vandermonde matrix of the delta with the images of the F_m
-    (``_ramp_coefficients``) gives every u_s.  The propagator forms that
-    product in memory-capped slices instead (``_run_product``); this form
-    gives all of a run's u_s at once.  A points axis may lead ``h0`` and
-    ``d1``, and then leads the u_s and mu.
-    """
-    k, lead = d1.shape[-1], d1.shape[:-1]
-    ends = (scales[0], scales[-1]) if ends is None else ends
-    images, shift, mean = _ramp_coefficients(h0, d1, ends, step, degree)
-    return (_powers(_delta(scales, ends), degree) @ images).reshape(*lead, len(scales), 2 * k, -1), shift + scales * mean
 
 
 def _scatter(us: list[np.ndarray], blocks) -> np.ndarray:
@@ -576,7 +556,15 @@ def _run_product(images: np.ndarray, delta: np.ndarray, k: int, degrees: list[in
 
 
 def _cf4_scales(duration: float, ends, dt: float) -> tuple[np.ndarray, float]:
-    """The scales of the exponentials of a ramped segment of ``duration`` from scale ends[0] to ends[1], and their step: n = ceil(duration / dt) CF4 steps, two half steps each, at the CF4 nodes."""
+    """The scales of the exponentials of a ramped segment of ``duration`` from scale ends[0] to ends[1], and their step: n = ceil(duration / dt) CF4 steps, two half steps each, at the CF4 nodes.
+
+    A ramp whose 2n float64 scales, 16 n bytes, are more than an array can
+    hold, or whose n is infinite, raises ``ValueError`` naming its duration
+    and dt; a smaller one that does not fit in memory raises
+    ``MemoryError``.
+    """
+    if not duration / dt < np.iinfo(np.intp).max / 16:
+        raise ValueError(f"a ramp of {duration} ns at dt = {dt} ns takes {duration / dt:.3g} CF4 steps, more than an array holds")
     n = math.ceil(duration / dt)
     frac = (np.arange(n)[:, None] + _CF4_NODES).ravel() / n
     return ends[0] + (ends[1] - ends[0]) * frac, duration / (2 * n)

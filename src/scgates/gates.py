@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -122,16 +122,11 @@ class GateResult:
     leakage: float
 
     def as_dict(self) -> dict:
+        """Each field by its name, the block, its one array, as its ``real`` and ``imag`` parts in nested lists."""
+        found = {f.name: getattr(self, f.name) for f in fields(self)}
         return {
-            "fidelity": self.fidelity,
-            "theta_a": self.theta_a,
-            "theta_b": self.theta_b,
-            "theta_global": self.theta_global,
-            "leakage": self.leakage,
-            "projected_block": {
-                "real": self.projected_block.real.tolist(),
-                "imag": self.projected_block.imag.tolist(),
-            },
+            name: {"real": v.real.tolist(), "imag": v.imag.tolist()} if isinstance(v, np.ndarray) else v
+            for name, v in found.items()
         }
 
 

@@ -22,14 +22,17 @@ system kind and truncation, segment scales and dt agree, whatever their
 durations, so the ramped curves of a ramp study form one stack, and all its
 points one phase solve.
 Everything runs in the calling thread, rows come out in lexicographic axis
-order, and failed points are recorded in-row rather than aborting the sweep:
-a chunk whose propagation raises is propagated again as one-point chunks,
-and a phase solve that raises is done again block by block, so that a
-failure stays in its own row.  A single point (``evaluate_point``) is a
-chunk of one.  ``threshold`` bisects with look-ahead: each of its rounds is
-one such run over the midpoints of the next few bisection steps, as many as
-pay for the run's fixed cost (``_look_ahead``).  The ``jobs`` keywords of
-the sweep functions are kept for compatibility and change nothing.
+order, and failed points are recorded in-row rather than aborting the sweep.
+One failure rule holds for both stacked stages (``_parts``): a chunk whose
+propagation raises, or a phase solve that raises, is run again point by
+point, so that a failure stays in its own row.  Each point's outcome, its
+scores or the class of the error that failed it, is written at its index
+into one table over the points of all grids, and the rows are read off it.
+A single point (``evaluate_point``) is a chunk of one.  ``threshold``
+bisects with look-ahead: each of its rounds is one such run over the
+midpoints of the next few bisection steps, as many as pay for the run's
+fixed cost (``_look_ahead``).  The ``jobs`` keywords of the sweep functions
+are kept for compatibility and change nothing.
 
 Axis semantics (ratios are resolved in a fixed order so that combined axes
 are well defined):
@@ -322,51 +325,30 @@ def _point_entries(dim: int) -> int:
 _NUMERICAL_ERRORS = (ValueError, ArithmeticError, np.linalg.LinAlgError, RuntimeError)
 
 
-def _failed(values, error: type[Exception]) -> SweepPoint:
-    return SweepPoint(tuple(values), *[_FAILED] * 6, f"error:{error.__name__}")
+def _parts(run, *stack) -> list[tuple]:
+    """``run`` over a stack of points, each of ``stack`` an array with one point per entry, as ``(indices, outcome)`` parts.
+
+    The stack is run as one part, its indices those of all its points.  If
+    that raises, each point is run again as a stack of its own, so that a
+    failure stays with its point: a point whose run raises is the part
+    ``([k], error type)``.
+    """
+    n = len(stack[0])
+    try:
+        return [(np.arange(n), run(*stack))]
+    except _NUMERICAL_ERRORS as exc:
+        if n == 1:
+            return [(np.arange(1), type(exc))]
+    return [([k], outcome) for k in range(n) for _, outcome in _parts(run, *(x[k : k + 1] for x in stack))]
 
 
 def _blocks(sizes: tuple[int, ...], rows: np.ndarray, scales, durations: np.ndarray, dt: float) -> list[tuple]:
-    """Computational blocks of a chunk of points, in parts; the arguments are those of ``stack_blocks``, one point per entry of ``rows`` and ``durations``.
+    """Computational blocks of a chunk of points, as ``_parts`` of ``stack_blocks``: ``(indices, (m, defects))``, or ``(indices, error type)`` where a point's propagation raises.
 
-    The chunk is propagated as one stack (``stack_blocks``) and is one part,
-    ``(m, defects)``.  If that raises, each point is propagated again as a
-    chunk of its own, so that the failure stays with its point: a one-point
-    chunk that raises is the part ``(None, error type)``.
+    The arguments are those of ``stack_blocks``, one point per entry of
+    ``rows`` and ``durations``.
     """
-    try:
-        return [stack_blocks(sizes, rows, scales, durations, dt)]
-    except _NUMERICAL_ERRORS as exc:
-        if len(rows) == 1:
-            return [(None, type(exc))]
-        return [part for k in range(len(rows)) for part in _blocks(sizes, rows[k : k + 1], scales, durations[k : k + 1], dt)]
-
-
-def _scores(m: np.ndarray, target) -> list:
-    """``(fidelity, theta_a, theta_b, theta, leakage)`` of each block of ``m`` against ``target``, or the type of the error it raised.
-
-    The blocks are scored as one stack (``score_blocks``), whose rows equal
-    those of each block alone.  If that raises, each block is scored alone.
-    """
-    try:
-        return list(zip(*(x.tolist() for x in score_blocks(m, target))))
-    except _NUMERICAL_ERRORS as exc:
-        if len(m) == 1:
-            return [type(exc)]
-        return [score for k in range(len(m)) for score in _scores(m[k : k + 1], target)]
-
-
-def _rows(values: np.ndarray, t_g: np.ndarray, errors: np.ndarray, outcomes) -> list[SweepPoint]:
-    """A grid's rows: each point's derivation error, else the next of ``outcomes``, its score (``_scores``) or its error's type."""
-    rows = []
-    for point, time, error in zip(values.tolist(), t_g.tolist(), errors.tolist()):
-        outcome = error or next(outcomes)
-        if isinstance(outcome, type):
-            rows.append(_failed(point, outcome))
-        else:
-            fidelity, theta_a, theta_b, theta, leakage = outcome
-            rows.append(SweepPoint(tuple(point), fidelity, time, leakage, theta_a, theta_b, theta, "ok"))
-    return rows
+    return _parts(lambda rows, durations: stack_blocks(sizes, rows, scales, durations, dt), rows, durations)
 
 
 def _evaluate(bases, axes: tuple[SweepAxis, ...], values: np.ndarray) -> list[list[SweepPoint]]:
@@ -380,18 +362,22 @@ def _evaluate(bases, axes: tuple[SweepAxis, ...], values: np.ndarray) -> list[li
     ``run_gate`` would.  The good points of all grids are then stacked by
     what a stack must share (the target, the truncation, whose length tells
     the system kind, the segment scales and dt), their durations free, in
-    grid order, and each stack goes in chunks of at most ``_STACK_ENTRIES``;
-    the rows go back to their grids.  A single grid so keeps the chunks of a
-    sweep of its own, and the ramped curves of a ramp study share theirs.  A
-    chunk whose propagation raises is propagated again point by point
-    (``_blocks``).  Every point that passes the unitarity bound is then
-    scored in one ``score_blocks`` call per target, whose rows equal those
-    of each block alone; if that raises, each block is scored alone
-    (``_scores``).
+    grid order, and each stack goes in chunks of at most ``_STACK_ENTRIES``.
+    A single grid so keeps the chunks of a sweep of its own, and the ramped
+    curves of a ramp study share theirs.  Every point that passes the
+    unitarity bound is then scored in one ``score_blocks`` call per target,
+    whose rows equal those of each block alone.  One failure rule holds for
+    both stages (``_parts``): a stack that raises is run again point by
+    point.  Each point's outcome is written at its index, over the points of
+    all grids, into one table: its score row, or the class of its
+    derivation error, propagation error, unitarity failure or scoring
+    error; the rows are read off it.
     """
-    names, n = [ax.name for ax in axes], len(values)
-    grids, stacks, derived = [], {}, {}
-    for base in bases:
+    names, n, total = [ax.name for ax in axes], len(values), len(bases) * len(values)
+    # the outcome table, over the points of all grids in grid order
+    t_g, errors, scores = np.empty(total), np.empty(total, dtype=object), np.full((total, 5), np.nan)
+    stacks, derived, blocks = {}, {}, {}
+    for g, base in enumerate(bases):
         target = gate_target(base.gate)
         # bases that differ only in their pulse, as the curves of a ramp study do, share one derivation
         shared = base.system, target, base.tie_anharm
@@ -400,34 +386,46 @@ def _evaluate(bases, axes: tuple[SweepAxis, ...], values: np.ndarray) -> list[li
                 derived[shared] = _derive(base, names, values)
             except _NUMERICAL_ERRORS as exc:  # the base coupling of the ratio axes
                 derived[shared] = np.full((n, 6), np.nan), np.full(n, np.nan), np.full(n, type(exc), dtype=object)
-        rows, t_g, errors = derived[shared]
-        good = ~np.isnan(t_g)
+        rows, times, found = derived[shared]
+        t_g[g * n : (g + 1) * n], errors[g * n : (g + 1) * n] = times, found
+        good = ~np.isnan(times)
         message = resonance_violation(rows[good], target)
         if message:
             warnings.warn(message, stacklevel=3)
-        scales, durations = trapezoid_segments(base.tau_d, t_g[good])
-        key = target, base.system.sizes, scales, base.dt
-        grids.append((key, t_g, errors))
+        scales, durations = trapezoid_segments(base.tau_d, times[good])
         if good.any():
-            stacks.setdefault(key, []).append((rows[good], durations))
-    outcomes, blocks = {}, {}
-    for key, parts in stacks.items():
-        target, sizes, scales, dt = key
-        rows, durations = (np.concatenate(x) for x in zip(*parts))
+            key = target, base.system.sizes, scales, base.dt
+            stacks.setdefault(key, []).append((g * n + np.flatnonzero(good), rows[good], durations))
+    for (target, sizes, scales, dt), parts in stacks.items():
+        points, rows, durations = (np.concatenate(x) for x in zip(*parts))
         size = max(1, _STACK_ENTRIES // _point_entries(math.prod(sizes)))
-        outcomes[key] = []
         for start in range(0, len(rows), size):
-            for m, defects in _blocks(sizes, rows[start : start + size], scales, durations[start : start + size], dt):
-                if m is None:  # a point whose propagation raised; ``defects`` holds the error's type
-                    outcomes[key].append(defects)
+            chunk = slice(start, start + size)
+            for index, outcome in _blocks(sizes, rows[chunk], scales, durations[chunk], dt):
+                at = points[chunk][index]
+                if isinstance(outcome, type):  # the point's propagation raised
+                    errors[at] = outcome
                     continue
+                m, defects = outcome
                 spoiled = defects > SCHEDULE_UNITARITY_TOL
-                blocks.setdefault(target, []).append(m[~spoiled])
-                outcomes[key].extend(UnitarityError if bad else None for bad in spoiled.tolist())
-    scores = {target: iter(_scores(np.concatenate(ms), target)) for target, ms in blocks.items()}
-    # a stack's points take their scores in stack order, the order their blocks were stacked in
-    outcomes = {key: iter([error or next(scores[key[0]]) for error in found]) for key, found in outcomes.items()}
-    return [_rows(values, t_g, errors, outcomes.get(key)) for key, t_g, errors in grids]
+                errors[at[spoiled]] = UnitarityError
+                blocks.setdefault(target, []).append((at[~spoiled], m[~spoiled]))
+    for target, found in blocks.items():
+        points, m = (np.concatenate(x) for x in zip(*found))
+        for index, outcome in _parts(lambda m: score_blocks(m, target), m):
+            if isinstance(outcome, type):
+                errors[points[index]] = outcome
+            else:
+                scores[points[index]] = np.column_stack(outcome)
+    rows = [
+        SweepPoint(tuple(point), fidelity, time, leakage, theta_a, theta_b, theta, "ok")
+        if error is None
+        else SweepPoint(tuple(point), *[_FAILED] * 6, f"error:{error.__name__}")
+        for point, time, (fidelity, theta_a, theta_b, theta, leakage), error in zip(
+            values.tolist() * len(bases), t_g.tolist(), scores.tolist(), errors.tolist()
+        )
+    ]
+    return [rows[g * n : (g + 1) * n] for g in range(len(bases))]
 
 
 def _grid_points(bases, axes: tuple[SweepAxis, ...]) -> np.ndarray:

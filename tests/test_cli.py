@@ -735,6 +735,20 @@ class TestCliEntry:
         assert "g_qc" in line["error"] and "1e+200" in line["error"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("dt", ["1e-300", "5e-324"])
+    def test_a_ramp_that_no_array_can_step_is_a_numerical_error_naming_dt(self, tmp_path, capsys, dt):
+        # a 5 ns cavity ramp of 5e300 CF4 steps, or of infinitely many
+        config = {**GATE_CONFIG, "system": EFFECTIVE_CONFIG["system"], "gate": "cz", "schedule": {"tau_d": 5.0}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main(["--config", str(path), "--out", str(tmp_path / "o"), "--dt", dt]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        line = json.loads(err)
+        assert line["kind"] == "numerical"
+        assert f"dt = {float(dt)} ns" in line["error"]
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "config, message",
         [

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -172,6 +173,16 @@ class TestPropagateSchedule:
             for dt in (0.025, 0.0125)
         )
         assert coarse / fine >= 12
+
+    @pytest.mark.parametrize("tau_d, dt", [(5.0, 1e-300), (5.0, 5e-324), (1e308, DEFAULT_DT), (1.0, 3e-19)])
+    def test_a_ramp_that_no_array_can_step_names_its_duration_and_dt(self, tau_d, dt):
+        # 5e300, infinitely many, 1e310 and 3.3e18 CF4 steps, whose 2n float64 scales no array can index:
+        # numpy would raise its own "Maximum allowed size exceeded", OverflowError and "array is too big"
+        message = re.escape(f"a ramp of {tau_d} ns at dt = {dt} ns")
+        with pytest.raises(ValueError, match=message):
+            evolution._cf4_scales(tau_d, (1.1, 1.0), dt)
+        with pytest.raises(ValueError, match=message):
+            propagate_schedule(CZ_SPEC, trapezoid_schedule(tau_d, 12.9), dt=dt)
 
     @pytest.mark.parametrize("figure", ["fig3b", "fig6b"])
     def test_trapezoid_equals_its_segments_propagated_alone(self, figure):
@@ -359,12 +370,22 @@ def tree_inputs(monkeypatch):
     stacks = []
     product_in_order = evolution._product_in_order
 
-    def recording_product_in_order(us, spare=None):
+    def recording_product_in_order(us, spare):
         stacks.append((us.shape[-3], us.shape[-1], not np.iscomplexobj(us)))
         return product_in_order(us, spare)
 
     monkeypatch.setattr(evolution, "_product_in_order", recording_product_in_order)
     return stacks
+
+
+def _run_exponentials(h0, d1, scales, step, degree, ends=None):
+    """u_s of a polynomial ramp run at ``scales``, expanded about ``ends`` (by default the scales' first and last),
+    as the product of their Vandermonde matrix in delta with the run's coefficient images (real (2k, 2k) images
+    [[Re, -Im], [Im, Re]], as the propagator forms them in slices), and their shifts mu_s: each exponential of the
+    run is exp(-i step mu_s) u_s (``evolution._ramp_coefficients``)."""
+    k, ends = len(d1), (scales[0], scales[-1]) if ends is None else ends
+    images, shift, mean = evolution._ramp_coefficients(h0, d1, ends, step, degree)
+    return (evolution._powers(evolution._delta(scales, ends), degree) @ images).reshape(-1, 2 * k, 2 * k), shift + scales * mean
 
 
 def _least_degree(w: float) -> int:
@@ -382,7 +403,7 @@ class TestRampExponentials:
         # with its phases; the group degrees are the propagator's, not the kernel's
         k, us = len(d1), []
         for scales, degree, _, ends in chunks:
-            u, mu = evolution._ramp_exponentials(h0, d1, scales, step, degree, ends)
+            u, mu = _run_exponentials(h0, d1, scales, step, degree, ends)
             us.append((u[:, :k, :k] + 1j * u[:, k:, :k]) * np.exp(-1j * step * mu)[:, None, None])
         return np.concatenate(us)
 
@@ -460,12 +481,12 @@ class TestRampExponentials:
         for u in us:
             ref = u @ ref
         work = np.concatenate([us, np.empty((n // 2, 4, 4))])
-        for p in evolution._product_in_order(us.copy()), evolution._product_in_order(work[:n], work[n:]):
+        for p in evolution._product_in_order(us.copy(), np.empty((n // 2, 4, 4))), evolution._product_in_order(work[:n], work[n:]):
             assert np.max(np.abs(p - ref)) <= 1e-14 * np.max(np.abs(ref))
         assert np.shares_memory(p, work)
 
     def test_zero_stack_gives_identity(self):
-        u, mu = evolution._ramp_exponentials(np.zeros((4, 4)), np.zeros(4), np.ones(3), 0.7, 0)
+        u, mu = _run_exponentials(np.zeros((4, 4)), np.zeros(4), np.ones(3), 0.7, 0)
         assert np.array_equal(u, np.broadcast_to(np.eye(8), (3, 8, 8)))
         assert not mu.any()
 
@@ -558,7 +579,7 @@ class TestRampExponentials:
         tree, stacks = [], []
         product_in_order, coefficients = evolution._product_in_order, evolution._ramp_coefficients
 
-        def recording_product_in_order(us, spare=None):
+        def recording_product_in_order(us, spare):
             tree.append(us.shape)
             return product_in_order(us, spare)
 
@@ -701,7 +722,7 @@ class TestGroupedRuns:
             assert np.array_equal(images, np.block([[f.real, -f.imag], [f.imag, f.real]]).reshape(degree + 1, -1))
             assert np.array_equal(evolution._delta(scales, ends), (scales - mid) / half)
             # and the exponentials' shifts
-            _, mu = evolution._ramp_exponentials(h0, d1, scales[:7], step, degree, ends)
+            _, mu = _run_exponentials(h0, d1, scales[:7], step, degree, ends)
             assert np.array_equal(mu, shift + scales[:7] * d1.mean())
 
     @pytest.mark.parametrize("step", [0.005, 0.02])
@@ -786,7 +807,7 @@ class TestGroupedRuns:
         p = evolution._run_product(images, delta, 5, evolution._group_degrees(1003, width, degree))
         assert [m for m, _, _ in tree_inputs] == [6] * 20 + [5, 3]
         assert max(m * size**2 for m, size, _ in tree_inputs) <= 600
-        us, _ = evolution._ramp_exponentials(h0, d1, scales[1:1004], step, degree)
+        us, _ = _run_exponentials(h0, d1, scales[1:1004], step, degree)
         ref = np.eye(10)
         for u in us:
             ref = u @ ref

@@ -1078,10 +1078,11 @@ class TestStudyStacks:
         assert all(row.status == "ok" for grid in grids for row in grid.rows)
         assert grids == [sweep(replace(base, tau_d=tau), (axis,)) for tau in taus]
 
-    @pytest.mark.parametrize("failure", ["ramp", "unitarity"])
+    @pytest.mark.parametrize("failure", ["ramp", "unitarity", "score"])
     def test_a_failure_in_a_shared_stack_stays_in_its_grid_and_row(self, failure, monkeypatch):
         # the 5 ns curve's third point fails: its ramp raises, so the stack is run again point
-        # by point, or its defect is spoiled in the stack
+        # by point, or its defect is spoiled in the stack, or its block is NaN, so the study's
+        # one phase solve raises and every block is scored alone
         expected = ramp_study(CZ_BASE, STUDY_TAUS, STUDY_AXIS)
         bad_spec = derive_point_spec(CZ_BASE, (STUDY_AXIS,), expected[3].rows[2].values)
         if failure == "ramp":
@@ -1098,15 +1099,28 @@ class TestStudyStacks:
             monkeypatch.setattr(evolution, "_ramp_propagator", failing_ramp_propagator)
         else:
             stack_blocks, (bad_row,) = sweeps_module.stack_blocks, parameter_rows([bad_spec])
+            score_blocks, scored = sweeps_module.score_blocks, []
 
             def leaky_blocks(sizes, rows, scales, durations, dt):
                 m, defects = stack_blocks(sizes, rows, scales, durations, dt)
                 hit = (rows == bad_row).all(axis=1) & (durations[:, 0] == 5.0)
+                if failure == "score":
+                    m[hit] = np.nan
+                    return m, defects
                 return m, np.where(hit, 1e-6, defects)
 
+            def counted_scores(m, target):
+                scored.append(len(m))
+                return score_blocks(m, target)
+
             monkeypatch.setattr(sweeps_module, "stack_blocks", leaky_blocks)
-        grids = ramp_study(CZ_BASE, STUDY_TAUS, STUDY_AXIS)
-        status = "error:LinAlgError" if failure == "ramp" else "error:UnitarityError"
+            monkeypatch.setattr(sweeps_module, "score_blocks", counted_scores)
+        with np.errstate(invalid="ignore"):
+            grids = ramp_study(CZ_BASE, STUDY_TAUS, STUDY_AXIS)
+        if failure == "score":
+            points = sum(len(grid.rows) for grid in grids)
+            assert scored == [points] + [1] * points
+        status = "error:UnitarityError" if failure == "unitarity" else "error:LinAlgError"
         assert grids[3].rows[2].status == status
         assert grids[3].rows[:2] + grids[3].rows[3:] == expected[3].rows[:2] + expected[3].rows[3:]
         assert grids[:3] + grids[4:] == expected[:3] + expected[4:]
