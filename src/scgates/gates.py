@@ -122,12 +122,12 @@ class GateResult:
     leakage: float
 
     def as_dict(self) -> dict:
-        """Each field by its name, the block, its one array, as its ``real`` and ``imag`` parts in nested lists."""
-        found = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {
-            name: {"real": v.real.tolist(), "imag": v.imag.tolist()} if isinstance(v, np.ndarray) else v
-            for name, v in found.items()
-        }
+        """Each field by its name, in field order; the block, its one array, as its ``real`` and ``imag`` parts in nested lists."""
+        found = {}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            found[f.name] = {"real": v.real.tolist(), "imag": v.imag.tolist()} if isinstance(v, np.ndarray) else v
+        return found
 
 
 _TINY = np.finfo(float).tiny

@@ -301,8 +301,6 @@ def _derive(base: SweepBase, names, values: np.ndarray):
     return rows, np.where(failed, np.nan, t_g), errors
 
 
-_FAILED = float("nan")
-
 #: Most float64 entries a chunk of points holds at once, 1.875 MiB, with each
 #: point counted at ``_point_entries``.  A point holds its h0 and, while it is
 #: assembled or one of its parity blocks is exponentiated, about as much again
@@ -325,21 +323,21 @@ def _point_entries(dim: int) -> int:
 _NUMERICAL_ERRORS = (ValueError, ArithmeticError, np.linalg.LinAlgError, RuntimeError)
 
 
-def _parts(run, *stack) -> list[tuple]:
+def _parts(run, *stack, again=None) -> list[tuple]:
     """``run`` over a stack of points, each of ``stack`` an array with one point per entry, as ``(indices, outcome)`` parts.
 
     The stack is run as one part, its indices those of all its points.  If
-    that raises, each point is run again as a stack of its own, so that a
-    failure stays with its point: a point whose run raises is the part
-    ``([k], error type)``.
+    that raises, each point is run again as a stack of its own, through
+    ``again`` (by default ``_parts`` of ``run``), so that a failure stays
+    with its point: a point whose run raises is the part ``([k], error type)``.
     """
-    n = len(stack[0])
     try:
-        return [(np.arange(n), run(*stack))]
+        return [(np.arange(len(stack[0])), run(*stack))]
     except _NUMERICAL_ERRORS as exc:
-        if n == 1:
+        if len(stack[0]) == 1:
             return [(np.arange(1), type(exc))]
-    return [([k], outcome) for k in range(n) for _, outcome in _parts(run, *(x[k : k + 1] for x in stack))]
+    again = again or (lambda *point: _parts(run, *point))
+    return [([k], outcome) for k in range(len(stack[0])) for _, outcome in again(*(x[k : k + 1] for x in stack))]
 
 
 def _blocks(sizes: tuple[int, ...], rows: np.ndarray, scales, durations: np.ndarray, dt: float) -> list[tuple]:
@@ -348,7 +346,11 @@ def _blocks(sizes: tuple[int, ...], rows: np.ndarray, scales, durations: np.ndar
     The arguments are those of ``stack_blocks``, one point per entry of
     ``rows`` and ``durations``.
     """
-    return _parts(lambda rows, durations: stack_blocks(sizes, rows, scales, durations, dt), rows, durations)
+
+    def again(rows, durations):  # a point run again after its chunk raised is a one-point chunk of ``_blocks`` itself
+        return _blocks(sizes, rows, scales, durations, dt)
+
+    return _parts(lambda rows, durations: stack_blocks(sizes, rows, scales, durations, dt), rows, durations, again=again)
 
 
 def _evaluate(bases, axes: tuple[SweepAxis, ...], values: np.ndarray) -> list[list[SweepPoint]]:
@@ -420,7 +422,7 @@ def _evaluate(bases, axes: tuple[SweepAxis, ...], values: np.ndarray) -> list[li
     rows = [
         SweepPoint(tuple(point), fidelity, time, leakage, theta_a, theta_b, theta, "ok")
         if error is None
-        else SweepPoint(tuple(point), *[_FAILED] * 6, f"error:{error.__name__}")
+        else SweepPoint(tuple(point), *[math.nan] * 6, f"error:{error.__name__}")
         for point, time, (fidelity, theta_a, theta_b, theta, leakage), error in zip(
             values.tolist() * len(bases), t_g.tolist(), scores.tolist(), errors.tolist()
         )
