@@ -425,23 +425,29 @@ def _ramp_chunks(d1: np.ndarray, scales: np.ndarray, step: float, ends):
     the samples fall, and the ramps of one point that share a step share
     them.  Each interval that holds a sample is a run expanded about it
     (lo, hi), of the least degree M whose remainder bound is 2^-53 or less
-    over its whole width, however few samples it holds; one
-    ``searchsorted`` finds its samples.  The cuts do not depend on how a
-    run is then multiplied: its group degrees (``_group_degrees``), read
-    from its sample count, its degree and its interval's ||W||_max, decide
-    only how ``_run_product`` groups it.
+    over its whole width, however few samples it holds.  A sample's
+    interval j is read off its own ||W||_max from the segment's start, x,
+    as the j with theta j < x <= theta (j + 1), 0 at the start; each run
+    is the interval of its first sample, and takes the samples up to the
+    interval's upper edge (one ``searchsorted``), so the work follows the
+    samples and not the number of intervals the segment spans.  The cuts
+    do not depend on how a run is then multiplied: its group degrees
+    (``_group_degrees``), read from its sample count, its degree and its
+    interval's ||W||_max, decide only how ``_run_product`` groups it.
     """
     spread = float(step * np.abs(d1 - d1.mean()).max()) / 2
     total = spread * abs(ends[1] - ends[0])
-    # ||W||_max from the segment's start to each interval's edge, and the samples' places among them
-    count = max(1, math.ceil(total / _THETA))
-    edges = [min(_THETA * j, total) for j in range(count + 1)]
-    bounds = [0, *np.searchsorted(spread * np.abs(scales - ends[0]), edges[1:-1], "right").tolist(), len(scales)]
-    for j in np.flatnonzero(np.diff(bounds)).tolist():
-        run = tuple(ends[0] + (ends[1] - ends[0]) * (edges[i] / total if total else i) for i in (j, j + 1))
-        chunk, degree = scales[bounds[j] : bounds[j + 1]], _degree(edges[j + 1] - edges[j])
+    x, lo = spread * np.abs(scales - ends[0]), 0
+    while lo < len(scales):
+        # the run's interval, exact since theta is a power of two; a sample on an edge is in the lower one
+        j = max(math.ceil(x[lo] / _THETA) - 1, 0)
+        hi = int(np.searchsorted(x, _THETA * (j + 1), "right"))
+        edges = [min(_THETA * i, total) for i in (j, j + 1)]
+        run = tuple(ends[0] + (ends[1] - ends[0]) * (edge / total if total else i) for i, edge in enumerate(edges))
+        chunk, degree = scales[lo:hi], _degree(edges[1] - edges[0])
         # the group degrees take ||W||_max as spread |hi - lo|, which can round otherwise than the edges' difference
         yield chunk, degree, tuple(_group_degrees(len(chunk), spread * abs(run[1] - run[0]), degree)), run
+        lo = hi
 
 
 @functools.cache

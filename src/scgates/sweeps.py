@@ -24,10 +24,12 @@ points one phase solve.
 Everything runs in the calling thread, rows come out in lexicographic axis
 order, and failed points are recorded in-row rather than aborting the sweep.
 One failure rule holds for both stacked stages (``_parts``): a chunk whose
-propagation raises, or a phase solve that raises, is run again point by
-point, so that a failure stays in its own row.  Each point's outcome, its
-scores or the class of the error that failed it, is written at its index
-into one table over the points of all grids, and the rows are read off it.
+propagation raises, or a phase solve that raises, is split in halves, and
+each half is run again the same way, down to single points, so that a
+failure stays in its own row at the cost of a few stacked runs.  Each
+point's outcome, its scores or the class of the error that failed it, is
+written at its index into one table over the points of all grids, and the
+rows are read off it.
 A single point (``evaluate_point``) is a chunk of one.  ``threshold``
 bisects with look-ahead: each of its rounds is one such run over the
 midpoints of the next few bisection steps, as many as pay for the run's
@@ -121,6 +123,8 @@ class SweepAxis:
             raise ValueError(f"axis n_points must be an integer, got {self.n_points!r}")
         if self.n_points < 2:
             raise ValueError(f"axis needs at least 2 points, got {self.n_points}")
+        if self.n_points > np.iinfo(np.intp).max // 8:  # no float64 array holds them
+            raise ValueError(f"axis n_points must be at most {np.iinfo(np.intp).max // 8}, got {self.n_points}")
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.n_points)
@@ -323,34 +327,26 @@ def _point_entries(dim: int) -> int:
 _NUMERICAL_ERRORS = (ValueError, ArithmeticError, np.linalg.LinAlgError, RuntimeError)
 
 
-def _parts(run, *stack, again=None) -> list[tuple]:
-    """``run`` over a stack of points, each of ``stack`` an array with one point per entry, as ``(indices, outcome)`` parts.
+def _parts(run, errors, at, *stack):
+    """``run`` over a stack of points, each of ``stack`` an array with one point per entry, as the ``(at, outcome)`` of each part that ran.
 
-    The stack is run as one part, its indices those of all its points.  If
-    that raises, each point is run again as a stack of its own, through
-    ``again`` (by default ``_parts`` of ``run``), so that a failure stays
-    with its point: a point whose run raises is the part ``([k], error type)``.
+    ``at`` holds the points' indices in the outcome table.  The stack is
+    run as one part.  If that raises, each half of it is taken the same
+    way, recursively, ``at`` halved with the rest of the stack, so that a
+    failure stays with its point: a point whose run raises alone has the
+    class of its error written at its index into ``errors``, and yields
+    nothing.  f failures among n points so cost at most 1 + 2f ceil(log2 n)
+    runs.
     """
-    try:
-        return [(np.arange(len(stack[0])), run(*stack))]
+    try:  # an error raised in the caller's loop body is not thrown in here
+        yield at, run(*stack)
     except _NUMERICAL_ERRORS as exc:
-        if len(stack[0]) == 1:
-            return [(np.arange(1), type(exc))]
-    again = again or (lambda *point: _parts(run, *point))
-    return [([k], outcome) for k in range(len(stack[0])) for _, outcome in again(*(x[k : k + 1] for x in stack))]
-
-
-def _blocks(sizes: tuple[int, ...], rows: np.ndarray, scales, durations: np.ndarray, dt: float) -> list[tuple]:
-    """Computational blocks of a chunk of points, as ``_parts`` of ``stack_blocks``: ``(indices, (m, defects))``, or ``(indices, error type)`` where a point's propagation raises.
-
-    The arguments are those of ``stack_blocks``, one point per entry of
-    ``rows`` and ``durations``.
-    """
-
-    def again(rows, durations):  # a point run again after its chunk raised is a one-point chunk of ``_blocks`` itself
-        return _blocks(sizes, rows, scales, durations, dt)
-
-    return _parts(lambda rows, durations: stack_blocks(sizes, rows, scales, durations, dt), rows, durations, again=again)
+        if len(at) < 2:
+            errors[at] = type(exc)
+            return
+        half = len(at) // 2
+        for part in slice(half), slice(half, None):
+            yield from _parts(run, errors, *(x[part] for x in (at, *stack)))
 
 
 def _evaluate(bases, axes: tuple[SweepAxis, ...], values: np.ndarray) -> list[list[SweepPoint]]:
@@ -369,8 +365,10 @@ def _evaluate(bases, axes: tuple[SweepAxis, ...], values: np.ndarray) -> list[li
     curves of a ramp study share theirs.  Every point that passes the
     unitarity bound is then scored in one ``score_blocks`` call per target,
     whose rows equal those of each block alone.  One failure rule holds for
-    both stages (``_parts``): a stack that raises is run again point by
-    point.  Each point's outcome is written at its index, over the points of
+    both stages (``_parts``): a stack that raises is run again in halves,
+    recursively, down to the points that raise alone, and since a stacked
+    row equals the row alone, every other row is that of the whole stack.
+    Each point's outcome is written at its index, over the points of
     all grids, into one table: its score row, or the class of its
     derivation error, propagation error, unitarity failure or scoring
     error; the rows are read off it.
@@ -401,24 +399,18 @@ def _evaluate(bases, axes: tuple[SweepAxis, ...], values: np.ndarray) -> list[li
     for (target, sizes, scales, dt), parts in stacks.items():
         points, rows, durations = (np.concatenate(x) for x in zip(*parts))
         size = max(1, _STACK_ENTRIES // _point_entries(math.prod(sizes)))
+        # stack_blocks is looked up at each run, halves included, so that a test that patches it sees them all
+        run = lambda rows, durations: stack_blocks(sizes, rows, scales, durations, dt)  # noqa: E731
         for start in range(0, len(rows), size):
             chunk = slice(start, start + size)
-            for index, outcome in _blocks(sizes, rows[chunk], scales, durations[chunk], dt):
-                at = points[chunk][index]
-                if isinstance(outcome, type):  # the point's propagation raised
-                    errors[at] = outcome
-                    continue
-                m, defects = outcome
+            for at, (m, defects) in _parts(run, errors, points[chunk], rows[chunk], durations[chunk]):
                 spoiled = defects > SCHEDULE_UNITARITY_TOL
                 errors[at[spoiled]] = UnitarityError
                 blocks.setdefault(target, []).append((at[~spoiled], m[~spoiled]))
     for target, found in blocks.items():
         points, m = (np.concatenate(x) for x in zip(*found))
-        for index, outcome in _parts(lambda m: score_blocks(m, target), m):
-            if isinstance(outcome, type):
-                errors[points[index]] = outcome
-            else:
-                scores[points[index]] = np.column_stack(outcome)
+        for at, outcome in _parts(lambda m: score_blocks(m, target), errors, points, m):
+            scores[at] = np.column_stack(outcome)
     rows = [
         SweepPoint(tuple(point), fidelity, time, leakage, theta_a, theta_b, theta, "ok")
         if error is None

@@ -793,7 +793,7 @@ class TestCliEntry:
 
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(SWEEP_CONFIG))
-        monkeypatch.setattr(sweeps_module, "_blocks", exhausted)
+        monkeypatch.setattr(sweeps_module, "stack_blocks", exhausted)
         assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
@@ -814,28 +814,57 @@ class TestCliEntry:
             ),
             # the 40 ns CZ trapezoid at dt = 1e-9: 4 * 10^10 CF4 steps, 298 GiB of step indices
             ({**GATE_CONFIG, "system": RAMP_CONFIG["system"], "gate": "cz", "schedule": {"tau_d": 40.0}}, ["--dt", "1e-9"]),
+            # an axis of 10^12 points, below the n_points refusal: 7.3 TiB of axis values
+            (_with_axis(n_points=10**12), []),
         ],
-        ids=["100000-levels", "cz-40ns-dt-1e-9"],
+        ids=["100000-levels", "cz-40ns-dt-1e-9", "10^12-points"],
     )
     def test_a_run_that_cannot_fit_is_a_json_error(self, tmp_path, config, argv):
-        # the address-space limit is set in the child only, so nothing large is ever allocated
+        done = self.run_capped(tmp_path, config, argv, 3 * 1024**3)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.count("\n") == 1
+        assert json.loads(done.stderr)["kind"] == "memory"
+        assert not (tmp_path / "o").exists()
+
+    def test_a_ramp_of_a_wide_spread_takes_memory_by_its_samples(self, tmp_path):
+        # qubit B at 10^10 GHz spreads each 1 ns ramp over 2.5 * 10^8 intervals, of which its 200
+        # samples touch 200: the run fails its unitarity bound well within 1 GiB
+        system = {**RAMP_CONFIG["system"], "qubit_b": {"freq": 1e10, "anharm": 0.114}}
+        config = {**GATE_CONFIG, "system": system, "gate": "cz", "schedule": {"tau_d": 1.0}}
+        done = self.run_capped(tmp_path, config, [], 1024**3)
+        assert done.returncode == 2, done.stderr
+        assert json.loads(done.stderr.splitlines()[-1])["kind"] == "numerical"
+        assert not (tmp_path / "o").exists()
+
+    @staticmethod
+    def run_capped(tmp_path, config, argv, limit):
+        """``python -m scgates`` on ``config``, written to ``tmp_path``, and ``argv``, with out dir ``tmp_path / "o"``, in a child process whose address space is capped at ``limit`` bytes."""
+        # the address-space limit is set in the child only, so nothing large is ever allocated here
         path, out = tmp_path / "cfg.json", tmp_path / "o"
         path.write_text(json.dumps(config))
-        limit = 3 * 1024**3
 
         def limit_address_space():
             resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
         src = str(Path(scgates.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
-        done = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "scgates", "--config", str(path), "--out", str(out), *argv],
             env=env, capture_output=True, text=True, timeout=120, preexec_fn=limit_address_space,
         )
-        assert done.returncode == 2, done.stderr
-        assert done.stderr.count("\n") == 1
-        assert json.loads(done.stderr)["kind"] == "memory"
-        assert not out.exists()
+
+    @pytest.mark.parametrize("n_points", [2**60, 2**63 - 1, 2**63], ids=["2^60", "2^63-1", "2^63"])
+    def test_an_axis_no_array_holds_is_a_config_error(self, tmp_path, capsys, n_points):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_with_axis(n_points=n_points)))
+        assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "kind": "config",
+            "error": f"axes[0]: axis n_points must be at most {np.iinfo(np.intp).max // 8}, got {n_points}",
+        }
+        assert not (tmp_path / "o").exists()
 
     @staticmethod
     def fail_plot_writes(monkeypatch):

@@ -471,6 +471,28 @@ class TestRampExponentials:
         assert [chunk.tolist() for chunk, *_ in chunks] == [[s] for s in scales.tolist()]
         self.assert_matches_eigh(h0, d1, scales, 40.0 / _shifted_norm((h0 + 10.0 * np.diag(d1))[None]))
 
+    @pytest.mark.parametrize("span, widths", [
+        (0.0, [0.0]),
+        (0.5, [0.5]),
+        (1.0, [1.0]),  # the last sample lies on the edge theta and stays in the lower interval
+        (1.097, [1.0, 0.097]),
+        (1e12, [1.0] * 5),  # the work follows the five samples, not the 10^12 intervals
+    ])
+    def test_a_segment_is_cut_where_its_samples_change_interval(self, span, widths):
+        # at spread 1 a scale's ||W||_max from the segment's start is its distance from it;
+        # five samples over span theta
+        d1, theta = np.array([-1.0, 1.0]), evolution._THETA
+        ends = (1.0, 1.0 + span * theta)
+        scales = np.linspace(*ends, 5)
+        chunks = list(evolution._ramp_chunks(d1, scales, 2.0, ends))
+        assert np.array_equal(np.concatenate([chunk for chunk, *_ in chunks]), scales)
+        assert [degree for _, degree, _, _ in chunks] == [evolution._degree(w * theta) for w in widths]
+        runs = [run for *_, run in chunks]
+        assert runs[0][0] == ends[0] and runs[-1][1] == ends[1]
+        for chunk, _, _, (lo, hi) in chunks:
+            assert lo <= chunk[0] and chunk[-1] <= hi and hi - lo <= theta
+            assert lo == ends[0] or (chunk > lo).all()
+
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 11])
     def test_the_product_tree_multiplies_in_time_order(self, n):
         # with a spare stack of half as many matrices the tree writes its levels

@@ -74,6 +74,16 @@ class TestAxis:
         with pytest.raises(ValueError, match="axis n_points must be an integer, got 2.5"):
             SweepAxis("g_over_delta_b", 0.1, 0.2, 2.5)
 
+    @pytest.mark.parametrize(
+        "n_points", [2**60, 2**62, 2**63 - 1, 2**63, 10**400], ids=["2^60", "2^62", "2^63-1", "2^63", "10^400"]
+    )
+    def test_rejects_more_points_than_an_array_holds_by_name(self, n_points):
+        # np.linspace would raise numpy's unnamed "array is too big" or a Python IndexError
+        largest = np.iinfo(np.intp).max // 8
+        with pytest.raises(ValueError, match=f"axis n_points must be at most {largest}, got {n_points}"):
+            SweepAxis("g_abs", 0.0, 1.0, n_points)
+        assert SweepAxis("g_abs", 0.0, 1.0, largest).n_points == largest
+
     @pytest.mark.parametrize("field", ["start", "stop"])
     @pytest.mark.parametrize("value", [-math.inf, math.inf, math.nan])
     def test_rejects_non_finite_ends_by_name(self, field, value):
@@ -391,13 +401,13 @@ class TestSweep:
         # points are evaluated in stacks: record the thread of each stacked
         # evaluation once per point it evaluates
         threads = []
-        blocks = sweeps_module._blocks
+        blocks = sweeps_module.stack_blocks
 
         def recording_blocks(sizes, rows, scales, durations, dt):
             threads.extend([threading.get_ident()] * len(rows))
             return blocks(sizes, rows, scales, durations, dt)
 
-        monkeypatch.setattr(sweeps_module, "_blocks", recording_blocks)
+        monkeypatch.setattr(sweeps_module, "stack_blocks", recording_blocks)
         sweep(ISWAP_BASE, (SweepAxis("g_over_delta_b", 0.05, 0.3, 8),), jobs=4)
         assert threads == [threading.get_ident()] * 8
 
@@ -544,13 +554,13 @@ class TestBatching:
 
     def test_chunks_hold_at_most_the_stack_bound(self, monkeypatch):
         sizes = []
-        blocks = sweeps_module._blocks
+        blocks = sweeps_module.stack_blocks
 
         def recording_blocks(stack_sizes, rows, scales, durations, dt):
             sizes.append(len(rows))
             return blocks(stack_sizes, rows, scales, durations, dt)
 
-        monkeypatch.setattr(sweeps_module, "_blocks", recording_blocks)
+        monkeypatch.setattr(sweeps_module, "stack_blocks", recording_blocks)
         sweep(*BATCH_CASES["direct-1d"])
         sweep(*BATCH_CASES["cavity"])
         sweep(*SQUARE_CASES["cavity-125"])
@@ -562,7 +572,7 @@ class TestBatching:
         base = cavity_base(levels)
         dim, peaks = base.system.dim, []
         size = sweeps_module._STACK_ENTRIES // sweeps_module._point_entries(dim)
-        blocks = sweeps_module._blocks
+        blocks = sweeps_module.stack_blocks
 
         def measured_blocks(sizes, rows, scales, durations, dt):
             blocks(sizes, rows, scales, durations, dt)
@@ -574,7 +584,7 @@ class TestBatching:
                 tracemalloc.stop()
             return found
 
-        monkeypatch.setattr(sweeps_module, "_blocks", measured_blocks)
+        monkeypatch.setattr(sweeps_module, "stack_blocks", measured_blocks)
         grid = sweep(base, (SweepAxis("geff_over_delta_b", 0.05, 0.5, size),))
         assert all(row.status == "ok" for row in grid.rows)
         ((n, peak),) = peaks
@@ -631,19 +641,25 @@ class TestBatching:
         assert rows[3].status == "error:UnitarityError"
         assert rows[:3] + rows[4:] == expected[:3] + expected[4:]
 
-    def test_a_failed_phase_solve_stays_in_its_row(self, monkeypatch):
-        # 40 points of the 45-level cavity system: chunks of 38 and 2, scored in one phase solve;
-        # one point's block is NaN, so that solve raises and each block is scored alone
+    @staticmethod
+    def nan_phase_solve(failed, monkeypatch):
+        """``(expected, rows, chunks, scored)`` of a 40-point sweep of the 45-level cavity system, run unforced and then with the blocks of the points ``failed`` made NaN.
+
+        The sweep goes in chunks of 38 and 2 and is scored in one phase
+        solve, which the NaN blocks make raise.  ``chunks`` and ``scored``
+        hold the sizes of the forced run's ``stack_blocks`` and
+        ``score_blocks`` calls.
+        """
         base, axes = cavity_base(3), (SweepAxis("geff_over_delta_b", 0.05, 0.5, 40),)
         expected = sweep(base, axes).rows
-        (bad,) = parameter_rows([derive_point_spec(base, axes, expected[20].values)])
+        bad = parameter_rows([derive_point_spec(base, axes, expected[k].values) for k in failed])
         stack_blocks, score_blocks = sweeps_module.stack_blocks, sweeps_module.score_blocks
         chunks, scored = [], []
 
         def nan_blocks(sizes, rows, scales, durations, dt):
             chunks.append(len(rows))
             m, defects = stack_blocks(sizes, rows, scales, durations, dt)
-            m[(rows == bad).all(axis=1)] = np.nan
+            m[(rows[:, None] == bad).all(axis=2).any(axis=1)] = np.nan
             return m, defects
 
         def counted_scores(m, target):
@@ -654,11 +670,47 @@ class TestBatching:
         monkeypatch.setattr(sweeps_module, "score_blocks", counted_scores)
         with np.errstate(invalid="ignore"):
             rows = sweep(base, axes).rows
+        assert_rows_are_run_gate_rows(base, axes, [row for k, row in enumerate(rows) if k not in failed])
+        return expected, rows, chunks, scored
+
+    def test_a_failed_phase_solve_stays_in_its_row(self, monkeypatch):
+        # one point's block is NaN, so the phase solve raises and is scored again in halves down to that block
+        expected, rows, chunks, scored = self.nan_phase_solve([20], monkeypatch)
         assert chunks == [38, 2]
-        assert scored == [40] + [1] * 40
+        assert scored == [40, 20, 20, 10, 5, 2, 1, 1, 3, 5, 10]
         assert rows[20].status == "error:LinAlgError"
         assert rows[:20] + rows[21:] == expected[:20] + expected[21:]
-        assert_rows_are_run_gate_rows(base, axes, rows[:20] + rows[21:])
+
+    def test_failed_phase_solves_take_at_most_two_solves_per_failure_and_halving(self, monkeypatch):
+        # three NaN blocks among 40: 27 solves, where scoring each block alone took 41
+        failed = [0, 20, 39]
+        expected, rows, chunks, scored = self.nan_phase_solve(failed, monkeypatch)
+        assert chunks == [38, 2]
+        assert scored[0] == 40 and len(scored) <= 1 + 2 * len(failed) * math.ceil(math.log2(40))
+        assert [row.status for row in rows] == [
+            "error:LinAlgError" if k in failed else "ok" for k in range(40)
+        ]
+        assert [row for k, row in enumerate(rows) if k not in failed] == [
+            row for k, row in enumerate(expected) if k not in failed
+        ]
+
+    @pytest.mark.parametrize("failed", [[100], [0, 255], [3, 4, 5, 200]])
+    def test_a_failed_stack_of_256_is_run_again_in_halves_down_to_its_failures(self, failed):
+        # fig4b's phase solve holds 256 blocks: f failures among them cost at most 1 + 16 f runs
+        calls, errors = [], np.empty(256, dtype=object)
+
+        def run(x):
+            calls.append(len(x))
+            if np.isin(x, failed).any():
+                raise np.linalg.LinAlgError("forced")
+            return 2 * x
+
+        parts = list(sweeps_module._parts(run, errors, np.arange(256), np.arange(256.0)))
+        assert calls[0] == 256 and len(calls) <= 1 + 2 * len(failed) * 8
+        assert [k for k, error in enumerate(errors) if error is not None] == failed
+        assert set(errors[failed]) == {np.linalg.LinAlgError}
+        assert np.concatenate([at for at, _ in parts]).tolist() == [k for k in range(256) if k not in failed]
+        assert all(np.array_equal(outcome, 2.0 * at) for at, outcome in parts)
 
     @pytest.mark.parametrize("run, sizes", [
         (lambda: sweep(*SQUARE_CASES["cavity-125"]), [7]),  # chunks of 5 and 2
@@ -692,16 +744,16 @@ class TestBatching:
             w, v = eigh(h)
             return w, v * (1 + 1e-6) if h.shape[-1] == size else v
 
-        sizes, blocks = [], sweeps_module._blocks
+        sizes, blocks = [], sweeps_module.stack_blocks
 
         def recording_blocks(stack_sizes, rows, scales, durations, dt):
             sizes.append(len(rows))
             return blocks(stack_sizes, rows, scales, durations, dt)
 
         monkeypatch.setattr(np.linalg, "eigh", spoiled_eigh)
-        monkeypatch.setattr(sweeps_module, "_blocks", recording_blocks)
+        monkeypatch.setattr(sweeps_module, "stack_blocks", recording_blocks)
         assert {row.status for row in sweep(base, axes).rows} == {"error:UnitarityError"}
-        assert sizes == [axes[0].n_points]  # the stack's own defects failed it, not a point-by-point rerun
+        assert sizes == [axes[0].n_points]  # the stack's own defects failed it, not a rerun in parts
         spec = derive_point_spec(base, axes, (0.2,))
         with pytest.raises(UnitarityError):
             run_gate(spec, CZ)
@@ -788,7 +840,7 @@ class TestBatching:
         assert all(row.status == "ok" for row in grid.rows)
 
     def test_a_failed_detuned_stack_warns_once(self, monkeypatch):
-        # the stack's ramp fails once, so its points are run again one by one through run_gate
+        # the stack's ramp fails once, so its two halves are run again as stacks of two
         system = replace(CZ_BASE.system, qubit_b=replace(CZ_BASE.system.qubit_b, freq=7.3))
         base, axes = SweepBase(system, "cz", tau_d=1.0, dt=0.05), (SweepAxis("g_over_delta_b", 0.1, 0.3, 4),)
         with warnings.catch_warnings():
@@ -806,7 +858,7 @@ class TestBatching:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rows = sweep(base, axes).rows
-        assert calls == [4, 1, 1, 1, 1]
+        assert calls == [4, 2, 2]
         assert [str(w.message).split(" is ")[0] for w in caught] == [
             "cz resonance condition freq_b = freq_a + anharm_b"
         ]
@@ -1080,9 +1132,9 @@ class TestStudyStacks:
 
     @pytest.mark.parametrize("failure", ["ramp", "unitarity", "score"])
     def test_a_failure_in_a_shared_stack_stays_in_its_grid_and_row(self, failure, monkeypatch):
-        # the 5 ns curve's third point fails: its ramp raises, so the stack is run again point
-        # by point, or its defect is spoiled in the stack, or its block is NaN, so the study's
-        # one phase solve raises and every block is scored alone
+        # the 5 ns curve's third point fails: its ramp raises, so the stack is run again in halves
+        # down to that point, or its defect is spoiled in the stack, or its block is NaN, so the
+        # study's one phase solve raises and is scored again in halves down to that block
         expected = ramp_study(CZ_BASE, STUDY_TAUS, STUDY_AXIS)
         bad_spec = derive_point_spec(CZ_BASE, (STUDY_AXIS,), expected[3].rows[2].values)
         if failure == "ramp":
@@ -1118,8 +1170,8 @@ class TestStudyStacks:
         with np.errstate(invalid="ignore"):
             grids = ramp_study(CZ_BASE, STUDY_TAUS, STUDY_AXIS)
         if failure == "score":
-            points = sum(len(grid.rows) for grid in grids)
-            assert scored == [points] + [1] * points
+            # 20 blocks, the square curve's 4 and then the ramped ones in curve order, the failed one at index 14
+            assert scored == [20, 10, 10, 5, 2, 3, 1, 2, 1, 1, 5]
         status = "error:UnitarityError" if failure == "unitarity" else "error:LinAlgError"
         assert grids[3].rows[2].status == status
         assert grids[3].rows[:2] + grids[3].rows[3:] == expected[3].rows[:2] + expected[3].rows[3:]
@@ -1142,14 +1194,14 @@ class TestStudyStacks:
     def test_truncation_study_chunks_are_those_of_its_own_sweeps(self, monkeypatch):
         # 13 points of 45, 80 and 125 levels: chunks of 13; 12 and 1; 5, 5 and 3
         axis, sizes = SweepAxis("geff_over_delta_b", 0.05, 0.5, 13), []
-        blocks = sweeps_module._blocks
+        blocks = sweeps_module.stack_blocks
 
         def recording_blocks(stack_sizes, rows, scales, durations, dt):
             sizes.append(len(rows))
             return blocks(stack_sizes, rows, scales, durations, dt)
 
         grids = truncation_study(INDIRECT_BASE, [3, 4, 5], axis)
-        monkeypatch.setattr(sweeps_module, "_blocks", recording_blocks)
+        monkeypatch.setattr(sweeps_module, "stack_blocks", recording_blocks)
         assert truncation_study(INDIRECT_BASE, [3, 4, 5], axis) == grids
         assert sizes == [13, 12, 1, 5, 5, 3]
         assert grids == [sweep(grid.base, (axis,)) for grid in grids]
