@@ -12,15 +12,20 @@ types, so each schema is stated once, by its dataclass.
 
 What a run mode is lives in one place, ``_MODE_TABLE``: for each mode, the
 number of sweep axes it takes, the runner that computes its summary and grids,
-and the keys its summary must carry.  ``MODES``, the config's axis count,
-``execute`` and ``validate_summary`` all read it.
+the keys its summary must carry, and the config key that only it takes, with
+that key's parser.  ``MODES``, the config's keys and axis count, the mode
+keys' rules, ``execute`` and ``validate_summary`` all read it.
 
 Exit codes: 0 success, 1 config error (nothing is written), 2 numerical
 failure, or a run that needs more memory than it can get (error kind
 ``memory``; nothing is written), 3 the output directory or an artifact could
-not be written.  The artifacts are written under temporary names and renamed
-only once all three are written, so a failed write leaves none of them.
-Errors are also emitted as single-line JSON on stderr.
+not be written.  A level count or axis that no array can hold is a config
+error.  A Hamiltonian that overflows a float, or a gate time that is not
+positive and finite, is a numerical failure whose error names the parameters
+at fault; in a sweep it fails its own row.  The artifacts are written under
+temporary names and renamed only once all three are written, so a failed
+write leaves none of them.  Errors are also emitted as single-line JSON on
+stderr.
 """
 
 from __future__ import annotations
@@ -107,14 +112,14 @@ def _get(obj: dict, key: str, types, where: str, default=None, required: bool = 
 
 
 @cache
-def _schema(cls, extra: frozenset[str] = frozenset(), only: tuple[str, ...] | None = None):
+def _schema(cls, only: tuple[str, ...] | None = None):
     """``(keys, fields)`` of a JSON object read into dataclass ``cls``, resolved once per class.
 
     ``fields`` holds ``(name, type, default, required, nested)`` for each
     field of ``cls``, or each named in ``only``, in field order.  A field
     without a default is required; a dataclass-typed field is read from its
     own object, and ``nested`` is that dataclass's schema, else None.
-    ``keys`` are the field names and ``extra``.
+    ``keys`` are the field names.
     """
     types = get_type_hints(cls)
     specs = tuple(
@@ -123,19 +128,18 @@ def _schema(cls, extra: frozenset[str] = frozenset(), only: tuple[str, ...] | No
         for f in fields(cls)
         if only is None or f.name in only
     )
-    return frozenset(spec[0] for spec in specs) | extra, specs
+    return frozenset(spec[0] for spec in specs), specs
 
 
-def _parse(obj, cls, where: str, schema=None):
-    """``cls`` called with the typed values of the fields of ``schema`` in the JSON object ``obj``.
+def _parse(obj, build, where: str, schema):
+    """``build`` called with the typed values of the fields of ``schema`` in the JSON object ``obj``.
 
-    ``schema`` defaults to ``_schema(cls)``.  Fields are read in order and
-    passed by position; with ``cls`` None they are returned as a list.  Only
-    the call's own ``ValueError`` is prefixed with ``where``.
+    Fields are read in order and passed by position.  Only the call's own
+    ``ValueError`` is prefixed with ``where``.
     """
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be an object")
-    keys, specs = schema or _schema(cls)
+    keys, specs = schema
     _check_keys(obj, keys, where)
     values = []
     for name, kind, default, required, nested in specs:
@@ -143,19 +147,14 @@ def _parse(obj, cls, where: str, schema=None):
             values.append(_get(obj, name, kind, where, default, required))
         else:
             values.append(_parse(obj.get(name), kind, f"{where}.{name}", nested))
-    if cls is None:
-        return values
     try:
-        return cls(*values)
+        return build(*values)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
 
-#: Each system kind's spec and the schema of its object, which also holds ``kind``.
-_SYSTEMS = {
-    "direct": (DirectSystemSpec, _schema(DirectSystemSpec, frozenset({"kind"}))),
-    "indirect": (IndirectSystemSpec, _schema(IndirectSystemSpec, frozenset({"kind"}))),
-}
+#: Each system kind's spec and the schema of its object, less its ``kind``.
+_SYSTEMS = {kind: (cls, _schema(cls)) for kind, cls in (("direct", DirectSystemSpec), ("indirect", IndirectSystemSpec))}
 
 #: The schedule object holds the pulse fields of ``SweepBase``, which follow its gate.
 _SCHEDULE = _schema(SweepBase, only=("tau_d", "dt"))
@@ -168,49 +167,29 @@ def _parse_system(obj, where: str = "system"):
     if kind not in _SYSTEMS:
         raise ConfigError(f"{where}.kind must be 'direct' or 'indirect', got {kind!r}")
     cls, schema = _SYSTEMS[kind]
-    return _parse(obj, cls, where, schema)
+    return _parse({key: value for key, value in obj.items() if key != "kind"}, cls, where, schema)
 
 
-_TOP_KEYS = {
-    "mode", "system", "gate", "schedule", "axes", "tie_anharm",
-    "level", "n_levels_list", "tau_d_list", "output",
-}
-
-
-def _threshold_level(level) -> float:
+def _threshold_level(mode: str, level) -> float:
     if level is None or not 0.0 < level < 1.0:
-        raise ConfigError("mode 'threshold' needs a level strictly between 0 and 1")
+        raise ConfigError(f"mode {mode!r} needs a level strictly between 0 and 1")
     return level
 
 
-def _n_levels_list(value) -> tuple[int, ...]:
-    if not isinstance(value, list) or not value or not all(
-        isinstance(n, int) and not isinstance(n, bool) and n >= 2 for n in value
-    ):
-        raise ConfigError("mode 'truncation' needs n_levels_list of integers >= 2")
-    if len(set(value)) < len(value):
-        raise ConfigError(f"mode 'truncation' needs n_levels_list without repeated entries, got {value}")
-    return tuple(value)
+def _distinct(key: str, entries: str, cast, valid):
+    """``(key, parser)`` of a mode key that holds a non-empty list of distinct non-bool ``entries``, each passing ``valid``, read as a tuple of their ``cast``.
 
+    Summaries key their results by entry, so no entry may repeat.
+    """
 
-def _tau_d_list(value) -> tuple[float, ...]:
-    if not isinstance(value, list) or not value or not all(
-        isinstance(t, (int, float)) and not isinstance(t, bool) and 0 <= t <= sys.float_info.max
-        for t in value
-    ):
-        raise ConfigError("mode 'ramp' needs tau_d_list of non-negative finite durations")
-    if len(set(value)) < len(value):
-        raise ConfigError(f"mode 'ramp' needs tau_d_list without repeated entries, got {value}")
-    return tuple(float(t) for t in value)
+    def parse(mode: str, value) -> tuple:
+        if not isinstance(value, list) or not value or not all(valid(x) and not isinstance(x, bool) for x in value):
+            raise ConfigError(f"mode {mode!r} needs {key} of {entries}")
+        if len(set(value)) < len(value):
+            raise ConfigError(f"mode {mode!r} needs {key} without repeated entries, got {value}")
+        return tuple(map(cast, value))
 
-
-#: Config keys that only one mode takes: key -> (that mode, parser of the key's value).
-#: The lists may not repeat an entry, because summaries key their results by entry.
-_MODE_KEYS = {
-    "level": ("threshold", _threshold_level),
-    "n_levels_list": ("truncation", _n_levels_list),
-    "tau_d_list": ("ramp", _tau_d_list),
-}
+    return key, parse
 
 
 def parse_config(obj: dict) -> RunConfig:
@@ -225,7 +204,7 @@ def parse_config(obj: dict) -> RunConfig:
         raise ConfigError("missing required key 'system' in config")
     system = _parse_system(obj["system"])
 
-    schedule = _parse(obj.get("schedule", {}), None, "schedule", _SCHEDULE)
+    schedule = _parse(obj.get("schedule", {}), lambda tau_d, dt: (tau_d, dt), "schedule", _SCHEDULE)
 
     gate = _get(obj, "gate", str, "config", default=None)
     if mode == "effective":
@@ -247,7 +226,7 @@ def parse_config(obj: dict) -> RunConfig:
     axes_obj = obj.get("axes", [])
     if not isinstance(axes_obj, list):
         raise ConfigError("axes must be a list")
-    axes = tuple(_parse(a, SweepAxis, f"axes[{i}]") for i, a in enumerate(axes_obj))
+    axes = tuple(_parse(a, SweepAxis, f"axes[{i}]", _schema(SweepAxis)) for i, a in enumerate(axes_obj))
     expected = _MODE_TABLE[mode].n_axes
     if len(axes) != expected:
         raise ConfigError(f"mode {mode!r} needs exactly {expected} axes, got {len(axes)}")
@@ -255,22 +234,16 @@ def parse_config(obj: dict) -> RunConfig:
     # A wrong-typed level is a type error in every mode, before any mode rule.
     _get(obj, "level", float, "config")
     mode_values = {}
-    for key, (owner, parse) in _MODE_KEYS.items():
+    for owner, (key, parse) in ((name, entry.key) for name, entry in _MODE_TABLE.items() if entry.key):
         if mode == owner:
-            mode_values[key] = parse(obj.get(key))
+            mode_values[key] = parse(mode, obj.get(key))
         elif obj.get(key) is not None:
             raise ConfigError(f"key {key!r} only applies to mode {owner!r}")
     # ramp studies take directly coupled CZ systems, and the cubic detrend of each curve 5 points
     if mode == "ramp" and (base.gate != "cz" or isinstance(system, IndirectSystemSpec) or axes[0].n_points < 5):
         raise ConfigError("mode 'ramp' needs a direct system, gate 'cz' and an axis of at least 5 points")
 
-    return RunConfig(
-        mode=mode,
-        base=base,
-        axes=axes,
-        **mode_values,
-        output=_get(obj, "output", str, "config", default=None),
-    )
+    return RunConfig(mode, base, axes, **mode_values, output=_get(obj, "output", str, "config", default=None))
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -498,6 +471,7 @@ class _Mode:
     n_axes: int
     run: Callable[[RunConfig], tuple[dict, list[SweepGrid], tuple[str, list] | None]]
     summary_keys: set[str]
+    key: tuple[str, Callable] | None = None  # the config key only this mode takes, and its parser
 
 
 def _field_names(cls) -> set[str]:
@@ -510,12 +484,22 @@ _MODE_TABLE = {
     "sweep1d": _Mode(1, _run_sweep, {"gate", "n_rows", "max_fidelity", "min_fidelity", "thresholds"}),
     "sweep2d": _Mode(2, _run_sweep, {"gate", "n_rows", "max_fidelity", "min_fidelity"}),
     "effective": _Mode(0, _run_effective, _field_names(EffectiveCouplings)),
-    "threshold": _Mode(1, _run_threshold, {"gate", *_field_names(ThresholdResult)}),
-    "truncation": _Mode(1, _run_truncation, {"gate", "n_levels_list", "max_abs_fidelity_diff"}),
-    "ramp": _Mode(1, _run_ramp, {"gate", "tau_d_list", "detrended_amplitudes"}),
+    "threshold": _Mode(1, _run_threshold, {"gate", *_field_names(ThresholdResult)}, ("level", _threshold_level)),
+    "truncation": _Mode(
+        1, _run_truncation, {"gate", "n_levels_list", "max_abs_fidelity_diff"},
+        _distinct("n_levels_list", "integers >= 2", int, lambda n: isinstance(n, int) and n >= 2),
+    ),
+    "ramp": _Mode(
+        1, _run_ramp, {"gate", "tau_d_list", "detrended_amplitudes"},
+        _distinct("tau_d_list", "non-negative finite durations", float,
+                  lambda t: isinstance(t, (int, float)) and 0 <= t <= sys.float_info.max),
+    ),
 }
 
 MODES = tuple(_MODE_TABLE)
+
+#: The keys of a config object: the mode keys are those of the modes that take them.
+_TOP_KEYS = {"mode", "system", "gate", "schedule", "axes", "tie_anharm", "output", *(m.key[0] for m in _MODE_TABLE.values() if m.key)}
 
 
 def execute(cfg: RunConfig):

@@ -386,16 +386,23 @@ def gate_time(spec: DirectSystemSpec | IndirectSystemSpec, target: GateTarget) -
     An iSWAP completes half an exchange cycle on |01><10|, so t = 1/(4 g);
     a CZ completes a full circulation through the second excited state, so
     t = 1/(2 sqrt(2) g).  For cavity-coupled systems the relevant coupling is
-    the effective one (``gate_coupling``).
+    the effective one (``gate_coupling``).  A coupling that is not positive,
+    or a time that is not positive and finite, raises ``ValueError``; the
+    latter names the coupling, and for a cavity pair also g_qc.
     """
     if isinstance(spec, IndirectSystemSpec):
         c = effective_couplings(spec)
         coupling = gate_coupling(target, c.g_eff_1, c.g_eff_3)
+        name = f"{gate_coupling(target, 'g_eff_1', 'g_eff_3')} = {coupling!r} GHz (g_qc = {spec.g_qc!r} GHz)"
     else:
-        coupling = spec.g
+        coupling, name = spec.g, f"g = {spec.g!r} GHz"
     if coupling <= 0:
         raise ValueError(f"gate time is undefined for coupling {coupling!r}")
-    return resonant_time(coupling, target)
+    with np.errstate(all="ignore"):
+        t = resonant_time(coupling, target)
+    if not 0 < t < np.inf:
+        raise ValueError(f"gate time {t} ns is not positive and finite at {name}")
+    return t
 
 
 def gate_coupling(target: GateTarget, g_eff_1, g_eff_3):

@@ -20,6 +20,12 @@ n_a + n_b (+ n_c) by 0 or +-2, counter-rotating terms included, and the
 ladders are diagonal.  So every Hamiltonian built here has exact zeros between
 states of opposite excitation parity; ``parity_blocks`` gives the two index
 sets, which the propagators diagonalize separately.
+
+A mode holds 2 to ``_MAX_COUNT`` levels, as many as a float64 array can
+index, and the specs refuse any other count by name.  Finite parameters can
+still overflow a float once scaled by their levels: the stacked builder then
+raises ``OverflowError`` naming the parameters at fault (``_overflow``),
+rather than returning infinities for the eigensolvers to fail on.
 """
 
 from __future__ import annotations
@@ -31,6 +37,9 @@ from functools import lru_cache, reduce
 import numpy as np
 
 TWOPI = 2.0 * np.pi
+
+#: The most levels of a mode, or points of a sweep axis: no float64 array holds more entries.
+_MAX_COUNT = np.iinfo(np.intp).max // 8
 
 __all__ = [
     "TWOPI",
@@ -46,6 +55,16 @@ __all__ = [
     "parity_blocks",
     "computational_indices",
 ]
+
+
+def _check_count(value, what: str, short: str) -> None:
+    """Raise ``ValueError`` naming ``what`` unless ``value`` is an integer from 2 to ``_MAX_COUNT``; ``short`` opens the message of one below 2."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if value < 2:
+        raise ValueError(f"{short}, got {value}")
+    if value > _MAX_COUNT:
+        raise ValueError(f"{what} must be at most {_MAX_COUNT}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -65,10 +84,7 @@ class QubitSpec:
             raise ValueError(f"qubit freq must be positive and finite, got {self.freq}")
         if not 0 <= self.anharm < math.inf:
             raise ValueError(f"qubit anharm must be non-negative and finite, got {self.anharm}")
-        if not isinstance(self.n_levels, (int, np.integer)):
-            raise ValueError(f"qubit n_levels must be an integer, got {self.n_levels!r}")
-        if self.n_levels < 2:
-            raise ValueError(f"a qubit needs at least two levels, got {self.n_levels}")
+        _check_count(self.n_levels, "qubit n_levels", "a qubit needs at least two levels")
 
 
 @dataclass(frozen=True)
@@ -115,10 +131,7 @@ class IndirectSystemSpec:
             raise ValueError(f"cavity_freq must be positive and finite, got {self.cavity_freq}")
         if not 0 <= self.g_qc < math.inf:
             raise ValueError(f"coupling g_qc must be non-negative and finite, got {self.g_qc}")
-        if not isinstance(self.n_photons, (int, np.integer)):
-            raise ValueError(f"cavity truncation n_photons must be an integer, got {self.n_photons!r}")
-        if self.n_photons < 2:
-            raise ValueError(f"cavity truncation must be at least 2, got {self.n_photons}")
+        _check_count(self.n_photons, "cavity truncation n_photons", "cavity truncation must be at least 2")
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -318,16 +331,37 @@ def hamiltonian_parts_rows(sizes: tuple[int, ...], rows: np.ndarray) -> tuple[np
     given by its diagonal, which is all of it.  The stack is assembled as
     one: one row of level energies and one coupling strength per system.  d1
     is qubit B's scaled ladder, 2*pi*n*freq_b, broadcast over the mode grid,
-    and h0 is the full Hamiltonian at scale 1 less it.
+    and h0 is the full Hamiltonian at scale 1 less it.  If an entry of a
+    system's parts is not finite, ``OverflowError`` names the first such
+    system's large parameters (``_overflow``), and no numpy warning is issued.
     """
     n, dim = len(rows), math.prod(sizes)
-    h0 = _assemble(*_row_modes(sizes, rows))
-    n_a, n_b = sizes[:2]
-    d1 = np.empty((n, n_a, n_b, dim // (n_a * n_b)))  # the modes after B folded into one axis
-    d1[:] = (TWOPI * rows[:, 1:2] * np.arange(n_b, dtype=float))[:, None, :, None]
-    d1 = d1.reshape(n, -1)
-    h0.reshape(n, -1)[:, :: dim + 1] -= d1
+    with np.errstate(all="ignore"):  # an overflow is found below, and named
+        h0 = _assemble(*_row_modes(sizes, rows))
+        n_a, n_b = sizes[:2]
+        d1 = np.empty((n, n_a, n_b, dim // (n_a * n_b)))  # the modes after B folded into one axis
+        d1[:] = (TWOPI * rows[:, 1:2] * np.arange(n_b, dtype=float))[:, None, :, None]
+        d1 = d1.reshape(n, -1)
+        h0.reshape(n, -1)[:, :: dim + 1] -= d1
+    finite = np.isfinite(h0).all(axis=(1, 2)) & np.isfinite(d1).all(axis=1)
+    if not finite.all():
+        raise _overflow(sizes, rows[finite.argmin()])
     return h0, d1
+
+
+def _overflow(sizes: tuple[int, ...], row: np.ndarray) -> OverflowError:
+    """The error of a system of truncation ``sizes`` and parameter ``row`` whose Hamiltonian is not finite.
+
+    It names each parameter whose largest term reaches an eighth of the
+    largest float: the parameter times 2*pi and its highest level factor,
+    ``reach``.  An entry of h0 or d1 sums fewer than eight such terms, so
+    at least one parameter is named.
+    """
+    top = [n - 1.0 for n in sizes]  # each mode's highest level
+    reach = top[:2] + [n * (n - 1) / 2 for n in top[:2]] + [math.sqrt(max(top[:2]) * top[-1]), top[-1]]
+    names = ("freq_a", "freq_b", "anharm_a", "anharm_b", "g" if len(sizes) == 2 else "g_qc", "cavity_freq")
+    large = (f"{name} = {p!r} GHz" for name, p, r in zip(names, row.tolist(), reach) if TWOPI * abs(p) * r >= np.finfo(float).max / 8)
+    return OverflowError(f"the Hamiltonian overflows a float at {', '.join(large)}")
 
 
 def hamiltonian_parts(spec: DirectSystemSpec | IndirectSystemSpec) -> tuple[np.ndarray, np.ndarray]:

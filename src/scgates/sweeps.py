@@ -90,6 +90,7 @@ from .gates import (
 # Not used here: bench/layers.py patches these names when tracing (--trace 1).
 from .gates import gate_time, run_gate  # noqa: F401
 from .hamiltonians import (
+    _check_count,
     DirectSystemSpec,
     IndirectSystemSpec,
     spec_of_row,
@@ -119,12 +120,7 @@ class SweepAxis:
                 raise ValueError(f"axis {field} must be finite, got {getattr(self, field)}")
         if not self.start < self.stop:
             raise ValueError(f"axis needs start < stop, got [{self.start}, {self.stop}]")
-        if not isinstance(self.n_points, (int, np.integer)):
-            raise ValueError(f"axis n_points must be an integer, got {self.n_points!r}")
-        if self.n_points < 2:
-            raise ValueError(f"axis needs at least 2 points, got {self.n_points}")
-        if self.n_points > np.iinfo(np.intp).max // 8:  # no float64 array holds them
-            raise ValueError(f"axis n_points must be at most {np.iinfo(np.intp).max // 8}, got {self.n_points}")
+        _check_count(self.n_points, "axis n_points", "axis needs at least 2 points")
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.n_points)
@@ -262,17 +258,17 @@ def _derive(base: SweepBase, names, values: np.ndarray):
     by_name, n = dict(zip(names, values.T)), len(values)
     freq_a = np.full(n, qa.freq, dtype=float)
     anharm_a, anharm_b = np.full(n, qa.anharm, dtype=float), np.full(n, qb.anharm, dtype=float)
-    if "delta_b_abs" in by_name:
-        anharm_b = by_name["delta_b_abs"]
-    if "delta_b_over_g" in by_name:
-        anharm_b = by_name["delta_b_over_g"] * coupling
-    if "delta_a_over_g" in by_name:
-        anharm_a = by_name["delta_a_over_g"] * coupling
     retuned = not {"delta_b_abs", "delta_b_over_g"}.isdisjoint(by_name)
-    if base.tie_anharm and retuned:
-        anharm_a = anharm_b
-    freq_b = freq_a + anharm_b if retuned and target.kind == "cz" else np.full(n, qb.freq, dtype=float)
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # a product that overflows fails its point below
+        if "delta_b_abs" in by_name:
+            anharm_b = by_name["delta_b_abs"]
+        if "delta_b_over_g" in by_name:
+            anharm_b = by_name["delta_b_over_g"] * coupling
+        if "delta_a_over_g" in by_name:
+            anharm_a = by_name["delta_a_over_g"] * coupling
+        if base.tie_anharm and retuned:
+            anharm_a = anharm_b
+        freq_b = freq_a + anharm_b if retuned and target.kind == "cz" else np.full(n, qb.freq, dtype=float)
         if isinstance(system, IndirectSystemSpec):
             g_qc, geff = np.full(n, system.g_qc, dtype=float), by_name.get("geff_abs")
             if "geff_over_delta_b" in by_name:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
@@ -303,6 +305,27 @@ class TestGateTime:
         spec = DirectSystemSpec(ISWAP_SPEC.qubit_a, ISWAP_SPEC.qubit_b, 0.0)
         with pytest.raises(ValueError):
             gate_time(spec, ISWAP)
+
+    @pytest.mark.parametrize(
+        "spec, target, message",
+        [
+            (DirectSystemSpec(ISWAP_SPEC.qubit_a, ISWAP_SPEC.qubit_b, 5e-324), ISWAP, "gate time inf ns is not positive and finite at g = 5e-324 GHz"),
+            (DirectSystemSpec(ISWAP_SPEC.qubit_a, ISWAP_SPEC.qubit_b, 1e308), ISWAP, "gate time 0.0 ns is not positive and finite at g = 1e+308 GHz"),
+            (DirectSystemSpec(ISWAP_SPEC.qubit_a, ISWAP_SPEC.qubit_b, 5e-324), CZ, "gate time inf ns is not positive and finite at g = 5e-324 GHz"),
+            (
+                IndirectSystemSpec(QubitSpec(8.2, 0.2, 3), QubitSpec(8.45, 0.25, 3), 6.9, 1e154),
+                CZ,
+                "gate time 0.0 ns is not positive and finite at g_eff_1 = 7.692307692307698e+307 GHz (g_qc = 1e+154 GHz)",
+            ),
+        ],
+        ids=["iswap-5e-324", "iswap-1e308", "cz-5e-324", "cavity-cz-g_qc-1e154"],
+    )
+    def test_a_time_that_is_not_positive_and_finite_names_the_coupling(self, spec, target, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                gate_time(spec, target)
+        assert str(exc.value) == message
 
 
 class TestRunGate:

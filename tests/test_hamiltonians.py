@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -65,6 +66,15 @@ class TestQubitSpec:
     def test_specs_reject_non_finite_numbers_by_name(self, field, value):
         with pytest.raises(ValueError, match=rf"\b{field} must be"):
             NON_FINITE_FIELDS[field](value)
+
+    @pytest.mark.parametrize("count", [2**60, 2**63, 10**400], ids=["2^60", "2^63", "10^400"])
+    def test_specs_reject_a_count_no_array_holds_by_name(self, count):
+        bound = np.iinfo(np.intp).max // 8
+        assert QubitSpec(5.5, 0.15, bound).n_levels == bound  # the bound itself is accepted
+        with pytest.raises(ValueError, match=rf"^qubit n_levels must be at most {bound}, got {count}$"):
+            QubitSpec(5.5, 0.15, count)
+        with pytest.raises(ValueError, match=rf"^cavity truncation n_photons must be at most {bound}, got {count}$"):
+            IndirectSystemSpec(QA, QB, 6.9, 0.1, n_photons=count)
 
 
 class TestLadderDiagonal:
@@ -356,6 +366,41 @@ class TestHamiltonianPartsStack:
         d1 = hamiltonians._outer_sum(scaled)
         h0[:, np.arange(d), np.arange(d)] -= d1
         return h0, d1
+
+    @pytest.mark.parametrize(
+        "sizes, row, named",
+        [
+            ((3, 3), [5.5, 1e308, 0.15, 0.1, 0.011], ["freq_b = 1e+308 GHz"]),
+            ((3, 3), [1e308, 1e308, 0.15, 0.1, 0.011], ["freq_a = 1e+308 GHz", "freq_b = 1e+308 GHz"]),
+            # the anharmonicity enters from the third level on: at two levels 1e308 is harmless
+            ((3, 2), [5.5, 5.5, 0.15, 1e308, 0.011], None),
+            ((3, 3), [5.5, 5.5, 0.15, 1e308, 0.011], ["anharm_b = 1e+308 GHz"]),
+            # each term alone is finite, and their sum on the top level is not
+            ((3, 3), [1e307, 1e307, 0.15, 0.1, 0.011], ["freq_a = 1e+307 GHz", "freq_b = 1e+307 GHz"]),
+            ((3, 3), [5.5, 5.5, 0.15, 0.1, 1e308], ["g = 1e+308 GHz"]),
+            ((3, 3, 5), [8.2, 8.45, 0.2, 0.25, 0.199, 1e308], ["cavity_freq = 1e+308 GHz"]),
+            ((3, 3, 5), [8.2, 8.45, 0.2, 0.25, 1e308, 6.9], ["g_qc = 1e+308 GHz"]),
+        ],
+        ids=["freq_b", "both-freqs", "anharm-at-two-levels", "anharm_b", "sum", "g", "cavity_freq", "g_qc"],
+    )
+    def test_a_system_that_overflows_is_named_at_its_point_without_a_warning(self, sizes, row, named):
+        fine = [8.2, 8.45, 0.2, 0.25, 0.199, 6.9][: len(row)]
+        rows = np.array([fine, row, fine])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if named is None:
+                h0, d1 = hamiltonian_parts_rows(sizes, rows)
+                assert np.isfinite(h0).all() and np.isfinite(d1).all()
+                return
+            with pytest.raises(OverflowError) as exc:
+                hamiltonian_parts_rows(sizes, rows)
+        assert str(exc.value) == f"the Hamiltonian overflows a float at {', '.join(named)}"
+
+    def test_an_overflowing_spec_raises_from_every_builder(self):
+        spec = DirectSystemSpec(QA, QubitSpec(1e308, 0.1), 0.011)
+        for build in (hamiltonian_parts, build_direct_hamiltonian):
+            with pytest.raises(OverflowError, match="freq_b = 1e\\+308 GHz"):
+                build(spec)
 
     @pytest.mark.parametrize("specs", [
         [TestAssemblyAgainstReference.SPECS["direct"][0], replace(TestAssemblyAgainstReference.SPECS["direct"][0], g=0.0)],

@@ -605,6 +605,24 @@ class TestBatching:
         assert rows[0].status == "error:ValueError"
         assert_rows_are_single_point_rows(ISWAP_BASE, axes, rows[1:])
 
+    def test_an_overflowing_hamiltonian_stays_in_its_row_without_a_warning(self):
+        # an anharmonicity of 5e307 or 1e308 overflows qubit B's third level, one of 0.1 does not
+        axes = (SweepAxis("delta_b_abs", 0.1, 1e308, 3),)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = sweep(ISWAP_BASE, axes).rows
+        assert [row.status for row in rows] == ["ok", "error:OverflowError", "error:OverflowError"]
+        assert_rows_are_single_point_rows(ISWAP_BASE, axes, rows[:1])
+
+    def test_ratio_axes_on_a_coupling_that_overflows_fail_their_points_without_a_warning(self):
+        # delta_b_over_g times a coupling of 1e308 overflows a float, and so does the gate time
+        base = replace(CZ_BASE, system=replace(CZ_BASE.system, g=1e308))
+        axes = (SweepAxis("delta_a_over_g", 0.5, 8.0, 2), SweepAxis("delta_b_over_g", 0.5, 8.0, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = sweep(base, axes).rows
+        assert [row.status for row in rows] == ["error:ValueError"] * 4
+
     def test_stacked_eigensolver_failure_falls_back_to_single_points(self, monkeypatch):
         base, axes = BATCH_CASES["cavity"]
         expected = sweep(base, axes).rows
