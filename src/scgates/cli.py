@@ -24,14 +24,15 @@ error.  A Hamiltonian that overflows a float, or a gate time that is not
 positive and finite, is a numerical failure whose error names the parameters
 at fault; in a sweep it fails its own row.  The artifacts are written under
 temporary names and renamed only once all three are written, so a failed
-write leaves none of them.  Errors are also emitted as single-line JSON on
-stderr.
+write leaves none of them.  The summary, and the line an ``effective`` run
+prints, are RFC 8259 JSON, with no NaN or Infinity: an ``effective`` field
+that overflows a float is a numerical failure that names it.  Errors are
+also emitted as single-line JSON on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -40,7 +41,7 @@ from collections.abc import Callable
 from contextlib import suppress
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from functools import cache
-from itertools import pairwise
+from itertools import chain, pairwise
 from operator import attrgetter
 from pathlib import Path
 from typing import get_type_hints
@@ -283,39 +284,37 @@ def _grid_rows(grid: SweepGrid, label: tuple[str, float] | None = None):
         yield head + [repr(float(v)) for v in row.values] + [_fmt(v) for v in _CSV_VALUES(row)]
 
 
-def write_grids_csv(path: Path, grids, label_name: str | None = None, label_values=None) -> None:
-    """One CSV for a single grid or a labelled family of same-axis grids."""
-    axis_names = [ax.name for ax in grids[0].axes]
-    header = ([label_name] if label_name else []) + axis_names + list(CSV_VALUE_COLUMNS)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for i, grid in enumerate(grids):
-            label = (label_name, label_values[i]) if label_name else None
-            writer.writerows(_grid_rows(grid, label))
+def _csv_lines(summary: dict, grids, label):
+    """The lines of a run's CSV: its grids' rows, led by the label column of a family, else the one-row table of its summary's scalars.
 
-
-def _write_summary_csv(path: Path, summary: dict) -> None:
-    """One-row CSV of a gate or effective run's scalar results, for uniform tooling."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    No field holds a comma, a quote or a line break (each is a float
+    ``repr``, an int, a status tag, or an axis, label or summary name), so
+    joined by commas they are the lines ``csv`` would write.
+    """
+    if grids:
+        heads = [(label[0], value) for value in label[1]] if label else [None] * len(grids)
+        header = ([label[0]] if label else []) + [ax.name for ax in grids[0].axes] + list(CSV_VALUE_COLUMNS)
+        rows = chain([header], *map(_grid_rows, grids, heads))
+    else:
         keys = [k for k in summary if k != "mode" and not isinstance(summary[k], dict)]
-        writer.writerow(keys)
-        writer.writerow([_fmt(summary[k]) for k in keys])
+        rows = [keys, [_fmt(summary[k]) for k in keys]]
+    return (",".join(row) + "\n" for row in rows)
 
 
-def _write_atomically(out: Path, writers) -> None:
-    """Run each ``(name, write)`` on a temporary file in ``out``, then rename all to their names.
+def _write_atomically(out: Path, artifacts: dict) -> None:
+    """Write each ``{name: lines}`` artifact's lines to a temporary file in ``out``, then rename all to their names.
 
-    The renames start only once every write has succeeded.  If a write
-    fails, the temporaries are removed and the files already in ``out``
-    stay as they were, so a failed run leaves none of its artifacts.
+    The lines are streamed, so no artifact is held whole.  The renames start
+    only once every write has succeeded.  If a write fails, the temporaries
+    are removed and the files already in ``out`` stay as they were, so a
+    failed run leaves none of its artifacts.
     """
     staged = []
     try:
-        for name, write in writers:
+        for name, lines in artifacts.items():
             staged.append((out / f".{name}.{os.getpid()}.tmp", out / name))
-            write(staged[-1][0])
+            with staged[-1][0].open("w", encoding="utf-8", newline="") as fh:
+                fh.writelines(lines)
         for tmp, final in staged:
             os.replace(tmp, final)
     except BaseException:
@@ -345,7 +344,7 @@ def _threshold_entries(grid: SweepGrid, levels) -> list[dict]:
     for level in levels:
         try:
             entries.append(asdict(threshold(grid, level)))
-        except ValueError as exc:
+        except (ValueError, RuntimeError) as exc:  # no crossing to find, or a bisection point that failed
             entries.append({"level": level, "crossed": None, "note": str(exc)})
     return entries
 
@@ -381,14 +380,14 @@ _PLOT_NONE = """# No curve to draw for this mode; see summary.json next to this 
 """
 
 
-def _plot_script(csv_name: str, grids, label_name, label_values) -> str:
+def _plot_script(csv_name: str, grids, label) -> str:
     """The gnuplot script for what a run returned: no grid, a labelled family, a map or a curve."""
     if not grids:
         return _PLOT_NONE
     axes = grids[0].axes
-    if label_name:
-        labels = " ".join(_fmt(v) for v in label_values)
-        return _PLOT_FAMILY.format(csv=csv_name, xlabel=axes[0].name, labels=labels, label_name=label_name)
+    if label:
+        labels = " ".join(_fmt(v) for v in label[1])
+        return _PLOT_FAMILY.format(csv=csv_name, xlabel=axes[0].name, labels=labels, label_name=label[0])
     if len(axes) == 2:
         return _PLOT_2D.format(csv=csv_name, xlabel=axes[0].name, ylabel=axes[1].name)
     return _PLOT_1D.format(csv=csv_name, xlabel=axes[0].name)
@@ -419,7 +418,11 @@ def _run_gate(cfg: RunConfig):
 
 
 def _run_effective(cfg: RunConfig):
-    return effective_couplings(cfg.base.system).as_dict(), [], None
+    summary = effective_couplings(cfg.base.system).as_dict()
+    bad = [name for name, value in summary.items() if not math.isfinite(value)]
+    if bad:  # a sum or product of finite parameters that overflows a float
+        raise OverflowError(f"{bad[0]} = {summary[bad[0]]!r} GHz is not a finite float")
+    return summary, [], None
 
 
 def _run_sweep(cfg: RunConfig):
@@ -441,10 +444,10 @@ def _run_threshold(cfg: RunConfig):
 
 def _run_truncation(cfg: RunConfig):
     grids = truncation_study(cfg.base, cfg.n_levels_list, cfg.axes[0])
-    diffs = {
-        f"{a}-{b}": float(np.max(np.abs(ga.fidelity_array() - gb.fidelity_array())))
-        for (a, ga), (b, gb) in pairwise(zip(cfg.n_levels_list, grids))
-    }
+    diffs = {}  # over the points that succeed at both truncations (fmax skips NaN), null if none does
+    for (a, ga), (b, gb) in pairwise(zip(cfg.n_levels_list, grids)):
+        diff = float(np.fmax.reduce(np.abs(ga.fidelity_array() - gb.fidelity_array())))
+        diffs[f"{a}-{b}"] = None if math.isnan(diff) else diff
     summary = {
         "gate": cfg.base.gate,
         "n_levels_list": list(cfg.n_levels_list),
@@ -532,24 +535,11 @@ def run_config(cfg: RunConfig, out_dir: str | Path, jobs: int = 1, stem: str = "
     csv_name = f"{stem}.csv"
     summary_name = "summary.json" if stem == "results" else f"{stem}_summary.json"
     plot_name = "plot.gp" if stem == "results" else f"{stem}_plot.gp"
-    label_name, label_values = label or (None, None)
-    summary_text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    plot_text = _plot_script(csv_name, grids, label_name, label_values)
-
-    def write_csv(path: Path) -> None:
-        if grids:
-            write_grids_csv(path, grids, label_name, label_values)
-        else:
-            _write_summary_csv(path, summary)
-
-    _write_atomically(
-        out,
-        [
-            (csv_name, write_csv),
-            (summary_name, lambda path: path.write_text(summary_text, encoding="utf-8")),
-            (plot_name, lambda path: path.write_text(plot_text, encoding="utf-8")),
-        ],
-    )
+    _write_atomically(out, {
+        csv_name: _csv_lines(summary, grids, label),
+        summary_name: [json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n"],  # RFC 8259: no NaN or Infinity
+        plot_name: [_plot_script(csv_name, grids, label)],
+    })
     return summary
 
 
@@ -602,7 +592,7 @@ def _run_cli(load, out_dir, dt, stem: str, default_out=None) -> int:
         _emit_error("io", exc)
         return 3
     if cfg.mode == "effective":
-        print(json.dumps(summary, sort_keys=True))
+        print(json.dumps(summary, sort_keys=True, allow_nan=False))
     return 0
 
 

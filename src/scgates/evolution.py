@@ -123,6 +123,13 @@ DEFAULT_DT = 0.01
 CONSTANT_UNITARITY_TOL = 1e-10
 SCHEDULE_UNITARITY_TOL = 1e-8
 
+#: Most squarings q of a ramp run's coefficient series (``_ramp_coefficients``).
+#: Their round-off grows about as 2^q ulps of 2^-53, so past
+#: q = log2(SCHEDULE_UNITARITY_TOL * 2^53) = 26.4 no ramp passes the unitarity
+#: bound.  1 ns CZ trapezoids of the fig3b pair with qubit B raised to 1e7 and
+#: 1e9 GHz already fail it, with defects of 1.5e-8 at q = 19 and 9.5e-7 at q = 26.
+_MOST_SQUARINGS = int(math.log2(SCHEDULE_UNITARITY_TOL * 2**53))
+
 #: Largest ||W||_max of a scale interval of a ramp (see ``_ramp_chunks``).  At
 #: 1/16 the degree M that bounds the remainder by 2^-53 is at most 8.
 _THETA = 1.0 / 16.0
@@ -142,6 +149,13 @@ _EXP_SERIES = np.array([(z.real, z.imag) for z in ((-1j) ** j / math.factorial(j
 
 class UnitarityError(RuntimeError):
     """The assembled propagator failed its unitarity bound."""
+
+
+def checked_defect(defect: float, tol: float) -> float:
+    """``defect`` as a float, unless it is not at most ``tol``, as a NaN defect is not: then ``UnitarityError``."""
+    if not defect <= tol:
+        raise UnitarityError(f"unitarity defect {defect:.3e} exceeds {tol:g}")
+    return float(defect)
 
 
 @dataclass(frozen=True)
@@ -349,7 +363,10 @@ def _ramp_coefficients(h0: np.ndarray, d1: np.ndarray, ends, step: float, degree
     Frechet-derivative recurrence (SIAM J. Matrix Anal. Appl. 30, 1639
     (2009)): with ||N||_1 <= ||Xc||_1 + ||W||_max = v, q is the least with
     v / 2^q < 1 and the series takes _degree(v / 2^q) + 1 terms, a remainder
-    of at most 2^-53 (``_taylor``).  Points of one q and term count are
+    of at most 2^-53 (``_taylor``).  A point whose q is above
+    ``_MOST_SQUARINGS``, or whose v is not finite, raises ``UnitarityError``
+    naming the step, v and q, since its round-off could not pass the
+    unitarity bound.  Points of one q and term count are
     taken as one stack, so each point gets the arithmetic it would get
     alone.  The images
     [[Re, -Im], [Im, Re]] of the F_m are the rows of an (M + 1, 4 k^2)
@@ -365,7 +382,9 @@ def _ramp_coefficients(h0: np.ndarray, d1: np.ndarray, ends, step: float, degree
     a.reshape(len(a), -1)[:, :: k + 1] += mid * b  # Xc
     w, keys = half * b, []
     for v in (np.abs(a).sum(axis=-2).max(axis=-1) + np.abs(w).max(axis=-1)).tolist():
-        q = max(0, math.frexp(v)[1])
+        q = max(0, math.frexp(v)[1]) if v < math.inf else math.inf  # NaN too
+        if q > _MOST_SQUARINGS:
+            raise UnitarityError(f"a ramp step of {step!r} ns at 1-norm {v:.3e} takes {q} squarings, more than {_MOST_SQUARINGS}")
         keys.append((q, _degree(v * 0.5**q)))
     f = np.empty((len(a), degree + 1, k, k), dtype=complex)
     for key in set(keys):
@@ -678,6 +697,7 @@ def _with_diagonal(h: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
     return h
 
 
+@np.errstate(all="ignore")  # an overflow leaves a NaN defect, which the caller's bound fails
 def segment_columns(h0: np.ndarray, d1: np.ndarray, scales, durations: np.ndarray, blocks, columns, dt: float):
     """Given columns of the propagators of a stack of points over their segments, and the unitarity defect of each point.
 
@@ -711,8 +731,9 @@ def segment_columns(h0: np.ndarray, d1: np.ndarray, scales, durations: np.ndarra
       forms some columns is not;
     * each later segment's propagators multiply the columns carried forward.
     With every column the arithmetic is that of whole propagators.  Checking
-    each defect against ``SCHEDULE_UNITARITY_TOL`` is left to the caller, so
-    that one failing point does not fail the stack.
+    each defect against ``SCHEDULE_UNITARITY_TOL`` (``checked_defect``) is
+    left to the caller, so that one failing point does not fail the stack.
+    Floating-point warnings are silenced: an overflow shows as a NaN defect.
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -757,10 +778,7 @@ def propagate_constant(h: np.ndarray, t: float) -> PropagationResult:
     if scale > 0 and np.max(np.abs(h - h.conj().T)) > 1e-9 * scale:
         raise ValueError("matrix is not Hermitian within 1e-9 of its norm")
     ((u,),) = _exponentials([h[None]], t)
-    defect = float(_unitarity_defects(u[None])[0])
-    if defect > CONSTANT_UNITARITY_TOL:
-        raise UnitarityError(f"unitarity defect {defect:.3e} exceeds {CONSTANT_UNITARITY_TOL:g}")
-    return PropagationResult(u, float(t), defect, 1)
+    return PropagationResult(u, float(t), checked_defect(_unitarity_defects(u[None])[0], CONSTANT_UNITARITY_TOL), 1)
 
 
 def propagate_schedule(
@@ -782,7 +800,6 @@ def propagate_schedule(
     h0, h1 = hamiltonian_parts(spec)
     blocks = parity_blocks(spec)
     us, (defect,) = segment_columns(h0[None], np.diagonal(h1)[None], *schedule_segments([schedule]), blocks, None, dt)
-    if defect > SCHEDULE_UNITARITY_TOL:
-        raise UnitarityError(f"unitarity defect {defect:.3e} exceeds {SCHEDULE_UNITARITY_TOL:g}")
+    defect = checked_defect(defect, SCHEDULE_UNITARITY_TOL)
     steps = sum(1 if seg.is_constant else math.ceil(seg.duration / dt) for seg in schedule.segments)
-    return PropagationResult(_scatter(us, blocks)[0], schedule.total_time, float(defect), steps)
+    return PropagationResult(_scatter(us, blocks)[0], schedule.total_time, defect, steps)

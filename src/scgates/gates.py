@@ -39,7 +39,7 @@ from .evolution import (
     DEFAULT_DT,
     SCHEDULE_UNITARITY_TOL,
     PulseSchedule,
-    UnitarityError,
+    checked_defect,
     schedule_segments,
     segment_columns,
     square_schedule,
@@ -454,6 +454,5 @@ def run_gate(
     if schedule is None:
         schedule = square_schedule(gate_time(spec, target))
     (block,), (defect,) = stack_blocks(spec.sizes, rows, *schedule_segments([schedule]), dt)
-    if defect > SCHEDULE_UNITARITY_TOL:
-        raise UnitarityError(f"unitarity defect {defect:.3e} exceeds {SCHEDULE_UNITARITY_TOL:g}")
+    checked_defect(defect, SCHEDULE_UNITARITY_TOL)
     return gate_fidelity(block, target)

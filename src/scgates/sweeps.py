@@ -400,7 +400,7 @@ def _evaluate(bases, axes: tuple[SweepAxis, ...], values: np.ndarray) -> list[li
         for start in range(0, len(rows), size):
             chunk = slice(start, start + size)
             for at, (m, defects) in _parts(run, errors, points[chunk], rows[chunk], durations[chunk]):
-                spoiled = defects > SCHEDULE_UNITARITY_TOL
+                spoiled = ~(defects <= SCHEDULE_UNITARITY_TOL)  # NaN too (``evolution.checked_defect``)
                 errors[at[spoiled]] = UnitarityError
                 blocks.setdefault(target, []).append((at[~spoiled], m[~spoiled]))
     for target, found in blocks.items():
@@ -585,7 +585,9 @@ def detrended_amplitude(grid: SweepGrid, degree: int = 3) -> float:
     ramps over g/anharm_b in [0.10, 0.30], which loses 9.4% of its fidelity,
     leaves part of its trend in the residual: raising the degree from 3 to 4
     shrinks that residual by a third.  Compare amplitudes across curves at
-    one fixed degree.
+    one fixed degree.  An axis whose Vandermonde columns, by whose norms the
+    fit scales them, have norms that are not positive and finite (|x| above
+    about 1e51 at degree 3) raises ``ValueError`` naming its values.
     """
     if len(grid.axes) != 1:
         raise ValueError("detrending needs a 1D grid")
@@ -595,5 +597,9 @@ def detrended_amplitude(grid: SweepGrid, degree: int = 3) -> float:
     f = grid.fidelity_array()
     if len(x) < degree + 2:
         raise ValueError(f"need at least {degree + 2} points to detrend at degree {degree}")
+    with np.errstate(all="ignore"):  # polyfit scales its Vandermonde columns by their norms
+        norms = np.sqrt(np.sum(np.vander(x, degree + 1) ** 2, axis=0))
+    if not np.all((norms > 0) & (norms < math.inf)):
+        raise ValueError(f"cannot detrend at degree {degree} over axis values {x.tolist()}: their column norms are not positive and finite")
     residual = f - np.polyval(np.polyfit(x, f, degree), x)
     return float(residual.max() - residual.min())

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import resource
@@ -557,6 +559,27 @@ class TestRunArtifacts:
 
 
     @pytest.mark.parametrize(
+        "config",
+        [GATE_CONFIG, EFFECTIVE_CONFIG, TRUNCATION_CONFIG, {**SWEEP_CONFIG, "axes": [{**SWEEP_CONFIG["axes"][0], "stop": 1e308}]}],
+        ids=["gate", "effective", "truncation", "failed-row"],
+    )
+    def test_csv_lines_are_the_csv_modules_bytes(self, tmp_path, config):
+        # no field needs quoting: the CSV read and written back by the csv module is the same bytes
+        run_config(parse_config(config), tmp_path)
+        text = (tmp_path / "results.csv").read_text()
+        again = io.StringIO()
+        csv.writer(again, lineterminator="\n").writerows(csv.reader(io.StringIO(text)))
+        assert again.getvalue() == text
+        assert text.count("\n") > 1
+
+    def test_truncation_diff_skips_the_points_that_failed(self, tmp_path):
+        axis = {**SWEEP_CONFIG["axes"][0], "stop": 1e308}
+        summary = run_config(parse_config({**TRUNCATION_CONFIG, "axes": [axis]}), tmp_path)
+        statuses = [line.rsplit(",", 1)[1] for line in (tmp_path / "results.csv").read_text().splitlines()[1:]]
+        assert statuses.count("ok") < len(statuses)
+        assert 0 < summary["max_abs_fidelity_diff"]["3-4"] < 0.1
+
+    @pytest.mark.parametrize(
         "label, head", [(None, []), (3, ["3"]), (np.int64(5), ["5"]), (np.float64(2.5), ["2.5"]), (-0.0, ["-0.0"])]
     )
     def test_grid_rows_keep_the_formatted_bytes(self, label, head):
@@ -868,14 +891,15 @@ class TestCliEntry:
 
     @staticmethod
     def fail_plot_writes(monkeypatch):
-        write_text = Path.write_text
+        # the plot's temporary alone fails to open: the test's own reads of plot.gp still work
+        open_path = Path.open
 
-        def failing_write_text(self, *args, **kwargs):
-            if "plot" in self.name:
+        def failing_open(self, *args, **kwargs):
+            if self.name.startswith(".plot"):
                 raise OSError(28, "No space left on device")
-            return write_text(self, *args, **kwargs)
+            return open_path(self, *args, **kwargs)
 
-        monkeypatch.setattr(Path, "write_text", failing_write_text)
+        monkeypatch.setattr(Path, "open", failing_open)
 
     @pytest.mark.parametrize("config", [GATE_CONFIG, SWEEP_CONFIG], ids=["gate", "sweep1d"])
     def test_failed_plot_write_leaves_no_artifacts(self, tmp_path, capsys, monkeypatch, config):

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from scgates import (
     gate_time,
     propagate_constant,
     propagate_schedule,
+    run_gate,
     square_schedule,
     trapezoid_schedule,
 )
@@ -298,6 +300,31 @@ class TestParitySplit:
     def test_unitarity_check_covers_every_polynomial_ramp_block(self, spoiled, monkeypatch):
         # a 5 ns ramp of a 9-level pair: one run of 1,000 exponentials per block, multiplied in groups
         assert 0 not in spoil_ramp_block(SPLIT_SPECS["direct-3"], 5.0, spoiled, monkeypatch)
+
+    def test_a_nan_defect_fails_the_bound(self, monkeypatch):
+        # NaN > tol is False: a propagator that overflowed must fail in every entry point
+        monkeypatch.setattr(evolution, "_unitarity_defects", lambda x: np.full(len(x), np.nan))
+        with pytest.raises(UnitarityError, match="unitarity defect nan"):
+            propagate_constant(np.eye(2), 1.0)
+        with pytest.raises(UnitarityError, match="unitarity defect nan"):
+            propagate_schedule(CZ_SPEC, trapezoid_schedule(1.0, 3.0))
+        with pytest.raises(UnitarityError, match="unitarity defect nan"):
+            run_gate(CZ_SPEC, CZ, trapezoid_schedule(1.0, 3.0))
+
+    @pytest.mark.parametrize("freq_b, q", [(1e10, 29), (1e154, 507)])
+    def test_a_ramp_past_the_squaring_bound_fails_at_once(self, freq_b, q):
+        # 26 squarings is the most whose round-off can stay within the unitarity bound
+        assert evolution._MOST_SQUARINGS == 26
+        spec = replace(CZ_SPEC, qubit_b=QubitSpec(freq_b, 0.114, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnitarityError, match=f"a ramp step of 0.005 ns at 1-norm .* takes {q} squarings, more than 26"):
+                propagate_schedule(spec, trapezoid_schedule(1.0, 3.0))
+
+    def test_a_non_finite_norm_takes_no_squarings(self):
+        h0, d1 = np.full((1, 2, 2), np.inf), np.zeros((1, 2))
+        with np.errstate(all="ignore"), pytest.raises(UnitarityError, match="takes inf squarings"):
+            evolution._ramp_coefficients(h0, d1, (1.1, 1.0), 0.005, 8)
 
     def test_an_arbitrary_hermitian_matrix_is_one_block(self):
         # a complex matrix that couples every state to every other

@@ -1,16 +1,18 @@
-"""A probe of the square-pulse configs: every leaf of one config at a time, at extreme values.
+"""A probe of the CLI's configs: every leaf of one config at a time, at extreme values.
 
-Each template below is a small config of one run mode.  Each leaf of its
-``system`` and ``schedule`` objects, and each ``n_levels_list`` entry, is
-replaced in turn: a float leaf by each of ``FLOATS`` and a count by each of
-``COUNTS``.  Every such config runs through ``cli.main`` in process, and
-whatever it does, the CLI's contract must hold:
+Each template below is a small config of one run mode, square-pulsed or
+ramped.  Each leaf of its ``system`` and ``schedule`` objects, each
+``n_levels_list`` and ``tau_d_list`` entry, and each axis ``start``, ``stop``
+and ``n_points`` is replaced in turn: a float leaf by each of ``FLOATS`` and
+a count by each of ``COUNTS``.  Every such config runs through ``cli.main``
+in process, and whatever it does, the CLI's contract must hold:
 
 * nothing is raised, and the exit code is 0 to 3;
 * a failed run prints exactly one stderr line, a JSON object of a documented
   ``kind`` and a non-empty ``error``, and writes nothing;
-* a run that succeeds writes its three artifacts, and its summary passes
-  ``validate_summary``;
+* a run that succeeds writes its three artifacts, its summary is RFC 8259
+  JSON (no ``NaN`` or ``Infinity``) and passes ``validate_summary``, and so
+  is the line an ``effective`` run prints;
 * no warning is issued but the documented resonance ``UserWarning``, and
   nothing reaches stdout or stderr from below Python.
 
@@ -55,10 +57,14 @@ _SQUARE = {"tau_d": 0.0, "dt": 0.01}
 
 _RATIO_AXIS = {"name": "g_over_delta_b", "start": 0.05, "stop": 0.5, "n_points": 3}
 
+#: A 1 ns ramp on either side of the CZ pulse.
+_RAMPED = {"tau_d": 1.0, "dt": 0.01}
+
 TEMPLATES = {
     "gate-iswap": {"mode": "gate", "system": _DIRECT_ISWAP, "gate": "iswap", "schedule": _SQUARE},
     "gate-cz": {"mode": "gate", "system": _DIRECT_CZ, "gate": "cz", "schedule": _SQUARE},
     "gate-cavity-cz": {"mode": "gate", "system": _CAVITY_CZ, "gate": "cz", "schedule": _SQUARE},
+    "gate-ramp-cz": {"mode": "gate", "system": _DIRECT_CZ, "gate": "cz", "schedule": _RAMPED},
     "sweep1d": {"mode": "sweep1d", "system": _DIRECT_ISWAP, "gate": "iswap", "schedule": _SQUARE, "axes": [_RATIO_AXIS]},
     "sweep2d": {
         "mode": "sweep2d",
@@ -79,6 +85,10 @@ TEMPLATES = {
         "axes": [_RATIO_AXIS], "n_levels_list": [3, 4],
     },
     "effective": {"mode": "effective", "system": _CAVITY_CZ},
+    "ramp": {
+        "mode": "ramp", "system": _DIRECT_CZ, "gate": "cz", "schedule": {"dt": 0.01},
+        "axes": [{"name": "g_over_delta_b", "start": 0.10, "stop": 0.45, "n_points": 5}], "tau_d_list": [0.0, 1.0],
+    },
 }
 
 FLOATS = (0, -0.0, 5e-324, 1e-300, -1, 1e154, 1e200, 1e308, -1e308, 10**400)
@@ -86,12 +96,12 @@ FLOATS = (0, -0.0, 5e-324, 1e-300, -1, 1e154, 1e200, 1e308, -1e308, 10**400)
 COUNTS = (0, 1, -1, 2**63, 10**400)
 
 #: The keys whose leaves are counts; every other leaf is a float.
-COUNT_KEYS = {"n_levels", "n_photons", "n_levels_list"}
+COUNT_KEYS = {"n_levels", "n_photons", "n_levels_list", "n_points"}
 
 KINDS = {"config", "numerical", "memory", "io"}
 
 #: Runs that must fail in a given way: (template, leaf path, value) -> (exit code, text in the
-#: stderr line of a failed run, or in the CSV of one that succeeds, whose rows may fail).
+#: stderr line of a failed run, or in the CSV or summary of one that succeeds, whose rows may fail).
 NAMED = {
     ("gate-iswap", ("system", "qubit_b", "freq"), 1e308): (2, "freq_b = 1e+308 GHz"),
     ("gate-cz", ("system", "qubit_a", "freq"), 1e308): (2, "freq_a = 1e+308 GHz"),
@@ -106,6 +116,13 @@ NAMED = {
     ("gate-cz", ("system", "qubit_b", "n_levels"), 2**63): (1, "n_levels"),
     ("effective", ("system", "n_photons"), 2**63): (1, "n_photons"),
     ("truncation", ("n_levels_list", 1), 10**400): (2, "n_levels"),
+    ("gate-ramp-cz", ("system", "qubit_b", "freq"), 1e154): (2, "takes 507 squarings, more than 26"),
+    ("sweep2d", ("axes", 0, "stop"), 1e308): (0, "1e+308,0.5,nan,nan,nan,nan,nan,nan,error:UnitarityError"),
+    ("sweep1d", ("axes", 0, "stop"), 1e308): (0, '"note": "gate evaluation failed during bisection'),
+    ("truncation", ("system", "qubit_b", "freq"), 1e308): (0, '"3-4": null'),
+    ("effective", ("system", "qubit_a", "freq"), 1e308): (2, "dressed_freq_a2 = inf GHz"),
+    ("effective", ("system", "g_qc"), 1e154): (2, "dressed_freq_a2 = inf GHz"),
+    ("ramp", ("axes", 0, "stop"), 1e154): (2, "cannot detrend at degree 3 over axis values [0.1, 2.5e+153"),
 }
 
 
@@ -122,7 +139,7 @@ def _leaves(obj, path=()):
 def _probes(name):
     """``(path, values)`` of each leaf the probe replaces in template ``name``."""
     config = TEMPLATES[name]
-    for top in ("system", "schedule", "n_levels_list"):
+    for top in ("system", "schedule", "n_levels_list", "tau_d_list", "axes"):
         if top in config:
             for path in _leaves({top: config[top]}):
                 yield path, COUNTS if COUNT_KEYS.intersection(map(str, path)) else FLOATS
@@ -141,6 +158,10 @@ def _replaced(config: dict, path, value) -> dict:
     return config
 
 
+def _strict(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
 def _outcome(tmp_path, capfd, config):
     """Run ``config`` through ``cli.main``; returns (exit code, stdout, stderr, warnings issued, out dir)."""
     tmp_path.mkdir()
@@ -154,7 +175,7 @@ def _outcome(tmp_path, capfd, config):
 
 
 def test_the_probe_covers_every_leaf_of_every_template():
-    assert sum(len(values) for _, _, values in CASES) == 660
+    assert sum(len(values) for _, _, values in CASES) == 980
     assert {(name, path) for name, path, _ in NAMED} <= {(name, path) for name, path, _ in CASES}
 
 
@@ -178,7 +199,9 @@ def test_every_extreme_leaf_keeps_the_cli_contract(tmp_path, capfd, name, path, 
                 faults.append(f"wrote {written}")
             else:
                 try:
-                    cli.validate_summary(json.loads((out / "summary.json").read_text()))
+                    cli.validate_summary(json.loads((out / "summary.json").read_text(), parse_constant=_strict))
+                    if config["mode"] == "effective":
+                        json.loads(stdout, parse_constant=_strict)
                 except ValueError as exc:
                     faults.append(f"summary: {exc}")
             if lines or stdout and config["mode"] != "effective":
@@ -195,7 +218,8 @@ def test_every_extreme_leaf_keeps_the_cli_contract(tmp_path, capfd, name, path, 
         else:
             faults.append(f"exit code {code!r}")
         expected = NAMED.get((name, path, value))
-        found = stderr + ((out / "results.csv").read_text() if code == 0 and out.exists() else "")
+        shown = ("results.csv", "summary.json") if code == 0 and out.exists() else ()
+        found = stderr + "".join((out / artifact).read_text() for artifact in shown)
         if expected and (code != expected[0] or expected[1] not in found):
             faults.append(f"exit {code} {stderr!r}, expected exit {expected[0]} naming {expected[1]!r}")
         if faults:

@@ -659,6 +659,24 @@ class TestBatching:
         assert rows[3].status == "error:UnitarityError"
         assert rows[:3] + rows[4:] == expected[:3] + expected[4:]
 
+    def test_a_nan_defect_fails_its_row(self, monkeypatch):
+        # NaN > tol is False: a point whose propagator overflowed must not reach the phase solve
+        base, axes = BATCH_CASES["cavity"]
+        expected = sweep(base, axes).rows
+        (bad,) = parameter_rows([derive_point_spec(base, axes, expected[3].values)])
+        stack_blocks = sweeps_module.stack_blocks
+
+        def overflowed_blocks(sizes, rows, *args):
+            m, defects = stack_blocks(sizes, rows, *args)
+            hit = (rows == bad).all(axis=1)
+            m[hit] = np.nan
+            return m, np.where(hit, np.nan, defects)
+
+        monkeypatch.setattr(sweeps_module, "stack_blocks", overflowed_blocks)
+        rows = sweep(base, axes).rows
+        assert rows[3].status == "error:UnitarityError"
+        assert rows[:3] + rows[4:] == expected[:3] + expected[4:]
+
     @staticmethod
     def nan_phase_solve(failed, monkeypatch):
         """``(expected, rows, chunks, scored)`` of a 40-point sweep of the 45-level cavity system, run unforced and then with the blocks of the points ``failed`` made NaN.
@@ -1288,3 +1306,12 @@ class TestDetrending:
         grid = synthetic_grid(np.linspace(0, 1, 4), np.ones(4))
         with pytest.raises(ValueError, match="points"):
             detrended_amplitude(grid, degree=3)
+
+    @pytest.mark.parametrize("stop", [1e154, 1e200, 1e308])
+    def test_refuses_an_axis_whose_powers_overflow(self, stop):
+        # polyfit would scale its columns by infinite norms, warn, and fail as an SVD that did not converge
+        grid = synthetic_grid(np.linspace(0.1, stop, 5), np.ones(5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"cannot detrend at degree 3 over axis values \[0\.1, "):
+                detrended_amplitude(grid, degree=3)
